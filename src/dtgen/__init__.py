@@ -67,9 +67,6 @@ from .sdf import (
     SdfWorld,
     ValidationIssue,
     ValidationReport,
-    emit_building,
-    emit_road,
-    emit_vehicle,
     emit_world,
     validate_sdf,
 )
@@ -123,9 +120,6 @@ __all__ = [
     "VehicleState",
     "compute_gap",
     "derive_headings",
-    "emit_building",
-    "emit_road",
-    "emit_vehicle",
     "emit_world",
     "estimate_height",
     "extract_buildings",

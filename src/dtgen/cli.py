@@ -139,9 +139,9 @@ def _cmd_generate(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"warnings: {len(result.warnings)}", file=sys.stderr)
     print(
-        f"models: {len(result.world.building_models)} buildings, "
-        f"{len(result.world.road_models)} roads, "
-        f"{len(result.world.vehicle_models)} vehicles",
+        f"models: {len(result.buildings)} buildings, "
+        f"{len(result.roads)} roads, "
+        f"{len(config.vehicles)} vehicles",
         file=sys.stderr,
     )
     return EXIT_OK

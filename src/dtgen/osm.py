@@ -6,11 +6,12 @@ anything else are skipped. Parsing never aborts on unknown content; defective
 nodes and ways are dropped and recorded on the document's warning list.
 """
 
+import http.client
 import math
+import urllib.error
+import urllib.request
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-
-import requests
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
@@ -199,20 +200,37 @@ def overpass_query(bbox: BoundingBox, timeout: float = 25.0) -> str:
 
 
 def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = 25.0) -> str:
-    """POST an Overpass query and return the OSM XML response verbatim."""
+    """POST an Overpass query and return the OSM XML response verbatim.
+
+    The body is decoded with the charset named in the response's
+    Content-Type, UTF-8 when none is named.
+    """
     query = overpass_query(bbox, timeout)
     try:
-        response = requests.post(
+        request = urllib.request.Request(
             endpoint,
             data=query.encode("utf-8"),
             headers={"Content-Type": "text/plain; charset=utf-8"},
-            timeout=timeout,
+            method="POST",
         )
-    except requests.RequestException as exc:
+        try:
+            response = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc  # an HTTP error status still carries a body
+        with response:
+            status = response.status
+            charset = response.headers.get_content_charset() or "utf-8"
+            body = response.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # OSError covers URLError, refused connections and socket timeouts;
+        # ValueError an endpoint that is not an http(s) URL
         raise TransportError(f"request to {endpoint} failed: {exc}") from exc
-    if response.status_code >= 400:
-        raise RemoteError(response.status_code, response.text[:200])
-    text = response.text
+    if status >= 400:
+        raise RemoteError(status, body.decode(charset, errors="replace")[:200])
+    try:
+        text = body.decode(charset)
+    except (LookupError, UnicodeDecodeError) as exc:
+        raise ResponseFormatError(f"response body does not decode as {charset}: {exc}") from exc
     head = text.lstrip()
     if not (head.startswith("<?xml") or head.startswith("<osm")):
         raise ResponseFormatError(

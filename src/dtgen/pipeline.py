@@ -31,14 +31,14 @@ def generate_world(config: GenerationConfig, osm_xml: str) -> GenerationResult:
     warnings = list(doc.warnings) + building_warnings + road_warnings
     low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
     high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
-    for spec in config.vehicles:
-        x, y, _ = resolve_spawn(spec.spawn, origin)
+    spawns = [resolve_spawn(spec.spawn, origin) for spec in config.vehicles]
+    for spec, (x, y, _) in zip(config.vehicles, spawns):
         if not (low.x <= x <= high.x and low.y <= y <= high.y):
             warnings.append(
                 f"vehicle {spec.name!r} spawns outside the configured bounding box"
             )
 
-    world = emit_world(buildings, roads, list(config.vehicles), origin, config)
+    world = emit_world(buildings, roads, spawns, origin, config)
     return GenerationResult(
         world=world,
         buildings=tuple(buildings),

@@ -110,7 +110,9 @@ class GapReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
+        # allow_nan=False: a NaN or inf metric must fail loudly, never
+        # become a bare NaN token that strict JSON readers reject
+        return json.dumps(self.as_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def step_kinematic(
@@ -297,7 +299,8 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
     """Load a trajectory from CSV.
 
     Header ``t,lat,lon[,yaw]`` means geodetic samples, projected with
-    ``origin``; header ``t,x,y[,yaw]`` means local meters.
+    ``origin``; header ``t,x,y[,yaw]`` means local meters. Every value must
+    be a finite number.
     """
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
@@ -322,10 +325,7 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
             raise ValueError(
                 f"trajectory CSV line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise ValueError(f"trajectory CSV line {line_no}: {exc}") from exc
+        values = _parse_numbers(row, "trajectory", line_no)
         t, a, b = values[:3]
         yaw = values[3] if has_yaw else None
         if geodetic:
@@ -337,7 +337,8 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
 
 
 def parse_controls_csv(text: str) -> list[ControlSample]:
-    """Load a command stream from CSV with header ``t,speed,steer``."""
+    """Load a command stream from CSV with header ``t,speed,steer``; every
+    value must be a finite number."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise ValueError("controls CSV is empty")
@@ -348,9 +349,16 @@ def parse_controls_csv(text: str) -> list[ControlSample]:
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise ValueError(f"controls CSV line {line_no}: expected 3 fields, got {len(row)}")
-        try:
-            t, speed, steer = (float(v) for v in row)
-        except ValueError as exc:
-            raise ValueError(f"controls CSV line {line_no}: {exc}") from exc
+        t, speed, steer = _parse_numbers(row, "controls", line_no)
         controls.append(ControlSample(t, speed, steer))
     return controls
+
+
+def _parse_numbers(row: list[str], kind: str, line_no: int) -> list[float]:
+    try:
+        values = [float(v) for v in row]
+    except ValueError as exc:
+        raise ValueError(f"{kind} CSV line {line_no}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{kind} CSV line {line_no}: non-finite value in {row!r}")
+    return values

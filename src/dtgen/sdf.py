@@ -1,17 +1,18 @@
 """SDFormat world emission and structural validation.
 
-Emission happens in two stages: ``emit_*`` turn domain objects into small
-fragment records that keep exact float geometry, and the serializer renders
-those fragments with fixed-precision formatting so identical inputs always
-produce byte-identical files. ``validate_sdf`` re-parses emitted (or foreign)
-files and reports structural violations instead of raising.
+``emit_world`` writes the world document straight from the world-model
+objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
+pose). Every number goes through fixed-precision formatting, so identical
+inputs always produce byte-identical files. ``validate_sdf`` re-parses
+emitted (or foreign) files and reports structural violations instead of
+raising.
 """
 
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .config import GenerationConfig, VehicleKind, VehicleSpec, resolve_spawn
+from .config import GenerationConfig, VehicleKind, VehicleSpec
 from .errors import EmitError
 from .geodesy import GeoOrigin
 from .world_model import Building, Road
@@ -19,6 +20,7 @@ from .world_model import Building, Road
 WORLD_NAME = "generated"
 GROUND_PLANE_NAME = "ground_plane"
 GROUND_VISUAL_SIZE_M = 5000.0
+GROUND_COLOR = "0.8 0.8 0.8 1"
 ROAD_COLOR = "0.3 0.3 0.3 1"
 BUILDING_COLOR = "0.7 0.7 0.7 1"
 WHEEL_WIDTH_M = 0.2
@@ -44,47 +46,6 @@ def fmt_deg(value: float) -> str:
 
 
 @dataclass(frozen=True)
-class BuildingFragment:
-    name: str
-    points: tuple[tuple[float, float], ...]
-    height: float
-
-
-@dataclass(frozen=True)
-class RoadSegment:
-    x: float
-    y: float
-    z: float
-    yaw: float
-    length: float
-    width: float
-    thickness: float
-
-
-@dataclass(frozen=True)
-class RoadFragment:
-    name: str
-    segments: tuple[RoadSegment, ...]
-
-
-@dataclass(frozen=True)
-class VehicleFragment:
-    name: str
-    kind: VehicleKind
-    gps: bool
-    x: float
-    y: float
-    yaw: float
-    wheelbase: float
-    track: float
-    wheel_radius: float
-    max_steer_angle: float
-    chassis_length: float
-    chassis_width: float
-    chassis_height: float
-
-
-@dataclass(frozen=True)
 class ValidationIssue:
     location: str
     message: str
@@ -101,21 +62,21 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SdfWorld:
-    version: str
-    origin: GeoOrigin
-    building_models: tuple[BuildingFragment, ...]
-    road_models: tuple[RoadFragment, ...]
-    vehicle_models: tuple[VehicleFragment, ...]
     text: str
 
 
 class _XmlWriter:
-    """Indented line emitter; tiny enough to beat templating for nested SDF."""
+    """Indented line emitter; tiny enough to beat templating for nested SDF.
+
+    Model names are tracked as models are opened, so a duplicate is caught
+    in the order the models appear in the document.
+    """
 
     def __init__(self, level: int = 0, step: str = "  "):
         self._lines: list[str] = []
         self._level = level
         self._step = step
+        self._model_names: set[str] = set()
 
     def line(self, text: str) -> None:
         self._lines.append(self._step * self._level + text)
@@ -131,92 +92,31 @@ class _XmlWriter:
         self._level -= 1
         self.line(f"</{tag}>")
 
+    def open_model(self, name: str) -> None:
+        if name in self._model_names:
+            raise EmitError(f"duplicate model name {name!r}")
+        self._model_names.add(name)
+        self.open(f'<model name="{name}">')
+
     def text(self) -> str:
         return "\n".join(self._lines)
-
-
-def emit_building(building: Building, index: int) -> BuildingFragment:
-    """Fragment for one extruded-footprint building model.
-
-    ``index`` is the position in the emitted world; the model name comes from
-    the source way id.
-    """
-    return BuildingFragment(
-        name=f"building_{building.id}",
-        points=tuple((p.x, p.y) for p in building.footprint),
-        height=building.height,
-    )
-
-
-def emit_road(road: Road, index: int, thickness: float = 0.1) -> RoadFragment:
-    """Fragment for one road: a thin box per centerline segment, raised so it
-    sits on the ground plane."""
-    segments = []
-    for a, b in zip(road.centerline, road.centerline[1:]):
-        dx = b.x - a.x
-        dy = b.y - a.y
-        segments.append(
-            RoadSegment(
-                x=(a.x + b.x) / 2.0,
-                y=(a.y + b.y) / 2.0,
-                z=thickness / 2.0,
-                yaw=math.atan2(dy, dx),
-                length=math.hypot(dx, dy),
-                width=road.width,
-                thickness=thickness,
-            )
-        )
-    return RoadFragment(name=f"road_{road.id}", segments=tuple(segments))
-
-
-def emit_vehicle(spec: VehicleSpec, origin: GeoOrigin) -> VehicleFragment:
-    """Fragment for one vehicle; geodetic spawns are projected via ``origin``."""
-    x, y, yaw = resolve_spawn(spec.spawn, origin)
-    return VehicleFragment(
-        name=spec.name,
-        kind=spec.kind,
-        gps=spec.gps,
-        x=x,
-        y=y,
-        yaw=yaw,
-        wheelbase=spec.wheelbase,
-        track=spec.track,
-        wheel_radius=spec.wheel_radius,
-        max_steer_angle=spec.max_steer_angle,
-        chassis_length=spec.chassis_length,
-        chassis_width=spec.chassis_width,
-        chassis_height=spec.chassis_height,
-    )
 
 
 def emit_world(
     buildings: list[Building],
     roads: list[Road],
-    vehicles: list[VehicleSpec],
+    spawns: list[tuple[float, float, float]],
     origin: GeoOrigin,
     config: GenerationConfig,
 ) -> SdfWorld:
     """Assemble the complete world document.
 
-    World children in order: ground plane, sun light, spherical coordinates,
-    then building, road, and vehicle models. Raises :class:`EmitError` on
-    duplicate model names.
+    ``spawns`` holds the resolved local ``(x, y, yaw)`` of each vehicle in
+    ``config.vehicles``, in the same order. World children in order: ground
+    plane, sun light, spherical coordinates, then building, road, and vehicle
+    models. Raises :class:`EmitError` on duplicate model names.
     """
     thickness = config.defaults.road_thickness
-    building_fragments = tuple(emit_building(b, i) for i, b in enumerate(buildings))
-    road_fragments = tuple(emit_road(r, i, thickness) for i, r in enumerate(roads))
-    vehicle_fragments = tuple(emit_vehicle(spec, origin) for spec in vehicles)
-
-    names = [GROUND_PLANE_NAME]
-    names += [f.name for f in building_fragments]
-    names += [f.name for f in road_fragments]
-    names += [f.name for f in vehicle_fragments]
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise EmitError(f"duplicate model name {name!r}")
-        seen.add(name)
-
     w = _XmlWriter()
     w.line('<?xml version="1.0" encoding="UTF-8"?>')
     w.open(f'<sdf version="{config.sdf_version}">')
@@ -224,50 +124,55 @@ def emit_world(
     _write_ground_plane(w)
     _write_sun(w)
     _write_spherical_coordinates(w, origin)
-    for fragment in building_fragments:
-        _write_building(w, fragment)
-    for fragment in road_fragments:
-        _write_road(w, fragment)
-    for fragment in vehicle_fragments:
-        _write_vehicle(w, fragment)
+    for building in buildings:
+        _write_building(w, building)
+    for road in roads:
+        _write_road(w, road, thickness)
+    for spec, pose in zip(config.vehicles, spawns, strict=True):
+        _write_vehicle(w, spec, pose)
     w.close("world")
     w.close("sdf")
+    return SdfWorld(text=w.text() + "\n")
 
-    return SdfWorld(
-        version=config.sdf_version,
-        origin=origin,
-        building_models=building_fragments,
-        road_models=road_fragments,
-        vehicle_models=vehicle_fragments,
-        text=w.text() + "\n",
-    )
+
+def _write_geometry(w: _XmlWriter, shape: str, elements: list[tuple[str, str]]) -> None:
+    w.open("<geometry>")
+    w.open(f"<{shape}>")
+    for tag, text in elements:
+        w.element(tag, text)
+    w.close(shape)
+    w.close("geometry")
+
+
+def _write_surfaces(
+    w: _XmlWriter,
+    shape: str,
+    elements: list[tuple[str, str]],
+    collide: bool = True,
+    color: str | None = None,
+) -> None:
+    """Collision (unless ``collide`` is false) and visual of one geometry."""
+    if collide:
+        w.open('<collision name="collision">')
+        _write_geometry(w, shape, elements)
+        w.close("collision")
+    w.open('<visual name="visual">')
+    _write_geometry(w, shape, elements)
+    if color is not None:
+        w.open("<material>")
+        w.element("ambient", color)
+        w.element("diffuse", color)
+        w.close("material")
+    w.close("visual")
 
 
 def _write_ground_plane(w: _XmlWriter) -> None:
     size = fmt(GROUND_VISUAL_SIZE_M)
-    w.open(f'<model name="{GROUND_PLANE_NAME}">')
+    w.open_model(GROUND_PLANE_NAME)
     w.element("static", "true")
     w.open('<link name="link">')
-    w.open('<collision name="collision">')
-    w.open("<geometry>")
-    w.open("<plane>")
-    w.element("normal", "0 0 1")
-    w.element("size", f"{size} {size}")
-    w.close("plane")
-    w.close("geometry")
-    w.close("collision")
-    w.open('<visual name="visual">')
-    w.open("<geometry>")
-    w.open("<plane>")
-    w.element("normal", "0 0 1")
-    w.element("size", f"{size} {size}")
-    w.close("plane")
-    w.close("geometry")
-    w.open("<material>")
-    w.element("ambient", "0.8 0.8 0.8 1")
-    w.element("diffuse", "0.8 0.8 0.8 1")
-    w.close("material")
-    w.close("visual")
+    plane = [("normal", "0 0 1"), ("size", f"{size} {size}")]
+    _write_surfaces(w, "plane", plane, color=GROUND_COLOR)
     w.close("link")
     w.close("model")
 
@@ -292,120 +197,35 @@ def _write_spherical_coordinates(w: _XmlWriter, origin: GeoOrigin) -> None:
     w.close("spherical_coordinates")
 
 
-def _write_polyline(w: _XmlWriter, fragment: BuildingFragment) -> None:
-    w.open("<geometry>")
-    w.open("<polyline>")
-    for x, y in fragment.points:
-        w.element("point", f"{fmt(x)} {fmt(y)}")
-    w.element("height", fmt(fragment.height))
-    w.close("polyline")
-    w.close("geometry")
-
-
-def _write_building(w: _XmlWriter, fragment: BuildingFragment) -> None:
-    w.open(f'<model name="{fragment.name}">')
+def _write_building(w: _XmlWriter, building: Building) -> None:
+    """One extruded-footprint model, named after the source way id."""
+    polyline = [("point", f"{fmt(p.x)} {fmt(p.y)}") for p in building.footprint]
+    polyline.append(("height", fmt(building.height)))
+    w.open_model(f"building_{building.id}")
     w.element("static", "true")
     w.open('<link name="footprint">')
-    w.open('<collision name="collision">')
-    _write_polyline(w, fragment)
-    w.close("collision")
-    w.open('<visual name="visual">')
-    _write_polyline(w, fragment)
-    w.open("<material>")
-    w.element("ambient", BUILDING_COLOR)
-    w.element("diffuse", BUILDING_COLOR)
-    w.close("material")
-    w.close("visual")
+    _write_surfaces(w, "polyline", polyline, color=BUILDING_COLOR)
     w.close("link")
     w.close("model")
 
 
-def _write_road(w: _XmlWriter, fragment: RoadFragment) -> None:
-    w.open(f'<model name="{fragment.name}">')
+def _write_road(w: _XmlWriter, road: Road, thickness: float) -> None:
+    """One model per road: a thin box link per centerline segment, raised so
+    it sits on the ground plane."""
+    z = fmt(thickness / 2.0)
+    w.open_model(f"road_{road.id}")
     w.element("static", "true")
-    for i, seg in enumerate(fragment.segments):
-        size = f"{fmt(seg.length)} {fmt(seg.width)} {fmt(seg.thickness)}"
+    for i, (a, b) in enumerate(zip(road.centerline, road.centerline[1:])):
+        dx = b.x - a.x
+        dy = b.y - a.y
+        x = fmt((a.x + b.x) / 2.0)
+        y = fmt((a.y + b.y) / 2.0)
+        size = f"{fmt(math.hypot(dx, dy))} {fmt(road.width)} {fmt(thickness)}"
         w.open(f'<link name="segment_{i}">')
-        w.element("pose", f"{fmt(seg.x)} {fmt(seg.y)} {fmt(seg.z)} 0 0 {fmt(seg.yaw)}")
-        w.open('<collision name="collision">')
-        w.open("<geometry>")
-        w.open("<box>")
-        w.element("size", size)
-        w.close("box")
-        w.close("geometry")
-        w.close("collision")
-        w.open('<visual name="visual">')
-        w.open("<geometry>")
-        w.open("<box>")
-        w.element("size", size)
-        w.close("box")
-        w.close("geometry")
-        w.open("<material>")
-        w.element("ambient", ROAD_COLOR)
-        w.element("diffuse", ROAD_COLOR)
-        w.close("material")
-        w.close("visual")
+        w.element("pose", f"{x} {y} {z} 0 0 {fmt(math.atan2(dy, dx))}")
+        _write_surfaces(w, "box", [("size", size)], color=ROAD_COLOR)
         w.close("link")
     w.close("model")
-
-
-def _write_box_link(
-    w: _XmlWriter,
-    name: str,
-    pose: str,
-    size: str,
-    with_collision: bool,
-    sensor: bool = False,
-) -> None:
-    w.open(f'<link name="{name}">')
-    w.element("pose", pose)
-    if with_collision:
-        w.open('<collision name="collision">')
-        w.open("<geometry>")
-        w.open("<box>")
-        w.element("size", size)
-        w.close("box")
-        w.close("geometry")
-        w.close("collision")
-    w.open('<visual name="visual">')
-    w.open("<geometry>")
-    w.open("<box>")
-    w.element("size", size)
-    w.close("box")
-    w.close("geometry")
-    w.close("visual")
-    if sensor:
-        w.open('<sensor name="gps" type="gps">')
-        w.element("always_on", "true")
-        w.element("update_rate", "10")
-        w.close("sensor")
-    w.close("link")
-
-
-def _write_wheel_link(
-    w: _XmlWriter, name: str, x: float, y: float, radius: float, with_collision: bool
-) -> None:
-    pose = f"{fmt(x)} {fmt(y)} {fmt(radius)} {fmt(_HALF_PI)} 0 0"
-    w.open(f'<link name="{name}">')
-    w.element("pose", pose)
-    if with_collision:
-        w.open('<collision name="collision">')
-        w.open("<geometry>")
-        w.open("<cylinder>")
-        w.element("radius", fmt(radius))
-        w.element("length", fmt(WHEEL_WIDTH_M))
-        w.close("cylinder")
-        w.close("geometry")
-        w.close("collision")
-    w.open('<visual name="visual">')
-    w.open("<geometry>")
-    w.open("<cylinder>")
-    w.element("radius", fmt(radius))
-    w.element("length", fmt(WHEEL_WIDTH_M))
-    w.close("cylinder")
-    w.close("geometry")
-    w.close("visual")
-    w.close("link")
 
 
 def _write_joint(
@@ -424,26 +244,31 @@ def _write_joint(
     w.close("joint")
 
 
-def _write_vehicle(w: _XmlWriter, v: VehicleFragment) -> None:
+def _write_vehicle(
+    w: _XmlWriter, v: VehicleSpec, pose: tuple[float, float, float]
+) -> None:
+    """One vehicle model at its resolved local ``(x, y, yaw)`` spawn pose."""
     collide = v.kind is not VehicleKind.GHOST
     actuated = v.kind is VehicleKind.TWIN
+    x, y, yaw = pose
 
-    w.open(f'<model name="{v.name}">')
-    w.element("pose", f"{fmt(v.x)} {fmt(v.y)} 0 0 0 {fmt(v.yaw)}")
+    w.open_model(v.name)
+    w.element("pose", f"{fmt(x)} {fmt(y)} 0 0 0 {fmt(yaw)}")
     if not actuated:
         # shadows and ghosts are pose-driven, never simulated bodies
         w.element("static", "true")
 
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
     chassis_size = f"{fmt(v.chassis_length)} {fmt(v.chassis_width)} {fmt(v.chassis_height)}"
-    _write_box_link(
-        w,
-        "chassis",
-        f"0 0 {fmt(chassis_z)} 0 0 0",
-        chassis_size,
-        with_collision=collide,
-        sensor=v.gps,
-    )
+    w.open('<link name="chassis">')
+    w.element("pose", f"0 0 {fmt(chassis_z)} 0 0 0")
+    _write_surfaces(w, "box", [("size", chassis_size)], collide=collide)
+    if v.gps:
+        w.open('<sensor name="gps" type="gps">')
+        w.element("always_on", "true")
+        w.element("update_rate", "10")
+        w.close("sensor")
+    w.close("link")
 
     half_wb = v.wheelbase / 2.0
     half_track = v.track / 2.0
@@ -453,8 +278,13 @@ def _write_vehicle(w: _XmlWriter, v: VehicleFragment) -> None:
         ("rear_left_wheel", -half_wb, half_track),
         ("rear_right_wheel", -half_wb, -half_track),
     )
-    for name, x, y in wheels:
-        _write_wheel_link(w, name, x, y, v.wheel_radius, with_collision=collide)
+    radius = fmt(v.wheel_radius)
+    cylinder = [("radius", radius), ("length", fmt(WHEEL_WIDTH_M))]
+    for name, wx, wy in wheels:
+        w.open(f'<link name="{name}">')
+        w.element("pose", f"{fmt(wx)} {fmt(wy)} {radius} {fmt(_HALF_PI)} 0 0")
+        _write_surfaces(w, "cylinder", cylinder, collide=collide)
+        w.close("link")
 
     if actuated:
         limit = v.max_steer_angle

@@ -210,6 +210,17 @@ class TestOverpass:
         assert result == MINIMAL
         assert b"48.0,8.0,48.1,8.1" in stub_server.state.requests[0]
 
+    def test_fetch_decodes_body_by_response_charset(self, stub_server):
+        text = "<?xml version='1.0'?><osm version='0.6'><!-- Zürich, Genève --></osm>"
+        stub_server.state.body = text.encode("iso-8859-1")
+        stub_server.state.content_type = "application/osm3s+xml; charset=iso-8859-1"
+        assert fetch_overpass(self.BOX, stub_server.url, timeout=5) == text
+
+    def test_undecodable_body_raises_format_error(self, stub_server):
+        stub_server.state.body = "<?xml version='1.0'?><osm>Zürich</osm>".encode("iso-8859-1")
+        with pytest.raises(ResponseFormatError, match="utf-8"):
+            fetch_overpass(self.BOX, stub_server.url, timeout=5)
+
     def test_http_429_raises_remote_error(self, stub_server):
         stub_server.state.status = 429
         stub_server.state.body = b"rate limited"

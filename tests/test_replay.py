@@ -9,6 +9,7 @@ from dtgen.config import VehicleKind, VehicleSpec
 from dtgen.geodesy import GeoOrigin
 from dtgen.replay import (
     ControlSample,
+    GapReport,
     Trajectory,
     TrajectorySample,
     VehicleState,
@@ -301,6 +302,11 @@ class TestComputeGap:
         assert loaded["rmse"] == 0.0
         assert loaded["per_sample"] == [[0.0, 0.0], [1.0, 0.0]]
 
+    def test_json_refuses_non_finite_metrics(self):
+        report = GapReport(2, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, ((0.0, 0.0), (1.0, math.nan)))
+        with pytest.raises(ValueError):
+            report.to_json()
+
 
 class TestCsvParsing:
     def test_local_trajectory(self):
@@ -334,6 +340,17 @@ class TestCsvParsing:
     def test_controls_bad_header(self):
         with pytest.raises(ValueError, match="header"):
             parse_controls_csv("t,v,delta\n0,1,0\n")
+
+    @pytest.mark.parametrize("row", ["nan,1,0", "2,inf,0", "2,1,-inf"])
+    def test_trajectory_non_finite_rejected_with_line(self, row):
+        # a NaN timestamp would otherwise slip past the strictly-increasing check
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            parse_trajectory_csv(f"t,x,y\n0,0,0\n{row}\n3,2,0\n")
+
+    @pytest.mark.parametrize("row", ["nan,1,0", "1,inf,0", "1,1,nan"])
+    def test_controls_non_finite_rejected_with_line(self, row):
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            parse_controls_csv(f"t,speed,steer\n0,1,0\n{row}\n")
 
 
 class TestTrajectoryInvariants:

@@ -3,18 +3,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dtgen.config import GenerationConfig, LocalSpawn, VehicleKind, VehicleSpec
+from dtgen.config import GenerationConfig, LocalSpawn, VehicleKind, VehicleSpec, resolve_spawn
 from dtgen.errors import EmitError
 from dtgen.geodesy import GeoOrigin, LocalPoint
 from dtgen.osm import BoundingBox
-from dtgen.sdf import (
-    emit_building,
-    emit_road,
-    emit_vehicle,
-    emit_world,
-    fmt,
-    validate_sdf,
-)
+from dtgen.sdf import emit_world, fmt, validate_sdf
 from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_height
 
 BBOX = BoundingBox(48.0, 8.0, 48.1, 8.1)
@@ -30,8 +23,13 @@ def _square(way_id=7, height=10.0):
     return Building(id=way_id, footprint=pts, height=height)
 
 
+def _emit(buildings=(), roads=(), vehicles=(), origin=ORIGIN, config=None):
+    spawns = [resolve_spawn(v.spawn, origin) for v in vehicles]
+    return emit_world(list(buildings), list(roads), spawns, origin, config or _config(vehicles))
+
+
 def _world_xml(buildings=(), roads=(), vehicles=()):
-    world = emit_world(list(buildings), list(roads), list(vehicles), ORIGIN, _config(vehicles))
+    world = _emit(buildings, roads, vehicles)
     return world, ET.fromstring(world.text)
 
 
@@ -55,12 +53,6 @@ class TestFmt:
 
 
 class TestEmitBuilding:
-    def test_unit_square_fragment(self):
-        fragment = emit_building(_square(height=10.0), 0)
-        assert fragment.name == "building_7"
-        assert len(fragment.points) == 4
-        assert fragment.height == 10.0
-
     def test_polyline_serialization(self):
         _, tree = _world_xml(buildings=[_square(height=10.0)])
         model = _model(tree, "building_7")
@@ -72,8 +64,9 @@ class TestEmitBuilding:
         assert model.find("static").text == "true"
 
     def test_model_names_unique_from_ids(self):
-        fragments = [emit_building(_square(way_id=7), 0), emit_building(_square(way_id=9), 1)]
-        assert [f.name for f in fragments] == ["building_7", "building_9"]
+        _, tree = _world_xml(buildings=[_square(way_id=7), _square(way_id=9)])
+        names = [m.get("name") for m in tree.findall("world/model")]
+        assert names == ["ground_plane", "building_7", "building_9"]
 
     def test_levels_height_lands_in_xml(self):
         # height oracle: 3 levels x 3.0 m per level
@@ -87,21 +80,18 @@ class TestEmitBuilding:
 class TestEmitRoad:
     def test_axis_aligned_segment(self):
         road = Road(id=12, centerline=(LocalPoint(0, 0), LocalPoint(10, 0)), width=7.0)
-        fragment = emit_road(road, 0, thickness=0.1)
-        assert fragment.name == "road_12"
-        seg = fragment.segments[0]
-        assert (seg.x, seg.y, seg.z) == (5.0, 0.0, 0.05)
-        assert (seg.length, seg.width, seg.thickness) == (10.0, 7.0, 0.1)
-        assert seg.yaw == 0.0
         _, tree = _world_xml(roads=[road])
-        link = _model(tree, "road_12").find("link")
-        assert link.find("pose").text == "5 0 0.05 0 0 0"
-        assert link.find("collision/geometry/box/size").text == "10 7 0.1"
+        links = _model(tree, "road_12").findall("link")
+        assert [link.get("name") for link in links] == ["segment_0"]
+        assert links[0].find("pose").text == "5 0 0.05 0 0 0"
+        assert links[0].find("collision/geometry/box/size").text == "10 7 0.1"
+        assert links[0].find("visual/geometry/box/size").text == "10 7 0.1"
 
     def test_northward_segment_yaw(self):
         road = Road(id=1, centerline=(LocalPoint(0, 0), LocalPoint(0, 10)), width=7.0)
-        fragment = emit_road(road, 0)
-        assert abs(fragment.segments[0].yaw - math.pi / 2) < 1e-12
+        _, tree = _world_xml(roads=[road])
+        pose = _model(tree, "road_1").find("link/pose").text
+        assert pose == "0 5 0.05 0 0 1.57079633"
 
     def test_three_points_two_segments(self):
         road = Road(
@@ -109,9 +99,13 @@ class TestEmitRoad:
             centerline=(LocalPoint(0, 0), LocalPoint(10, 0), LocalPoint(10, 10)),
             width=7.0,
         )
-        assert len(emit_road(road, 0).segments) == 2
         _, tree = _world_xml(roads=[road])
-        assert len(_model(tree, "road_2").findall("link")) == 2
+        links = _model(tree, "road_2").findall("link")
+        assert [link.get("name") for link in links] == ["segment_0", "segment_1"]
+        assert [link.find("pose").text for link in links] == [
+            "5 0 0.05 0 0 0",
+            "10 5 0.05 0 0 1.57079633",
+        ]
 
     def test_road_material_is_dark_gray(self):
         road = Road(id=3, centerline=(LocalPoint(0, 0), LocalPoint(10, 0)), width=7.0)
@@ -167,10 +161,9 @@ class TestEmitVehicle:
         assert _model(tree, "car").find(".//sensor") is None
 
     def test_wheels_placed_by_wheelbase_and_track(self):
-        fragment = emit_vehicle(_spec(VehicleKind.TWIN, wheelbase=2.0, track=1.0), ORIGIN)
-        assert fragment.wheelbase == 2.0
         _, tree = _world_xml(vehicles=[_spec(VehicleKind.TWIN, wheelbase=2.0, track=1.0)])
         model = _model(tree, "car")
+        assert model.find("plugin/wheelbase").text == "2"
         front_left = model.find("link[@name='front_left_wheel']/pose").text.split()
         assert float(front_left[0]) == 1.0
         assert float(front_left[1]) == 0.5
@@ -216,7 +209,7 @@ class TestEmitWorld:
     def test_spherical_coordinates_survive_awkward_origins(self):
         # an origin with a long decimal tail must still land within 1e-9 deg
         origin = GeoOrigin(48.01234567891234, -121.98765432101)
-        world = emit_world([], [], [], origin, _config())
+        world = _emit(origin=origin)
         sc = ET.fromstring(world.text).find("world/spherical_coordinates")
         assert abs(float(sc.find("latitude_deg").text) - origin.lat0) < 1e-9
         assert abs(float(sc.find("longitude_deg").text) - origin.lon0) < 1e-9
@@ -230,18 +223,18 @@ class TestEmitWorld:
 
     def test_byte_deterministic(self):
         buildings = [_square(way_id=1, height=math.pi)]
-        first = emit_world(buildings, [], [_spec(VehicleKind.TWIN)], ORIGIN, _config())
-        second = emit_world(buildings, [], [_spec(VehicleKind.TWIN)], ORIGIN, _config())
+        first = _emit(buildings, vehicles=[_spec(VehicleKind.TWIN)])
+        second = _emit(buildings, vehicles=[_spec(VehicleKind.TWIN)])
         assert first.text == second.text
         assert first.text.encode("utf-8") == second.text.encode("utf-8")
 
     def test_duplicate_model_name_raises(self):
         with pytest.raises(EmitError, match="duplicate model name"):
-            emit_world([], [], [_spec(VehicleKind.TWIN, name="ground_plane")], ORIGIN, _config())
+            _emit(vehicles=[_spec(VehicleKind.TWIN, name="ground_plane")])
 
     def test_version_from_config(self):
         config = GenerationConfig(bbox=BBOX, sdf_version="1.7")
-        world = emit_world([], [], [], ORIGIN, config)
+        world = _emit(config=config)
         assert ET.fromstring(world.text).get("version") == "1.7"
 
 
