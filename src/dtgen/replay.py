@@ -2,11 +2,12 @@
 
 The internal vehicle dynamics are the minimal Ackermann abstraction: a
 kinematic bicycle with instantaneous speed tracking and turning radius
-wheelbase / tan(steer). Recorded command streams are integrated with
-zero-order hold between samples; recorded pose streams can be resampled at
-arbitrary times and compared against a simulated trajectory, yielding RMSE,
-maximum/mean deviation, final drift, and a lateral/longitudinal split in the
-recorded trajectory's heading frame. The numbers describe the mismatch; which
+wheelbase / tan(steer). Recorded command streams are replayed with zero-order
+hold, each held control integrated exactly along its circular arc (a straight
+line when the steer is 0); recorded pose streams can be resampled at arbitrary
+times and compared against a simulated trajectory, yielding RMSE, maximum/mean
+deviation, final drift, and a lateral/longitudinal split in the recorded
+trajectory's heading frame. The numbers describe the mismatch; which
 side of the twin is to blame remains a human call.
 """
 
@@ -16,13 +17,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import VehicleSpec
 from .geodesy import GeoOrigin, project
 
-DEFAULT_DT_MAX = 1e-3
 HEADING_DISPLACEMENT_GATE_M = 0.05
 
 
@@ -67,7 +68,7 @@ class Trajectory:
         if not self.samples:
             raise ValueError("trajectory requires at least one sample")
         times = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(not b > a for a, b in zip(times, times[1:])):
             raise ValueError("trajectory timestamps must be strictly increasing")
         with_yaw = [s.yaw is not None for s in self.samples]
         if any(with_yaw) and not all(with_yaw):
@@ -84,6 +85,34 @@ class Trajectory:
     @property
     def t_last(self) -> float:
         return self.samples[-1].t
+
+    @cached_property
+    def motion_headings(self) -> tuple[float, ...]:
+        """Per-sample motion heading, gated against jitter, derived once.
+
+        The heading at a sample is the direction to the first later sample at
+        least ``HEADING_DISPLACEMENT_GATE_M`` away; samples near the end
+        inherit the last known heading, leading unknowns take the first known
+        one. A trajectory that never moves past the gate gets heading 0
+        everywhere.
+        """
+        pts = [(s.x, s.y) for s in self.samples]
+        n = len(pts)
+        headings: list[float | None] = [None] * n
+        for i in range(n):
+            xi, yi = pts[i]
+            for j in range(i + 1, n):
+                dx = pts[j][0] - xi
+                dy = pts[j][1] - yi
+                if math.hypot(dx, dy) >= HEADING_DISPLACEMENT_GATE_M:
+                    headings[i] = math.atan2(dy, dx)
+                    break
+        last = next((h for h in headings if h is not None), 0.0)
+        filled: list[float] = []
+        for h in headings:
+            last = last if h is None else h
+            filled.append(last)
+        return tuple(filled)
 
 
 @dataclass(frozen=True)
@@ -118,41 +147,42 @@ class GapReport:
 def step_kinematic(
     state: VehicleState, control: ControlSample, dt: float, spec: VehicleSpec
 ) -> VehicleState:
-    """One forward-Euler step of the kinematic bicycle.
+    """Hold one control for ``dt`` and return the pose on its exact arc.
 
     Commanded speed applies immediately; steer is clamped to the spec limit.
+    The yaw turns by 2h, with h = v * dt * tan(steer) / (2 * wheelbase), and
+    the position moves along the chord, v * dt * sin(h) / h at heading
+    yaw + h; for tiny |h| the series 1 - h^2/6 stands in for sin(h) / h.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     steer = min(max(control.steer, -spec.max_steer_angle), spec.max_steer_angle)
     v = control.speed
-    x = state.x + v * math.cos(state.yaw) * dt
-    y = state.y + v * math.sin(state.yaw) * dt
-    yaw = normalize_angle(state.yaw + (v / spec.wheelbase) * math.tan(steer) * dt)
-    return VehicleState(x, y, yaw, v)
+    h = 0.5 * v * dt * math.tan(steer) / spec.wheelbase
+    chord = v * dt * (1.0 - h * h / 6.0 if abs(h) < 1e-4 else math.sin(h) / h)
+    x = state.x + chord * math.cos(state.yaw + h)
+    y = state.y + chord * math.sin(state.yaw + h)
+    return VehicleState(x, y, normalize_angle(state.yaw + 2.0 * h), v)
 
 
 def simulate_controls(
     initial: VehicleState,
     controls: list[ControlSample],
     spec: VehicleSpec,
-    dt_max: float = DEFAULT_DT_MAX,
     t_end: float | None = None,
 ) -> Trajectory:
     """Integrate a recorded command stream with zero-order hold.
 
-    Each control is held until the next sample; internal sub-steps never
-    exceed ``dt_max``. The trajectory has one pose per control timestamp,
-    plus one at ``t_end`` when that extends past the last control (the last
-    command is held). Steer values beyond the spec limit are clamped and
-    noted on the trajectory's warning list.
+    Each control is held until the next sample, one exact
+    :func:`step_kinematic` per interval. The trajectory has one pose per
+    control timestamp, plus one at ``t_end`` when that extends past the last
+    control (the last command is held). Steer values beyond the spec limit
+    are clamped and noted on the trajectory's warning list.
     """
     if not controls:
         raise ValueError("at least one control sample is required")
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
     times = [c.t for c in controls]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if any(not b > a for a, b in zip(times, times[1:])):
         raise ValueError("control timestamps must be strictly increasing")
 
     warnings = [
@@ -171,49 +201,15 @@ def simulate_controls(
     state = initial
     samples = [TrajectorySample(times[0], state.x, state.y, state.yaw)]
     for control, t0, t1 in intervals:
-        state = _integrate(state, control, t1 - t0, dt_max, spec)
+        state = step_kinematic(state, control, t1 - t0, spec)
         samples.append(TrajectorySample(t1, state.x, state.y, state.yaw))
     return Trajectory(tuple(samples), warnings=tuple(warnings))
 
 
-def _integrate(state, control, duration, dt_max, spec) -> VehicleState:
-    steps = max(1, math.ceil(duration / dt_max))
-    h = duration / steps
-    for _ in range(steps):
-        state = step_kinematic(state, control, h, spec)
-    return state
-
-
-def derive_headings(
-    traj: Trajectory, min_displacement: float = HEADING_DISPLACEMENT_GATE_M
-) -> list[float]:
-    """Per-sample motion heading, gated against jitter.
-
-    The heading at a sample is the direction to the first later sample at
-    least ``min_displacement`` away; samples near the end inherit the last
-    known heading, leading unknowns take the first known one. A trajectory
-    that never moves past the gate gets heading 0 everywhere.
-    """
-    pts = [(s.x, s.y) for s in traj.samples]
-    n = len(pts)
-    headings: list[float | None] = [None] * n
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            dx = pts[j][0] - xi
-            dy = pts[j][1] - yi
-            if math.hypot(dx, dy) >= min_displacement:
-                headings[i] = math.atan2(dy, dx)
-                break
-    last = next((h for h in headings if h is not None), 0.0)
-    filled: list[float] = []
-    for h in headings:
-        if h is None:
-            filled.append(last)
-        else:
-            filled.append(h)
-            last = h
-    return filled
+def derive_headings(traj: Trajectory) -> list[float]:
+    """Per-sample motion heading of ``traj`` (see
+    :attr:`Trajectory.motion_headings`), as a fresh list the caller owns."""
+    return list(traj.motion_headings)
 
 
 def shadow_follow(recorded: Trajectory, query_times: list[float]) -> Trajectory:
@@ -302,10 +298,7 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
     ``origin``; header ``t,x,y[,yaw]`` means local meters. Every value must
     be a finite number.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise ValueError("trajectory CSV is empty")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _read_csv(text, "trajectory")
     if header in (["t", "lat", "lon"], ["t", "lat", "lon", "yaw"]):
         geodetic = True
     elif header in (["t", "x", "y"], ["t", "x", "y", "yaw"]):
@@ -320,7 +313,7 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
     has_yaw = len(header) == 4
 
     samples = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"trajectory CSV line {line_no}: expected {len(header)} fields, got {len(row)}"
@@ -339,19 +332,26 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
 def parse_controls_csv(text: str) -> list[ControlSample]:
     """Load a command stream from CSV with header ``t,speed,steer``; every
     value must be a finite number."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise ValueError("controls CSV is empty")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _read_csv(text, "controls")
     if header != ["t", "speed", "steer"]:
         raise ValueError(f"unrecognized controls header {header!r}: expected t,speed,steer")
     controls = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if len(row) != 3:
             raise ValueError(f"controls CSV line {line_no}: expected 3 fields, got {len(row)}")
         t, speed, steer = _parse_numbers(row, "controls", line_no)
         controls.append(ControlSample(t, speed, steer))
     return controls
+
+
+def _read_csv(text: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header and the data rows of a CSV text, blank lines
+    skipped; each row comes with its physical line number."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise ValueError(f"{kind} CSV is empty")
+    return [h.strip() for h in rows[0][1]], rows[1:]
 
 
 def _parse_numbers(row: list[str], kind: str, line_no: int) -> list[float]:

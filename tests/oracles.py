@@ -9,14 +9,9 @@ import math
 HEADING_GATE_M = 0.05
 
 
-def brute_force_gap_metrics(real_pts, sim_pts, gate=HEADING_GATE_M):
-    """Direct-summation deviation metrics for two aligned point sequences."""
+def brute_force_headings(real_pts, gate=HEADING_GATE_M):
+    """Gated motion heading per point, carried over where motion is unknown."""
     n = len(real_pts)
-    devs = []
-    for (rx, ry), (sx, sy) in zip(real_pts, sim_pts):
-        devs.append(math.sqrt((sx - rx) ** 2 + (sy - ry) ** 2))
-    rmse = math.sqrt(sum(d * d for d in devs) / n)
-
     headings = []
     for i in range(n):
         heading = None
@@ -35,7 +30,18 @@ def brute_force_gap_metrics(real_pts, sim_pts, gate=HEADING_GATE_M):
         else:
             carried.append(h)
             last = h
+    return carried
 
+
+def brute_force_gap_metrics(real_pts, sim_pts, gate=HEADING_GATE_M):
+    """Direct-summation deviation metrics for two aligned point sequences."""
+    n = len(real_pts)
+    devs = []
+    for (rx, ry), (sx, sy) in zip(real_pts, sim_pts):
+        devs.append(math.sqrt((sx - rx) ** 2 + (sy - ry) ** 2))
+    rmse = math.sqrt(sum(d * d for d in devs) / n)
+
+    carried = brute_force_headings(real_pts, gate)
     lat_sq = lon_sq = 0.0
     for (rx, ry), (sx, sy), heading in zip(real_pts, sim_pts, carried):
         dx, dy = sx - rx, sy - ry

@@ -250,6 +250,43 @@ class TestGap:
         report = json.loads(out.read_text())
         assert report["rmse"] < 1e-6
 
+    def test_controls_replay_derives_recorded_headings_once(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        from functools import cached_property
+
+        from dtgen.replay import Trajectory
+
+        scanned = []
+        scan = Trajectory.motion_headings.func
+
+        def counted(traj):
+            scanned.append(traj)
+            return scan(traj)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Trajectory, "motion_headings")
+        monkeypatch.setattr(Trajectory, "motion_headings", prop)
+        recorded = _write(tmp_path / "trace.csv", STRAIGHT_TRACE)
+        controls = _write(tmp_path / "controls.csv", MATCHING_CONTROLS)
+        code = cli.main(
+            [
+                "gap",
+                "--recorded",
+                recorded,
+                "--controls",
+                controls,
+                "--config",
+                str(data_dir / "config_track.json"),
+                "--vehicle",
+                "ego",
+                "--out",
+                str(tmp_path / "gap.json"),
+            ]
+        )
+        assert code == 0
+        assert len(scanned) == 1
+
     def test_unknown_vehicle_is_usage_error(self, data_dir, tmp_path):
         recorded = _write(tmp_path / "trace.csv", STRAIGHT_TRACE)
         controls = _write(tmp_path / "controls.csv", MATCHING_CONTROLS)

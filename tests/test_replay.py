@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtgen.config import VehicleKind, VehicleSpec
@@ -30,6 +30,35 @@ def _traj(points, yaw=False):
     if yaw:
         return Trajectory(tuple(TrajectorySample(t, x, y, th) for t, x, y, th in points))
     return Trajectory(tuple(TrajectorySample(t, x, y) for t, x, y in points))
+
+
+@st.composite
+def grid_traces(draw, moving=False):
+    """Points on a 0.1 m grid, each with up to 1 cm of jitter per axis.
+
+    A step of (0, 0) parks the trace: points in one grid cell lie under
+    3 cm apart, inside the 5 cm heading gate, and points in different cells
+    at least 7 cm apart, so no pair sits near the gate. ``moving`` asks for
+    at least one step out of the first cell.
+    """
+    steps = draw(
+        st.lists(
+            st.one_of(st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    if moving:
+        assume(any(step != (0, 0) for step in steps))
+    jitter = st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+    cells = [(0, 0)]
+    for dx, dy in steps:
+        cells.append((cells[-1][0] + dx, cells[-1][1] + dy))
+    points = []
+    for t, (cx, cy) in enumerate(cells):
+        jx, jy = draw(jitter)
+        points.append((0.5 * t, 0.1 * cx + 0.001 * jx, 0.1 * cy + 0.001 * jy))
+    return points
 
 
 class TestNormalizeAngle:
@@ -69,6 +98,11 @@ class TestStepKinematic:
             step_kinematic(state, ControlSample(0.0, 1.0, 0.0), 0.0, SPEC)
         with pytest.raises(ValueError):
             step_kinematic(state, ControlSample(0.0, 1.0, 0.0), -0.1, SPEC)
+
+    def test_rejects_nan_dt(self):
+        state = VehicleState(0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_kinematic(state, ControlSample(0.0, 1.0, 0.0), math.nan, SPEC)
 
     def test_steer_clamped_to_limit(self):
         state = VehicleState(0.0, 0.0, 0.0, 1.0)
@@ -145,8 +179,8 @@ class TestSimulateControls:
             *_analytic_arc(0.0, 0.0, 0.0, speed, rate_a, dur_a), speed, rate_b, dur_b
         )
         final = traj.samples[-1]
-        assert abs(final.yaw - math.pi / 2) < 1e-3
-        assert math.hypot(final.x - expected[0], final.y - expected[1]) < 5e-3
+        assert abs(final.yaw - math.pi / 2) < 1e-9
+        assert math.hypot(final.x - expected[0], final.y - expected[1]) < 1e-9
 
     def test_one_pose_per_control_timestamp(self):
         controls = [ControlSample(float(t), 1.0, 0.0) for t in range(4)]
@@ -158,6 +192,11 @@ class TestSimulateControls:
         with pytest.raises(ValueError):
             simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), controls, SPEC)
 
+    def test_nan_timestamp_rejected(self):
+        controls = [ControlSample(0.0, 1.0, 0.0), ControlSample(math.nan, 1.0, 0.0)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), controls, SPEC)
+
     def test_excessive_steer_warns_and_clamps(self):
         controls = [ControlSample(0.0, 1.0, 2.0), ControlSample(1.0, 1.0, 2.0)]
         traj = simulate_controls(VehicleState(0.0, 0.0, 0.0, 1.0), controls, SPEC)
@@ -166,15 +205,68 @@ class TestSimulateControls:
         reference = simulate_controls(VehicleState(0.0, 0.0, 0.0, 1.0), clamped, SPEC)
         assert traj.samples == reference.samples
 
-    def test_first_order_convergence_on_a_curve(self):
-        controls = [ControlSample(0.0, 2.0, 0.3), ControlSample(4.0, 2.0, 0.3)]
-        finals = []
-        for dt_max in (8e-3, 4e-3, 2e-3):
-            traj = simulate_controls(VehicleState(0.0, 0.0, 0.0, 2.0), controls, SPEC, dt_max)
-            finals.append((traj.samples[-1].x, traj.samples[-1].y))
-        change_coarse = math.hypot(finals[1][0] - finals[0][0], finals[1][1] - finals[0][1])
-        change_fine = math.hypot(finals[2][0] - finals[1][0], finals[2][1] - finals[1][1])
-        assert change_fine < change_coarse
+    @pytest.mark.parametrize("steer", [0.05, 0.3, -0.45, 0.9])
+    def test_matches_the_analytic_arc(self, steer):
+        speed = 3.0
+        held = min(max(steer, -SPEC.max_steer_angle), SPEC.max_steer_angle)
+        yaw_rate = speed * math.tan(held) / SPEC.wheelbase
+        controls = [ControlSample(0.25 * k, speed, steer) for k in range(41)]
+        traj = simulate_controls(VehicleState(1.0, -2.0, 0.4, 0.0), controls, SPEC)
+        for sample in traj.samples:
+            x, y, yaw = _analytic_arc(1.0, -2.0, 0.4, speed, yaw_rate, sample.t)
+            assert math.hypot(sample.x - x, sample.y - y) < 1e-9
+            assert abs(normalize_angle(sample.yaw - yaw)) < 1e-9
+
+    def test_circle_in_quarter_turns_hits_the_compass_points(self):
+        # radius 10 m about (0, 10): one held control per quarter turn
+        steer = math.atan(SPEC.wheelbase / 10.0)
+        quarter = (math.pi / 2) * 10.0 / 2.0
+        controls = [ControlSample(k * quarter, 2.0, steer) for k in range(4)]
+        traj = simulate_controls(
+            VehicleState(0.0, 0.0, 0.0, 0.0), controls, SPEC, t_end=4 * quarter
+        )
+        expected = [(0.0, 0.0), (10.0, 10.0), (0.0, 20.0), (-10.0, 10.0), (0.0, 0.0)]
+        for sample, (x, y) in zip(traj.samples, expected, strict=True):
+            assert math.hypot(sample.x - x, sample.y - y) < 1e-9
+        assert abs(normalize_angle(traj.samples[-1].yaw)) < 1e-9
+
+    def test_forward_euler_converges_to_the_exact_arc_at_first_order(self):
+        speed, steer, duration = 2.0, 0.3, 4.0
+        controls = [ControlSample(0.0, speed, steer), ControlSample(duration, speed, steer)]
+        exact = simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), controls, SPEC).samples[-1]
+        yaw_rate = speed * math.tan(steer) / SPEC.wheelbase
+        errors = []
+        for steps in (250, 500, 1000, 2000):
+            dt = duration / steps
+            x = y = yaw = 0.0
+            for _ in range(steps):
+                x += speed * math.cos(yaw) * dt
+                y += speed * math.sin(yaw) * dt
+                yaw += yaw_rate * dt
+            errors.append(math.hypot(x - exact.x, y - exact.y))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.8 < coarse / fine < 2.2
+
+    @given(
+        x=st.floats(-100.0, 100.0),
+        y=st.floats(-100.0, 100.0),
+        yaw=st.floats(-math.pi, math.pi),
+        speed=st.floats(-10.0, 30.0),
+        steer=st.floats(-1.0, 1.0),
+        duration=st.floats(0.01, 20.0),
+        split=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=200)
+    def test_splitting_a_held_interval_keeps_the_end_pose(
+        self, x, y, yaw, speed, steer, duration, split
+    ):
+        start = VehicleState(x, y, yaw, 0.0)
+        held = [ControlSample(0.0, speed, steer), ControlSample(duration, speed, steer)]
+        split_in_two = [held[0], ControlSample(split * duration, speed, steer), held[1]]
+        whole = simulate_controls(start, held, SPEC).samples[-1]
+        parts = simulate_controls(start, split_in_two, SPEC).samples[-1]
+        assert math.hypot(whole.x - parts.x, whole.y - parts.y) < 1e-9
+        assert abs(normalize_angle(whole.yaw - parts.yaw)) < 1e-9
 
 
 class TestShadowFollow:
@@ -230,6 +322,23 @@ class TestDeriveHeadings:
     def test_stationary_trajectory_defaults_to_zero(self):
         traj = _traj([(0.0, 5.0, 5.0), (1.0, 5.0, 5.0)])
         assert derive_headings(traj) == [0.0, 0.0]
+
+    @given(grid_traces())
+    @settings(max_examples=200)
+    def test_matches_brute_force_with_parked_clusters(self, points):
+        from oracles import brute_force_headings
+
+        headings = derive_headings(_traj(points))
+        assert headings == brute_force_headings([(x, y) for _, x, y in points])
+
+    def test_each_call_returns_an_independent_list(self):
+        traj = _traj([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 1.0)])
+        first = derive_headings(traj)
+        second = derive_headings(traj)
+        assert first == second
+        first[0] = 99.0
+        assert second[0] != 99.0
+        assert derive_headings(traj) == second
 
 
 class TestComputeGap:
@@ -302,6 +411,34 @@ class TestComputeGap:
         assert loaded["rmse"] == 0.0
         assert loaded["per_sample"] == [[0.0, 0.0], [1.0, 0.0]]
 
+    @given(grid_traces(moving=True), st.data())
+    @settings(max_examples=100)
+    def test_invariant_under_a_rigid_transform(self, points, data):
+        offset = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+        noise = data.draw(st.lists(offset, min_size=len(points), max_size=len(points)))
+        sim_points = [(t, x + dx, y + dy) for (t, x, y), (dx, dy) in zip(points, noise)]
+        theta = data.draw(st.floats(-math.pi, math.pi))
+        tx, ty = data.draw(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+        c, s = math.cos(theta), math.sin(theta)
+
+        def moved(pts):
+            return _traj([(t, c * x - s * y + tx, s * x + c * y + ty) for t, x, y in pts])
+
+        before = compute_gap(_traj(points), _traj(sim_points))
+        after = compute_gap(moved(points), moved(sim_points))
+        for key in ("rmse", "max_dev", "mean_dev", "final_drift",
+                    "lateral_rmse", "longitudinal_rmse"):
+            assert getattr(after, key) == pytest.approx(getattr(before, key), abs=1e-9)
+
+    @given(grid_traces())
+    @settings(max_examples=100)
+    def test_identical_traces_give_zero_deviation(self, points):
+        traj = _traj(points)
+        report = compute_gap(traj, traj)
+        assert report.rmse == report.max_dev == report.final_drift == 0.0
+        assert report.lateral_rmse == report.longitudinal_rmse == 0.0
+        assert all(d == 0.0 for _, d in report.per_sample)
+
     def test_json_refuses_non_finite_metrics(self):
         report = GapReport(2, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, ((0.0, 0.0), (1.0, math.nan)))
         with pytest.raises(ValueError):
@@ -352,11 +489,23 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="line 3: non-finite"):
             parse_controls_csv(f"t,speed,steer\n0,1,0\n{row}\n")
 
+    def test_trajectory_error_names_the_physical_line_after_blank_lines(self):
+        with pytest.raises(ValueError, match="trajectory CSV line 5:"):
+            parse_trajectory_csv("t,x,y\n\n0,0,0\n\n1,x,0\n")
+
+    def test_controls_error_names_the_physical_line_after_blank_lines(self):
+        with pytest.raises(ValueError, match="controls CSV line 5:"):
+            parse_controls_csv("t,speed,steer\n\n0,1,0\n\n1,x,0\n")
+
 
 class TestTrajectoryInvariants:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
             _traj([(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+
+    def test_nan_timestamp_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory((TrajectorySample(0.0, 0, 0), TrajectorySample(math.nan, 1, 1)))
 
     def test_mixed_yaw_presence_rejected(self):
         with pytest.raises(ValueError):
