@@ -9,8 +9,7 @@ Run:  python3 demos/02_projection_accuracy.py
 """
 
 import math
-
-import numpy as np
+import random
 
 from dtgen import EARTH_RADIUS_M, GeoOrigin, project, unproject
 
@@ -25,17 +24,18 @@ def haversine_m(lat1, lon1, lat2, lon2):
 
 
 def main():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     print(f"{'origin lat':>10} {'pair dist':>10} {'planar err':>11} {'relative':>9}")
     for origin_lat in (0.0, 30.0, 48.0, 60.0, 70.0):
         origin = GeoOrigin(origin_lat, 10.0)
         worst = 0.0
         worst_dist = 0.0
         for _ in range(500):
-            dlat = rng.uniform(-0.02, 0.02, 2)
-            dlon = rng.uniform(-0.02, 0.02, 2) / math.cos(math.radians(origin_lat))
-            lats = origin_lat + dlat
-            lons = 10.0 + dlon
+            lats = [origin_lat + rng.uniform(-0.02, 0.02) for _ in range(2)]
+            lons = [
+                10.0 + rng.uniform(-0.02, 0.02) / math.cos(math.radians(origin_lat))
+                for _ in range(2)
+            ]
             truth = haversine_m(lats[0], lons[0], lats[1], lons[1])
             if truth < 10.0:
                 continue

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .config import VehicleSpec
 from .geodesy import GeoOrigin, project
 
@@ -127,16 +125,7 @@ class GapReport:
     per_sample: tuple[tuple[float, float], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rmse": self.rmse,
-            "max_dev": self.max_dev,
-            "mean_dev": self.mean_dev,
-            "final_drift": self.final_drift,
-            "lateral_rmse": self.lateral_rmse,
-            "longitudinal_rmse": self.longitudinal_rmse,
-            "per_sample": [[t, d] for t, d in self.per_sample],
-        }
+        return {**vars(self), "per_sample": [[t, d] for t, d in self.per_sample]}
 
     def to_json(self) -> str:
         # allow_nan=False: a NaN or inf metric must fail loudly, never
@@ -221,30 +210,23 @@ def shadow_follow(recorded: Trajectory, query_times: list[float]) -> Trajectory:
     Query times outside the recorded range are rejected, never extrapolated.
     """
     times = [s.t for s in recorded.samples]
-    headings = None if recorded.has_yaw else derive_headings(recorded)
+    yaws = [s.yaw for s in recorded.samples] if recorded.has_yaw else derive_headings(recorded)
     out = []
     for t in query_times:
-        if t < times[0] or t > times[-1]:
+        if not times[0] <= t <= times[-1]:
             raise ValueError(
                 f"query time {t} outside recorded range [{times[0]}, {times[-1]}]"
             )
         i = bisect.bisect_left(times, t)
-        if i < len(times) and times[i] == t:
-            s = recorded.samples[i]
-            yaw = s.yaw if recorded.has_yaw else headings[i]
-            out.append(TrajectorySample(t, s.x, s.y, yaw))
+        hi = recorded.samples[i]
+        if hi.t == t:
+            out.append(TrajectorySample(t, hi.x, hi.y, yaws[i]))
             continue
         lo = recorded.samples[i - 1]
-        hi = recorded.samples[i]
         frac = (t - lo.t) / (hi.t - lo.t)
         x = lo.x + frac * (hi.x - lo.x)
         y = lo.y + frac * (hi.y - lo.y)
-        if recorded.has_yaw:
-            yaw = normalize_angle(lo.yaw + frac * normalize_angle(hi.yaw - lo.yaw))
-        else:
-            yaw = normalize_angle(
-                headings[i - 1] + frac * normalize_angle(headings[i] - headings[i - 1])
-            )
+        yaw = normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1]))
         out.append(TrajectorySample(t, x, y, yaw))
     return Trajectory(tuple(out))
 
@@ -259,36 +241,43 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     """
     t_lo = max(real.t_first, sim.t_first)
     t_hi = min(real.t_last, sim.t_last)
-    selected_idx = [i for i, s in enumerate(real.samples) if t_lo <= s.t <= t_hi]
-    if len(selected_idx) < 2:
+    selected = [i for i, s in enumerate(real.samples) if t_lo <= s.t <= t_hi]
+    if len(selected) < 2:
         raise ValueError("trajectories overlap on fewer than 2 samples")
-    selected = [real.samples[i] for i in selected_idx]
-    times = [s.t for s in selected]
+    times = [real.samples[i].t for i in selected]
     resampled = shadow_follow(sim, times)
 
-    rx = np.array([s.x for s in selected])
-    ry = np.array([s.y for s in selected])
-    sx = np.array([s.x for s in resampled.samples])
-    sy = np.array([s.y for s in resampled.samples])
-    dx = sx - rx
-    dy = sy - ry
-    dev = np.hypot(dx, dy)
-
-    all_headings = derive_headings(real)
-    heading = np.array([all_headings[i] for i in selected_idx])
-    lateral = -np.sin(heading) * dx + np.cos(heading) * dy
-    longitudinal = np.cos(heading) * dx + np.sin(heading) * dy
+    headings = derive_headings(real)
+    devs, lateral_sq, longitudinal_sq = [], [], []
+    for i, s in zip(selected, resampled.samples):
+        dx = s.x - real.samples[i].x
+        dy = s.y - real.samples[i].y
+        cos_h, sin_h = math.cos(headings[i]), math.sin(headings[i])
+        lateral = -sin_h * dx + cos_h * dy
+        longitudinal = cos_h * dx + sin_h * dy
+        devs.append(math.hypot(dx, dy))
+        lateral_sq.append(lateral * lateral)
+        longitudinal_sq.append(longitudinal * longitudinal)
 
     return GapReport(
         n=len(selected),
-        rmse=float(np.sqrt(np.mean(dev**2))),
-        max_dev=float(np.max(dev)),
-        mean_dev=float(np.mean(dev)),
-        final_drift=float(dev[-1]),
-        lateral_rmse=float(np.sqrt(np.mean(lateral**2))),
-        longitudinal_rmse=float(np.sqrt(np.mean(longitudinal**2))),
-        per_sample=tuple((float(t), float(d)) for t, d in zip(times, dev)),
+        rmse=math.sqrt(_mean([d * d for d in devs])),
+        max_dev=max(devs),
+        mean_dev=_mean(devs),
+        final_drift=devs[-1],
+        lateral_rmse=math.sqrt(_mean(lateral_sq)),
+        longitudinal_rmse=math.sqrt(_mean(longitudinal_sq)),
+        per_sample=tuple((float(t), d) for t, d in zip(times, devs)),
     )
+
+
+def _mean(values: list[float]) -> float:
+    """Correctly rounded mean of non-negative values; a sum past the float
+    range is inf, so ``GapReport.to_json`` still refuses the report."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.inf
 
 
 def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajectory:

@@ -329,7 +329,7 @@ def validate_sdf(text: str) -> ValidationReport:
             ValidationIssue("/sdf", f"expected exactly one <world>, found {len(worlds)}")
         )
     for world in worlds:
-        world_loc = _located("/sdf", world)
+        world_loc = _located(world, {world: root})
         if world.find("spherical_coordinates") is None:
             issues.append(
                 ValidationIssue(world_loc, "missing <spherical_coordinates> element")
@@ -344,41 +344,46 @@ def validate_sdf(text: str) -> ValidationReport:
                 issues.append(ValidationIssue(world_loc, f"duplicate model name {name}"))
             seen.add(name)
 
-    _walk(root, "/sdf", issues)
+    # every pose and polyline in document order; the parent map that a
+    # location needs is built only once a check has failed
+    parents = None
+    for element in root.iter():
+        check = _CHECKS.get(element.tag)
+        for message in check(element) if check else ():
+            if parents is None:
+                parents = {child: parent for parent in root.iter() for child in parent}
+            issues.append(ValidationIssue(_located(element, parents), message))
     return ValidationReport(tuple(issues))
 
 
-def _located(parent_path: str, element: ET.Element) -> str:
-    name = element.get("name")
-    suffix = f"[@name='{name}']" if name else ""
-    return f"{parent_path}/{element.tag}{suffix}"
+def _located(element: ET.Element, parents: dict[ET.Element, ET.Element]) -> str:
+    """XPath-like location of ``element``: its ancestors below <sdf>, named
+    by tag and, where they have one, by name."""
+    steps = []
+    while element in parents:
+        name = element.get("name")
+        steps.append(f"/{element.tag}[@name='{name}']" if name else f"/{element.tag}")
+        element = parents[element]
+    return "/sdf" + "".join(reversed(steps))
 
 
-def _walk(element: ET.Element, path: str, issues: list[ValidationIssue]) -> None:
-    for child in element:
-        child_path = _located(path, child)
-        if child.tag == "polyline":
-            _check_polyline(child, child_path, issues)
-        elif child.tag == "pose":
-            _check_pose(child, child_path, issues)
-        _walk(child, child_path, issues)
-
-
-def _check_polyline(element: ET.Element, path: str, issues: list[ValidationIssue]) -> None:
+def _polyline_faults(element: ET.Element) -> list[str]:
+    faults = []
     points = element.findall("point")
     if len(points) < 3:
-        issues.append(ValidationIssue(path, f"polyline has {len(points)} points, needs >= 3"))
+        faults.append(f"polyline has {len(points)} points, needs >= 3")
     height = element.find("height")
     value = _parse_float(height.text) if height is not None else None
     if value is None or value <= 0:
-        issues.append(ValidationIssue(path, "non-positive polyline height"))
+        faults.append("non-positive polyline height")
+    return faults
 
 
-def _check_pose(element: ET.Element, path: str, issues: list[ValidationIssue]) -> None:
-    parts = (element.text or "").split()
-    values = [_parse_float(p) for p in parts]
+def _pose_faults(element: ET.Element) -> list[str]:
+    values = [_parse_float(p) for p in (element.text or "").split()]
     if len(values) != 6 or any(v is None for v in values):
-        issues.append(ValidationIssue(path, "pose must contain 6 finite numbers"))
+        return ["pose must contain 6 finite numbers"]
+    return []
 
 
 def _parse_float(raw: str | None) -> float | None:
@@ -389,3 +394,6 @@ def _parse_float(raw: str | None) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+_CHECKS = {"polyline": _polyline_faults, "pose": _pose_faults}

@@ -69,13 +69,14 @@ class Road:
 def estimate_height(tags: dict[str, str], defaults: ExtractionDefaults) -> float:
     """Building height from tags: ``height``, then ``building:levels``, then default.
 
-    Unparseable or non-positive values fall through to the next rule.
+    Unparseable, non-finite or non-positive values fall through to the next
+    rule, and so does a levels height that overflows or underflows.
     """
     height = _parse_positive(tags.get("height"), allow_meter_suffix=True)
     if height is not None:
         return height
     levels = _parse_positive(tags.get("building:levels"))
-    if levels is not None:
+    if levels is not None and 0 < levels * defaults.meters_per_level < math.inf:
         return levels * defaults.meters_per_level
     return defaults.default_building_height
 

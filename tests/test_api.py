@@ -13,11 +13,18 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_import_does_not_load_requests():
+def test_import_and_gap_load_neither_requests_nor_numpy():
     src = str(Path(dtgen.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, dtgen; print('requests' in sys.modules)"
+    # one compute_gap call, so a lazy import inside it would show up too
+    probe = (
+        "import sys, dtgen\n"
+        "t = dtgen.Trajectory((dtgen.TrajectorySample(0.0, 0.0, 0.0),"
+        " dtgen.TrajectorySample(1.0, 1.0, 0.0)))\n"
+        "assert dtgen.compute_gap(t, t).rmse == 0.0\n"
+        "print(sorted({'requests', 'numpy'} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -306,6 +306,16 @@ class TestShadowFollow:
         with pytest.raises(ValueError):
             shadow_follow(recorded, [-0.5])
 
+    def test_rejects_nan_query_time(self):
+        recorded = _traj([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+        with pytest.raises(ValueError, match="outside recorded range"):
+            shadow_follow(recorded, [math.nan])
+
+    def test_exact_hit_and_interpolation_share_the_recorded_yaw(self):
+        recorded = _traj([(0.0, 0.0, 0.0, 0.5), (1.0, 1.0, 0.0, 1.5), (2.0, 2.0, 0.0, 2.5)], yaw=True)
+        out = shadow_follow(recorded, [1.0, 1.5])
+        assert [s.yaw for s in out.samples] == [1.5, 2.0]
+
 
 class TestDeriveHeadings:
     def test_straight_motion(self):
@@ -438,6 +448,20 @@ class TestComputeGap:
         assert report.rmse == report.max_dev == report.final_drift == 0.0
         assert report.lateral_rmse == report.longitudinal_rmse == 0.0
         assert all(d == 0.0 for _, d in report.per_sample)
+
+    def test_sums_past_the_float_range_give_inf_and_json_refuses_them(self):
+        real = _traj([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+        sim = _traj([(0.0, 1e154, 0.0), (1.0, 1.2e154, 0.0)])
+        report = compute_gap(real, sim)
+        assert report.rmse == report.longitudinal_rmse == math.inf
+        assert report.max_dev == report.final_drift == pytest.approx(1.2e154)
+        with pytest.raises(ValueError):
+            report.to_json()
+
+    def test_integer_timestamps_report_as_floats(self):
+        traj = _traj([(0, 0, 0), (1, 1, 0)])
+        report = compute_gap(traj, traj)
+        assert [type(t) for t, _ in report.per_sample] == [float, float]
 
     def test_json_refuses_non_finite_metrics(self):
         report = GapReport(2, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, ((0.0, 0.0), (1.0, math.nan)))

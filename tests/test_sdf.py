@@ -1,12 +1,16 @@
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtgen.config import GenerationConfig, LocalSpawn, VehicleKind, VehicleSpec, resolve_spawn
 from dtgen.errors import EmitError
 from dtgen.geodesy import GeoOrigin, LocalPoint
 from dtgen.osm import BoundingBox
+from dtgen.pipeline import generate_world
 from dtgen.sdf import emit_world, fmt, validate_sdf
 from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_height
 
@@ -318,3 +322,66 @@ class TestValidateSdf:
         )
         report = validate_sdf(text)
         assert any("model[@name='m']" in v.location for v in report.violations)
+
+    def test_violation_locations_and_order_are_pinned(self):
+        text = (
+            "<sdf version='1.6'><world name='w'><spherical_coordinates/>"
+            "<model name='a'><pose>1 2</pose><link><visual name='v'><geometry><polyline>"
+            "<point>0 0</point><height>0</height></polyline></geometry></visual>"
+            "<pose>inf 0 0 0 0 0</pose></link></model>"
+            "<model><pose>x</pose></model></world></sdf>"
+        )
+        located = [(v.location, v.message) for v in validate_sdf(text).violations]
+        polyline = "/sdf/world[@name='w']/model[@name='a']/link/visual[@name='v']/geometry/polyline"
+        assert located == [
+            ("/sdf/world[@name='w']", "model without a name attribute"),
+            ("/sdf/world[@name='w']/model[@name='a']/pose", "pose must contain 6 finite numbers"),
+            (polyline, "polyline has 1 points, needs >= 3"),
+            (polyline, "non-positive polyline height"),
+            ("/sdf/world[@name='w']/model[@name='a']/link/pose", "pose must contain 6 finite numbers"),
+            ("/sdf/world[@name='w']/model/pose", "pose must contain 6 finite numbers"),
+        ]
+
+
+# tag values for the height rules: numbers from tiny to huge, with and
+# without the meter suffix, plus arbitrary text
+_number_text = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "1.7976931348623157e308", "5e-324", "1e-320", "0", "-0", "inf"]),
+)
+_tag_value = st.one_of(
+    _number_text,
+    _number_text.map(lambda v: v + " m"),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8),
+)
+_positive = st.floats(min_value=5e-324, max_value=1e308, allow_infinity=False)
+
+
+@given(
+    height=st.none() | _tag_value,
+    levels=st.none() | _tag_value,
+    meters_per_level=_positive,
+    default_height=_positive,
+)
+@settings(max_examples=200, deadline=None)
+def test_generated_world_always_validates(height, levels, meters_per_level, default_height):
+    tags = {"building": "yes", "height": height, "building:levels": levels}
+    tag_xml = "".join(
+        f"<tag k={quoteattr(k)} v={quoteattr(v)}/>" for k, v in tags.items() if v is not None
+    )
+    osm = (
+        "<osm version='0.6'>"
+        "<node id='1' lat='48.0050' lon='8.0050'/><node id='2' lat='48.0050' lon='8.0054'/>"
+        "<node id='3' lat='48.0053' lon='8.0054'/><node id='4' lat='48.0053' lon='8.0050'/>"
+        "<way id='101'><nd ref='1'/><nd ref='2'/><nd ref='3'/><nd ref='4'/><nd ref='1'/>"
+        f"{tag_xml}</way>"
+        "<way id='102'><nd ref='1'/><nd ref='3'/><tag k='highway' v='residential'/></way>"
+        "</osm>"
+    )
+    defaults = ExtractionDefaults(
+        default_building_height=default_height, meters_per_level=meters_per_level
+    )
+    config = GenerationConfig(bbox=BoundingBox(48.0, 8.0, 48.02, 8.03), defaults=defaults)
+    result = generate_world(config, osm)
+    assert len(result.buildings) == 1
+    assert validate_sdf(result.world.text).violations == ()

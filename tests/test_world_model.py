@@ -47,6 +47,17 @@ class TestEstimateHeight:
         defaults = ExtractionDefaults(meters_per_level=2.5)
         assert estimate_height({"building:levels": "4"}, defaults) == 10.0
 
+    def test_levels_height_that_overflows_falls_back_to_default(self):
+        # 1e308 levels x 3 m is inf, which no polyline height may be
+        assert estimate_height({"building:levels": "1e308"}, DEFAULTS) == 10.0
+
+    def test_levels_height_that_underflows_falls_back_to_default(self):
+        defaults = ExtractionDefaults(meters_per_level=0.1)
+        assert estimate_height({"building:levels": "5e-324"}, defaults) == 10.0
+
+    def test_huge_levels_that_stay_finite_are_kept(self):
+        assert estimate_height({"building:levels": "1e307"}, DEFAULTS) == 3e307
+
 
 class TestExtractionDefaults:
     def test_documented_defaults(self):
