@@ -18,9 +18,10 @@ from .pipeline import generate_world
 from .replay import (
     VehicleState,
     compute_gap,
-    derive_headings,
+    derive_headings,  # noqa: F401 - benchmarks/dtbench/tracing.py wraps cli.derive_headings
     parse_controls_csv,
     parse_trajectory_csv,
+    shadow_follow,
     simulate_controls,
 )
 from .sdf import validate_sdf
@@ -170,9 +171,14 @@ def _cmd_gap(args) -> int:
             _error(f"unknown vehicle name {args.vehicle!r}")
             return EXIT_USAGE
         controls = parse_controls_csv(Path(args.controls).read_text(encoding="utf-8"))
-        first = recorded.samples[0]
-        yaw0 = first.yaw if recorded.has_yaw else derive_headings(recorded)[0]
-        initial = VehicleState(first.x, first.y, yaw0, 0.0)
+        if controls[0].t < recorded.t_first:
+            raise ValueError(
+                f"control log starts at t={controls[0].t}, before the recorded "
+                f"trajectory at t={recorded.t_first}"
+            )
+        # the replay starts from the recorded pose at the first control
+        start = shadow_follow(recorded, [controls[0].t]).samples[0]
+        initial = VehicleState(start.x, start.y, start.yaw, 0.0)
         t_end = recorded.t_last if recorded.t_last > controls[-1].t else None
         sim = simulate_controls(initial, controls, spec, t_end=t_end)
         for warning in sim.warnings:

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +24,11 @@ from .config import VehicleSpec
 from .geodesy import GeoOrigin, project
 
 HEADING_DISPLACEMENT_GATE_M = 0.05
+# A box is skipped only when its farthest corner is this far inside the gate.
+# math.hypot is accurate to under 1 ulp but not always correctly rounded, so
+# the margin, not monotonic rounding, proves that no sample in a skipped box
+# can reach the gate.
+_BOX_INSIDE_M = HEADING_DISPLACEMENT_GATE_M * (1.0 - 1e-9)
 
 
 def normalize_angle(theta: float) -> float:
@@ -93,24 +99,87 @@ class Trajectory:
         inherit the last known heading, leading unknowns take the first known
         one. A trajectory that never moves past the gate gets heading 0
         everywhere.
+
+        The first crossing is found in a bounding-box tree of the samples
+        (see :func:`_bound_tree`): from sample i the walk visits the later
+        samples in index order, depth first, and skips a whole box when its
+        farthest corner from sample i lies inside the gate. Only single
+        samples are tested against the gate itself, with the same arithmetic
+        as a plain forward scan, so the headings are that scan's bit for bit.
+        A moving sample costs one test; a parked stretch of k samples costs
+        O(k log k) box tests instead of the scan's k²/2.
         """
-        pts = [(s.x, s.y) for s in self.samples]
-        n = len(pts)
+        xs = array("d", [s.x for s in self.samples])
+        ys = array("d", [s.y for s in self.samples])
+        n = len(xs)
+        size = 1 << (n - 1).bit_length()
+        x0, x1 = _bound_tree(xs, size)
+        y0, y1 = _bound_tree(ys, size)
+        hypot, gate = math.hypot, HEADING_DISPLACEMENT_GATE_M
         headings: list[float | None] = [None] * n
-        for i in range(n):
-            xi, yi = pts[i]
-            for j in range(i + 1, n):
-                dx = pts[j][0] - xi
-                dy = pts[j][1] - yi
-                if math.hypot(dx, dy) >= HEADING_DISPLACEMENT_GATE_M:
-                    headings[i] = math.atan2(dy, dx)
+        for i in range(n - 1):
+            xi, yi = xs[i], ys[i]
+            v = size + i + 1  # the leaf of sample i + 1
+            while True:
+                if v >= size:
+                    j = v - size
+                    if j >= n:  # padding: no later sample crossed the gate
+                        break
+                    dx, dy = xs[j] - xi, ys[j] - yi
+                    if hypot(dx, dy) >= gate:
+                        headings[i] = math.atan2(dy, dx)
+                        break
+                else:
+                    # farthest corner of the box from sample i; max() inlined, as
+                    # this is the hot loop
+                    cx, far = xi - x0[v], x1[v] - xi
+                    if far > cx:
+                        cx = far
+                    cy, far = yi - y0[v], y1[v] - yi
+                    if far > cy:
+                        cy = far
+                    if not hypot(cx, cy) < _BOX_INSIDE_M:
+                        # some sample in the box may cross: search it. Its
+                        # children can both be inside even so; the walk then
+                        # moves past it.
+                        v *= 2
+                        continue
+                # move past node v: climb while it is a right child, then
+                # step to the subtree that follows it in index order
+                while v & 1:
+                    v >>= 1
+                if not v:
                     break
+                v += 1
         last = next((h for h in headings if h is not None), 0.0)
         filled: list[float] = []
         for h in headings:
             last = last if h is None else h
             filled.append(last)
         return tuple(filled)
+
+
+def _bound_tree(coords: array, size: int) -> tuple[array, array]:
+    """Per-node minimum and maximum of one coordinate over the inner nodes of
+    an implicit binary tree: node 1 is the root, node v has children 2v and
+    2v + 1, and node ``size + k`` is the leaf of sample k, read from
+    ``coords`` itself. ``size`` is a power of two; index 0 is unused.
+
+    Leaves past ``len(coords)`` are padding with an empty range (min inf,
+    max -inf), which adds nothing to a parent. A NaN coordinate spans the
+    whole axis, so no box that holds it is ever skipped.
+    """
+    pad = size - len(coords)
+    lo = array("d", [c if c == c else -math.inf for c in coords]) + array("d", [math.inf]) * pad
+    hi = array("d", [c if c == c else math.inf for c in coords]) + array("d", [-math.inf]) * pad
+    lo_tree, hi_tree = array("d", [0.0]) * size, array("d", [0.0]) * size
+    k = size
+    while k > 1:
+        k //= 2
+        lo = array("d", map(min, lo[0::2], lo[1::2]))
+        hi = array("d", map(max, hi[0::2], hi[1::2]))
+        lo_tree[k : 2 * k], hi_tree[k : 2 * k] = lo, hi
+    return lo_tree, hi_tree
 
 
 @dataclass(frozen=True)

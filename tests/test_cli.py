@@ -250,6 +250,52 @@ class TestGap:
         report = json.loads(out.read_text())
         assert report["rmse"] < 1e-6
 
+    def _replay_ten_meters_per_second(self, data_dir, tmp_path, controls_text):
+        recorded = _write(tmp_path / "trace.csv", "t,x,y\n" + "".join(
+            f"{t},{10 * t},0\n" for t in range(11)
+        ))
+        controls = _write(tmp_path / "controls.csv", controls_text)
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            [
+                "gap",
+                "--recorded",
+                recorded,
+                "--controls",
+                controls,
+                "--config",
+                str(data_dir / "config_track.json"),
+                "--vehicle",
+                "ego",
+                "--out",
+                str(out),
+            ]
+        )
+        return code, out
+
+    def test_controls_starting_late_replay_from_the_recorded_pose_then(
+        self, data_dir, tmp_path, capsys
+    ):
+        code, out = self._replay_ten_meters_per_second(
+            data_dir, tmp_path, "t,speed,steer\n5,10,0\n7.5,10,0\n"
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["n"] == 6
+        assert report["rmse"] < 1e-9
+        assert "rmse=0.000000" in capsys.readouterr().out
+
+    def test_controls_starting_before_the_recording_are_rejected(
+        self, data_dir, tmp_path, capsys
+    ):
+        code, out = self._replay_ten_meters_per_second(
+            data_dir, tmp_path, "t,speed,steer\n-1,10,0\n5,10,0\n"
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "t=-1.0" in err and "t=0.0" in err
+
     def test_controls_replay_derives_recorded_headings_once(
         self, data_dir, tmp_path, monkeypatch
     ):

@@ -1,3 +1,5 @@
+from xml.sax.saxutils import quoteattr
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,53 @@ def test_filter_bbox_monotone(doc, grow):
     b = filter_bbox(doc, large)
     assert set(a.nodes) <= set(b.nodes)
     assert set(a.ways) <= set(b.ways)
+
+
+# attribute text that XML 1.0 can carry: no controls, surrogates or noncharacters
+_attr_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Cn")), max_size=12)
+_numberish = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " 7 ", "1_0", "0x1f", "1e999", "-inf", "nan", "\u0663\u0662", "9" * 5000]),
+)
+_attr = st.one_of(st.none(), _attr_text, _numberish)
+
+
+def _element(tag, attrs, body=""):
+    text = "".join(f" {k}={quoteattr(v)}" for k, v in attrs.items() if v is not None)
+    return f"<{tag}{text}>{body}</{tag}>"
+
+
+@st.composite
+def _osm_documents(draw):
+    """Well-formed ``<osm>`` documents whose id/lat/lon/ref strings are arbitrary."""
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            parts.append(_element("node", {"id": draw(_attr), "lat": draw(_attr), "lon": draw(_attr)}))
+        else:
+            members = [_element("nd", {"ref": draw(_attr)}) for _ in range(draw(st.integers(0, 3)))]
+            members.append(_element("tag", {"k": draw(_attr), "v": draw(_attr)}))
+            parts.append(_element("way", {"id": draw(_attr)}, "".join(members)))
+    return '<?xml version="1.0"?><osm version="0.6">' + "".join(parts) + "</osm>"
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_parse_osm_raises_only_osm_parse_error_on_any_text(text):
+    try:
+        parse_osm(text)
+    except OsmParseError:
+        pass
+
+
+@given(_osm_documents())
+@settings(max_examples=300)
+def test_parse_osm_reads_any_well_formed_document(xml_text):
+    doc = parse_osm(xml_text)
+    for node in doc.nodes.values():
+        assert -90 <= node.lat <= 90 and -180 <= node.lon <= 180
+    assert all(way.node_refs for way in doc.ways.values())
 
 
 class TestOverpass:

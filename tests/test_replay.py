@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dtgen.config import VehicleKind, VehicleSpec
 from dtgen.geodesy import GeoOrigin
 from dtgen.replay import (
+    HEADING_DISPLACEMENT_GATE_M,
     ControlSample,
     GapReport,
     Trajectory,
@@ -349,6 +352,188 @@ class TestDeriveHeadings:
         first[0] = 99.0
         assert second[0] != 99.0
         assert derive_headings(traj) == second
+
+
+def forward_scan_headings(traj):
+    """The quadratic forward scan that ``Trajectory.motion_headings`` ran before
+    its box-tree walk, verbatim: the reference the walk must equal bit for bit."""
+    pts = [(s.x, s.y) for s in traj.samples]
+    n = len(pts)
+    headings: list[float | None] = [None] * n
+    for i in range(n):
+        xi, yi = pts[i]
+        for j in range(i + 1, n):
+            dx = pts[j][0] - xi
+            dy = pts[j][1] - yi
+            if math.hypot(dx, dy) >= HEADING_DISPLACEMENT_GATE_M:
+                headings[i] = math.atan2(dy, dx)
+                break
+    last = next((h for h in headings if h is not None), 0.0)
+    filled: list[float] = []
+    for h in headings:
+        last = last if h is None else h
+        filled.append(last)
+    return tuple(filled)
+
+
+def _points_traj(points):
+    return Trajectory(tuple(TrajectorySample(0.5 * t, x, y) for t, (x, y) in enumerate(points)))
+
+
+def _bits(headings):
+    """Exact form of a heading sequence: tells -0.0 from 0.0, and NaN equals NaN."""
+    return [float.hex(h) for h in headings]
+
+
+_STEP = st.one_of(
+    st.floats(-0.012, 0.012),  # jitter that parks the trace
+    st.floats(-0.06, 0.06),  # steps around the gate
+    st.floats(-2.0, 2.0),  # driving
+    st.sampled_from([0.0, 0.03, 0.04, 0.05, -0.05]),
+)
+
+
+@st.composite
+def walk_traces(draw):
+    """A random walk of up to 400 steps that parks, creeps and drives."""
+    x, y = draw(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)))
+    points = [(x, y)]
+    for dx, dy in draw(st.lists(st.tuples(_STEP, _STEP), max_size=400)):
+        x, y = x + dx, y + dy
+        points.append((x, y))
+    return points
+
+
+@st.composite
+def parked_clusters(draw):
+    """Stretches of 65 to 300 samples jittering in a disc, joined by hops.
+
+    Discs of radius up to 2.4 cm keep every pair inside the gate; a 3 cm disc
+    lets some pairs cross it. Hops of 3 to 7 cm land next to the gate."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cx = cy = 0.0
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        radius = draw(st.sampled_from([0.0, 0.005, 0.02, 0.024, 0.03]))
+        for _ in range(draw(st.integers(65, 300))):
+            r, a = radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+            points.append((cx + r * math.cos(a), cy + r * math.sin(a)))
+        hop, a = draw(st.sampled_from([0.03, 0.05, 0.07, 1.0])), rng.uniform(-math.pi, math.pi)
+        cx, cy = cx + hop * math.cos(a), cy + hop * math.sin(a)
+    return points
+
+
+@st.composite
+def loop_traces(draw):
+    """Park, drive a circle that starts and ends at the parking spot, park again."""
+    radius = draw(st.floats(0.01, 2.0))
+    steps = draw(st.integers(4, 80))
+    park = draw(st.integers(65, 130))
+    jitter = draw(st.sampled_from([0.0, 0.001, 0.01]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def parked():
+        return [(rng.uniform(-jitter, jitter), rng.uniform(-jitter, jitter)) for _ in range(park)]
+
+    circle = [
+        (radius * math.sin(math.tau * k / steps), radius * (1.0 - math.cos(math.tau * k / steps)))
+        for k in range(1, steps)
+    ]
+    return parked() + circle + parked()
+
+
+def _sprinkled_with_non_finite_values():
+    rng = random.Random(3)
+    specials = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+    points = []
+    for k in range(400):
+        x, y = rng.uniform(-0.02, 0.02) + 0.1 * (k // 100), rng.uniform(-0.02, 0.02)
+        if rng.random() < 0.05:
+            x = rng.choice(specials)
+        if rng.random() < 0.05:
+            y = rng.choice(specials)
+        points.append((x, y))
+    return points
+
+
+class TestMotionHeadingsMatchTheForwardScan:
+    @given(walk_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_random_walks(self, points):
+        traj = _points_traj(points)
+        assert traj.motion_headings == forward_scan_headings(traj)
+
+    @given(parked_clusters())
+    @settings(max_examples=60, deadline=None)
+    def test_parked_clusters_longer_than_64_samples(self, points):
+        traj = _points_traj(points)
+        assert traj.motion_headings == forward_scan_headings(traj)
+
+    @given(loop_traces())
+    @settings(max_examples=60, deadline=None)
+    def test_loops_that_leave_the_disc_and_come_back(self, points):
+        traj = _points_traj(points)
+        assert traj.motion_headings == forward_scan_headings(traj)
+
+    @pytest.mark.parametrize(
+        "offset", [(0.05, 0.0), (0.0, -0.05), (-0.05, 0.0), (0.03, 0.04), (-0.04, -0.03)]
+    )
+    @pytest.mark.parametrize("base", [(0.0, 0.0), (1234.5678, -87.125)])
+    @pytest.mark.parametrize("park", [0, 70])
+    def test_pairs_at_exactly_the_gate(self, offset, base, park):
+        away = (base[0] + offset[0], base[1] + offset[1])
+        traj = _points_traj([base] * (park + 1) + [away] + [base] * park)
+        assert _bits(traj.motion_headings) == _bits(forward_scan_headings(traj))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(3.0, 4.0)],
+            [(0.0, 0.0), (0.0, 0.0)],
+            [(0.0, 0.0), (0.01, 0.0)],
+            [(0.0, 0.0), (1.0, -1.0)],
+            [(5.0, 5.0)] * 200,
+            [(0.01 * math.cos(k), 0.01 * math.sin(k)) for k in range(300)],
+        ],
+        ids=["one", "two-same", "two-inside", "two-apart", "parked-still", "parked-jitter"],
+    )
+    def test_short_and_all_parked_traces(self, points):
+        traj = _points_traj(points)
+        assert _bits(traj.motion_headings) == _bits(forward_scan_headings(traj))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            _sprinkled_with_non_finite_values(),
+            # a NaN right before the first crossing, in the same box as it;
+            # the first sample's heading differs from the crossing's
+            [(0.0, 0.1)] + [(0.0, 0.0)] * 5 + [(math.nan, 0.0), (-0.1, 0.0)],
+            [(0.1, 0.0)] + [(0.0, 0.0)] * 5 + [(0.0, math.nan), (0.0, -0.1)],
+        ],
+        ids=["sprinkled", "nan-x-before-crossing", "nan-y-before-crossing"],
+    )
+    def test_non_finite_coordinates(self, points):
+        traj = _points_traj(points)
+        assert _bits(traj.motion_headings) == _bits(forward_scan_headings(traj))
+
+    def test_an_hour_parked_at_ten_hertz_takes_under_two_seconds(self):
+        rng = random.Random(7)
+        samples = []
+        for k in range(36_001):
+            r, a = 0.02 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+            samples.append(TrajectorySample(0.1 * k, r * math.cos(a), r * math.sin(a)))
+        move = TrajectorySample(3601.0, 1.0, 0.0)
+        traj = Trajectory((*samples, move))
+
+        start = time.perf_counter()
+        headings = traj.motion_headings
+        elapsed = time.perf_counter() - start
+
+        assert all(
+            h == math.atan2(move.y - s.y, move.x - s.x) for s, h in zip(samples, headings)
+        )
+        assert headings[-1] == headings[-2]
+        assert elapsed < 2.0, f"headings took {elapsed:.2f} s"
 
 
 class TestComputeGap:
