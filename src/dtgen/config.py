@@ -48,6 +48,8 @@ class LocalSpawn:
 Spawn = GeoSpawn | LocalSpawn
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+# written verbatim into <sdf version="...">, so nothing but digits and dots
+_SDF_VERSION_RE = re.compile(r"[0-9]+(\.[0-9]+)+")
 _POSITIVE_LENGTH_FIELDS = (
     "wheelbase",
     "track",
@@ -102,6 +104,11 @@ class GenerationConfig:
     sdf_version: str = "1.6"
 
     def __post_init__(self):
+        if not (isinstance(self.sdf_version, str) and _SDF_VERSION_RE.fullmatch(self.sdf_version)):
+            raise ConfigValidationError(
+                f"sdf_version must be dotted decimal digits such as '1.6', "
+                f"got {self.sdf_version!r}"
+            )
         names = [v.name for v in self.vehicles]
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
@@ -144,17 +151,16 @@ def load_config(text: str) -> GenerationConfig:
     bbox = _load_bbox(raw["bbox"])
     defaults = _load_defaults(raw.get("defaults", {}))
 
-    sdf_version = raw.get("sdf_version", "1.6")
-    if not isinstance(sdf_version, str) or not sdf_version:
-        raise ConfigValidationError("sdf_version must be a non-empty string")
-
     raw_vehicles = raw.get("vehicles", [])
     if not isinstance(raw_vehicles, list):
         raise ConfigValidationError("vehicles must be a list")
     vehicles = tuple(_load_vehicle(v, i) for i, v in enumerate(raw_vehicles))
 
     return GenerationConfig(
-        bbox=bbox, defaults=defaults, vehicles=vehicles, sdf_version=sdf_version
+        bbox=bbox,
+        defaults=defaults,
+        vehicles=vehicles,
+        sdf_version=raw.get("sdf_version", "1.6"),
     )
 
 

@@ -2,10 +2,11 @@
 
 ``emit_world`` writes the world document straight from the world-model
 objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
-pose). Every number goes through fixed-precision formatting, so identical
-inputs always produce byte-identical files. ``validate_sdf`` re-parses
-emitted (or foreign) files and reports structural violations instead of
-raising.
+pose). The output is flat: one element per line, no indentation, so diffs
+stay readable without whitespace that no SDFormat reader uses. Every number
+goes through fixed-precision formatting, so identical inputs always produce
+byte-identical files. ``validate_sdf`` re-parses emitted (or foreign) files
+and reports structural violations instead of raising.
 """
 
 import math
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 
 from .config import GenerationConfig, VehicleKind, VehicleSpec
 from .errors import EmitError
-from .geodesy import GeoOrigin
+from .geodesy import GeoOrigin, project
 from .world_model import Building, Road
 
 WORLD_NAME = "generated"
 GROUND_PLANE_NAME = "ground_plane"
-GROUND_VISUAL_SIZE_M = 5000.0
+GROUND_MARGIN_M = 100.0  # ground plane overhang past each bbox edge
 GROUND_COLOR = "0.8 0.8 0.8 1"
 ROAD_COLOR = "0.3 0.3 0.3 1"
 BUILDING_COLOR = "0.7 0.7 0.7 1"
@@ -66,30 +67,27 @@ class SdfWorld:
 
 
 class _XmlWriter:
-    """Indented line emitter; tiny enough to beat templating for nested SDF.
+    """Flat line emitter, one element per line; tiny enough to beat
+    templating for nested SDF.
 
     Model names are tracked as models are opened, so a duplicate is caught
     in the order the models appear in the document.
     """
 
-    def __init__(self, level: int = 0, step: str = "  "):
+    def __init__(self):
         self._lines: list[str] = []
-        self._level = level
-        self._step = step
         self._model_names: set[str] = set()
 
     def line(self, text: str) -> None:
-        self._lines.append(self._step * self._level + text)
+        self._lines.append(text)
 
     def element(self, tag: str, text: str) -> None:
         self.line(f"<{tag}>{text}</{tag}>")
 
     def open(self, opening: str) -> None:
         self.line(opening)
-        self._level += 1
 
     def close(self, tag: str) -> None:
-        self._level -= 1
         self.line(f"</{tag}>")
 
     def open_model(self, name: str) -> None:
@@ -121,7 +119,7 @@ def emit_world(
     w.line('<?xml version="1.0" encoding="UTF-8"?>')
     w.open(f'<sdf version="{config.sdf_version}">')
     w.open(f'<world name="{WORLD_NAME}">')
-    _write_ground_plane(w)
+    _write_ground_plane(w, origin, config)
     _write_sun(w)
     _write_spherical_coordinates(w, origin)
     for building in buildings:
@@ -166,12 +164,17 @@ def _write_surfaces(
     w.close("visual")
 
 
-def _write_ground_plane(w: _XmlWriter) -> None:
-    size = fmt(GROUND_VISUAL_SIZE_M)
+def _write_ground_plane(w: _XmlWriter, origin: GeoOrigin, config: GenerationConfig) -> None:
+    """A plane centered on the origin that covers the projected bbox plus
+    ``GROUND_MARGIN_M`` on every side, wherever the origin lies."""
+    low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
+    high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
+    width = 2.0 * (max(-low.x, high.x) + GROUND_MARGIN_M)
+    depth = 2.0 * (max(-low.y, high.y) + GROUND_MARGIN_M)
     w.open_model(GROUND_PLANE_NAME)
     w.element("static", "true")
     w.open('<link name="link">')
-    plane = [("normal", "0 0 1"), ("size", f"{size} {size}")]
+    plane = [("normal", "0 0 1"), ("size", f"{fmt(width)} {fmt(depth)}")]
     _write_surfaces(w, "plane", plane, color=GROUND_COLOR)
     w.close("link")
     w.close("model")

@@ -146,6 +146,26 @@ class TestGenerate:
         )
         assert code == 1
 
+    def test_world_its_validator_rejects_is_not_written(self, data_dir, tmp_path, capsys):
+        # both lengths are finite, but the chassis pose z, wheel_radius +
+        # height / 2, overflows to inf
+        config = _write(
+            tmp_path / "huge.json",
+            '{"bbox": {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.02, "max_lon": 8.03},'
+            ' "vehicles": [{"name": "ego", "kind": "twin", "wheel_radius": 1e308,'
+            ' "chassis": {"height": 1.7e308}}]}',
+        )
+        out = tmp_path / "w.sdf"
+        code = cli.main(
+            ["generate", "--config", config, "--osm", str(data_dir / "empty.osm"), "--out", str(out)]
+        )
+        assert code == 1
+        assert (
+            "/sdf/world[@name='generated']/model[@name='ego']/link[@name='chassis']/pose: "
+            "pose must contain 6 finite numbers"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_with_fetch_from_stub(self, data_dir, tmp_path, stub_server):
         stub_server.state.body = (data_dir / "mixed.osm").read_bytes()
         out = tmp_path / "w.sdf"

@@ -110,6 +110,25 @@ class TestLoadConfig:
     def test_loading_twice_yields_identical_configs(self):
         assert load_config(MINIMAL) == load_config(MINIMAL)
 
+    @pytest.mark.parametrize("version", ["1.6", "1.7", "1.10"])
+    def test_dotted_decimal_sdf_version_accepted(self, version):
+        raw = json.loads(MINIMAL)
+        raw["sdf_version"] = version
+        assert load_config(json.dumps(raw)).sdf_version == version
+
+    @pytest.mark.parametrize(
+        "version", ['1.6" x="1', "1.6&", "", "1", "1.", ".6", "1..6", "v1.6", " 1.6", "1.6\n", 1.6]
+    )
+    def test_other_sdf_version_rejected(self, version):
+        # the version is written verbatim into an attribute, so anything but
+        # digits and dots could inject markup or break the document
+        raw = json.loads(MINIMAL)
+        raw["sdf_version"] = version
+        with pytest.raises(ConfigValidationError, match="sdf_version"):
+            load_config(json.dumps(raw))
+        with pytest.raises(ConfigValidationError, match="sdf_version"):
+            GenerationConfig(bbox=BoundingBox(48.0, 8.0, 48.1, 8.1), sdf_version=version)
+
 
 class TestVehicleSpecInvariants:
     def test_steer_angle_range(self):

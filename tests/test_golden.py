@@ -3,11 +3,13 @@ fixture with every bundled config.
 
 A refactor of extraction or emission must leave these unchanged. A change
 that alters the output on purpose regenerates ``data/golden_world_sha256.json``
-and says why.
+and says why. The same change regenerates the committed demo world
+(``python3 demos/01_world_from_map.py``), which is pinned here too.
 """
 
 import hashlib
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from dtgen.config import load_config
 from dtgen.pipeline import generate_world
 
 DATA_DIR = Path(__file__).parent / "data"
+DEMOS_DIR = Path(__file__).parent.parent / "demos"
 GOLDEN = json.loads((DATA_DIR / "golden_world_sha256.json").read_text(encoding="utf-8"))
 
 
@@ -36,3 +39,10 @@ def test_world_bytes_match_golden_hash(pair):
     result = generate_world(config, (DATA_DIR / osm_name).read_text(encoding="utf-8"))
     digest = hashlib.sha256(result.world.text.encode("utf-8")).hexdigest()
     assert digest == GOLDEN[pair]
+
+
+def test_committed_demo_world_is_current():
+    demo = runpy.run_path(str(DEMOS_DIR / "01_world_from_map.py"))
+    result = generate_world(load_config(json.dumps(demo["CONFIG"])), demo["OSM_XML"])
+    committed = (DEMOS_DIR / "out" / "block_world.sdf").read_text(encoding="utf-8")
+    assert result.world.text == committed

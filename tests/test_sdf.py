@@ -1,19 +1,29 @@
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtgen.config import GenerationConfig, LocalSpawn, VehicleKind, VehicleSpec, resolve_spawn
+from dtgen.config import (
+    GenerationConfig,
+    LocalSpawn,
+    VehicleKind,
+    VehicleSpec,
+    load_config,
+    resolve_spawn,
+)
 from dtgen.errors import EmitError
-from dtgen.geodesy import GeoOrigin, LocalPoint
+from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
 from dtgen.osm import BoundingBox
 from dtgen.pipeline import generate_world
-from dtgen.sdf import emit_world, fmt, validate_sdf
+from dtgen.sdf import GROUND_MARGIN_M, emit_world, fmt, validate_sdf
 from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_height
 
+DATA_DIR = Path(__file__).parent / "data"
 BBOX = BoundingBox(48.0, 8.0, 48.1, 8.1)
 ORIGIN = GeoOrigin(48.05, 8.05)
 
@@ -240,6 +250,46 @@ class TestEmitWorld:
         config = GenerationConfig(bbox=BBOX, sdf_version="1.7")
         world = _emit(config=config)
         assert ET.fromstring(world.text).get("version") == "1.7"
+
+    def test_ground_plane_covers_the_projected_bbox(self):
+        # 0.05 deg at 48 N is about 5.6 km north-south and 3.7 km east-west,
+        # more than a fixed 5 km plane covers in one direction
+        bbox = BoundingBox(48.0, 8.0, 48.05, 8.05)
+        origin = origin_of(bbox)
+        world = _emit(origin=origin, config=GenerationConfig(bbox=bbox))
+        ground = _model(ET.fromstring(world.text), "ground_plane")
+        assert ground.find("pose") is None  # centered on the origin
+        low = project(origin, bbox.min_lat, bbox.min_lon)
+        high = project(origin, bbox.max_lat, bbox.max_lon)
+        sizes = [s.text for s in ground.findall("link/*/geometry/plane/size")]
+        assert len(sizes) == 2  # collision + visual
+        for size in sizes:
+            width, depth = (float(v) for v in size.split())
+            assert width / 2 >= max(-low.x, high.x) + GROUND_MARGIN_M - 1e-3
+            assert depth / 2 >= max(-low.y, high.y) + GROUND_MARGIN_M - 1e-3
+            assert depth > 5000.0
+
+
+_START_TAG = re.compile(r"<([A-Za-z_][\w.-]*)")
+_END_TAG = re.compile(r"</([A-Za-z_][\w.-]*)>")
+
+
+@pytest.mark.parametrize("osm_name", ["track.osm", "mixed.osm"])
+def test_fixture_world_is_flat_with_one_element_per_line(osm_name):
+    config = load_config((DATA_DIR / "config_kinds.json").read_text(encoding="utf-8"))
+    world = generate_world(config, (DATA_DIR / osm_name).read_text(encoding="utf-8")).world
+    lines = world.text.splitlines()
+    assert lines[0].startswith("<?xml")
+    for line in lines:
+        assert line.startswith("<"), repr(line)
+        starts = _START_TAG.findall(line)
+        ends = _END_TAG.findall(line)
+        assert len(starts) <= 1 and len(ends) <= 1, repr(line)
+        if starts and ends:  # a leaf: its own closing tag ends the line
+            assert ends == starts and line.endswith(f"</{starts[0]}>"), repr(line)
+    # every element starts on a line of its own
+    elements = sum(1 for _ in ET.fromstring(world.text).iter())
+    assert sum(len(_START_TAG.findall(line)) for line in lines) == elements
 
 
 class TestValidateSdf:
