@@ -11,7 +11,7 @@ Typical flow::
 
     config = load_config(config_json)
     result = generate_world(config, osm_xml)
-    assert validate_sdf(result.world.text).ok
+    assert not result.world.violations  # the writer's verdict, no re-parse
 """
 
 from .config import (

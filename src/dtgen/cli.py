@@ -129,9 +129,8 @@ def _cmd_generate(args) -> int:
         osm_xml = Path(args.osm).read_text(encoding="utf-8")
 
     result = generate_world(config, osm_xml)
-    report = validate_sdf(result.world.text)
-    if report.violations:
-        for violation in report.violations:
+    if result.world.violations:
+        for violation in result.world.violations:
             print(f"{violation.location}: {violation.message}", file=sys.stderr)
         return EXIT_FAILURE
 

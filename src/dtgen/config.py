@@ -31,11 +31,23 @@ class VehicleKind(Enum):
     GHOST = "ghost"
 
 
+def _require_finite(spawn) -> None:
+    for f in fields(spawn):
+        value = getattr(spawn, f.name)
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise ConfigValidationError(
+                f"{type(spawn).__name__}.{f.name} must be a finite number, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class GeoSpawn:
     lat: float
     lon: float
     yaw: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class LocalSpawn:
     x: float
     y: float
     yaw: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 Spawn = GeoSpawn | LocalSpawn

@@ -5,8 +5,13 @@ objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
 pose). The output is flat: one element per line, no indentation, so diffs
 stay readable without whitespace that no SDFormat reader uses. Every number
 goes through fixed-precision formatting, so identical inputs always produce
-byte-identical files. ``validate_sdf`` re-parses emitted (or foreign) files
-and reports structural violations instead of raising.
+byte-identical files.
+
+The writer checks what it writes: every pose and polyline it formats goes
+through the same per-element rules that ``validate_sdf`` applies, so a world
+comes back with its verdict and needs no re-parse. ``validate_sdf`` parses
+foreign files, and emitted ones whose writer counted a fault, and reports
+each violation at its location instead of raising.
 """
 
 import math
@@ -64,6 +69,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class SdfWorld:
     text: str
+    violations: tuple[ValidationIssue, ...] = ()
 
 
 class _XmlWriter:
@@ -77,6 +83,7 @@ class _XmlWriter:
     def __init__(self):
         self._lines: list[str] = []
         self._model_names: set[str] = set()
+        self.faults = 0  # pose and polyline faults, by the validator's rules
 
     def line(self, text: str) -> None:
         self._lines.append(text)
@@ -113,13 +120,24 @@ def emit_world(
     ``config.vehicles``, in the same order. World children in order: ground
     plane, sun light, spherical coordinates, then building, road, and vehicle
     models. Raises :class:`EmitError` on duplicate model names.
+
+    ``violations`` is what ``validate_sdf`` reports for ``text``. The writer
+    applies the validator's pose and polyline rules to the strings it writes,
+    and only when one fails is the text parsed, to locate each violation.
+    The whole-document rules hold by construction:
+
+    - one ``<sdf>``, whose version the config has matched against its
+      dotted-decimal pattern;
+    - one ``<world>``, with ``<spherical_coordinates>``;
+    - model names built from int way ids, or vehicle names that match
+      ``[A-Za-z0-9_]+``, so never empty; a duplicate raises ``EmitError``.
     """
     thickness = config.defaults.road_thickness
     w = _XmlWriter()
     w.line('<?xml version="1.0" encoding="UTF-8"?>')
     w.open(f'<sdf version="{config.sdf_version}">')
     w.open(f'<world name="{WORLD_NAME}">')
-    _write_ground_plane(w, origin, config)
+    _write_ground_plane(w, origin, config, buildings, roads)
     _write_sun(w)
     _write_spherical_coordinates(w, origin)
     for building in buildings:
@@ -130,7 +148,10 @@ def emit_world(
         _write_vehicle(w, spec, pose)
     w.close("world")
     w.close("sdf")
-    return SdfWorld(text=w.text() + "\n")
+    text = w.text() + "\n"
+    if not w.faults:
+        return SdfWorld(text)
+    return SdfWorld(text, validate_sdf(text).violations)
 
 
 def _write_geometry(w: _XmlWriter, shape: str, elements: list[tuple[str, str]]) -> None:
@@ -164,13 +185,21 @@ def _write_surfaces(
     w.close("visual")
 
 
-def _write_ground_plane(w: _XmlWriter, origin: GeoOrigin, config: GenerationConfig) -> None:
-    """A plane centered on the origin that covers the projected bbox plus
-    ``GROUND_MARGIN_M`` on every side, wherever the origin lies."""
+def _write_ground_plane(
+    w: _XmlWriter,
+    origin: GeoOrigin,
+    config: GenerationConfig,
+    buildings: list[Building],
+    roads: list[Road],
+) -> None:
+    """A plane centered on the origin that covers the projected bbox, and
+    every building and road point, plus ``GROUND_MARGIN_M`` on every side.
+    The bbox filter keeps ways whole, so their points can lie past the bbox."""
     low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
     high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
-    width = 2.0 * (max(-low.x, high.x) + GROUND_MARGIN_M)
-    depth = 2.0 * (max(-low.y, high.y) + GROUND_MARGIN_M)
+    points = [p for b in buildings for p in b.footprint] + [p for r in roads for p in r.centerline]
+    width = 2.0 * (max(-low.x, high.x, *(abs(p.x) for p in points)) + GROUND_MARGIN_M)
+    depth = 2.0 * (max(-low.y, high.y, *(abs(p.y) for p in points)) + GROUND_MARGIN_M)
     w.open_model(GROUND_PLANE_NAME)
     w.element("static", "true")
     w.open('<link name="link">')
@@ -183,7 +212,7 @@ def _write_ground_plane(w: _XmlWriter, origin: GeoOrigin, config: GenerationConf
 def _write_sun(w: _XmlWriter) -> None:
     w.open('<light name="sun" type="directional">')
     w.element("cast_shadows", "true")
-    w.element("pose", "0 0 100 0 0 0")
+    _write_pose(w, 0, 0, 100, 0, 0, 0)
     w.element("diffuse", "0.9 0.9 0.9 1")
     w.element("specular", "0.2 0.2 0.2 1")
     w.element("direction", "-0.5 0.1 -0.9")
@@ -200,10 +229,19 @@ def _write_spherical_coordinates(w: _XmlWriter, origin: GeoOrigin) -> None:
     w.close("spherical_coordinates")
 
 
+def _write_pose(w: _XmlWriter, *values: float) -> None:
+    """A ``<pose>`` of six numbers, checked as ``validate_sdf`` checks it."""
+    text = " ".join(map(fmt, values))
+    w.faults += len(_pose_faults(text))
+    w.element("pose", text)
+
+
 def _write_building(w: _XmlWriter, building: Building) -> None:
     """One extruded-footprint model, named after the source way id."""
+    height = fmt(building.height)
+    w.faults += len(_polyline_faults(len(building.footprint), height))
     polyline = [("point", f"{fmt(p.x)} {fmt(p.y)}") for p in building.footprint]
-    polyline.append(("height", fmt(building.height)))
+    polyline.append(("height", height))
     w.open_model(f"building_{building.id}")
     w.element("static", "true")
     w.open('<link name="footprint">')
@@ -215,17 +253,15 @@ def _write_building(w: _XmlWriter, building: Building) -> None:
 def _write_road(w: _XmlWriter, road: Road, thickness: float) -> None:
     """One model per road: a thin box link per centerline segment, raised so
     it sits on the ground plane."""
-    z = fmt(thickness / 2.0)
+    z = thickness / 2.0
     w.open_model(f"road_{road.id}")
     w.element("static", "true")
     for i, (a, b) in enumerate(zip(road.centerline, road.centerline[1:])):
         dx = b.x - a.x
         dy = b.y - a.y
-        x = fmt((a.x + b.x) / 2.0)
-        y = fmt((a.y + b.y) / 2.0)
         size = f"{fmt(math.hypot(dx, dy))} {fmt(road.width)} {fmt(thickness)}"
         w.open(f'<link name="segment_{i}">')
-        w.element("pose", f"{x} {y} {z} 0 0 {fmt(math.atan2(dy, dx))}")
+        _write_pose(w, (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, z, 0, 0, math.atan2(dy, dx))
         _write_surfaces(w, "box", [("size", size)], color=ROAD_COLOR)
         w.close("link")
     w.close("model")
@@ -256,7 +292,7 @@ def _write_vehicle(
     x, y, yaw = pose
 
     w.open_model(v.name)
-    w.element("pose", f"{fmt(x)} {fmt(y)} 0 0 0 {fmt(yaw)}")
+    _write_pose(w, x, y, 0, 0, 0, yaw)
     if not actuated:
         # shadows and ghosts are pose-driven, never simulated bodies
         w.element("static", "true")
@@ -264,7 +300,7 @@ def _write_vehicle(
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
     chassis_size = f"{fmt(v.chassis_length)} {fmt(v.chassis_width)} {fmt(v.chassis_height)}"
     w.open('<link name="chassis">')
-    w.element("pose", f"0 0 {fmt(chassis_z)} 0 0 0")
+    _write_pose(w, 0, 0, chassis_z, 0, 0, 0)
     _write_surfaces(w, "box", [("size", chassis_size)], collide=collide)
     if v.gps:
         w.open('<sensor name="gps" type="gps">')
@@ -281,11 +317,10 @@ def _write_vehicle(
         ("rear_left_wheel", -half_wb, half_track),
         ("rear_right_wheel", -half_wb, -half_track),
     )
-    radius = fmt(v.wheel_radius)
-    cylinder = [("radius", radius), ("length", fmt(WHEEL_WIDTH_M))]
+    cylinder = [("radius", fmt(v.wheel_radius)), ("length", fmt(WHEEL_WIDTH_M))]
     for name, wx, wy in wheels:
         w.open(f'<link name="{name}">')
-        w.element("pose", f"{fmt(wx)} {fmt(wy)} {radius} {fmt(_HALF_PI)} 0 0")
+        _write_pose(w, wx, wy, v.wheel_radius, _HALF_PI, 0, 0)
         _write_surfaces(w, "cylinder", cylinder, collide=collide)
         w.close("link")
 
@@ -370,21 +405,26 @@ def _located(element: ET.Element, parents: dict[ET.Element, ET.Element]) -> str:
     return "/sdf" + "".join(reversed(steps))
 
 
-def _polyline_faults(element: ET.Element) -> list[str]:
+def _polyline_faults(points: int, height: str | None) -> list[str]:
+    """The rules for a polyline of ``points`` points and ``height`` text;
+    the writer and the validator both apply them."""
     faults = []
-    points = element.findall("point")
-    if len(points) < 3:
-        faults.append(f"polyline has {len(points)} points, needs >= 3")
-    height = element.find("height")
-    value = _parse_float(height.text) if height is not None else None
+    if points < 3:
+        faults.append(f"polyline has {points} points, needs >= 3")
+    value = _parse_float(height)
     if value is None or value <= 0:
         faults.append("non-positive polyline height")
     return faults
 
 
-def _pose_faults(element: ET.Element) -> list[str]:
-    values = [_parse_float(p) for p in (element.text or "").split()]
-    if len(values) != 6 or any(v is None for v in values):
+def _pose_faults(text: str | None) -> list[str]:
+    """The rule for a pose's text; the writer and the validator both apply it.
+    One list and one ``all`` keep it cheap, as the writer runs it on every pose."""
+    try:
+        values = [float(p) for p in (text or "").split()]
+    except ValueError:
+        values = []
+    if len(values) != 6 or not all(map(math.isfinite, values)):
         return ["pose must contain 6 finite numbers"]
     return []
 
@@ -399,4 +439,15 @@ def _parse_float(raw: str | None) -> float | None:
     return value if math.isfinite(value) else None
 
 
-_CHECKS = {"polyline": _polyline_faults, "pose": _pose_faults}
+def _check_polyline(element: ET.Element) -> list[str]:
+    height = element.find("height")
+    return _polyline_faults(
+        len(element.findall("point")), height.text if height is not None else None
+    )
+
+
+def _check_pose(element: ET.Element) -> list[str]:
+    return _pose_faults(element.text)
+
+
+_CHECKS = {"polyline": _check_polyline, "pose": _check_pose}

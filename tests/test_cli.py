@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dtgen import cli
+from dtgen import cli, sdf
 
 STRAIGHT_TRACE = "t,x,y\n" + "".join(f"{t / 2},{t},0\n" for t in range(11))
 MATCHING_CONTROLS = "t,speed,steer\n0,2.0,0\n5,2.0,0\n"
@@ -165,6 +165,20 @@ class TestGenerate:
             "pose must contain 6 finite numbers"
         ) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_clean_world_is_written_without_a_reparse(self, track_args, monkeypatch):
+        args, out = track_args
+        assert cli.main(args) == 0
+        expected = out.read_bytes()
+        out.unlink()
+
+        def refuse(text):
+            raise AssertionError("validate_sdf ran on a world its writer found clean")
+
+        monkeypatch.setattr(sdf, "validate_sdf", refuse)
+        monkeypatch.setattr(cli, "validate_sdf", refuse)
+        assert cli.main(args) == 0
+        assert out.read_bytes() == expected
 
     def test_generate_with_fetch_from_stub(self, data_dir, tmp_path, stub_server):
         stub_server.state.body = (data_dir / "mixed.osm").read_bytes()

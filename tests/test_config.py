@@ -146,6 +146,32 @@ class TestVehicleSpecInvariants:
             VehicleSpec(name="a", kind=VehicleKind.TWIN, track=-1.0)
 
 
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+class TestSpawnInvariants:
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("field", ["x", "y", "yaw"])
+    def test_local_spawn_rejects_non_finite(self, field, value):
+        kwargs = {"x": 1.0, "y": 2.0, "yaw": 0.5, field: value}
+        with pytest.raises(ConfigValidationError, match=f"LocalSpawn.{field} must be a finite"):
+            LocalSpawn(**kwargs)
+
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("field", ["lat", "lon", "yaw"])
+    def test_geo_spawn_rejects_non_finite(self, field, value):
+        kwargs = {"lat": 48.0, "lon": 8.0, "yaw": 0.5, field: value}
+        with pytest.raises(ConfigValidationError, match=f"GeoSpawn.{field} must be a finite"):
+            GeoSpawn(**kwargs)
+
+    def test_load_config_keeps_its_own_message(self):
+        doc = json.loads(MINIMAL)
+        doc["vehicles"] = [{"name": "a", "kind": "twin", "spawn": {"x": 0.0, "y": math.inf}}]
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(json.dumps(doc))
+        assert str(exc.value) == "vehicles[0].spawn.y must be finite, got inf"
+
+
 class TestResolveSpawn:
     def test_local_passthrough(self):
         origin = GeoOrigin(48.0, 8.0)

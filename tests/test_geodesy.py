@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtgen.geodesy import EARTH_RADIUS_M, GeoOrigin, LocalPoint, origin_of, project, unproject
 from dtgen.osm import BoundingBox
@@ -80,6 +82,22 @@ class TestUnproject:
             lat2, lon2 = unproject(origin, p)
             assert abs(lat2 - lat) < 1e-9
             assert abs(lon2 - lon) < 1e-9
+
+
+_finite = {"allow_nan": False, "allow_infinity": False}
+
+
+@given(
+    lat0=st.floats(-89.0, 89.0, exclude_min=True, exclude_max=True, **_finite),
+    lon0=st.floats(-180.0, 180.0, **_finite),
+    lat=st.floats(-90.0, 90.0, **_finite),
+    lon=st.floats(-180.0, 180.0, **_finite),
+)
+def test_unproject_inverts_project_everywhere(lat0, lon0, lat, lon):
+    origin = GeoOrigin(lat0, lon0)
+    lat2, lon2 = unproject(origin, project(origin, lat, lon))
+    assert abs(lat2 - lat) < 1e-9
+    assert abs(lon2 - lon) < 1e-9
 
 
 def test_projection_is_affine_in_lat_lon():

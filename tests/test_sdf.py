@@ -5,7 +5,7 @@ from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from dtgen.config import (
@@ -20,7 +20,7 @@ from dtgen.errors import EmitError
 from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
 from dtgen.osm import BoundingBox
 from dtgen.pipeline import generate_world
-from dtgen.sdf import GROUND_MARGIN_M, emit_world, fmt, validate_sdf
+from dtgen.sdf import GROUND_MARGIN_M, ValidationIssue, emit_world, fmt, validate_sdf
 from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_height
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -269,6 +269,29 @@ class TestEmitWorld:
             assert depth / 2 >= max(-low.y, high.y) + GROUND_MARGIN_M - 1e-3
             assert depth > 5000.0
 
+    def test_ground_plane_covers_a_road_that_runs_past_the_bbox(self):
+        # the bbox filter keeps a way whole once one node lies inside, so
+        # this road ends about 300 m north of the bbox
+        bbox = BoundingBox(48.0, 8.0, 48.02, 8.03)
+        north = 48.02 + 300.0 / 111_319.5
+        osm = (
+            "<osm version='0.6'>"
+            "<node id='1' lat='48.01' lon='8.015'/>"
+            f"<node id='2' lat='{north}' lon='8.015'/>"
+            "<way id='5'><nd ref='1'/><nd ref='2'/><tag k='highway' v='residential'/></way>"
+            "</osm>"
+        )
+        result = generate_world(GenerationConfig(bbox=bbox), osm)
+        end = result.roads[0].centerline[-1]
+        origin = origin_of(bbox)
+        high = project(origin, bbox.max_lat, bbox.max_lon)
+        assert end.y - high.y == pytest.approx(300.0, abs=0.1)
+        ground = _model(ET.fromstring(result.world.text), "ground_plane")
+        for size in ground.findall("link/*/geometry/plane/size"):
+            assert size.text == (
+                f"{fmt(2.0 * (high.x + GROUND_MARGIN_M))} {fmt(2.0 * (end.y + GROUND_MARGIN_M))}"
+            )
+
 
 _START_TAG = re.compile(r"<([A-Za-z_][\w.-]*)")
 _END_TAG = re.compile(r"</([A-Za-z_][\w.-]*)>")
@@ -435,3 +458,96 @@ def test_generated_world_always_validates(height, levels, meters_per_level, defa
     result = generate_world(config, osm)
     assert len(result.buildings) == 1
     assert validate_sdf(result.world.text).violations == ()
+
+
+class TestWriterVerdict:
+    def test_faulty_world_carries_the_validators_locations(self):
+        car = "/sdf/world[@name='generated']/model[@name='car']"
+        world = emit_world(
+            [_square(height=0.0)], [], [(math.inf, 0.0, 0.0)], ORIGIN,
+            _config([_spec(VehicleKind.GHOST)]),
+        )
+        polyline = "/sdf/world[@name='generated']/model[@name='building_7']/link[@name='footprint']"
+        assert world.violations == (
+            ValidationIssue(f"{polyline}/collision[@name='collision']/geometry/polyline",
+                            "non-positive polyline height"),
+            ValidationIssue(f"{polyline}/visual[@name='visual']/geometry/polyline",
+                            "non-positive polyline height"),
+            ValidationIssue(f"{car}/pose", "pose must contain 6 finite numbers"),
+        )
+        assert world.violations == validate_sdf(world.text).violations
+
+
+# hand-built world-model values that extraction and config loading never
+# produce: empty and short footprints, heights that format to a fault or
+# only just avoid one, coordinates whose midpoints overflow, non-finite spawns
+_HEIGHTS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 1e308, 10.0]
+_coordinate = st.floats(-1e308, 1e308)
+_points = st.lists(st.builds(LocalPoint, _coordinate, _coordinate), max_size=5).map(tuple)
+_length = st.floats(0.0, 1e308, exclude_min=True)
+_buildings = st.lists(
+    st.builds(Building, id=st.integers(), footprint=_points, height=st.sampled_from(_HEIGHTS)),
+    max_size=3,
+    unique_by=lambda b: b.id,
+)
+_roads = st.lists(
+    st.builds(Road, id=st.integers(), centerline=_points, width=_length),
+    max_size=3,
+    unique_by=lambda r: r.id,
+)
+_spawn = st.tuples(*[st.floats() | st.sampled_from([1e308, -1e308, 0.0])] * 3)
+
+
+@st.composite
+def _vehicle(draw, name):
+    wheelbase, chassis_length = sorted(draw(st.lists(_length, min_size=2, max_size=2, unique=True)))
+    return VehicleSpec(
+        name=name,
+        kind=draw(st.sampled_from(VehicleKind)),
+        wheelbase=wheelbase,
+        chassis_length=chassis_length,
+        track=draw(_length),
+        wheel_radius=draw(_length),
+        chassis_width=draw(_length),
+        chassis_height=draw(_length),
+        max_steer_angle=draw(st.floats(0.01, 1.5)),
+        gps=draw(st.booleans()),
+    )
+
+
+@st.composite
+def _world_inputs(draw):
+    vehicles = [draw(_vehicle(f"car_{i}")) for i in range(draw(st.integers(0, 2)))]
+    config = GenerationConfig(
+        bbox=BBOX,
+        defaults=ExtractionDefaults(road_thickness=draw(_length)),
+        vehicles=tuple(vehicles),
+    )
+    spawns = [draw(_spawn) for _ in vehicles]
+    return draw(_buildings), draw(_roads), spawns, config
+
+
+def _emit_inputs(inputs):
+    buildings, roads, spawns, config = inputs
+    return emit_world(buildings, roads, spawns, ORIGIN, config)
+
+
+_CLEAN = ([_square()], [], [(1.0, 2.0, 0.5)], _config([_spec(VehicleKind.TWIN)]))
+_FAULTY = ([_square(height=5e-324)], [], [(1.0, 2.0, math.nan)], _config([_spec(VehicleKind.TWIN)]))
+
+
+@given(inputs=_world_inputs())
+@example(inputs=_CLEAN)
+@example(inputs=_FAULTY)
+@settings(max_examples=200, deadline=None)
+def test_writer_verdict_matches_the_validator(inputs):
+    world = _emit_inputs(inputs)
+    assert world.violations == validate_sdf(world.text).violations
+
+
+def test_writer_verdict_property_reaches_both_outcomes():
+    assert _emit_inputs(_CLEAN).violations == ()
+    assert _emit_inputs(_FAULTY).violations != ()
+    # the strategy itself draws clean and faulty worlds, not only the examples
+    find(_world_inputs(), lambda inputs: not _emit_inputs(inputs).violations)
+    find(_world_inputs(), lambda inputs: bool(_emit_inputs(inputs).violations))
