@@ -12,6 +12,9 @@ Typical flow::
     config = load_config(config_json)
     result = generate_world(config, osm_xml)
     assert not result.world.violations  # the writer's verdict, no re-parse
+
+    with open("world.sdf", "w", encoding="utf-8") as out:
+        faults = result.write(out)  # the same bytes, streamed
 """
 
 from .config import (
@@ -69,6 +72,7 @@ from .sdf import (
     ValidationReport,
     emit_world,
     validate_sdf,
+    write_world,
 )
 from .world_model import (
     DRIVABLE_HIGHWAY_VALUES,
@@ -142,4 +146,5 @@ __all__ = [
     "step_kinematic",
     "unproject",
     "validate_sdf",
+    "write_world",
 ]

@@ -14,7 +14,7 @@ from .config import load_config
 from .errors import DtGenError, FetchError
 from .geodesy import origin_of
 from .osm import fetch_overpass
-from .pipeline import generate_world
+from .pipeline import GenerationResult, generate_world
 from .replay import (
     VehicleState,
     compute_gap,
@@ -24,7 +24,7 @@ from .replay import (
     shadow_follow,
     simulate_controls,
 )
-from .sdf import validate_sdf
+from .sdf import ValidationIssue, validate_sdf
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -129,12 +129,13 @@ def _cmd_generate(args) -> int:
         osm_xml = Path(args.osm).read_text(encoding="utf-8")
 
     result = generate_world(config, osm_xml)
-    if result.world.violations:
-        for violation in result.world.violations:
+    del osm_xml  # not needed while the world is written
+    violations = _write_world_file(Path(args.out), result)
+    if violations:
+        for violation in violations:
             print(f"{violation.location}: {violation.message}", file=sys.stderr)
         return EXIT_FAILURE
 
-    Path(args.out).write_text(result.world.text, encoding="utf-8")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"warnings: {len(result.warnings)}", file=sys.stderr)
@@ -145,6 +146,29 @@ def _cmd_generate(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
+
+
+def _write_world_file(path: Path, result: GenerationResult) -> tuple[ValidationIssue, ...]:
+    """Write the world to ``path`` through a temporary file beside it, and
+    return the violations that kept it from being written.
+
+    The temporary file is created as ``open(path, "w")`` would create it,
+    mode 0o666 less the umask. On success it replaces ``path`` in one
+    ``os.replace``; on a writer fault it is read back to locate each
+    violation and then removed, as it is on any error, so a failed run
+    leaves ``path`` as it was.
+    """
+    temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as sink:
+            faults = result.write(sink)
+        if faults:
+            return validate_sdf(temporary.read_text(encoding="utf-8")).violations
+        os.replace(temporary, path)
+        return ()
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def _cmd_validate(args) -> int:

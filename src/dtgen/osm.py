@@ -1,9 +1,13 @@
 """OpenStreetMap XML parsing, bounding-box filtering, and Overpass download.
 
 Only the elements needed for low-fidelity world generation are read:
-``<node>`` and ``<way>`` (with ``<nd>``/``<tag>`` children). Relations and
-anything else are skipped. Parsing never aborts on unknown content; defective
-nodes and ways are dropped and recorded on the document's warning list.
+``<node>`` and ``<way>`` (with ``<nd>``/``<tag>`` children) that are direct
+children of the root. Relations and anything else are skipped. Parsing never
+aborts on unknown content; defective nodes and ways are dropped and recorded
+on the document's warning list. The text is parsed as a stream: each node
+and way is read once it is complete and then dropped from the XML tree, so
+the parse holds the returned document and about one slice of XML, never
+the whole tree of a city-sized map.
 """
 
 import http.client
@@ -11,9 +15,12 @@ import math
 import urllib.error
 import urllib.request
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
+
+_SLICE_CHARS = 1 << 16  # characters fed to the XML parser at a time
 
 
 @dataclass(frozen=True)
@@ -74,23 +81,14 @@ def parse_osm(xml_text: str) -> OsmDocument:
 
     Nodes missing id/lat/lon or with out-of-range coordinates are skipped with
     a warning; a duplicate id keeps the first occurrence. Relations and
-    unrecognized elements are ignored silently.
+    unrecognized elements are ignored silently, and so is any ``node`` or
+    ``way`` that is not a direct child of the root.
     """
-    try:
-        root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise OsmParseError(
-            f"malformed OSM XML at line {line}, column {column}: {exc.msg if hasattr(exc, 'msg') else exc}",
-            line,
-            column,
-        ) from exc
-
     nodes: dict[int, OsmNode] = {}
     ways: dict[int, OsmWay] = {}
     warnings: list[str] = []
 
-    for child in root:
+    for child in _root_children(xml_text):
         if child.tag == "node":
             node = _read_node(child, warnings)
             if node is None:
@@ -110,6 +108,43 @@ def parse_osm(xml_text: str) -> OsmDocument:
         # relations and anything else: skipped silently
 
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
+
+
+def _root_children(xml_text: str) -> Iterator[ET.Element]:
+    """Yield the root's children in document order, each once it is complete.
+
+    The text goes to the parser ``_SLICE_CHARS`` characters at a time. After
+    each slice, every child but the last has seen its end tag, so those are
+    yielded and dropped from the root: the tree never holds more than about
+    one slice of elements. Slices are plain string slices; wrapping the text
+    in a file object would copy it into a buffer four times its size.
+    """
+    parser = ET.XMLPullParser(("start",))
+    root = None
+    try:
+        for start in range(0, len(xml_text), _SLICE_CHARS):
+            parser.feed(xml_text[start:start + _SLICE_CHARS])
+            # every element's start is an event; the first is the root's,
+            # and a parse error is raised from here
+            for _, element in parser.read_events():
+                if root is None:
+                    root = element
+            if root is not None:
+                done = root[:-1]
+                del root[:-1]
+                yield from done
+        parser.close()
+        for _, element in parser.read_events():
+            if root is None:
+                root = element
+    except ET.ParseError as exc:
+        line, column = exc.position if exc.position else (None, None)
+        raise OsmParseError(
+            f"malformed OSM XML at line {line}, column {column}: {exc.msg}",
+            line,
+            column,
+        ) from exc
+    yield from root
 
 
 def _read_node(element: ET.Element, warnings: list[str]) -> OsmNode | None:

@@ -1,24 +1,46 @@
 """End-to-end world generation: map XML plus config in, assembled world out."""
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TextIO
 
 from .config import GenerationConfig, resolve_spawn
-from .geodesy import origin_of, project
+from .geodesy import GeoOrigin, origin_of, project
 from .osm import filter_bbox, parse_osm
-from .sdf import SdfWorld, emit_world
+from .sdf import SdfWorld, emit_world, write_world
 from .world_model import Building, Road, extract_buildings, extract_roads
 
 
 @dataclass(frozen=True)
 class GenerationResult:
-    world: SdfWorld
+    """The extracted world model, ready to be written.
+
+    :meth:`write` streams the world to a text sink; ``world`` holds it in
+    memory, emitted on first access. Both run the same writer, so they give
+    the same bytes, and both raise :class:`EmitError` on duplicate model
+    names.
+    """
+
     buildings: tuple[Building, ...]
     roads: tuple[Road, ...]
     warnings: tuple[str, ...]
+    spawns: tuple[tuple[float, float, float], ...]
+    origin: GeoOrigin
+    config: GenerationConfig
+
+    def write(self, out: TextIO) -> int:
+        """Write the world to ``out``; returns the writer's fault count,
+        zero exactly when ``validate_sdf`` would find no violation."""
+        return write_world(out, self.buildings, self.roads, self.spawns, self.origin, self.config)
+
+    @cached_property
+    def world(self) -> SdfWorld:
+        """The world as one string, with the violations it has, if any."""
+        return emit_world(self.buildings, self.roads, self.spawns, self.origin, self.config)
 
 
 def generate_world(config: GenerationConfig, osm_xml: str) -> GenerationResult:
-    """Parse, filter, extract, and emit in one pass.
+    """Parse, filter and extract in one pass; the result writes the world.
 
     All defects along the way (bad map elements, skipped ways, spawns outside
     the bounding box) are collected as warnings, never printed.
@@ -31,17 +53,18 @@ def generate_world(config: GenerationConfig, osm_xml: str) -> GenerationResult:
     warnings = list(doc.warnings) + building_warnings + road_warnings
     low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
     high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
-    spawns = [resolve_spawn(spec.spawn, origin) for spec in config.vehicles]
+    spawns = tuple(resolve_spawn(spec.spawn, origin) for spec in config.vehicles)
     for spec, (x, y, _) in zip(config.vehicles, spawns):
         if not (low.x <= x <= high.x and low.y <= y <= high.y):
             warnings.append(
                 f"vehicle {spec.name!r} spawns outside the configured bounding box"
             )
 
-    world = emit_world(buildings, roads, spawns, origin, config)
     return GenerationResult(
-        world=world,
         buildings=tuple(buildings),
         roads=tuple(roads),
         warnings=tuple(warnings),
+        spawns=spawns,
+        origin=origin,
+        config=config,
     )

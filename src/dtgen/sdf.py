@@ -1,26 +1,32 @@
 """SDFormat world emission and structural validation.
 
-``emit_world`` writes the world document straight from the world-model
+``write_world`` writes the world document straight from the world-model
 objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
-pose). The output is flat: one element per line, no indentation, so diffs
-stay readable without whitespace that no SDFormat reader uses. Every number
-goes through fixed-precision formatting, so identical inputs always produce
-byte-identical files.
+pose) to a text sink, a bounded batch of lines at a time, so a city-sized
+world is never held in memory whole; ``emit_world`` collects the same bytes
+into a string. The output is flat: one element per line, no indentation, so
+diffs stay readable without whitespace that no SDFormat reader uses. Every
+number goes through fixed-precision formatting, so identical inputs always
+produce byte-identical files.
 
-The writer checks what it writes: every pose and polyline it formats goes
-through the same per-element rules that ``validate_sdf`` applies, so a world
-comes back with its verdict and needs no re-parse. ``validate_sdf`` parses
-foreign files, and emitted ones whose writer counted a fault, and reports
-each violation at its location instead of raising.
+The writer checks what it writes: every pose, polyline and size it formats
+goes through the same per-element rules that ``validate_sdf`` applies, so
+the writer's fault count is its verdict and a world needs no re-parse.
+``validate_sdf`` parses foreign files, and emitted ones whose writer counted
+a fault, and reports each violation at its location instead of raising.
 """
 
+import io
 import math
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import TextIO
 
 from .config import GenerationConfig, VehicleKind, VehicleSpec
 from .errors import EmitError
-from .geodesy import GeoOrigin, project
+from .geodesy import GeoOrigin, LocalPoint, project
 from .world_model import Building, Road
 
 WORLD_NAME = "generated"
@@ -32,6 +38,7 @@ BUILDING_COLOR = "0.7 0.7 0.7 1"
 WHEEL_WIDTH_M = 0.2
 SPIN_LIMIT = 1e16
 _HALF_PI = math.pi / 2
+_BATCH_LINES = 4096  # lines the writer holds before it writes them out
 
 
 def fmt(value: float) -> str:
@@ -76,14 +83,18 @@ class _XmlWriter:
     """Flat line emitter, one element per line; tiny enough to beat
     templating for nested SDF.
 
+    Lines go to the text sink ``out`` in batches: once ``_BATCH_LINES``
+    are held, they are written before the next model opens. So the writer
+    holds at most that many lines plus one model's, never the document.
     Model names are tracked as models are opened, so a duplicate is caught
     in the order the models appear in the document.
     """
 
-    def __init__(self):
+    def __init__(self, out: TextIO):
+        self._out = out
         self._lines: list[str] = []
         self._model_names: set[str] = set()
-        self.faults = 0  # pose and polyline faults, by the validator's rules
+        self.faults = 0  # pose, polyline and size faults, by the validator's rules
 
     def line(self, text: str) -> None:
         self._lines.append(text)
@@ -98,33 +109,63 @@ class _XmlWriter:
         self.line(f"</{tag}>")
 
     def open_model(self, name: str) -> None:
+        # checked per model, not per line, as this costs less
+        if len(self._lines) >= _BATCH_LINES:
+            self.flush()
         if name in self._model_names:
             raise EmitError(f"duplicate model name {name!r}")
         self._model_names.add(name)
         self.open(f'<model name="{name}">')
 
-    def text(self) -> str:
-        return "\n".join(self._lines)
+    def flush(self) -> None:
+        """Write the batched lines, each ended by a newline."""
+        self._lines.append("")
+        self._out.write("\n".join(self._lines))
+        self._lines = []
 
 
 def emit_world(
-    buildings: list[Building],
-    roads: list[Road],
-    spawns: list[tuple[float, float, float]],
+    buildings: Sequence[Building],
+    roads: Sequence[Road],
+    spawns: Sequence[tuple[float, float, float]],
     origin: GeoOrigin,
     config: GenerationConfig,
 ) -> SdfWorld:
-    """Assemble the complete world document.
+    """The world document in memory: :func:`write_world` into a string.
+
+    ``violations`` is what ``validate_sdf`` reports for ``text``. The writer
+    applies the validator's per-element rules as it writes, and only when
+    one fails is the text parsed, to locate each violation.
+    """
+    sink = io.StringIO()
+    faults = write_world(sink, buildings, roads, spawns, origin, config)
+    text = sink.getvalue()
+    if not faults:
+        return SdfWorld(text)
+    return SdfWorld(text, validate_sdf(text).violations)
+
+
+def write_world(
+    out: TextIO,
+    buildings: Sequence[Building],
+    roads: Sequence[Road],
+    spawns: Sequence[tuple[float, float, float]],
+    origin: GeoOrigin,
+    config: GenerationConfig,
+) -> int:
+    """Write the complete world document to the text sink ``out``, a batch
+    of lines at a time, and return the number of faults the writer found.
 
     ``spawns`` holds the resolved local ``(x, y, yaw)`` of each vehicle in
     ``config.vehicles``, in the same order. World children in order: ground
     plane, sun light, spherical coordinates, then building, road, and vehicle
-    models. Raises :class:`EmitError` on duplicate model names.
+    models. Raises :class:`EmitError` on duplicate model names, possibly
+    after part of the document has been written.
 
-    ``violations`` is what ``validate_sdf`` reports for ``text``. The writer
-    applies the validator's pose and polyline rules to the strings it writes,
-    and only when one fails is the text parsed, to locate each violation.
-    The whole-document rules hold by construction:
+    Every pose, polyline and ``<size>`` the writer formats goes through the
+    rule ``validate_sdf`` applies to it, so the result is zero exactly when
+    ``validate_sdf`` finds no violation in what was written. The
+    whole-document rules hold by construction:
 
     - one ``<sdf>``, whose version the config has matched against its
       dotted-decimal pattern;
@@ -133,7 +174,7 @@ def emit_world(
       ``[A-Za-z0-9_]+``, so never empty; a duplicate raises ``EmitError``.
     """
     thickness = config.defaults.road_thickness
-    w = _XmlWriter()
+    w = _XmlWriter(out)
     w.line('<?xml version="1.0" encoding="UTF-8"?>')
     w.open(f'<sdf version="{config.sdf_version}">')
     w.open(f'<world name="{WORLD_NAME}">')
@@ -148,10 +189,8 @@ def emit_world(
         _write_vehicle(w, spec, pose)
     w.close("world")
     w.close("sdf")
-    text = w.text() + "\n"
-    if not w.faults:
-        return SdfWorld(text)
-    return SdfWorld(text, validate_sdf(text).violations)
+    w.flush()
+    return w.faults
 
 
 def _write_geometry(w: _XmlWriter, shape: str, elements: list[tuple[str, str]]) -> None:
@@ -189,24 +228,35 @@ def _write_ground_plane(
     w: _XmlWriter,
     origin: GeoOrigin,
     config: GenerationConfig,
-    buildings: list[Building],
-    roads: list[Road],
+    buildings: Sequence[Building],
+    roads: Sequence[Road],
 ) -> None:
     """A plane centered on the origin that covers the projected bbox, and
     every building and road point, plus ``GROUND_MARGIN_M`` on every side.
     The bbox filter keeps ways whole, so their points can lie past the bbox."""
     low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
     high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
-    points = [p for b in buildings for p in b.footprint] + [p for r in roads for p in r.centerline]
-    width = 2.0 * (max(-low.x, high.x, *(abs(p.x) for p in points)) + GROUND_MARGIN_M)
-    depth = 2.0 * (max(-low.y, high.y, *(abs(p.y) for p in points)) + GROUND_MARGIN_M)
+    # one pass over each axis, in the same order as a list of all the
+    # values would give, so even a NaN coordinate gives the same plane
+    xs = (abs(p.x) for p in _model_points(buildings, roads))
+    ys = (abs(p.y) for p in _model_points(buildings, roads))
+    width = 2.0 * (max(chain((-low.x, high.x), xs)) + GROUND_MARGIN_M)
+    depth = 2.0 * (max(chain((-low.y, high.y), ys)) + GROUND_MARGIN_M)
     w.open_model(GROUND_PLANE_NAME)
     w.element("static", "true")
     w.open('<link name="link">')
-    plane = [("normal", "0 0 1"), ("size", f"{fmt(width)} {fmt(depth)}")]
+    plane = [("normal", "0 0 1"), ("size", _checked_size(w, width, depth))]
     _write_surfaces(w, "plane", plane, color=GROUND_COLOR)
     w.close("link")
     w.close("model")
+
+
+def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Iterator[LocalPoint]:
+    """Every footprint point, then every centerline point, without a list."""
+    return chain(
+        chain.from_iterable(b.footprint for b in buildings),
+        chain.from_iterable(r.centerline for r in roads),
+    )
 
 
 def _write_sun(w: _XmlWriter) -> None:
@@ -236,6 +286,13 @@ def _write_pose(w: _XmlWriter, *values: float) -> None:
     w.element("pose", text)
 
 
+def _checked_size(w: _XmlWriter, *values: float) -> str:
+    """The text of a ``<size>``, checked as ``validate_sdf`` checks it."""
+    text = " ".join(map(fmt, values))
+    w.faults += len(_size_faults(text))
+    return text
+
+
 def _write_building(w: _XmlWriter, building: Building) -> None:
     """One extruded-footprint model, named after the source way id."""
     height = fmt(building.height)
@@ -259,7 +316,7 @@ def _write_road(w: _XmlWriter, road: Road, thickness: float) -> None:
     for i, (a, b) in enumerate(zip(road.centerline, road.centerline[1:])):
         dx = b.x - a.x
         dy = b.y - a.y
-        size = f"{fmt(math.hypot(dx, dy))} {fmt(road.width)} {fmt(thickness)}"
+        size = _checked_size(w, math.hypot(dx, dy), road.width, thickness)
         w.open(f'<link name="segment_{i}">')
         _write_pose(w, (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, z, 0, 0, math.atan2(dy, dx))
         _write_surfaces(w, "box", [("size", size)], color=ROAD_COLOR)
@@ -298,7 +355,7 @@ def _write_vehicle(
         w.element("static", "true")
 
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
-    chassis_size = f"{fmt(v.chassis_length)} {fmt(v.chassis_width)} {fmt(v.chassis_height)}"
+    chassis_size = _checked_size(w, v.chassis_length, v.chassis_width, v.chassis_height)
     w.open('<link name="chassis">')
     _write_pose(w, 0, 0, chassis_z, 0, 0, 0)
     _write_surfaces(w, "box", [("size", chassis_size)], collide=collide)
@@ -345,8 +402,8 @@ def validate_sdf(text: str) -> ValidationReport:
 
     Checks: well-formed XML, ``<sdf>`` root with a version, exactly one
     ``<world>`` containing a ``<spherical_coordinates>`` element, unique model
-    names, polylines with at least 3 points and positive height, and poses of
-    6 finite numbers.
+    names, polylines with at least 3 points and positive height, poses of 6
+    finite numbers, and sizes of finite positive numbers.
     """
     issues: list[ValidationIssue] = []
     try:
@@ -429,6 +486,18 @@ def _pose_faults(text: str | None) -> list[str]:
     return []
 
 
+def _size_faults(text: str | None) -> list[str]:
+    """The rule for a ``<size>``'s text, of a plane or a box; the writer and
+    the validator both apply it."""
+    try:
+        values = [float(p) for p in (text or "").split()]
+    except ValueError:
+        values = []
+    if not values or not all(0 < v < math.inf for v in values):  # NaN fails both
+        return ["size must contain finite positive numbers"]
+    return []
+
+
 def _parse_float(raw: str | None) -> float | None:
     if raw is None:
         return None
@@ -450,4 +519,8 @@ def _check_pose(element: ET.Element) -> list[str]:
     return _pose_faults(element.text)
 
 
-_CHECKS = {"polyline": _check_polyline, "pose": _check_pose}
+def _check_size(element: ET.Element) -> list[str]:
+    return _size_faults(element.text)
+
+
+_CHECKS = {"polyline": _check_polyline, "pose": _check_pose, "size": _check_size}

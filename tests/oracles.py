@@ -1,10 +1,15 @@
 """Independent reference implementations used to check library results.
 
 These deliberately avoid numpy and any dtgen internals: plain loops and
-math, written straight from the documented rules.
+math, written straight from the documented rules, and whole-document
+parses where the library streams.
 """
 
 import math
+import xml.etree.ElementTree as ET
+
+from dtgen.errors import OsmParseError
+from dtgen.osm import OsmDocument, OsmNode, OsmWay
 
 HEADING_GATE_M = 0.05
 
@@ -56,3 +61,77 @@ def brute_force_gap_metrics(real_pts, sim_pts, gate=HEADING_GATE_M):
         "lateral_rmse": math.sqrt(lat_sq / n),
         "longitudinal_rmse": math.sqrt(lon_sq / n),
     }
+
+
+def tree_parse_osm(xml_text):
+    """``parse_osm`` as one ``ET.fromstring`` of the whole text, then a walk
+    over the root's children: the reader the streaming parser replaced."""
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        line, column = exc.position if exc.position else (None, None)
+        raise OsmParseError(
+            f"malformed OSM XML at line {line}, column {column}: {exc.msg}", line, column
+        ) from exc
+    nodes, ways, warnings = {}, {}, []
+    for child in root:
+        if child.tag == "node":
+            node = _tree_node(child, warnings)
+            if node is None:
+                continue
+            if node.id in nodes:
+                warnings.append(f"duplicate node id {node.id}: keeping first occurrence")
+            else:
+                nodes[node.id] = node
+        elif child.tag == "way":
+            way = _tree_way(child, warnings)
+            if way is None:
+                continue
+            if way.id in ways:
+                warnings.append(f"duplicate way id {way.id}: keeping first occurrence")
+            else:
+                ways[way.id] = way
+    return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
+
+
+def _tree_node(element, warnings):
+    raw_id, raw_lat, raw_lon = (element.get(k) for k in ("id", "lat", "lon"))
+    if raw_id is None or raw_lat is None or raw_lon is None:
+        warnings.append(f"node id={raw_id!r} skipped: missing id/lat/lon attribute")
+        return None
+    try:
+        node_id, lat, lon = int(raw_id), float(raw_lat), float(raw_lon)
+    except ValueError:
+        warnings.append(f"node id={raw_id!r} skipped: unparseable id/lat/lon")
+        return None
+    if not (math.isfinite(lat) and math.isfinite(lon) and -90 <= lat <= 90 and -180 <= lon <= 180):
+        warnings.append(f"node {node_id} skipped: coordinates ({raw_lat}, {raw_lon}) out of range")
+        return None
+    return OsmNode(id=node_id, lat=lat, lon=lon)
+
+
+def _tree_way(element, warnings):
+    raw_id = element.get("id")
+    try:
+        way_id = int(raw_id) if raw_id is not None else None
+    except ValueError:
+        way_id = None
+    if way_id is None:
+        warnings.append(f"way id={raw_id!r} skipped: missing or unparseable id")
+        return None
+    refs, tags = [], {}
+    for member in element:
+        if member.tag == "nd":
+            raw_ref = member.get("ref")
+            try:
+                refs.append(int(raw_ref))
+            except (TypeError, ValueError):
+                warnings.append(f"way {way_id}: ignoring <nd> with bad ref {raw_ref!r}")
+        elif member.tag == "tag":
+            key, value = member.get("k"), member.get("v")
+            if key is not None and value is not None:
+                tags[key] = value
+    if not refs:
+        warnings.append(f"way {way_id} skipped: no node references")
+        return None
+    return OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -165,6 +167,62 @@ class TestGenerate:
             "pose must contain 6 finite numbers"
         ) in capsys.readouterr().err
         assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]  # no temporary file
+
+    def test_success_leaves_only_the_output(self, track_args, tmp_path):
+        args, out = track_args
+        assert cli.main(args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
+
+    def test_emit_error_late_in_the_write_keeps_the_old_output(self, data_dir, tmp_path, capsys):
+        # vehicles are written last, after every building and road of the
+        # track map, so the temporary file is well under way when this raises
+        config = json.loads((data_dir / "config_track.json").read_text(encoding="utf-8"))
+        config["vehicles"].append({"name": "ground_plane", "kind": "ghost"})
+        config_path = _write(tmp_path / "clash.json", json.dumps(config))
+        out = tmp_path / "w.sdf"
+        out.write_bytes(b"<sdf version='1.6'>an older world</sdf>\n")
+        code = cli.main(
+            ["generate", "--config", config_path, "--osm", str(data_dir / "track.osm"), "--out", str(out)]
+        )
+        assert code == 1
+        assert "duplicate model name 'ground_plane'" in capsys.readouterr().err
+        assert out.read_bytes() == b"<sdf version='1.6'>an older world</sdf>\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clash.json", "w.sdf"]
+
+    def test_written_file_mode_matches_write_text(self, track_args, tmp_path):
+        args, out = track_args
+        previous = os.umask(0o027)
+        try:
+            assert cli.main(args) == 0
+            reference = tmp_path / "reference.sdf"
+            reference.write_text("", encoding="utf-8")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o640
+
+    def test_output_symlink_is_replaced_and_its_target_kept(self, track_args, tmp_path):
+        args, out = track_args
+        target = tmp_path / "target.sdf"
+        target.write_text("kept\n", encoding="utf-8")
+        out.symlink_to(target)
+        assert cli.main(args) == 0
+        assert not out.is_symlink()
+        assert out.read_text(encoding="utf-8").startswith("<?xml")
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
+    def test_output_onto_a_directory_is_io_error_and_leaves_no_file(self, track_args, tmp_path):
+        args, _ = track_args
+        (tmp_path / "dir").mkdir()
+        assert cli.main(args[:-1] + [str(tmp_path / "dir")]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_output_into_a_missing_directory_is_io_error(self, track_args, tmp_path):
+        args, _ = track_args
+        args = args[:-1] + [str(tmp_path / "missing" / "w.sdf")]
+        assert cli.main(args) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_clean_world_is_written_without_a_reparse(self, track_args, monkeypatch):
         args, out = track_args

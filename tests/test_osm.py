@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
 from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tree_parse_osm
 
+from dtgen import osm
 from dtgen.errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 from dtgen.osm import (
     BoundingBox,
@@ -239,6 +243,117 @@ def test_parse_osm_reads_any_well_formed_document(xml_text):
     for node in doc.nodes.values():
         assert -90 <= node.lat <= 90 and -180 <= node.lon <= 180
     assert all(way.node_refs for way in doc.ways.values())
+
+
+def _outcome(parse, xml_text):
+    """What a parser makes of the text, in a form that compares order too."""
+    try:
+        doc = parse(xml_text)
+    except OsmParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return (list(doc.nodes.items()), list(doc.ways.items()), doc.warnings)
+
+
+# small pools, so ids repeat; one value in three is missing or defective
+_pool_id = st.sampled_from(["1", "2", "7", "1", "2", "7", None, "x", "1.5"])
+_pool_coord = st.sampled_from(["48.5", "8", "-1.25", "48.5", "8", "-1.25", None, "91", "nan"])
+_pool_text = st.sampled_from(["highway", "building", "yes", "highway", "building", "yes", None])
+_POOLS = {"id": _pool_id, "ref": _pool_id, "lat": _pool_coord, "lon": _pool_coord, "k": _pool_text, "v": _pool_text}
+
+
+_way_members = st.one_of(
+    st.builds(lambda ref: _element("nd", {"ref": ref}), _pool_id),
+    st.builds(lambda k, v: _element("tag", {"k": k, "v": v}), _pool_text, _pool_text),
+)
+
+
+@st.composite
+def _member(draw, children):
+    tag = draw(st.sampled_from(["node", "node", "way", "way", "nd", "tag", "relation", "bounds"]))
+    names = {"node": ("id", "lat", "lon"), "way": ("id",), "nd": ("ref",), "tag": ("k", "v")}
+    attrs = {name: draw(_POOLS[name]) for name in names.get(tag, ("id",))}
+    inner = st.one_of(_way_members, children) if tag == "way" else children
+    return _element(tag, attrs, "".join(draw(st.lists(inner, max_size=4))))
+
+
+# nodes and ways nested under unknown elements and inside ways, children
+# inside nodes, members at the top level: every element may hold any other
+_members = st.recursive(_member(st.just("")), _member, max_leaves=12)
+
+
+@st.composite
+def _nested_osm_documents(draw):
+    spacer = draw(st.sampled_from(["", "\n", "\n  "]))
+    parts = draw(st.lists(_members, max_size=8))
+    text = f'<?xml version="1.0"?>{spacer}<osm version="0.6">{spacer}' + spacer.join(parts) + "</osm>\n"
+    cut = draw(st.none() | st.integers(0, len(text)))  # a truncated tail
+    return text if cut is None else text[:cut]
+
+
+@given(xml_text=_nested_osm_documents(), slice_chars=st.sampled_from([1, 2, 3, 16, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_streaming_parse_matches_the_whole_tree_reader(xml_text, slice_chars):
+    with mock.patch.object(osm, "_SLICE_CHARS", slice_chars):
+        assert _outcome(parse_osm, xml_text) == _outcome(tree_parse_osm, xml_text)
+
+
+class TestParseAcrossSlices:
+    def test_tag_split_across_a_slice_boundary(self):
+        way = "<way id='9'><nd ref='1'/><nd ref='2'/><tag k='highway' v='residential'/></way>"
+        # spaces push the way along until the first slice ends inside the
+        # tag's key
+        pad = osm._SLICE_CHARS - len("<osm>") - (way.index("<tag") + 8)
+        text = "<osm>" + " " * pad + way + "</osm>"
+        assert text[osm._SLICE_CHARS - 8:osm._SLICE_CHARS] == "<tag k='"
+        doc = parse_osm(text)
+        assert doc.ways[9] == OsmWay(9, (1, 2), {"highway": "residential"})
+        assert _outcome(parse_osm, text) == _outcome(tree_parse_osm, text)
+
+    def test_syntax_error_past_the_first_slice_is_located_absolutely(self):
+        nodes = "".join(f"<node id='{i}' lat='48.0' lon='8.0'/>\n" for i in range(4000))
+        text = f"<osm>\n{nodes}<node id='x' lat='1'</osm>"
+        assert len(text) > 2 * osm._SLICE_CHARS
+        with pytest.raises(OsmParseError) as excinfo:
+            parse_osm(text)
+        assert (excinfo.value.line, excinfo.value.column) == (4002, 20)
+        assert _outcome(parse_osm, text) == _outcome(tree_parse_osm, text)
+
+    def test_every_element_of_a_many_slice_map_is_read(self):
+        text = _city_map(2000)
+        doc = parse_osm(text)
+        assert len(text) > 4 * osm._SLICE_CHARS
+        assert len(doc.nodes) == text.count("<node ")
+        assert len(doc.ways) == text.count("<way ")
+        assert _outcome(parse_osm, text) == _outcome(tree_parse_osm, text)
+
+
+def _city_map(blocks):
+    """A map of ``blocks`` square buildings, four nodes and one way each."""
+    parts = ["<?xml version='1.0'?>\n<osm version='0.6'>"]
+    for b in range(blocks):
+        lat, lon = 48.0 + (b // 100) * 1e-3, 8.0 + (b % 100) * 1e-3
+        for i, (dlat, dlon) in enumerate([(0, 0), (0, 5e-4), (5e-4, 5e-4), (5e-4, 0)]):
+            parts.append(f" <node id='{4 * b + i + 1}' lat='{lat + dlat:.7f}' lon='{lon + dlon:.7f}'/>")
+        refs = "".join(f"<nd ref='{4 * b + i + 1}'/>" for i in (0, 1, 2, 3, 0))
+        parts.append(f" <way id='{b + 1}'>{refs}<tag k='building' v='yes'/></way>")
+    parts.append("</osm>\n")
+    return "\n".join(parts)
+
+
+def test_parse_peak_stays_near_the_document_it_returns():
+    # the whole-tree reader peaks at about four times the document (19 MB
+    # over it here); the stream holds about one slice of XML elements beyond
+    # it, some 1.6-1.8 MB at any map size
+    text = _city_map(4000)
+    assert len(text) > 10 * osm._SLICE_CHARS
+    tracemalloc.start()
+    try:
+        doc = parse_osm(text)
+        document, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.ways) == 4000
+    assert peak - document < 48 * osm._SLICE_CHARS  # 3 MB
 
 
 class TestOverpass:

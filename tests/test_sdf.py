@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
@@ -20,7 +21,14 @@ from dtgen.errors import EmitError
 from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
 from dtgen.osm import BoundingBox
 from dtgen.pipeline import generate_world
-from dtgen.sdf import GROUND_MARGIN_M, ValidationIssue, emit_world, fmt, validate_sdf
+from dtgen.sdf import (
+    GROUND_MARGIN_M,
+    ValidationIssue,
+    emit_world,
+    fmt,
+    validate_sdf,
+    write_world,
+)
 from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_height
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -388,6 +396,27 @@ class TestValidateSdf:
         report = validate_sdf(text)
         assert any("6 finite numbers" in v.message for v in report.violations)
 
+    @pytest.mark.parametrize("size", ["0 1", "1 -2 3", "inf 7 0.1", "1 nan", "1 x", ""])
+    def test_bad_size(self, size):
+        text = (
+            "<sdf version='1.6'><world name='w'><spherical_coordinates/>"
+            "<model name='m'><link name='l'><visual name='v'><geometry><box>"
+            f"<size>{size}</size></box></geometry></visual></link></model></world></sdf>"
+        )
+        located = [(v.location, v.message) for v in validate_sdf(text).violations]
+        assert located == [(
+            "/sdf/world[@name='w']/model[@name='m']/link[@name='l']/visual[@name='v']/geometry/box/size",
+            "size must contain finite positive numbers",
+        )]
+
+    def test_good_sizes(self):
+        text = (
+            "<sdf version='1.6'><world name='w'><spherical_coordinates/>"
+            "<model name='m'><link name='l'><visual name='v'><geometry><plane>"
+            "<size>5e-324 1e308</size></plane></geometry></visual></link></model></world></sdf>"
+        )
+        assert validate_sdf(text).violations == ()
+
     def test_violations_carry_locations(self):
         text = (
             "<sdf version='1.6'><world name='w'><spherical_coordinates/>"
@@ -476,6 +505,63 @@ class TestWriterVerdict:
             ValidationIssue(f"{car}/pose", "pose must contain 6 finite numbers"),
         )
         assert world.violations == validate_sdf(world.text).violations
+
+    def test_road_spanning_the_float_range_has_located_size_faults(self):
+        # the segment length and the ground plane both overflow to inf;
+        # every coordinate and the segment's pose stay finite
+        road = Road(id=3, centerline=(LocalPoint(-1e308, 0.0), LocalPoint(1e308, 0.0)), width=7.0)
+        world = _emit(roads=[road])
+        ground = "/sdf/world[@name='generated']/model[@name='ground_plane']/link[@name='link']"
+        segment = "/sdf/world[@name='generated']/model[@name='road_3']/link[@name='segment_0']"
+        fault = "size must contain finite positive numbers"
+        assert world.violations == (
+            ValidationIssue(f"{ground}/collision[@name='collision']/geometry/plane/size", fault),
+            ValidationIssue(f"{ground}/visual[@name='visual']/geometry/plane/size", fault),
+            ValidationIssue(f"{segment}/collision[@name='collision']/geometry/box/size", fault),
+            ValidationIssue(f"{segment}/visual[@name='visual']/geometry/box/size", fault),
+        )
+        assert "<size>inf 7 0.1</size>" in world.text
+        assert world.violations == validate_sdf(world.text).violations
+
+    def test_zero_length_segment_is_a_size_fault(self):
+        # extraction collapses repeated points; a hand-built road need not
+        road = Road(id=3, centerline=(LocalPoint(1.0, 2.0), LocalPoint(1.0, 2.0)), width=7.0)
+        messages = {v.message for v in _emit(roads=[road]).violations}
+        assert messages == {"size must contain finite positive numbers"}
+
+
+class _CountingSink:
+    """A text sink that keeps nothing but the number of characters."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def _write_peak(blocks):
+    buildings = [
+        Building(id=i, footprint=(LocalPoint(i, 0), LocalPoint(i + 1, 0), LocalPoint(i + 1, 1)), height=10.0)
+        for i in range(blocks)
+    ]
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        write_world(sink, buildings, [], [], ORIGIN, _config())
+        return tracemalloc.get_traced_memory()[1], sink.chars
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_world_holds_none_of_the_text_it_has_written():
+    peak, chars = _write_peak(1000)
+    peak_4x, chars_4x = _write_peak(4000)
+    # the only state that grows with the world is the set of model names
+    # checked for duplicates, under 128 bytes a model (about 95 measured);
+    # the text of each model is over 500 characters
+    assert (chars_4x - chars) / 3000 > 500
+    assert peak_4x - peak < 128 * 3000
 
 
 # hand-built world-model values that extraction and config loading never
