@@ -72,7 +72,6 @@ from .sdf import (
     ValidationReport,
     emit_world,
     validate_sdf,
-    write_world,
 )
 from .world_model import (
     DRIVABLE_HIGHWAY_VALUES,
@@ -146,5 +145,4 @@ __all__ = [
     "step_kinematic",
     "unproject",
     "validate_sdf",
-    "write_world",
 ]

@@ -7,6 +7,7 @@ line on stdout is the gap summary.
 
 import argparse
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -152,12 +153,24 @@ def _write_world_file(path: Path, result: GenerationResult) -> tuple[ValidationI
     """Write the world to ``path`` through a temporary file beside it, and
     return the violations that kept it from being written.
 
-    The temporary file is created as ``open(path, "w")`` would create it,
-    mode 0o666 less the umask. On success it replaces ``path`` in one
-    ``os.replace``; on a writer fault it is read back to locate each
-    violation and then removed, as it is on any error, so a failed run
-    leaves ``path`` as it was.
+    ``path`` must be missing, a regular file or a symlink: replacing
+    anything else, such as ``/dev/null`` or a FIFO, would put a regular
+    file in its place, so it is refused with an ``OSError`` before any
+    file is made. The temporary file is created as ``open(path, "w")``
+    would create it, mode 0o666 less the umask. On success it replaces
+    ``path`` in one ``os.replace``; on a writer fault it is read back to
+    locate each violation and then removed, as it is on any error, so a
+    failed run leaves ``path`` as it was.
     """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        pass
+    else:
+        if not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):
+            raise OSError(
+                f"{path}: not a regular file or a symlink; --out is replaced by a new file"
+            )
     temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -11,6 +11,7 @@ the whole tree of a city-sized map.
 """
 
 import http.client
+import itertools
 import math
 import urllib.error
 import urllib.request
@@ -121,22 +122,23 @@ def _root_children(xml_text: str) -> Iterator[ET.Element]:
     """
     parser = ET.XMLPullParser(("start",))
     root = None
+    slices = (xml_text[i:i + _SLICE_CHARS] for i in range(0, len(xml_text), _SLICE_CHARS))
     try:
-        for start in range(0, len(xml_text), _SLICE_CHARS):
-            parser.feed(xml_text[start:start + _SLICE_CHARS])
+        # the last step closes the parser, which drains what it still holds
+        for text in itertools.chain(slices, [None]):
+            if text is None:
+                parser.close()
+            else:
+                parser.feed(text)
             # every element's start is an event; the first is the root's,
-            # and a parse error is raised from here
+            # and a parse error is raised from feed or close
             for _, element in parser.read_events():
                 if root is None:
                     root = element
-            if root is not None:
+            if root is not None and text is not None:
                 done = root[:-1]
                 del root[:-1]
                 yield from done
-        parser.close()
-        for _, element in parser.read_events():
-            if root is None:
-                root = element
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         raise OsmParseError(

@@ -403,7 +403,7 @@ def validate_sdf(text: str) -> ValidationReport:
     Checks: well-formed XML, ``<sdf>`` root with a version, exactly one
     ``<world>`` containing a ``<spherical_coordinates>`` element, unique model
     names, polylines with at least 3 points and positive height, poses of 6
-    finite numbers, and sizes of finite positive numbers.
+    finite numbers, and box and plane sizes of finite positive numbers.
     """
     issues: list[ValidationIssue] = []
     try:
@@ -439,14 +439,16 @@ def validate_sdf(text: str) -> ValidationReport:
                 issues.append(ValidationIssue(world_loc, f"duplicate model name {name}"))
             seen.add(name)
 
-    # every pose and polyline in document order; the parent map that a
-    # location needs is built only once a check has failed
+    # every pose, polyline and box or plane size in document order; the
+    # parent map that a location needs is built only once a check has failed
     parents = None
     for element in root.iter():
         check = _CHECKS.get(element.tag)
         for message in check(element) if check else ():
             if parents is None:
                 parents = {child: parent for parent in root.iter() for child in parent}
+            if element.tag == "size" and parents[element].tag not in _SHAPES:
+                break  # other sizes, such as a particle emitter's, may be zero
             issues.append(ValidationIssue(_located(element, parents), message))
     return ValidationReport(tuple(issues))
 
@@ -524,3 +526,4 @@ def _check_size(element: ET.Element) -> list[str]:
 
 
 _CHECKS = {"polyline": _check_polyline, "pose": _check_pose, "size": _check_size}
+_SHAPES = ("box", "plane")  # the parents whose <size> _check_size applies to

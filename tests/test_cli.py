@@ -218,6 +218,16 @@ class TestGenerate:
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
         assert list((tmp_path / "dir").iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_output_onto_a_fifo_is_refused_and_leaves_it_in_place(self, track_args, tmp_path, capsys):
+        # replacing it would turn a FIFO or a device such as /dev/null into a regular file
+        args, out = track_args
+        os.mkfifo(out)
+        assert cli.main(args) == 3
+        assert "not a regular file or a symlink" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]  # no temporary file
+
     def test_output_into_a_missing_directory_is_io_error(self, track_args, tmp_path):
         args, _ = track_args
         args = args[:-1] + [str(tmp_path / "missing" / "w.sdf")]

@@ -417,6 +417,15 @@ class TestValidateSdf:
         )
         assert validate_sdf(text).violations == ()
 
+    def test_only_box_and_plane_sizes_must_be_positive(self):
+        # SDFormat lets a particle emitter's size be zero
+        text = (
+            "<sdf version='1.6'><world name='w'><spherical_coordinates/>"
+            "<model name='m'><link name='l'><particle_emitter name='e'>"
+            "<size>0 0 0</size></particle_emitter></link></model></world></sdf>"
+        )
+        assert validate_sdf(text).violations == ()
+
     def test_violations_carry_locations(self):
         text = (
             "<sdf version='1.6'><world name='w'><spherical_coordinates/>"
