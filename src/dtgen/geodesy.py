@@ -32,7 +32,7 @@ class GeoOrigin:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalPoint:
     x: float
     y: float

@@ -4,34 +4,32 @@ Only the elements needed for low-fidelity world generation are read:
 ``<node>`` and ``<way>`` (with ``<nd>``/``<tag>`` children) that are direct
 children of the root. Relations and anything else are skipped. Parsing never
 aborts on unknown content; defective nodes and ways are dropped and recorded
-on the document's warning list. The text is parsed as a stream: each node
-and way is read once it is complete and then dropped from the XML tree, so
-the parse holds the returned document and about one slice of XML, never
-the whole tree of a city-sized map.
+on the document's warning list. The text is parsed as a stream, on expat's
+element callbacks: a node is read at its start tag and a way at its end tag,
+and no element tree is built, so the parse holds the returned document and
+little else, never a tree of a city-sized map.
 """
 
 import http.client
-import itertools
 import math
 import urllib.error
 import urllib.request
-import xml.etree.ElementTree as ET
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
 _SLICE_CHARS = 1 << 16  # characters fed to the XML parser at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OsmNode:
     id: int
     lat: float
     lon: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OsmWay:
     id: int
     node_refs: tuple[int, ...]
@@ -84,75 +82,121 @@ def parse_osm(xml_text: str) -> OsmDocument:
     a warning; a duplicate id keeps the first occurrence. Relations and
     unrecognized elements are ignored silently, and so is any ``node`` or
     ``way`` that is not a direct child of the root.
+
+    The text goes to expat ``_SLICE_CHARS`` characters at a time, as plain
+    string slices: wrapping it in a file object would copy it into a buffer
+    four times its size. The handlers keep the depth of the element they
+    are given, the root at depth 1, so only the root's children and a way's
+    own members are read. Names are split on namespaces as ElementTree
+    splits them, so a prefixed or namespaced element is never a plain
+    ``node``, and an unbound prefix is an error.
     """
     nodes: dict[int, OsmNode] = {}
     ways: dict[int, OsmWay] = {}
     warnings: list[str] = []
+    depth = 0
+    way_id: int | None = None  # of the root-level way being read, if its id is good
+    refs: list[int] = []
+    tags: dict[str, str] = {}
 
-    for child in _root_children(xml_text):
-        if child.tag == "node":
-            node = _read_node(child, warnings)
-            if node is None:
-                continue
-            if node.id in nodes:
-                warnings.append(f"duplicate node id {node.id}: keeping first occurrence")
-                continue
-            nodes[node.id] = node
-        elif child.tag == "way":
-            way = _read_way(child, warnings)
-            if way is None:
-                continue
-            if way.id in ways:
-                warnings.append(f"duplicate way id {way.id}: keeping first occurrence")
-                continue
-            ways[way.id] = way
-        # relations and anything else: skipped silently
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, way_id, refs, tags
+        depth += 1
+        if depth == 3:
+            if way_id is None:
+                return
+            if tag == "nd":
+                raw_ref = attrs.get("ref")
+                try:
+                    refs.append(int(raw_ref))
+                except (TypeError, ValueError):
+                    warnings.append(f"way {way_id}: ignoring <nd> with bad ref {raw_ref!r}")
+            elif tag == "tag":
+                key = attrs.get("k")
+                value = attrs.get("v")
+                if key is not None and value is not None:
+                    tags[key] = value
+        elif depth == 2:
+            if tag == "node":
+                node = _read_node(attrs, warnings)
+                if node is None:
+                    return
+                if node.id in nodes:
+                    warnings.append(f"duplicate node id {node.id}: keeping first occurrence")
+                else:
+                    nodes[node.id] = node
+            elif tag == "way":
+                raw_id = attrs.get("id")
+                try:
+                    way_id = int(raw_id)
+                except (TypeError, ValueError):
+                    warnings.append(f"way id={raw_id!r} skipped: missing or unparseable id")
+                    return
+                refs = []
+                tags = {}
+            # relations and anything else: skipped silently
 
+    def end(tag: str) -> None:
+        nonlocal depth, way_id
+        depth -= 1
+        if depth == 1 and way_id is not None:
+            if not refs:
+                warnings.append(f"way {way_id} skipped: no node references")
+            elif way_id in ways:
+                warnings.append(f"duplicate way id {way_id}: keeping first occurrence")
+            else:
+                ways[way_id] = OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
+            way_id = None
+
+    def refuse_entity(name: str) -> None:
+        # refused as ElementTree refuses it, the reference cut to 100 characters
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+        message = f"undefined entity {f'&{name};'[:100]}: line {line}, column {column}"
+        raise OsmParseError(_malformed(line, column, message), line, column)
+
+    def skipped_entity(name: str, is_parameter: int) -> None:
+        # a reference in text to an entity that an external DTD may declare;
+        # a parameter entity skipped in the DTD is ignored, by both
+        if not is_parameter:
+            refuse_entity(name)
+
+    external: set[str] = set()  # general entities declared with a system id
+
+    def entity_declared(
+        name: str, is_parameter: int, value: str | None, base: str | None, system_id: str | None, *_: str | None
+    ) -> None:
+        if system_id is not None and not is_parameter:
+            external.add(name)
+
+    def external_entity(context: str, *_: str | None) -> None:
+        # a reference to a declared external entity, which is never loaded;
+        # the context names it among the entities being expanded, in no
+        # set order, and it is the only external one
+        refuse_entity(next(name for name in context.split("\f") if name in external))
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    parser.EntityDeclHandler = entity_declared
+    parser.ExternalEntityRefHandler = external_entity
+    try:
+        for i in range(0, len(xml_text), _SLICE_CHARS):
+            parser.Parse(xml_text[i:i + _SLICE_CHARS], False)
+        parser.Parse("", True)
+    except expat.ExpatError as exc:
+        raise OsmParseError(_malformed(exc.lineno, exc.offset, str(exc)), exc.lineno, exc.offset) from exc
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 
 
-def _root_children(xml_text: str) -> Iterator[ET.Element]:
-    """Yield the root's children in document order, each once it is complete.
-
-    The text goes to the parser ``_SLICE_CHARS`` characters at a time. After
-    each slice, every child but the last has seen its end tag, so those are
-    yielded and dropped from the root: the tree never holds more than about
-    one slice of elements. Slices are plain string slices; wrapping the text
-    in a file object would copy it into a buffer four times its size.
-    """
-    parser = ET.XMLPullParser(("start",))
-    root = None
-    slices = (xml_text[i:i + _SLICE_CHARS] for i in range(0, len(xml_text), _SLICE_CHARS))
-    try:
-        # the last step closes the parser, which drains what it still holds
-        for text in itertools.chain(slices, [None]):
-            if text is None:
-                parser.close()
-            else:
-                parser.feed(text)
-            # every element's start is an event; the first is the root's,
-            # and a parse error is raised from feed or close
-            for _, element in parser.read_events():
-                if root is None:
-                    root = element
-            if root is not None and text is not None:
-                done = root[:-1]
-                del root[:-1]
-                yield from done
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise OsmParseError(
-            f"malformed OSM XML at line {line}, column {column}: {exc.msg}",
-            line,
-            column,
-        ) from exc
-    yield from root
+def _malformed(line: int, column: int, message: str) -> str:
+    return f"malformed OSM XML at line {line}, column {column}: {message}"
 
 
-def _read_node(element: ET.Element, warnings: list[str]) -> OsmNode | None:
-    raw_id = element.get("id")
-    raw_lat = element.get("lat")
-    raw_lon = element.get("lon")
+def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:
+    raw_id = attrs.get("id")
+    raw_lat = attrs.get("lat")
+    raw_lon = attrs.get("lon")
     if raw_id is None or raw_lat is None or raw_lon is None:
         warnings.append(f"node id={raw_id!r} skipped: missing id/lat/lon attribute")
         return None
@@ -167,37 +211,6 @@ def _read_node(element: ET.Element, warnings: list[str]) -> OsmNode | None:
         warnings.append(f"node {node_id} skipped: coordinates ({raw_lat}, {raw_lon}) out of range")
         return None
     return OsmNode(id=node_id, lat=lat, lon=lon)
-
-
-def _read_way(element: ET.Element, warnings: list[str]) -> OsmWay | None:
-    raw_id = element.get("id")
-    try:
-        way_id = int(raw_id) if raw_id is not None else None
-    except ValueError:
-        way_id = None
-    if way_id is None:
-        warnings.append(f"way id={raw_id!r} skipped: missing or unparseable id")
-        return None
-
-    refs: list[int] = []
-    tags: dict[str, str] = {}
-    for member in element:
-        if member.tag == "nd":
-            raw_ref = member.get("ref")
-            try:
-                refs.append(int(raw_ref))
-            except (TypeError, ValueError):
-                warnings.append(f"way {way_id}: ignoring <nd> with bad ref {raw_ref!r}")
-        elif member.tag == "tag":
-            key = member.get("k")
-            value = member.get("v")
-            if key is not None and value is not None:
-                tags[key] = value
-
-    if not refs:
-        warnings.append(f"way {way_id} skipped: no node references")
-        return None
-    return OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
 
 
 def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:

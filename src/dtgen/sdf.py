@@ -2,12 +2,14 @@
 
 ``write_world`` writes the world document straight from the world-model
 objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
-pose) to a text sink, a bounded batch of lines at a time, so a city-sized
+pose) to a text sink, in batches of about 64k characters, so a city-sized
 world is never held in memory whole; ``emit_world`` collects the same bytes
 into a string. The output is flat: one element per line, no indentation, so
-diffs stay readable without whitespace that no SDFormat reader uses. Every
-number goes through fixed-precision formatting, so identical inputs always
-produce byte-identical files.
+diffs stay readable without whitespace that no SDFormat reader uses. Each
+building model, and each road segment's link, is formatted as one
+multi-line string, its ``<geometry>`` once for both its collision and its
+visual. Every number goes through fixed-precision formatting, so identical
+inputs always produce byte-identical files.
 
 The writer checks what it writes: every pose, polyline and size it formats
 goes through the same per-element rules that ``validate_sdf`` applies, so
@@ -38,7 +40,7 @@ BUILDING_COLOR = "0.7 0.7 0.7 1"
 WHEEL_WIDTH_M = 0.2
 SPIN_LIMIT = 1e16
 _HALF_PI = math.pi / 2
-_BATCH_LINES = 4096  # lines the writer holds before it writes them out
+_BATCH_CHARS = 1 << 16  # characters the writer holds before it writes them out
 
 
 def fmt(value: float) -> str:
@@ -80,24 +82,27 @@ class SdfWorld:
 
 
 class _XmlWriter:
-    """Flat line emitter, one element per line; tiny enough to beat
-    templating for nested SDF.
+    """Flat text emitter, one element per line.
 
-    Lines go to the text sink ``out`` in batches: once ``_BATCH_LINES``
-    are held, they are written before the next model opens. So the writer
-    holds at most that many lines plus one model's, never the document.
-    Model names are tracked as models are opened, so a duplicate is caught
-    in the order the models appear in the document.
+    Text is held as entries of whole lines, one line or a block of them, and
+    goes to the text sink ``out`` in batches: once ``_BATCH_CHARS``
+    characters are held, they are written before the next model opens. So
+    the writer holds at most that much text plus one model's, never the
+    document. Model names are tracked as models are opened, so a duplicate
+    is caught in the order the models appear in the document.
     """
 
     def __init__(self, out: TextIO):
         self._out = out
         self._lines: list[str] = []
+        self._chars = 0
         self._model_names: set[str] = set()
         self.faults = 0  # pose, polyline and size faults, by the validator's rules
 
     def line(self, text: str) -> None:
+        """One line, or a block of lines, without its last newline."""
         self._lines.append(text)
+        self._chars += len(text)
 
     def element(self, tag: str, text: str) -> None:
         self.line(f"<{tag}>{text}</{tag}>")
@@ -110,7 +115,7 @@ class _XmlWriter:
 
     def open_model(self, name: str) -> None:
         # checked per model, not per line, as this costs less
-        if len(self._lines) >= _BATCH_LINES:
+        if self._chars >= _BATCH_CHARS:
             self.flush()
         if name in self._model_names:
             raise EmitError(f"duplicate model name {name!r}")
@@ -122,6 +127,7 @@ class _XmlWriter:
         self._lines.append("")
         self._out.write("\n".join(self._lines))
         self._lines = []
+        self._chars = 0
 
 
 def emit_world(
@@ -154,7 +160,7 @@ def write_world(
     config: GenerationConfig,
 ) -> int:
     """Write the complete world document to the text sink ``out``, a batch
-    of lines at a time, and return the number of faults the writer found.
+    at a time, and return the number of faults the writer found.
 
     ``spawns`` holds the resolved local ``(x, y, yaw)`` of each vehicle in
     ``config.vehicles``, in the same order. World children in order: ground
@@ -193,35 +199,24 @@ def write_world(
     return w.faults
 
 
-def _write_geometry(w: _XmlWriter, shape: str, elements: list[tuple[str, str]]) -> None:
-    w.open("<geometry>")
-    w.open(f"<{shape}>")
-    for tag, text in elements:
-        w.element(tag, text)
-    w.close(shape)
-    w.close("geometry")
+def _material(color: str) -> str:
+    return f"<material>\n<ambient>{color}</ambient>\n<diffuse>{color}</diffuse>\n</material>\n"
 
 
-def _write_surfaces(
-    w: _XmlWriter,
-    shape: str,
-    elements: list[tuple[str, str]],
-    collide: bool = True,
-    color: str | None = None,
-) -> None:
-    """Collision (unless ``collide`` is false) and visual of one geometry."""
-    if collide:
-        w.open('<collision name="collision">')
-        _write_geometry(w, shape, elements)
-        w.close("collision")
-    w.open('<visual name="visual">')
-    _write_geometry(w, shape, elements)
-    if color is not None:
-        w.open("<material>")
-        w.element("ambient", color)
-        w.element("diffuse", color)
-        w.close("material")
-    w.close("visual")
+_GROUND_MATERIAL = _material(GROUND_COLOR)
+_ROAD_MATERIAL = _material(ROAD_COLOR)
+_BUILDING_MATERIAL = _material(BUILDING_COLOR)
+
+
+def _surfaces(shape: str, body: str, material: str = "", collide: bool = True) -> str:
+    """The lines of a collision (unless ``collide`` is false) and a visual
+    with ``material``, of one ``<shape>`` holding the lines ``body``. The
+    geometry is formatted once and used in both."""
+    geometry = f"<geometry>\n<{shape}>\n{body}\n</{shape}>\n</geometry>\n"
+    visual = f'<visual name="visual">\n{geometry}{material}</visual>'
+    if not collide:
+        return visual
+    return f'<collision name="collision">\n{geometry}</collision>\n{visual}'
 
 
 def _write_ground_plane(
@@ -242,13 +237,12 @@ def _write_ground_plane(
     ys = (abs(p.y) for p in _model_points(buildings, roads))
     width = 2.0 * (max(chain((-low.x, high.x), xs)) + GROUND_MARGIN_M)
     depth = 2.0 * (max(chain((-low.y, high.y), ys)) + GROUND_MARGIN_M)
+    plane = f"<normal>0 0 1</normal>\n<size>{_checked_size(w, width, depth)}</size>"
     w.open_model(GROUND_PLANE_NAME)
-    w.element("static", "true")
-    w.open('<link name="link">')
-    plane = [("normal", "0 0 1"), ("size", _checked_size(w, width, depth))]
-    _write_surfaces(w, "plane", plane, color=GROUND_COLOR)
-    w.close("link")
-    w.close("model")
+    w.line(
+        f'<static>true</static>\n<link name="link">\n'
+        f'{_surfaces("plane", plane, _GROUND_MATERIAL)}\n</link>\n</model>'
+    )
 
 
 def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Iterator[LocalPoint]:
@@ -262,7 +256,7 @@ def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Itera
 def _write_sun(w: _XmlWriter) -> None:
     w.open('<light name="sun" type="directional">')
     w.element("cast_shadows", "true")
-    _write_pose(w, 0, 0, 100, 0, 0, 0)
+    w.element("pose", _checked_pose(w, 0, 0, 100, 0, 0, 0))
     w.element("diffuse", "0.9 0.9 0.9 1")
     w.element("specular", "0.2 0.2 0.2 1")
     w.element("direction", "-0.5 0.1 -0.9")
@@ -279,11 +273,11 @@ def _write_spherical_coordinates(w: _XmlWriter, origin: GeoOrigin) -> None:
     w.close("spherical_coordinates")
 
 
-def _write_pose(w: _XmlWriter, *values: float) -> None:
-    """A ``<pose>`` of six numbers, checked as ``validate_sdf`` checks it."""
+def _checked_pose(w: _XmlWriter, *values: float) -> str:
+    """The text of a ``<pose>``, checked as ``validate_sdf`` checks it."""
     text = " ".join(map(fmt, values))
     w.faults += len(_pose_faults(text))
-    w.element("pose", text)
+    return text
 
 
 def _checked_size(w: _XmlWriter, *values: float) -> str:
@@ -294,22 +288,19 @@ def _checked_size(w: _XmlWriter, *values: float) -> str:
 
 
 def _write_building(w: _XmlWriter, building: Building) -> None:
-    """One extruded-footprint model, named after the source way id."""
+    """One extruded-footprint model, named after the source way id, written
+    as one block after its opening line."""
     height = fmt(building.height)
     w.faults += len(_polyline_faults(len(building.footprint), height))
-    polyline = [("point", f"{fmt(p.x)} {fmt(p.y)}") for p in building.footprint]
-    polyline.append(("height", height))
+    points = "".join(f"<point>{fmt(p.x)} {fmt(p.y)}</point>\n" for p in building.footprint)
+    polyline = _surfaces("polyline", f"{points}<height>{height}</height>", _BUILDING_MATERIAL)
     w.open_model(f"building_{building.id}")
-    w.element("static", "true")
-    w.open('<link name="footprint">')
-    _write_surfaces(w, "polyline", polyline, color=BUILDING_COLOR)
-    w.close("link")
-    w.close("model")
+    w.line(f'<static>true</static>\n<link name="footprint">\n{polyline}\n</link>\n</model>')
 
 
 def _write_road(w: _XmlWriter, road: Road, thickness: float) -> None:
     """One model per road: a thin box link per centerline segment, raised so
-    it sits on the ground plane."""
+    it sits on the ground plane, each link written as one block."""
     z = thickness / 2.0
     w.open_model(f"road_{road.id}")
     w.element("static", "true")
@@ -317,10 +308,9 @@ def _write_road(w: _XmlWriter, road: Road, thickness: float) -> None:
         dx = b.x - a.x
         dy = b.y - a.y
         size = _checked_size(w, math.hypot(dx, dy), road.width, thickness)
-        w.open(f'<link name="segment_{i}">')
-        _write_pose(w, (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, z, 0, 0, math.atan2(dy, dx))
-        _write_surfaces(w, "box", [("size", size)], color=ROAD_COLOR)
-        w.close("link")
+        pose = _checked_pose(w, (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, z, 0, 0, math.atan2(dy, dx))
+        box = _surfaces("box", f"<size>{size}</size>", _ROAD_MATERIAL)
+        w.line(f'<link name="segment_{i}">\n<pose>{pose}</pose>\n{box}\n</link>')
     w.close("model")
 
 
@@ -349,7 +339,7 @@ def _write_vehicle(
     x, y, yaw = pose
 
     w.open_model(v.name)
-    _write_pose(w, x, y, 0, 0, 0, yaw)
+    w.element("pose", _checked_pose(w, x, y, 0, 0, 0, yaw))
     if not actuated:
         # shadows and ghosts are pose-driven, never simulated bodies
         w.element("static", "true")
@@ -357,8 +347,8 @@ def _write_vehicle(
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
     chassis_size = _checked_size(w, v.chassis_length, v.chassis_width, v.chassis_height)
     w.open('<link name="chassis">')
-    _write_pose(w, 0, 0, chassis_z, 0, 0, 0)
-    _write_surfaces(w, "box", [("size", chassis_size)], collide=collide)
+    w.element("pose", _checked_pose(w, 0, 0, chassis_z, 0, 0, 0))
+    w.line(_surfaces("box", f"<size>{chassis_size}</size>", collide=collide))
     if v.gps:
         w.open('<sensor name="gps" type="gps">')
         w.element("always_on", "true")
@@ -374,11 +364,12 @@ def _write_vehicle(
         ("rear_left_wheel", -half_wb, half_track),
         ("rear_right_wheel", -half_wb, -half_track),
     )
-    cylinder = [("radius", fmt(v.wheel_radius)), ("length", fmt(WHEEL_WIDTH_M))]
+    cylinder = f"<radius>{fmt(v.wheel_radius)}</radius>\n<length>{fmt(WHEEL_WIDTH_M)}</length>"
+    wheel = _surfaces("cylinder", cylinder, collide=collide)
     for name, wx, wy in wheels:
         w.open(f'<link name="{name}">')
-        _write_pose(w, wx, wy, v.wheel_radius, _HALF_PI, 0, 0)
-        _write_surfaces(w, "cylinder", cylinder, collide=collide)
+        w.element("pose", _checked_pose(w, wx, wy, v.wheel_radius, _HALF_PI, 0, 0))
+        w.line(wheel)
         w.close("link")
 
     if actuated:

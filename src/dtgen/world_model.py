@@ -50,7 +50,7 @@ class ExtractionDefaults:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Building:
     id: int
     footprint: tuple[LocalPoint, ...]  # ring without the duplicate closing vertex
@@ -58,7 +58,7 @@ class Building:
     name: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Road:
     id: int
     centerline: tuple[LocalPoint, ...]

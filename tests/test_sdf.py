@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import tracemalloc
@@ -22,8 +23,10 @@ from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
 from dtgen.osm import BoundingBox
 from dtgen.pipeline import generate_world
 from dtgen.sdf import (
+    _BATCH_CHARS,
     GROUND_MARGIN_M,
     ValidationIssue,
+    _XmlWriter,
     emit_world,
     fmt,
     validate_sdf,
@@ -554,10 +557,23 @@ def _write_peak(blocks):
         Building(id=i, footprint=(LocalPoint(i, 0), LocalPoint(i + 1, 0), LocalPoint(i + 1, 1)), height=10.0)
         for i in range(blocks)
     ]
+    return _traced_write(buildings, [])
+
+
+def _write_road_peak(roads, segments=10):
+    roads = [
+        Road(id=i, centerline=tuple(LocalPoint(i + 0.5 * j, j) for j in range(segments + 1)), width=7.0)
+        for i in range(roads)
+    ]
+    return _traced_write([], roads)
+
+
+def _traced_write(buildings, roads):
+    """The traced allocation peak of writing a world, and its length."""
     sink = _CountingSink()
     tracemalloc.start()
     try:
-        write_world(sink, buildings, [], [], ORIGIN, _config())
+        write_world(sink, buildings, roads, [], ORIGIN, _config())
         return tracemalloc.get_traced_memory()[1], sink.chars
     finally:
         tracemalloc.stop()
@@ -571,6 +587,30 @@ def test_write_world_holds_none_of_the_text_it_has_written():
     # the text of each model is over 500 characters
     assert (chars_4x - chars) / 3000 > 500
     assert peak_4x - peak < 128 * 3000
+
+
+def test_write_world_holds_none_of_the_text_of_its_road_segments():
+    # each segment's link is one block of text, about 375 characters; a
+    # writer that batched blocks by count would hold thousands of them
+    peak, chars = _write_road_peak(250)
+    peak_4x, chars_4x = _write_road_peak(1000)
+    assert (chars_4x - chars) / 750 > 3500  # ten links a road
+    assert peak_4x - peak < 128 * 750  # the model names, about 90 measured
+
+
+def test_writer_flushes_at_the_first_model_boundary_past_the_character_bound():
+    sink = io.StringIO()
+    w = _XmlWriter(sink)
+    w.line("x" * (_BATCH_CHARS - 1))
+    w.open_model("a")  # one character short of the bound: held
+    assert sink.getvalue() == ""
+    w.close("model")  # past the bound, but no model has opened since
+    assert sink.getvalue() == ""
+    w.open_model("b")
+    assert sink.getvalue() == "x" * (_BATCH_CHARS - 1) + '\n<model name="a">\n</model>\n'
+    w.close("model")
+    w.flush()
+    assert sink.getvalue().endswith('</model>\n<model name="b">\n</model>\n')
 
 
 # hand-built world-model values that extraction and config loading never
