@@ -6,6 +6,7 @@ line on stdout is the gap summary.
 """
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -35,6 +36,19 @@ EXIT_IO = 3
 ENDPOINT_ENV_VAR = "DTGEN_OVERPASS_ENDPOINT"
 
 
+def _seconds(text: str) -> float:
+    """A finite positive number of seconds; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # NaN fails both
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtgen",
@@ -56,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(ENDPOINT_ENV_VAR),
         help=f"Overpass interpreter URL (default: ${ENDPOINT_ENV_VAR})",
     )
-    gen.add_argument("--timeout", type=float, default=25.0, help="network timeout, seconds")
+    gen.add_argument("--timeout", type=_seconds, default=25.0, help="network timeout, seconds")
     gen.add_argument("--out", required=True, help="SDF output path")
 
     val = sub.add_parser("validate", help="check an SDF file for structural violations")
@@ -78,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(ENDPOINT_ENV_VAR),
         help=f"Overpass interpreter URL (default: ${ENDPOINT_ENV_VAR})",
     )
-    fetch.add_argument("--timeout", type=float, default=25.0, help="network timeout, seconds")
+    fetch.add_argument("--timeout", type=_seconds, default=25.0, help="network timeout, seconds")
     fetch.add_argument("--out", required=True, help="OSM XML output path")
 
     return parser

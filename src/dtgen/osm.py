@@ -89,7 +89,8 @@ def parse_osm(xml_text: str) -> OsmDocument:
     are given, the root at depth 1, so only the root's children and a way's
     own members are read. Names are split on namespaces as ElementTree
     splits them, so a prefixed or namespaced element is never a plain
-    ``node``, and an unbound prefix is an error.
+    ``node``, and an unbound prefix is an error. A lone surrogate, which
+    UTF-8 cannot encode, is an error at its own line and column.
     """
     nodes: dict[int, OsmNode] = {}
     ways: dict[int, OsmWay] = {}
@@ -182,7 +183,12 @@ def parse_osm(xml_text: str) -> OsmDocument:
     parser.ExternalEntityRefHandler = external_entity
     try:
         for i in range(0, len(xml_text), _SLICE_CHARS):
-            parser.Parse(xml_text[i:i + _SLICE_CHARS], False)
+            text = xml_text[i:i + _SLICE_CHARS]
+            try:
+                parser.Parse(text, False)
+            except UnicodeEncodeError as exc:
+                parser.Parse(text[:exc.start], False)  # so a fault before it comes first
+                raise _lone_surrogate(xml_text, i + exc.start) from None
         parser.Parse("", True)
     except expat.ExpatError as exc:
         raise OsmParseError(_malformed(exc.lineno, exc.offset, str(exc)), exc.lineno, exc.offset) from exc
@@ -191,6 +197,18 @@ def parse_osm(xml_text: str) -> OsmDocument:
 
 def _malformed(line: int, column: int, message: str) -> str:
     return f"malformed OSM XML at line {line}, column {column}: {message}"
+
+
+def _lone_surrogate(text: str, index: int) -> OsmParseError:
+    """The error for the surrogate at ``text[index]``, which UTF-8 cannot
+    encode, located as expat locates its own: a line break is ``\\r\\n``,
+    ``\\r`` or ``\\n``, and a column counts characters from 0."""
+    breaks = text.count("\n", 0, index) + text.count("\r", 0, index) - text.count("\r\n", 0, index)
+    line = 1 + breaks
+    column = index - 1 - max(text.rfind("\n", 0, index), text.rfind("\r", 0, index))
+    surrogate = f"lone surrogate U+{ord(text[index]):04X} is not encodable as UTF-8"
+    message = _malformed(line, column, f"{surrogate}: line {line}, column {column}")
+    return OsmParseError(message, line, column)
 
 
 def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:

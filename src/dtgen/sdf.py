@@ -2,12 +2,13 @@
 
 ``write_world`` writes the world document straight from the world-model
 objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
-pose) to a text sink, in batches of about 64k characters, so a city-sized
-world is never held in memory whole; ``emit_world`` collects the same bytes
-into a string. The output is flat: one element per line, no indentation, so
-diffs stay readable without whitespace that no SDFormat reader uses. Each
-building model, and each road segment's link, is formatted as one
-multi-line string, its ``<geometry>`` once for both its collision and its
+pose) to a text sink, one model at a time, and the sink's own buffer
+batches the writes, so a city-sized world is never held in memory whole;
+``emit_world`` collects the same bytes into a string. The output is flat:
+one element per line, no indentation, so diffs stay readable without
+whitespace that no SDFormat reader uses. Each model, and the header, sun
+and spherical coordinates before them, is formatted as one multi-line
+template string, each ``<geometry>`` once for both its collision and its
 visual. Every number goes through fixed-precision formatting, so identical
 inputs always produce byte-identical files.
 
@@ -40,7 +41,6 @@ BUILDING_COLOR = "0.7 0.7 0.7 1"
 WHEEL_WIDTH_M = 0.2
 SPIN_LIMIT = 1e16
 _HALF_PI = math.pi / 2
-_BATCH_CHARS = 1 << 16  # characters the writer holds before it writes them out
 
 
 def fmt(value: float) -> str:
@@ -81,53 +81,26 @@ class SdfWorld:
     violations: tuple[ValidationIssue, ...] = ()
 
 
-class _XmlWriter:
-    """Flat text emitter, one element per line.
-
-    Text is held as entries of whole lines, one line or a block of them, and
-    goes to the text sink ``out`` in batches: once ``_BATCH_CHARS``
-    characters are held, they are written before the next model opens. So
-    the writer holds at most that much text plus one model's, never the
-    document. Model names are tracked as models are opened, so a duplicate
-    is caught in the order the models appear in the document.
+class _Writer:
+    """Writes each block of text straight to the sink ``out``; the sink's
+    own buffer batches the writes, so the writer holds one model's text at
+    most, never the document. Model names are tracked as models are
+    written, so a duplicate is caught in the order the models appear in the
+    document.
     """
 
     def __init__(self, out: TextIO):
-        self._out = out
-        self._lines: list[str] = []
-        self._chars = 0
+        self.write = out.write
         self._model_names: set[str] = set()
         self.faults = 0  # pose, polyline and size faults, by the validator's rules
 
-    def line(self, text: str) -> None:
-        """One line, or a block of lines, without its last newline."""
-        self._lines.append(text)
-        self._chars += len(text)
-
-    def element(self, tag: str, text: str) -> None:
-        self.line(f"<{tag}>{text}</{tag}>")
-
-    def open(self, opening: str) -> None:
-        self.line(opening)
-
-    def close(self, tag: str) -> None:
-        self.line(f"</{tag}>")
-
-    def open_model(self, name: str) -> None:
-        # checked per model, not per line, as this costs less
-        if self._chars >= _BATCH_CHARS:
-            self.flush()
+    def model(self, name: str, body: str) -> None:
+        """A ``<model>`` named ``name`` holding the lines ``body``, each
+        ended by a newline."""
         if name in self._model_names:
             raise EmitError(f"duplicate model name {name!r}")
         self._model_names.add(name)
-        self.open(f'<model name="{name}">')
-
-    def flush(self) -> None:
-        """Write the batched lines, each ended by a newline."""
-        self._lines.append("")
-        self._out.write("\n".join(self._lines))
-        self._lines = []
-        self._chars = 0
+        self.write(f'<model name="{name}">\n{body}</model>\n')
 
 
 def emit_world(
@@ -159,7 +132,7 @@ def write_world(
     origin: GeoOrigin,
     config: GenerationConfig,
 ) -> int:
-    """Write the complete world document to the text sink ``out``, a batch
+    """Write the complete world document to the text sink ``out``, a model
     at a time, and return the number of faults the writer found.
 
     ``spawns`` holds the resolved local ``(x, y, yaw)`` of each vehicle in
@@ -180,22 +153,29 @@ def write_world(
       ``[A-Za-z0-9_]+``, so never empty; a duplicate raises ``EmitError``.
     """
     thickness = config.defaults.road_thickness
-    w = _XmlWriter(out)
-    w.line('<?xml version="1.0" encoding="UTF-8"?>')
-    w.open(f'<sdf version="{config.sdf_version}">')
-    w.open(f'<world name="{WORLD_NAME}">')
+    w = _Writer(out)
+    w.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<sdf version="{config.sdf_version}">\n<world name="{WORLD_NAME}">\n'
+    )
     _write_ground_plane(w, origin, config, buildings, roads)
-    _write_sun(w)
-    _write_spherical_coordinates(w, origin)
+    w.write(
+        '<light name="sun" type="directional">\n<cast_shadows>true</cast_shadows>\n'
+        f"<pose>{_checked_pose(w, 0, 0, 100, 0, 0, 0)}</pose>\n"
+        "<diffuse>0.9 0.9 0.9 1</diffuse>\n<specular>0.2 0.2 0.2 1</specular>\n"
+        "<direction>-0.5 0.1 -0.9</direction>\n</light>\n"
+        "<spherical_coordinates>\n<surface_model>EARTH_WGS84</surface_model>\n"
+        f"<latitude_deg>{fmt_deg(origin.lat0)}</latitude_deg>\n"
+        f"<longitude_deg>{fmt_deg(origin.lon0)}</longitude_deg>\n"
+        "<elevation>0</elevation>\n<heading_deg>0</heading_deg>\n</spherical_coordinates>\n"
+    )
     for building in buildings:
         _write_building(w, building)
     for road in roads:
         _write_road(w, road, thickness)
     for spec, pose in zip(config.vehicles, spawns, strict=True):
         _write_vehicle(w, spec, pose)
-    w.close("world")
-    w.close("sdf")
-    w.flush()
+    w.write("</world>\n</sdf>\n")
     return w.faults
 
 
@@ -213,14 +193,14 @@ def _surfaces(shape: str, body: str, material: str = "", collide: bool = True) -
     with ``material``, of one ``<shape>`` holding the lines ``body``. The
     geometry is formatted once and used in both."""
     geometry = f"<geometry>\n<{shape}>\n{body}\n</{shape}>\n</geometry>\n"
-    visual = f'<visual name="visual">\n{geometry}{material}</visual>'
+    visual = f'<visual name="visual">\n{geometry}{material}</visual>\n'
     if not collide:
         return visual
     return f'<collision name="collision">\n{geometry}</collision>\n{visual}'
 
 
 def _write_ground_plane(
-    w: _XmlWriter,
+    w: _Writer,
     origin: GeoOrigin,
     config: GenerationConfig,
     buildings: Sequence[Building],
@@ -238,11 +218,8 @@ def _write_ground_plane(
     width = 2.0 * (max(chain((-low.x, high.x), xs)) + GROUND_MARGIN_M)
     depth = 2.0 * (max(chain((-low.y, high.y), ys)) + GROUND_MARGIN_M)
     plane = f"<normal>0 0 1</normal>\n<size>{_checked_size(w, width, depth)}</size>"
-    w.open_model(GROUND_PLANE_NAME)
-    w.line(
-        f'<static>true</static>\n<link name="link">\n'
-        f'{_surfaces("plane", plane, _GROUND_MATERIAL)}\n</link>\n</model>'
-    )
+    surfaces = _surfaces("plane", plane, _GROUND_MATERIAL)
+    w.model(GROUND_PLANE_NAME, f'<static>true</static>\n<link name="link">\n{surfaces}</link>\n')
 
 
 def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Iterator[LocalPoint]:
@@ -253,108 +230,92 @@ def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Itera
     )
 
 
-def _write_sun(w: _XmlWriter) -> None:
-    w.open('<light name="sun" type="directional">')
-    w.element("cast_shadows", "true")
-    w.element("pose", _checked_pose(w, 0, 0, 100, 0, 0, 0))
-    w.element("diffuse", "0.9 0.9 0.9 1")
-    w.element("specular", "0.2 0.2 0.2 1")
-    w.element("direction", "-0.5 0.1 -0.9")
-    w.close("light")
-
-
-def _write_spherical_coordinates(w: _XmlWriter, origin: GeoOrigin) -> None:
-    w.open("<spherical_coordinates>")
-    w.element("surface_model", "EARTH_WGS84")
-    w.element("latitude_deg", fmt_deg(origin.lat0))
-    w.element("longitude_deg", fmt_deg(origin.lon0))
-    w.element("elevation", "0")
-    w.element("heading_deg", "0")
-    w.close("spherical_coordinates")
-
-
-def _checked_pose(w: _XmlWriter, *values: float) -> str:
+def _checked_pose(w: _Writer, *values: float) -> str:
     """The text of a ``<pose>``, checked as ``validate_sdf`` checks it."""
     text = " ".join(map(fmt, values))
     w.faults += len(_pose_faults(text))
     return text
 
 
-def _checked_size(w: _XmlWriter, *values: float) -> str:
+def _checked_size(w: _Writer, *values: float) -> str:
     """The text of a ``<size>``, checked as ``validate_sdf`` checks it."""
     text = " ".join(map(fmt, values))
     w.faults += len(_size_faults(text))
     return text
 
 
-def _write_building(w: _XmlWriter, building: Building) -> None:
-    """One extruded-footprint model, named after the source way id, written
-    as one block after its opening line."""
+def _write_building(w: _Writer, building: Building) -> None:
+    """One extruded-footprint model, named after the source way id."""
     height = fmt(building.height)
     w.faults += len(_polyline_faults(len(building.footprint), height))
     points = "".join(f"<point>{fmt(p.x)} {fmt(p.y)}</point>\n" for p in building.footprint)
     polyline = _surfaces("polyline", f"{points}<height>{height}</height>", _BUILDING_MATERIAL)
-    w.open_model(f"building_{building.id}")
-    w.line(f'<static>true</static>\n<link name="footprint">\n{polyline}\n</link>\n</model>')
+    body = f'<static>true</static>\n<link name="footprint">\n{polyline}</link>\n'
+    w.model(f"building_{building.id}", body)
 
 
-def _write_road(w: _XmlWriter, road: Road, thickness: float) -> None:
+def _write_road(w: _Writer, road: Road, thickness: float) -> None:
     """One model per road: a thin box link per centerline segment, raised so
-    it sits on the ground plane, each link written as one block."""
+    it sits on the ground plane."""
     z = thickness / 2.0
-    w.open_model(f"road_{road.id}")
-    w.element("static", "true")
+    links = []
     for i, (a, b) in enumerate(zip(road.centerline, road.centerline[1:])):
         dx = b.x - a.x
         dy = b.y - a.y
         size = _checked_size(w, math.hypot(dx, dy), road.width, thickness)
         pose = _checked_pose(w, (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, z, 0, 0, math.atan2(dy, dx))
         box = _surfaces("box", f"<size>{size}</size>", _ROAD_MATERIAL)
-        w.line(f'<link name="segment_{i}">\n<pose>{pose}</pose>\n{box}\n</link>')
-    w.close("model")
+        links.append(f'<link name="segment_{i}">\n<pose>{pose}</pose>\n{box}</link>\n')
+    w.model(f"road_{road.id}", "<static>true</static>\n" + "".join(links))
 
 
-def _write_joint(
-    w: _XmlWriter, name: str, child: str, axis: str, lower: float, upper: float
-) -> None:
-    w.open(f'<joint name="{name}" type="revolute">')
-    w.element("parent", "chassis")
-    w.element("child", child)
-    w.open("<axis>")
-    w.element("xyz", axis)
-    w.open("<limit>")
-    w.element("lower", fmt(lower))
-    w.element("upper", fmt(upper))
-    w.close("limit")
-    w.close("axis")
-    w.close("joint")
+_GPS = (
+    '<sensor name="gps" type="gps">\n'
+    "<always_on>true</always_on>\n<update_rate>10</update_rate>\n</sensor>\n"
+)
 
 
-def _write_vehicle(
-    w: _XmlWriter, v: VehicleSpec, pose: tuple[float, float, float]
-) -> None:
+def _joint(name: str, child: str, axis: str, lower: float, upper: float) -> str:
+    return (
+        f'<joint name="{name}" type="revolute">\n<parent>chassis</parent>\n<child>{child}</child>\n'
+        f"<axis>\n<xyz>{axis}</xyz>\n"
+        f"<limit>\n<lower>{fmt(lower)}</lower>\n<upper>{fmt(upper)}</upper>\n</limit>\n"
+        "</axis>\n</joint>\n"
+    )
+
+
+def _drive(v: VehicleSpec) -> str:
+    """The steer and spin joints and the Ackermann plugin of a twin."""
+    limit = v.max_steer_angle
+    return (
+        _joint("front_left_steer_joint", "front_left_wheel", "0 0 1", -limit, limit)
+        + _joint("front_right_steer_joint", "front_right_wheel", "0 0 1", -limit, limit)
+        + _joint("rear_left_spin_joint", "rear_left_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
+        + _joint("rear_right_spin_joint", "rear_right_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
+        + '<plugin name="ackermann_drive" filename="libackermann_drive.so">\n'
+        f"<wheelbase>{fmt(v.wheelbase)}</wheelbase>\n<track>{fmt(v.track)}</track>\n"
+        f"<wheel_radius>{fmt(v.wheel_radius)}</wheel_radius>\n"
+        f"<max_steer_angle>{fmt(v.max_steer_angle)}</max_steer_angle>\n</plugin>\n"
+    )
+
+
+def _write_vehicle(w: _Writer, v: VehicleSpec, pose: tuple[float, float, float]) -> None:
     """One vehicle model at its resolved local ``(x, y, yaw)`` spawn pose."""
     collide = v.kind is not VehicleKind.GHOST
     actuated = v.kind is VehicleKind.TWIN
     x, y, yaw = pose
-
-    w.open_model(v.name)
-    w.element("pose", _checked_pose(w, x, y, 0, 0, 0, yaw))
+    head = f"<pose>{_checked_pose(w, x, y, 0, 0, 0, yaw)}</pose>\n"
     if not actuated:
         # shadows and ghosts are pose-driven, never simulated bodies
-        w.element("static", "true")
+        head += "<static>true</static>\n"
 
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
     chassis_size = _checked_size(w, v.chassis_length, v.chassis_width, v.chassis_height)
-    w.open('<link name="chassis">')
-    w.element("pose", _checked_pose(w, 0, 0, chassis_z, 0, 0, 0))
-    w.line(_surfaces("box", f"<size>{chassis_size}</size>", collide=collide))
-    if v.gps:
-        w.open('<sensor name="gps" type="gps">')
-        w.element("always_on", "true")
-        w.element("update_rate", "10")
-        w.close("sensor")
-    w.close("link")
+    chassis = (
+        f'<link name="chassis">\n<pose>{_checked_pose(w, 0, 0, chassis_z, 0, 0, 0)}</pose>\n'
+        f'{_surfaces("box", f"<size>{chassis_size}</size>", collide=collide)}'
+        f"{_GPS if v.gps else ''}</link>\n"
+    )
 
     half_wb = v.wheelbase / 2.0
     half_track = v.track / 2.0
@@ -366,26 +327,12 @@ def _write_vehicle(
     )
     cylinder = f"<radius>{fmt(v.wheel_radius)}</radius>\n<length>{fmt(WHEEL_WIDTH_M)}</length>"
     wheel = _surfaces("cylinder", cylinder, collide=collide)
-    for name, wx, wy in wheels:
-        w.open(f'<link name="{name}">')
-        w.element("pose", _checked_pose(w, wx, wy, v.wheel_radius, _HALF_PI, 0, 0))
-        w.line(wheel)
-        w.close("link")
-
-    if actuated:
-        limit = v.max_steer_angle
-        _write_joint(w, "front_left_steer_joint", "front_left_wheel", "0 0 1", -limit, limit)
-        _write_joint(w, "front_right_steer_joint", "front_right_wheel", "0 0 1", -limit, limit)
-        _write_joint(w, "rear_left_spin_joint", "rear_left_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
-        _write_joint(w, "rear_right_spin_joint", "rear_right_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
-        w.open('<plugin name="ackermann_drive" filename="libackermann_drive.so">')
-        w.element("wheelbase", fmt(v.wheelbase))
-        w.element("track", fmt(v.track))
-        w.element("wheel_radius", fmt(v.wheel_radius))
-        w.element("max_steer_angle", fmt(v.max_steer_angle))
-        w.close("plugin")
-
-    w.close("model")
+    links = "".join(
+        f'<link name="{name}">\n'
+        f"<pose>{_checked_pose(w, wx, wy, v.wheel_radius, _HALF_PI, 0, 0)}</pose>\n{wheel}</link>\n"
+        for name, wx, wy in wheels
+    )
+    w.model(v.name, head + chassis + links + (_drive(v) if actuated else ""))
 
 
 def validate_sdf(text: str) -> ValidationReport:
@@ -401,6 +348,10 @@ def validate_sdf(text: str) -> ValidationReport:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         return ValidationReport((ValidationIssue("/", f"malformed XML: {exc}"),))
+    except UnicodeEncodeError as exc:
+        surrogate = f"U+{ord(exc.object[exc.start]):04X}"
+        message = f"malformed XML: lone surrogate {surrogate} is not encodable as UTF-8"
+        return ValidationReport((ValidationIssue("/", message),))
 
     if root.tag != "sdf":
         return ValidationReport(

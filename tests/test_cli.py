@@ -569,6 +569,21 @@ class TestFetch:
         assert code == 3
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fetch", "generate"])
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    def test_bad_timeout_is_usage_error_and_makes_no_request(
+        self, data_dir, tmp_path, stub_server, capsys, command, timeout
+    ):
+        out = tmp_path / "out"
+        args = [command, "--config", str(data_dir / "config_minimal.json")]
+        if command == "generate":
+            args.append("--fetch")
+        args += ["--endpoint", stub_server.url, "--timeout", timeout, "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "finite positive number of seconds" in capsys.readouterr().err
+        assert stub_server.state.requests == []
+        assert not out.exists()
+
     def test_endpoint_from_environment(self, data_dir, tmp_path, stub_server, monkeypatch):
         monkeypatch.setenv(cli.ENDPOINT_ENV_VAR, stub_server.url)
         out = tmp_path / "extract.osm"

@@ -71,6 +71,26 @@ class TestParseOsm:
         assert excinfo.value.line is not None
         assert excinfo.value.column is not None
 
+    @pytest.mark.parametrize(
+        ("xml_text", "line", "column"),
+        [
+            ("<osm>\ud800</osm>", 1, 5),
+            ("<osm>\r\n<node id='1' lat='1' lon='2'/>\r\u00e9\udfff</osm>", 3, 1),
+            ("<osm>" + "<node id='1' lat='1' lon='2'/>\n" * 3000 + "x\udc80</osm>", 3001, 1),
+        ],
+    )
+    def test_lone_surrogate_is_a_located_parse_error(self, xml_text, line, column):
+        # UTF-8 cannot encode it; located as expat locates its own errors,
+        # past the first slice of the stream too
+        with pytest.raises(OsmParseError, match="lone surrogate") as excinfo:
+            parse_osm(xml_text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    def test_fault_before_a_lone_surrogate_is_reported_first(self):
+        with pytest.raises(OsmParseError, match="invalid token") as excinfo:
+            parse_osm("<osm><1/>\ud800</osm>")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 6)
+
     def test_node_missing_coordinates_is_skipped_with_warning(self):
         doc = parse_osm("<osm><node id='1' lat='48.0'/><node id='2' lat='48.0' lon='8.0'/></osm>")
         assert set(doc.nodes) == {2}

@@ -1,4 +1,4 @@
-import io
+import hashlib
 import math
 import re
 import tracemalloc
@@ -23,10 +23,8 @@ from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
 from dtgen.osm import BoundingBox
 from dtgen.pipeline import generate_world
 from dtgen.sdf import (
-    _BATCH_CHARS,
     GROUND_MARGIN_M,
     ValidationIssue,
-    _XmlWriter,
     emit_world,
     fmt,
     validate_sdf,
@@ -37,6 +35,8 @@ from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_heigh
 DATA_DIR = Path(__file__).parent / "data"
 BBOX = BoundingBox(48.0, 8.0, 48.1, 8.1)
 ORIGIN = GeoOrigin(48.05, 8.05)
+# the sha256 of _pinned_vehicle_world(); a writer refactor leaves it unchanged
+_VEHICLE_WORLD_SHA256 = "ef71c4a2939bcff13c828a4356749210e5bf9b4b64bf3f3305e97a1fa2ccd48d"
 
 
 def _config(vehicles=()):
@@ -206,6 +206,38 @@ class TestEmitVehicle:
         assert _model(tree, "car").find("static") is None
 
 
+def _pinned_vehicle_world():
+    """One world with a twin, a shadow and a ghost, each with and without GPS,
+    with parameters off the defaults and fractional spawn poses."""
+    vehicles = [
+        VehicleSpec(
+            name=f"{kind.value}_{'gps' if gps else 'bare'}",
+            kind=kind,
+            wheelbase=2.5 + i / 10,
+            track=1.4 + i / 100,
+            wheel_radius=0.31 + i / 1000,
+            max_steer_angle=0.5 + i / 20,
+            chassis_length=4.2 + i / 7,
+            chassis_width=1.75,
+            chassis_height=1.3 + i / 3,
+            gps=gps,
+            spawn=LocalSpawn(10.0 * i - 25.0, 3.5 * i, math.pi / (i + 2)),
+        )
+        for i, (kind, gps) in enumerate(
+            (kind, gps) for kind in (VehicleKind.TWIN, VehicleKind.SHADOW, VehicleKind.GHOST)
+            for gps in (True, False)
+        )
+    ]
+    return _emit(vehicles=vehicles).text
+
+
+def test_vehicle_bytes_are_pinned():
+    # every bundled config has gps: true, so no golden hash covers a vehicle
+    # without its sensor; this pins all three kinds with and without it
+    digest = hashlib.sha256(_pinned_vehicle_world().encode("utf-8")).hexdigest()
+    assert digest == _VEHICLE_WORLD_SHA256
+
+
 class TestEmitWorld:
     def test_empty_world_has_ground_and_sun_only(self):
         world, tree = _world_xml()
@@ -335,6 +367,12 @@ class TestValidateSdf:
         report = validate_sdf("<sdf><world>")
         assert not report.ok
         assert "malformed XML" in report.violations[0].message
+
+    def test_lone_surrogate_is_malformed_xml(self):
+        report = validate_sdf('<sdf version="1.9"><world name="w">\ud800</world></sdf>')
+        assert report.violations == (
+            ValidationIssue("/", "malformed XML: lone surrogate U+D800 is not encodable as UTF-8"),
+        )
 
     def test_wrong_root(self):
         report = validate_sdf("<robot/>")
@@ -596,21 +634,6 @@ def test_write_world_holds_none_of_the_text_of_its_road_segments():
     peak_4x, chars_4x = _write_road_peak(1000)
     assert (chars_4x - chars) / 750 > 3500  # ten links a road
     assert peak_4x - peak < 128 * 750  # the model names, about 90 measured
-
-
-def test_writer_flushes_at_the_first_model_boundary_past_the_character_bound():
-    sink = io.StringIO()
-    w = _XmlWriter(sink)
-    w.line("x" * (_BATCH_CHARS - 1))
-    w.open_model("a")  # one character short of the bound: held
-    assert sink.getvalue() == ""
-    w.close("model")  # past the bound, but no model has opened since
-    assert sink.getvalue() == ""
-    w.open_model("b")
-    assert sink.getvalue() == "x" * (_BATCH_CHARS - 1) + '\n<model name="a">\n</model>\n'
-    w.close("model")
-    w.flush()
-    assert sink.getvalue().endswith('</model>\n<model name="b">\n</model>\n')
 
 
 # hand-built world-model values that extraction and config loading never
