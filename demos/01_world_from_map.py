@@ -80,14 +80,15 @@ def main():
     for warning in result.warnings:
         print(f"  warning: {warning}")
 
-    report = validate_sdf(result.world.text)
-    print(f"validation violations: {len(report.violations)}")
-
     out = Path(__file__).parent / "out"
     out.mkdir(exist_ok=True)
     target = out / "block_world.sdf"
-    target.write_text(result.world.text, encoding="utf-8")
-    print(f"wrote {target} ({len(result.world.text)} bytes)")
+    with open(target, "w", encoding="utf-8") as sink:
+        result.write(sink)  # streamed to the file, a model at a time
+    text = target.read_text(encoding="utf-8")
+    report = validate_sdf(text)
+    print(f"validation violations: {len(report.violations)}")
+    print(f"wrote {target} ({len(text)} bytes)")
     print("load it with:  gazebo demos/out/block_world.sdf")
 
 

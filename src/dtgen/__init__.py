@@ -11,22 +11,21 @@ Typical flow::
 
     config = load_config(config_json)
     result = generate_world(config, osm_xml)
-    assert not result.world.violations  # the writer's verdict, no re-parse
-
     with open("world.sdf", "w", encoding="utf-8") as out:
-        faults = result.write(out)  # the same bytes, streamed
+        faults = result.write(out)  # 0 exactly when validate_sdf finds nothing
+    if faults:
+        with open("world.sdf", encoding="utf-8") as written:
+            violations = validate_sdf(written.read()).violations
+
+The top level holds what the CLI, the demos and the README use, by task:
+generate, validate, gap, fetch, and the exception classes. Everything else
+lives in its submodule (``dtgen.osm``, ``dtgen.world_model``, ...).
 """
 
-from .config import (
-    GenerationConfig,
-    GeoSpawn,
-    LocalSpawn,
-    VehicleKind,
-    VehicleSpec,
-    load_config,
-    resolve_spawn,
-    serialize_config,
-)
+import importlib
+import warnings
+
+from .config import VehicleKind, VehicleSpec, load_config
 from .errors import (
     ConfigError,
     ConfigParseError,
@@ -39,110 +38,72 @@ from .errors import (
     ResponseFormatError,
     TransportError,
 )
-from .geodesy import EARTH_RADIUS_M, GeoOrigin, LocalPoint, origin_of, project, unproject
-from .osm import (
-    BoundingBox,
-    OsmDocument,
-    OsmNode,
-    OsmWay,
-    fetch_overpass,
-    filter_bbox,
-    overpass_query,
-    parse_osm,
-)
+from .geodesy import EARTH_RADIUS_M, GeoOrigin, origin_of, project, unproject
+from .osm import BoundingBox, fetch_overpass, filter_bbox, overpass_query, parse_osm
 from .pipeline import GenerationResult, generate_world
 from .replay import (
     ControlSample,
-    GapReport,
-    Trajectory,
-    TrajectorySample,
     VehicleState,
     compute_gap,
-    derive_headings,
-    normalize_angle,
     parse_controls_csv,
     parse_trajectory_csv,
     shadow_follow,
     simulate_controls,
-    step_kinematic,
 )
-from .sdf import (
-    SdfWorld,
-    ValidationIssue,
-    ValidationReport,
-    emit_world,
-    validate_sdf,
-)
-from .world_model import (
-    DRIVABLE_HIGHWAY_VALUES,
-    Building,
-    ExtractionDefaults,
-    Road,
-    estimate_height,
-    extract_buildings,
-    extract_roads,
-)
+from .sdf import validate_sdf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
-    "Building",
-    "ConfigError",
-    "ConfigParseError",
-    "ConfigValidationError",
-    "ControlSample",
-    "DRIVABLE_HIGHWAY_VALUES",
-    "DtGenError",
-    "EARTH_RADIUS_M",
-    "EmitError",
-    "ExtractionDefaults",
-    "FetchError",
-    "GapReport",
-    "GenerationConfig",
-    "GenerationResult",
-    "GeoOrigin",
-    "GeoSpawn",
-    "LocalPoint",
-    "LocalSpawn",
-    "OsmDocument",
-    "OsmNode",
-    "OsmParseError",
-    "OsmWay",
-    "RemoteError",
-    "ResponseFormatError",
-    "Road",
-    "SdfWorld",
-    "Trajectory",
-    "TrajectorySample",
-    "TransportError",
-    "ValidationIssue",
-    "ValidationReport",
-    "VehicleKind",
-    "VehicleSpec",
-    "VehicleState",
-    "compute_gap",
-    "derive_headings",
-    "emit_world",
-    "estimate_height",
-    "extract_buildings",
-    "extract_roads",
-    "fetch_overpass",
-    "filter_bbox",
-    "generate_world",
-    "load_config",
-    "normalize_angle",
-    "origin_of",
-    "overpass_query",
-    "parse_controls_csv",
-    "parse_osm",
-    "parse_trajectory_csv",
-    "project",
-    "resolve_spawn",
-    "serialize_config",
-    "shadow_follow",
-    "simulate_controls",
-    "step_kinematic",
-    "unproject",
+    # generate
+    "BoundingBox", "EARTH_RADIUS_M", "GenerationResult", "GeoOrigin", "VehicleKind",
+    "VehicleSpec", "filter_bbox", "generate_world", "load_config", "origin_of",
+    "parse_osm", "project", "unproject",
+    # validate
     "validate_sdf",
+    # gap
+    "ControlSample", "VehicleState", "compute_gap", "parse_controls_csv",
+    "parse_trajectory_csv", "shadow_follow", "simulate_controls",
+    # fetch
+    "fetch_overpass", "overpass_query",
+    # errors
+    "ConfigError", "ConfigParseError", "ConfigValidationError", "DtGenError", "EmitError",
+    "FetchError", "OsmParseError", "RemoteError", "ResponseFormatError", "TransportError",
 ]
+
+# Names that left the top level: each stays importable from here for one
+# release, with a DeprecationWarning that names its submodule.
+_MOVED = {
+    **dict.fromkeys(("GenerationConfig", "GeoSpawn", "LocalSpawn", "resolve_spawn"), "config"),
+    "LocalPoint": "geodesy",
+    **dict.fromkeys(("OsmDocument", "OsmNode", "OsmWay"), "osm"),
+    **dict.fromkeys(
+        ("GapReport", "Trajectory", "TrajectorySample", "derive_headings", "normalize_angle",
+         "step_kinematic"),
+        "replay",
+    ),
+    **dict.fromkeys(("SdfWorld", "ValidationIssue", "ValidationReport", "emit_world"), "sdf"),
+    **dict.fromkeys(
+        ("DRIVABLE_HIGHWAY_VALUES", "Building", "ExtractionDefaults", "Road", "estimate_height",
+         "extract_buildings", "extract_roads"),
+        "world_model",
+    ),
+}
+
+
+def __getattr__(name):
+    """Resolve a moved name with a DeprecationWarning, then bind it here, so
+    ``from dtgen import OsmNode`` warns once. Any other unknown name raises
+    AttributeError, which lets ``from dtgen import cli`` import the
+    submodule."""
+    module = _MOVED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    warnings.warn(
+        f"dtgen.{name} is deprecated; import it from dtgen.{module}",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -179,55 +179,12 @@ def load_config(text: str) -> GenerationConfig:
     )
 
 
-def serialize_config(config: GenerationConfig) -> str:
-    """Serialize a config to JSON; ``load_config`` round-trips it exactly."""
-    doc = {
-        "bbox": {
-            "min_lat": config.bbox.min_lat,
-            "min_lon": config.bbox.min_lon,
-            "max_lat": config.bbox.max_lat,
-            "max_lon": config.bbox.max_lon,
-        },
-        "defaults": {
-            "default_building_height": config.defaults.default_building_height,
-            "meters_per_level": config.defaults.meters_per_level,
-            "road_width": config.defaults.road_width,
-            "road_thickness": config.defaults.road_thickness,
-        },
-        "sdf_version": config.sdf_version,
-        "vehicles": [_vehicle_doc(v) for v in config.vehicles],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def resolve_spawn(spawn: Spawn, origin: GeoOrigin) -> tuple[float, float, float]:
     """Spawn pose as local (x, y, yaw); geodetic spawns are projected."""
     if isinstance(spawn, GeoSpawn):
         point = project(origin, spawn.lat, spawn.lon)
         return point.x, point.y, spawn.yaw
     return spawn.x, spawn.y, spawn.yaw
-
-
-def _vehicle_doc(spec: VehicleSpec) -> dict:
-    if isinstance(spec.spawn, GeoSpawn):
-        spawn = {"lat": spec.spawn.lat, "lon": spec.spawn.lon, "yaw": spec.spawn.yaw}
-    else:
-        spawn = {"x": spec.spawn.x, "y": spec.spawn.y, "yaw": spec.spawn.yaw}
-    return {
-        "name": spec.name,
-        "kind": spec.kind.value,
-        "wheelbase": spec.wheelbase,
-        "track": spec.track,
-        "wheel_radius": spec.wheel_radius,
-        "max_steer_angle": spec.max_steer_angle,
-        "chassis": {
-            "length": spec.chassis_length,
-            "width": spec.chassis_width,
-            "height": spec.chassis_height,
-        },
-        "gps": spec.gps,
-        "spawn": spawn,
-    }
 
 
 def _reject_unknown(raw: dict, allowed: set[str], context: str) -> None:

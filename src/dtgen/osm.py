@@ -255,12 +255,15 @@ def overpass_query(bbox: BoundingBox, timeout: float = 25.0) -> str:
     """Build the Overpass QL query for all nodes and ways in ``bbox``.
 
     The bbox appears in Overpass order: south,west,north,east. The trailing
-    recursion pulls in nodes referenced by the selected ways.
+    recursion pulls in nodes referenced by the selected ways. ``timeout``
+    must be a finite positive number of seconds; anything else raises
+    ``ValueError``.
     """
+    if not 0 < timeout < math.inf:  # NaN fails both
+        raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
     box = f"{bbox.min_lat},{bbox.min_lon},{bbox.max_lat},{bbox.max_lon}"
-    ql_timeout = max(1, math.ceil(timeout))
     return (
-        f"[out:xml][timeout:{ql_timeout}];\n"
+        f"[out:xml][timeout:{math.ceil(timeout)}];\n"
         f"(node({box});way({box}););\n"
         "(._;>;);\n"
         "out body;\n"
@@ -271,7 +274,8 @@ def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = 25.0) -> s
     """POST an Overpass query and return the OSM XML response verbatim.
 
     The body is decoded with the charset named in the response's
-    Content-Type, UTF-8 when none is named.
+    Content-Type, UTF-8 when none is named. A ``timeout`` that is not a
+    finite positive number raises ``ValueError`` before any request.
     """
     query = overpass_query(bbox, timeout)
     try:

@@ -1,13 +1,15 @@
 """End-to-end world generation: map XML plus config in, assembled world out."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TextIO
 
 from .config import GenerationConfig, resolve_spawn
 from .geodesy import GeoOrigin, origin_of, project
 from .osm import filter_bbox, parse_osm
-from .sdf import SdfWorld, emit_world, write_world
+from .sdf import (
+    emit_world,  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.emit_world
+    write_world,
+)
 from .world_model import Building, Road, extract_buildings, extract_roads
 
 
@@ -15,10 +17,9 @@ from .world_model import Building, Road, extract_buildings, extract_roads
 class GenerationResult:
     """The extracted world model, ready to be written.
 
-    :meth:`write` streams the world to a text sink; ``world`` holds it in
-    memory, emitted on first access. Both run the same writer, so they give
-    the same bytes, and both raise :class:`EmitError` on duplicate model
-    names.
+    :meth:`write` is the one way to the world's bytes: pass an open file,
+    or an ``io.StringIO`` to keep the text in memory. It raises
+    :class:`EmitError` on duplicate model names.
     """
 
     buildings: tuple[Building, ...]
@@ -32,11 +33,6 @@ class GenerationResult:
         """Write the world to ``out``; returns the writer's fault count,
         zero exactly when ``validate_sdf`` would find no violation."""
         return write_world(out, self.buildings, self.roads, self.spawns, self.origin, self.config)
-
-    @cached_property
-    def world(self) -> SdfWorld:
-        """The world as one string, with the violations it has, if any."""
-        return emit_world(self.buildings, self.roads, self.spawns, self.origin, self.config)
 
 
 def generate_world(config: GenerationConfig, osm_xml: str) -> GenerationResult:

@@ -119,7 +119,7 @@ def extract_buildings(
         if points is None:
             continue
         ring = _collapse_ring(points)
-        if len(ring) < 3 or _count_distinct(ring) < 3:
+        if not _has_three_distinct(ring):
             warnings.append(f"building way {way_id} skipped: fewer than 3 distinct vertices")
             continue
         buildings.append(
@@ -195,9 +195,13 @@ def _collapse_ring(points: list[LocalPoint]) -> list[LocalPoint]:
     return out
 
 
-def _count_distinct(points: list[LocalPoint]) -> int:
+def _has_three_distinct(points: list[LocalPoint]) -> bool:
+    """Whether a greedy pass in order keeps 3 pairwise separated points;
+    it stops at the third, so it makes at most 2 comparisons per point."""
     distinct: list[LocalPoint] = []
     for p in points:
         if all(_separated(p, q) for q in distinct):
             distinct.append(p)
-    return len(distinct)
+            if len(distinct) == 3:
+                return True
+    return False

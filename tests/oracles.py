@@ -12,6 +12,7 @@ from dtgen.errors import OsmParseError
 from dtgen.osm import OsmDocument, OsmNode, OsmWay
 
 HEADING_GATE_M = 0.05
+MIN_VERTEX_SEPARATION_M = 1e-6
 
 
 def brute_force_headings(real_pts, gate=HEADING_GATE_M):
@@ -61,6 +62,16 @@ def brute_force_gap_metrics(real_pts, sim_pts, gate=HEADING_GATE_M):
         "lateral_rmse": math.sqrt(lat_sq / n),
         "longitudinal_rmse": math.sqrt(lon_sq / n),
     }
+
+
+def count_distinct(points, separation=MIN_VERTEX_SEPARATION_M):
+    """Greedy count, in order, of points farther than ``separation`` from
+    every point counted before them."""
+    distinct = []
+    for p in points:
+        if all(math.hypot(p.x - q.x, p.y - q.y) > separation for q in distinct):
+            distinct.append(p)
+    return len(distinct)
 
 
 def tree_parse_osm(xml_text):

@@ -2,8 +2,6 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dtgen.config import (
     GenerationConfig,
@@ -13,7 +11,6 @@ from dtgen.config import (
     VehicleSpec,
     load_config,
     resolve_spawn,
-    serialize_config,
 )
 from dtgen.errors import ConfigParseError, ConfigValidationError
 from dtgen.geodesy import GeoOrigin
@@ -182,47 +179,3 @@ class TestResolveSpawn:
         x, y, yaw = resolve_spawn(GeoSpawn(48.0, 8.0, 1.0), origin)
         assert (x, y) == (0.0, 0.0)
         assert yaw == 1.0
-
-
-_kinds = st.sampled_from(list(VehicleKind))
-_length = st.floats(min_value=0.1, max_value=3.9, allow_nan=False)
-_spawns = st.one_of(
-    st.builds(
-        LocalSpawn,
-        x=st.floats(-100, 100, allow_nan=False),
-        y=st.floats(-100, 100, allow_nan=False),
-        yaw=st.floats(-3, 3, allow_nan=False),
-    ),
-    st.builds(
-        GeoSpawn,
-        lat=st.floats(47.9, 48.2, allow_nan=False),
-        lon=st.floats(7.9, 8.2, allow_nan=False),
-        yaw=st.floats(-3, 3, allow_nan=False),
-    ),
-)
-_vehicles = st.builds(
-    VehicleSpec,
-    name=st.from_regex(r"[A-Za-z0-9_]{1,12}", fullmatch=True),
-    kind=_kinds,
-    wheelbase=_length,
-    track=_length,
-    wheel_radius=st.floats(0.05, 1.0, allow_nan=False),
-    max_steer_angle=st.floats(0.1, 1.5, allow_nan=False),
-    chassis_length=st.floats(4.0, 8.0, allow_nan=False),
-    gps=st.booleans(),
-    spawn=_spawns,
-)
-
-
-@given(
-    vehicles=st.lists(_vehicles, max_size=4, unique_by=lambda v: v.name),
-    version=st.sampled_from(["1.6", "1.7"]),
-)
-@settings(max_examples=50)
-def test_serialize_load_round_trip(vehicles, version):
-    config = GenerationConfig(
-        bbox=BoundingBox(48.0, 8.0, 48.1, 8.1),
-        vehicles=tuple(vehicles),
-        sdf_version=version,
-    )
-    assert load_config(serialize_config(config)) == config

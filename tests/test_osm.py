@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 from xml.sax.saxutils import quoteattr
@@ -494,6 +495,14 @@ class TestOverpass:
     def test_connection_refused_raises_transport_error(self):
         with pytest.raises(TransportError):
             fetch_overpass(self.BOX, "http://127.0.0.1:9/", timeout=0.5)
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, -1])
+    def test_bad_timeout_is_refused_before_any_request(self, stub_server, timeout):
+        with pytest.raises(ValueError, match="finite positive number of seconds"):
+            overpass_query(self.BOX, timeout)
+        with pytest.raises(ValueError, match="finite positive number of seconds"):
+            fetch_overpass(self.BOX, stub_server.url, timeout=timeout)
+        assert stub_server.state.requests == []
 
     def test_timeout_raises_transport_error(self, stub_server):
         stub_server.state.delay = 2.0

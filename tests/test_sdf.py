@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 import tracemalloc
@@ -51,6 +52,13 @@ def _square(way_id=7, height=10.0):
 def _emit(buildings=(), roads=(), vehicles=(), origin=ORIGIN, config=None):
     spawns = [resolve_spawn(v.spawn, origin) for v in vehicles]
     return emit_world(list(buildings), list(roads), spawns, origin, config or _config(vehicles))
+
+
+def _written(result):
+    """The world's bytes, as ``GenerationResult.write`` gives them."""
+    sink = io.StringIO()
+    result.write(sink)
+    return sink.getvalue()
 
 
 def _world_xml(buildings=(), roads=(), vehicles=()):
@@ -329,7 +337,7 @@ class TestEmitWorld:
         origin = origin_of(bbox)
         high = project(origin, bbox.max_lat, bbox.max_lon)
         assert end.y - high.y == pytest.approx(300.0, abs=0.1)
-        ground = _model(ET.fromstring(result.world.text), "ground_plane")
+        ground = _model(ET.fromstring(_written(result)), "ground_plane")
         for size in ground.findall("link/*/geometry/plane/size"):
             assert size.text == (
                 f"{fmt(2.0 * (high.x + GROUND_MARGIN_M))} {fmt(2.0 * (end.y + GROUND_MARGIN_M))}"
@@ -343,8 +351,8 @@ _END_TAG = re.compile(r"</([A-Za-z_][\w.-]*)>")
 @pytest.mark.parametrize("osm_name", ["track.osm", "mixed.osm"])
 def test_fixture_world_is_flat_with_one_element_per_line(osm_name):
     config = load_config((DATA_DIR / "config_kinds.json").read_text(encoding="utf-8"))
-    world = generate_world(config, (DATA_DIR / osm_name).read_text(encoding="utf-8")).world
-    lines = world.text.splitlines()
+    text = _written(generate_world(config, (DATA_DIR / osm_name).read_text(encoding="utf-8")))
+    lines = text.splitlines()
     assert lines[0].startswith("<?xml")
     for line in lines:
         assert line.startswith("<"), repr(line)
@@ -354,7 +362,7 @@ def test_fixture_world_is_flat_with_one_element_per_line(osm_name):
         if starts and ends:  # a leaf: its own closing tag ends the line
             assert ends == starts and line.endswith(f"</{starts[0]}>"), repr(line)
     # every element starts on a line of its own
-    elements = sum(1 for _ in ET.fromstring(world.text).iter())
+    elements = sum(1 for _ in ET.fromstring(text).iter())
     assert sum(len(_START_TAG.findall(line)) for line in lines) == elements
 
 
@@ -536,7 +544,7 @@ def test_generated_world_always_validates(height, levels, meters_per_level, defa
     config = GenerationConfig(bbox=BoundingBox(48.0, 8.0, 48.02, 8.03), defaults=defaults)
     result = generate_world(config, osm)
     assert len(result.buildings) == 1
-    assert validate_sdf(result.world.text).violations == ()
+    assert validate_sdf(_written(result)).violations == ()
 
 
 class TestWriterVerdict:

@@ -1,12 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import count_distinct
 
-from dtgen.geodesy import GeoOrigin, origin_of
+from dtgen import world_model
+from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of
 from dtgen.osm import BoundingBox, filter_bbox, parse_osm
 from dtgen.world_model import (
     DRIVABLE_HIGHWAY_VALUES,
     ExtractionDefaults,
+    _has_three_distinct,
     estimate_height,
     extract_buildings,
     extract_roads,
@@ -121,11 +126,63 @@ class TestExtractBuildings:
         assert buildings == []
         assert any("distinct" in w for w in warnings)
 
+    def test_long_ring_makes_linear_separation_checks(self, monkeypatch):
+        n = 20_000
+        nodes = "".join(
+            f'<node id="{i + 1}" lat="{48.0 + 9e-4 * math.sin(2 * math.pi * i / n):.9f}"'
+            f' lon="{8.0 + 1.3e-3 * math.cos(2 * math.pi * i / n):.9f}"/>'
+            for i in range(n)
+        )
+        refs = "".join(f'<nd ref="{i + 1}"/>' for i in [*range(n), 0])
+        doc = parse_osm(f'<osm>{nodes}<way id="9">{refs}<tag k="building" v="yes"/></way></osm>')
+        calls = 0
+        separated = world_model._separated
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return separated(a, b)
+
+        monkeypatch.setattr(world_model, "_separated", counted)
+        buildings, warnings = extract_buildings(doc, GeoOrigin(48.0, 8.0), DEFAULTS)
+        assert [len(b.footprint) for b in buildings] == [n]
+        assert warnings == []
+        assert calls <= 3 * n
+
     def test_output_sorted_by_way_id(self, data_dir):
         doc, origin = _load(data_dir, "mixed.osm")
         buildings, _ = extract_buildings(doc, origin, DEFAULTS)
         ids = [b.id for b in buildings]
         assert ids == sorted(ids)
+
+
+_coords = st.floats(-50.0, 50.0)
+_jitter = st.floats(-2e-6, 2e-6)  # straddles the 1e-6 m vertex separation
+
+
+@st.composite
+def _collinear_rings(draw):
+    x0, y0, dx, dy = (draw(_coords) for _ in range(4))
+    steps = draw(st.lists(st.floats(-2.0, 2.0), max_size=12))
+    return [LocalPoint(x0 + t * dx, y0 + t * dy) for t in steps]
+
+
+@st.composite
+def _near_duplicate_rings(draw):
+    bases = draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(bases), max_size=12))
+    return [LocalPoint(x + draw(_jitter), y + draw(_jitter)) for x, y in picks]
+
+
+@given(
+    st.one_of(
+        st.lists(st.builds(LocalPoint, _coords, _coords), max_size=12),
+        _collinear_rings(),
+        _near_duplicate_rings(),
+    )
+)
+def test_three_distinct_predicate_matches_the_full_count(ring):
+    assert _has_three_distinct(ring) == (count_distinct(ring) >= 3)
 
 
 class TestExtractRoads:
