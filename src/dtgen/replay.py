@@ -404,11 +404,14 @@ def parse_controls_csv(text: str) -> list[ControlSample]:
 
 def _read_csv(text: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The stripped header and the data rows of a CSV text, blank lines
-    skipped; each row comes with its physical line number."""
+    skipped; each row comes with its physical line number. A text with no
+    header, or with a header and no data rows, is a ``ValueError``."""
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{kind} CSV is empty")
+    if len(rows) == 1:
+        raise ValueError(f"{kind} CSV has no data rows")
     return [h.strip() for h in rows[0][1]], rows[1:]
 
 

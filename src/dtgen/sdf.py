@@ -12,9 +12,11 @@ template string, each ``<geometry>`` once for both its collision and its
 visual. Every number goes through fixed-precision formatting, so identical
 inputs always produce byte-identical files.
 
-The writer checks what it writes: every pose, polyline and size it formats
-goes through the same per-element rules that ``validate_sdf`` applies, so
-the writer's fault count is its verdict and a world needs no re-parse.
+The writer checks what it writes: each number of a pose, a polyline height
+or a ``<size>`` is made a float once, checked by the same per-element rule
+that ``validate_sdf`` applies to the numbers it reads back, and formatted.
+``fmt`` keeps a finite number finite and a positive one positive, so the
+writer's fault count is its verdict and a world needs no re-parse.
 ``validate_sdf`` parses foreign files, and emitted ones whose writer counted
 a fault, and reports each violation at its location instead of raising.
 """
@@ -45,19 +47,13 @@ _HALF_PI = math.pi / 2
 
 def fmt(value: float) -> str:
     """9-significant-digit form; keeps emitted files byte-stable."""
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.9g}"
+    return f"{float(value) + 0.0:.9g}"  # adding 0.0 turns -0.0 into 0.0
 
 
 def fmt_deg(value: float) -> str:
     # 12 significant digits: geodetic degrees need ~1e-9 deg resolution,
     # which 9 digits cannot carry for two/three-digit latitudes.
-    v = float(value)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.12g}"
+    return f"{float(value) + 0.0:.12g}"
 
 
 @dataclass(frozen=True)
@@ -141,10 +137,11 @@ def write_world(
     models. Raises :class:`EmitError` on duplicate model names, possibly
     after part of the document has been written.
 
-    Every pose, polyline and ``<size>`` the writer formats goes through the
-    rule ``validate_sdf`` applies to it, so the result is zero exactly when
-    ``validate_sdf`` finds no violation in what was written. The
-    whole-document rules hold by construction:
+    The numbers of every pose, polyline height and ``<size>`` the writer
+    formats go through the rule that ``validate_sdf`` applies to the numbers
+    it reads back, so the result is zero exactly when ``validate_sdf`` finds
+    no violation in what was written. The whole-document rules hold by
+    construction:
 
     - one ``<sdf>``, whose version the config has matched against its
       dotted-decimal pattern;
@@ -161,7 +158,7 @@ def write_world(
     _write_ground_plane(w, origin, config, buildings, roads)
     w.write(
         '<light name="sun" type="directional">\n<cast_shadows>true</cast_shadows>\n'
-        f"<pose>{_checked_pose(w, 0, 0, 100, 0, 0, 0)}</pose>\n"
+        "<pose>0 0 100 0 0 0</pose>\n"
         "<diffuse>0.9 0.9 0.9 1</diffuse>\n<specular>0.2 0.2 0.2 1</specular>\n"
         "<direction>-0.5 0.1 -0.9</direction>\n</light>\n"
         "<spherical_coordinates>\n<surface_model>EARTH_WGS84</surface_model>\n"
@@ -217,7 +214,7 @@ def _write_ground_plane(
     ys = (abs(p.y) for p in _model_points(buildings, roads))
     width = 2.0 * (max(chain((-low.x, high.x), xs)) + GROUND_MARGIN_M)
     depth = 2.0 * (max(chain((-low.y, high.y), ys)) + GROUND_MARGIN_M)
-    plane = f"<normal>0 0 1</normal>\n<size>{_checked_size(w, width, depth)}</size>"
+    plane = f"<normal>0 0 1</normal>\n{_checked(w, 'size', width, depth)}"
     surfaces = _surfaces("plane", plane, _GROUND_MATERIAL)
     w.model(GROUND_PLANE_NAME, f'<static>true</static>\n<link name="link">\n{surfaces}</link>\n')
 
@@ -230,26 +227,21 @@ def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Itera
     )
 
 
-def _checked_pose(w: _Writer, *values: float) -> str:
-    """The text of a ``<pose>``, checked as ``validate_sdf`` checks it."""
-    text = " ".join(map(fmt, values))
-    w.faults += len(_pose_faults(text))
-    return text
-
-
-def _checked_size(w: _Writer, *values: float) -> str:
-    """The text of a ``<size>``, checked as ``validate_sdf`` checks it."""
-    text = " ".join(map(fmt, values))
-    w.faults += len(_size_faults(text))
-    return text
+def _checked(w: _Writer, tag: str, *values: float) -> str:
+    """A ``<pose>`` or ``<size>`` element of ``values``: each is made a float
+    once, checked by the rule ``validate_sdf`` applies to ``tag``, and
+    formatted."""
+    numbers = [float(v) for v in values]
+    w.faults += len(_RULES[tag](numbers))
+    return f"<{tag}>{' '.join(map(fmt, numbers))}</{tag}>"
 
 
 def _write_building(w: _Writer, building: Building) -> None:
     """One extruded-footprint model, named after the source way id."""
-    height = fmt(building.height)
+    height = float(building.height)
     w.faults += len(_polyline_faults(len(building.footprint), height))
     points = "".join(f"<point>{fmt(p.x)} {fmt(p.y)}</point>\n" for p in building.footprint)
-    polyline = _surfaces("polyline", f"{points}<height>{height}</height>", _BUILDING_MATERIAL)
+    polyline = _surfaces("polyline", f"{points}<height>{fmt(height)}</height>", _BUILDING_MATERIAL)
     body = f'<static>true</static>\n<link name="footprint">\n{polyline}</link>\n'
     w.model(f"building_{building.id}", body)
 
@@ -262,10 +254,10 @@ def _write_road(w: _Writer, road: Road, thickness: float) -> None:
     for i, (a, b) in enumerate(zip(road.centerline, road.centerline[1:])):
         dx = b.x - a.x
         dy = b.y - a.y
-        size = _checked_size(w, math.hypot(dx, dy), road.width, thickness)
-        pose = _checked_pose(w, (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, z, 0, 0, math.atan2(dy, dx))
-        box = _surfaces("box", f"<size>{size}</size>", _ROAD_MATERIAL)
-        links.append(f'<link name="segment_{i}">\n<pose>{pose}</pose>\n{box}</link>\n')
+        size = _checked(w, "size", math.hypot(dx, dy), road.width, thickness)
+        pose = _checked(w, "pose", (a.x + b.x) / 2, (a.y + b.y) / 2, z, 0, 0, math.atan2(dy, dx))
+        box = _surfaces("box", size, _ROAD_MATERIAL)
+        links.append(f'<link name="segment_{i}">\n{pose}\n{box}</link>\n')
     w.model(f"road_{road.id}", "<static>true</static>\n" + "".join(links))
 
 
@@ -304,16 +296,16 @@ def _write_vehicle(w: _Writer, v: VehicleSpec, pose: tuple[float, float, float])
     collide = v.kind is not VehicleKind.GHOST
     actuated = v.kind is VehicleKind.TWIN
     x, y, yaw = pose
-    head = f"<pose>{_checked_pose(w, x, y, 0, 0, 0, yaw)}</pose>\n"
+    head = _checked(w, "pose", x, y, 0, 0, 0, yaw) + "\n"
     if not actuated:
         # shadows and ghosts are pose-driven, never simulated bodies
         head += "<static>true</static>\n"
 
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
-    chassis_size = _checked_size(w, v.chassis_length, v.chassis_width, v.chassis_height)
+    chassis_size = _checked(w, "size", v.chassis_length, v.chassis_width, v.chassis_height)
     chassis = (
-        f'<link name="chassis">\n<pose>{_checked_pose(w, 0, 0, chassis_z, 0, 0, 0)}</pose>\n'
-        f'{_surfaces("box", f"<size>{chassis_size}</size>", collide=collide)}'
+        f'<link name="chassis">\n{_checked(w, "pose", 0, 0, chassis_z, 0, 0, 0)}\n'
+        f'{_surfaces("box", chassis_size, collide=collide)}'
         f"{_GPS if v.gps else ''}</link>\n"
     )
 
@@ -329,7 +321,7 @@ def _write_vehicle(w: _Writer, v: VehicleSpec, pose: tuple[float, float, float])
     wheel = _surfaces("cylinder", cylinder, collide=collide)
     links = "".join(
         f'<link name="{name}">\n'
-        f"<pose>{_checked_pose(w, wx, wy, v.wheel_radius, _HALF_PI, 0, 0)}</pose>\n{wheel}</link>\n"
+        f'{_checked(w, "pose", wx, wy, v.wheel_radius, _HALF_PI, 0, 0)}\n{wheel}</link>\n'
         for name, wx, wy in wheels
     )
     w.model(v.name, head + chassis + links + (_drive(v) if actuated else ""))
@@ -406,66 +398,53 @@ def _located(element: ET.Element, parents: dict[ET.Element, ET.Element]) -> str:
     return "/sdf" + "".join(reversed(steps))
 
 
-def _polyline_faults(points: int, height: str | None) -> list[str]:
-    """The rules for a polyline of ``points`` points and ``height`` text;
-    the writer and the validator both apply them."""
+def _polyline_faults(points: int, height: float) -> list[str]:
+    """The rules for a polyline of ``points`` points and ``height``; the
+    writer and the validator both apply them."""
     faults = []
     if points < 3:
         faults.append(f"polyline has {points} points, needs >= 3")
-    value = _parse_float(height)
-    if value is None or value <= 0:
+    if not 0 < height < math.inf:  # NaN fails both
         faults.append("non-positive polyline height")
     return faults
 
 
-def _pose_faults(text: str | None) -> list[str]:
-    """The rule for a pose's text; the writer and the validator both apply it.
-    One list and one ``all`` keep it cheap, as the writer runs it on every pose."""
-    try:
-        values = [float(p) for p in (text or "").split()]
-    except ValueError:
-        values = []
+def _pose_faults(values: Sequence[float]) -> list[str]:
+    """The rule for a pose's numbers; the writer and the validator both apply it."""
     if len(values) != 6 or not all(map(math.isfinite, values)):
         return ["pose must contain 6 finite numbers"]
     return []
 
 
-def _size_faults(text: str | None) -> list[str]:
-    """The rule for a ``<size>``'s text, of a plane or a box; the writer and
-    the validator both apply it."""
-    try:
-        values = [float(p) for p in (text or "").split()]
-    except ValueError:
-        values = []
+def _size_faults(values: Sequence[float]) -> list[str]:
+    """The rule for a ``<size>``'s numbers, of a plane or a box; the writer
+    and the validator both apply it."""
     if not values or not all(0 < v < math.inf for v in values):  # NaN fails both
         return ["size must contain finite positive numbers"]
     return []
 
 
-def _parse_float(raw: str | None) -> float | None:
-    if raw is None:
-        return None
+def _numbers(element: ET.Element | None) -> list[float]:
+    """The numbers in the text of ``element``: none if it is missing, or if
+    any part of its text is not a number."""
+    if element is None:
+        return []
     try:
-        value = float(raw)
+        return [float(p) for p in (element.text or "").split()]
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return []
 
 
 def _check_polyline(element: ET.Element) -> list[str]:
-    height = element.find("height")
-    return _polyline_faults(
-        len(element.findall("point")), height.text if height is not None else None
-    )
+    height = _numbers(element.find("height"))
+    points = len(element.findall("point"))
+    return _polyline_faults(points, height[0] if len(height) == 1 else math.nan)
 
 
-def _check_pose(element: ET.Element) -> list[str]:
-    return _pose_faults(element.text)
+def _check_numbers(element: ET.Element) -> list[str]:
+    return _RULES[element.tag](_numbers(element))
 
 
-def _check_size(element: ET.Element) -> list[str]:
-    return _size_faults(element.text)
-
-
-_CHECKS = {"polyline": _check_polyline, "pose": _check_pose, "size": _check_size}
-_SHAPES = ("box", "plane")  # the parents whose <size> _check_size applies to
+_RULES = {"pose": _pose_faults, "size": _size_faults}  # by tag, for the writer and the validator
+_CHECKS = {"polyline": _check_polyline, "pose": _check_numbers, "size": _check_numbers}
+_SHAPES = ("box", "plane")  # the parents whose <size> the size rule applies to

@@ -491,6 +491,32 @@ class TestGap:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        ("flag", "kind"),
+        [("--recorded", "trajectory"), ("--controls", "controls"), ("--sim", "trajectory")],
+    )
+    def test_header_only_csv_is_domain_failure(self, flag, kind, data_dir, tmp_path, capsys):
+        files = {
+            "--recorded": _write(tmp_path / "trace.csv", STRAIGHT_TRACE),
+            "--controls": _write(tmp_path / "controls.csv", MATCHING_CONTROLS),
+            "--sim": _write(tmp_path / "sim.csv", STRAIGHT_TRACE),
+        }
+        header = "t,speed,steer\n" if flag == "--controls" else "t,x,y\n"
+        files[flag] = _write(tmp_path / "header_only.csv", header)
+        source = ["--sim", files["--sim"]]
+        if flag == "--controls":
+            source = ["--controls", files["--controls"], "--vehicle", "ego"]
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            ["gap", "--recorded", files["--recorded"], *source,
+             "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dtgen: error: {kind} CSV has no data rows\n"
+
     def test_geodetic_recorded_trace(self, data_dir, tmp_path):
         # same straight line, expressed as lat/lon around the bbox center
         recorded = _write(

@@ -706,6 +706,17 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="controls CSV line 5:"):
             parse_controls_csv("t,speed,steer\n\n0,1,0\n\n1,x,0\n")
 
+    @pytest.mark.parametrize("text", ["t,x,y\n", "t,lat,lon,yaw\n\n\n", "\nt,x,y,yaw"])
+    def test_trajectory_header_without_rows_rejected(self, text):
+        with pytest.raises(ValueError, match="^trajectory CSV has no data rows$"):
+            parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0))
+
+    @pytest.mark.parametrize("text", ["t,speed,steer\n", "t,speed,steer\n\n", "t,speed,steer"])
+    def test_controls_header_without_rows_rejected(self, text):
+        # an empty control list used to reach the CLI, which indexed its first sample
+        with pytest.raises(ValueError, match="^controls CSV has no data rows$"):
+            parse_controls_csv(text)
+
 
 class TestTrajectoryInvariants:
     def test_strictly_increasing_required(self):

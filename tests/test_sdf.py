@@ -2,8 +2,10 @@ import hashlib
 import io
 import math
 import re
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -26,6 +28,10 @@ from dtgen.pipeline import generate_world
 from dtgen.sdf import (
     GROUND_MARGIN_M,
     ValidationIssue,
+    _numbers,
+    _polyline_faults,
+    _pose_faults,
+    _size_faults,
     emit_world,
     fmt,
     validate_sdf,
@@ -83,6 +89,38 @@ class TestFmt:
 
     def test_negative_zero_normalized(self):
         assert fmt(-0.0) == "0"
+
+
+# what the writer may be handed: floats of every kind, ints from config
+# JSON, and any other number that ``float`` accepts
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-(10**308), 10**308),
+    st.decimals(allow_nan=False),  # float() refuses a signaling NaN
+)
+
+
+@given(value=_NUMBERS)
+@example(value=5e-324)  # the smallest subnormal, printed as 4.94065646e-324
+@example(value=-0.0)
+@example(value=sys.float_info.max)  # rounds down at 9 digits, so stays finite
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=0)
+@example(value=7)
+@example(value=Decimal("1e400"))  # float() makes it inf
+@settings(max_examples=300, deadline=None)
+def test_fmt_keeps_each_rules_verdict(value):
+    # the writer applies each rule to float(value) and writes fmt(value);
+    # the validator applies it to the numbers it reads back from that text
+    written = float(value)
+    text = fmt(value)
+    assert fmt(written) == text
+    (read,) = _numbers(ET.fromstring(f"<size>{text}</size>"))
+    assert _size_faults([written]) == _size_faults([read])
+    assert _pose_faults([0.0] * 5 + [written]) == _pose_faults([0.0] * 5 + [read])
+    assert _polyline_faults(3, written) == _polyline_faults(3, read)
 
 
 class TestEmitBuilding:
