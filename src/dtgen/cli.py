@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import load_config
 from .errors import DtGenError, FetchError
 from .geodesy import origin_of
-from .osm import fetch_overpass
+from .osm import OVERPASS_TIMEOUT_S, fetch_overpass
 from .pipeline import GenerationResult, generate_world
 from .replay import (
     VehicleState,
@@ -59,40 +59,43 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="build an SDF world from a map and a config")
-    gen.add_argument("--config", required=True, help="generation config JSON")
-    source = gen.add_mutually_exclusive_group(required=True)
-    source.add_argument("--osm", help="OSM XML file to read")
-    source.add_argument("--fetch", action="store_true", help="download the map extract")
-    gen.add_argument(
+    # parent parsers: each option that several commands share is declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="generation config JSON")
+    overpass = argparse.ArgumentParser(add_help=False)
+    overpass.add_argument(
         "--endpoint",
         default=os.environ.get(ENDPOINT_ENV_VAR),
         help=f"Overpass interpreter URL (default: ${ENDPOINT_ENV_VAR})",
     )
-    gen.add_argument("--timeout", type=_seconds, default=25.0, help="network timeout, seconds")
+    overpass.add_argument(
+        "--timeout", type=_seconds, default=OVERPASS_TIMEOUT_S, help="network timeout, seconds"
+    )
+
+    gen = sub.add_parser(
+        "generate", parents=[config, overpass], help="build an SDF world from a map and a config"
+    )
+    source = gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--osm", help="OSM XML file to read")
+    source.add_argument("--fetch", action="store_true", help="download the map extract")
     gen.add_argument("--out", required=True, help="SDF output path")
 
     val = sub.add_parser("validate", help="check an SDF file for structural violations")
     val.add_argument("path", help="SDF file to check")
 
-    gap = sub.add_parser("gap", help="compare a recorded trace against a simulation")
+    gap = sub.add_parser(
+        "gap", parents=[config], help="compare a recorded trace against a simulation"
+    )
     gap.add_argument("--recorded", required=True, help="recorded trajectory CSV")
     source = gap.add_mutually_exclusive_group(required=True)
     source.add_argument("--controls", help="control CSV to replay through the vehicle model")
     source.add_argument("--sim", help="pre-simulated trajectory CSV")
-    gap.add_argument("--config", required=True, help="generation config JSON")
     gap.add_argument("--vehicle", help="vehicle name from the config (with --controls)")
     gap.add_argument("--out", required=True, help="gap report JSON output path")
 
-    fetch = sub.add_parser("fetch", help="download the map extract for the config bbox")
-    fetch.add_argument("--config", required=True, help="generation config JSON")
-    fetch.add_argument(
-        "--endpoint",
-        default=os.environ.get(ENDPOINT_ENV_VAR),
-        help=f"Overpass interpreter URL (default: ${ENDPOINT_ENV_VAR})",
+    fetch = sub.add_parser(
+        "fetch", parents=[config, overpass], help="download the map extract for the config bbox"
     )
-    fetch.add_argument("--timeout", type=_seconds, default=25.0, help="network timeout, seconds")
     fetch.add_argument("--out", required=True, help="OSM XML output path")
 
     return parser

@@ -8,12 +8,13 @@ default. All lengths are meters, all angles radians.
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import cache
 
 from .errors import ConfigParseError, ConfigValidationError
 from .geodesy import GeoOrigin, project
-from .osm import BoundingBox
+from .osm import BoundingBox, lat_lon_in_range
 from .world_model import ExtractionDefaults
 
 
@@ -48,6 +49,10 @@ class GeoSpawn:
 
     def __post_init__(self):
         _require_finite(self)
+        if not lat_lon_in_range(self.lat, self.lon):
+            raise ConfigValidationError(
+                f"GeoSpawn ({self.lat!r}, {self.lon!r}) lies outside [-90, 90] x [-180, 180]"
+            )
 
 
 @dataclass(frozen=True)
@@ -130,21 +135,16 @@ class GenerationConfig:
             raise ConfigValidationError(f"duplicate vehicle name {duplicates[0]!r}")
 
 
-_TOP_KEYS = {"bbox", "defaults", "vehicles", "sdf_version"}
-_BBOX_KEYS = {"min_lat", "min_lon", "max_lat", "max_lon"}
-_DEFAULTS_KEYS = {f.name for f in fields(ExtractionDefaults)}
-_VEHICLE_KEYS = {
-    "name",
-    "kind",
-    "wheelbase",
-    "track",
-    "wheel_radius",
-    "max_steer_angle",
-    "chassis",
-    "gps",
-    "spawn",
-}
-_CHASSIS_KEYS = {"length", "width", "height"}
+@cache
+def _keys(cls) -> tuple[list[str], list[str]]:
+    """The field names of the dataclass ``cls``, and those without a default."""
+    return [f.name for f in fields(cls)], [f.name for f in fields(cls) if f.default is MISSING]
+
+
+_VEHICLE_NUMBERS = [f.name for f in fields(VehicleSpec) if f.type is float]
+# the config folds a vehicle's chassis_* fields into one "chassis" object
+_CHASSIS_KEYS = [n.removeprefix("chassis_") for n in _VEHICLE_NUMBERS if n.startswith("chassis_")]
+_VEHICLE_KEYS = {n for n in _keys(VehicleSpec)[0] if not n.startswith("chassis_")} | {"chassis"}
 
 
 def load_config(text: str) -> GenerationConfig:
@@ -159,24 +159,20 @@ def load_config(text: str) -> GenerationConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigValidationError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    _reject_unknown(raw, _keys(GenerationConfig)[0], "config")
 
     if "bbox" not in raw:
         raise ConfigValidationError("config requires a 'bbox' object")
-    bbox = _load_bbox(raw["bbox"])
-    defaults = _load_defaults(raw.get("defaults", {}))
-
-    raw_vehicles = raw.get("vehicles", [])
-    if not isinstance(raw_vehicles, list):
-        raise ConfigValidationError("vehicles must be a list")
-    vehicles = tuple(_load_vehicle(v, i) for i, v in enumerate(raw_vehicles))
-
-    return GenerationConfig(
-        bbox=bbox,
-        defaults=defaults,
-        vehicles=vehicles,
-        sdf_version=raw.get("sdf_version", "1.6"),
-    )
+    kwargs = {"bbox": _load_numbers(BoundingBox, raw["bbox"], "bbox")}
+    if "defaults" in raw:
+        kwargs["defaults"] = _load_numbers(ExtractionDefaults, raw["defaults"], "defaults")
+    if "vehicles" in raw:
+        if not isinstance(raw["vehicles"], list):
+            raise ConfigValidationError("vehicles must be a list")
+        kwargs["vehicles"] = tuple(_load_vehicle(v, i) for i, v in enumerate(raw["vehicles"]))
+    if "sdf_version" in raw:
+        kwargs["sdf_version"] = raw["sdf_version"]
+    return GenerationConfig(**kwargs)
 
 
 def resolve_spawn(spawn: Spawn, origin: GeoOrigin) -> tuple[float, float, float]:
@@ -187,8 +183,8 @@ def resolve_spawn(spawn: Spawn, origin: GeoOrigin) -> tuple[float, float, float]
     return spawn.x, spawn.y, spawn.yaw
 
 
-def _reject_unknown(raw: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(raw) - allowed)
+def _reject_unknown(raw: dict, allowed, context: str) -> None:
+    unknown = sorted(set(raw).difference(allowed))
     if unknown:
         raise ConfigValidationError(f"unknown key {unknown[0]!r} in {context}")
 
@@ -201,33 +197,24 @@ def _number(raw, context: str) -> float:
     return float(raw)
 
 
-def _load_bbox(raw) -> BoundingBox:
+def _numbers(raw, names: list[str], required: list[str], context: str) -> dict[str, float]:
+    """The numbers in the JSON object ``raw``, checked in the order of ``names``."""
     if not isinstance(raw, dict):
-        raise ConfigValidationError("bbox must be an object")
-    _reject_unknown(raw, _BBOX_KEYS, "bbox")
-    missing = sorted(_BBOX_KEYS - set(raw))
+        raise ConfigValidationError(f"{context} must be an object")
+    _reject_unknown(raw, names, context)
+    missing = [key for key in required if key not in raw]
     if missing:
-        raise ConfigValidationError(f"bbox is missing key {missing[0]!r}")
-    try:
-        return BoundingBox(
-            min_lat=_number(raw["min_lat"], "bbox.min_lat"),
-            min_lon=_number(raw["min_lon"], "bbox.min_lon"),
-            max_lat=_number(raw["max_lat"], "bbox.max_lat"),
-            max_lon=_number(raw["max_lon"], "bbox.max_lon"),
-        )
-    except ValueError as exc:
-        raise ConfigValidationError(f"bbox: {exc}") from exc
+        raise ConfigValidationError(f"{context} is missing key {min(missing)!r}")
+    return {name: _number(raw[name], f"{context}.{name}") for name in names if name in raw}
 
 
-def _load_defaults(raw) -> ExtractionDefaults:
-    if not isinstance(raw, dict):
-        raise ConfigValidationError("defaults must be an object")
-    _reject_unknown(raw, _DEFAULTS_KEYS, "defaults")
-    kwargs = {key: _number(raw[key], f"defaults.{key}") for key in raw}
+def _load_numbers(cls, raw, context: str):
+    """The dataclass ``cls``, all of whose fields are numbers, read from ``raw``."""
+    kwargs = _numbers(raw, *_keys(cls), context)
     try:
-        return ExtractionDefaults(**kwargs)
-    except ValueError as exc:
-        raise ConfigValidationError(f"defaults: {exc}") from exc
+        return cls(**kwargs)
+    except (ValueError, ConfigValidationError) as exc:
+        raise ConfigValidationError(f"{context}: {exc}") from exc
 
 
 def _load_vehicle(raw, index: int) -> VehicleSpec:
@@ -235,12 +222,10 @@ def _load_vehicle(raw, index: int) -> VehicleSpec:
     if not isinstance(raw, dict):
         raise ConfigValidationError(f"{context} must be an object")
     _reject_unknown(raw, _VEHICLE_KEYS, context)
-    if "name" not in raw:
-        raise ConfigValidationError(f"{context} requires a 'name'")
-    if "kind" not in raw:
-        raise ConfigValidationError(f"{context} requires a 'kind'")
-    name = raw["name"]
-    if not isinstance(name, str):
+    for key in _keys(VehicleSpec)[1]:  # name and kind
+        if key not in raw:
+            raise ConfigValidationError(f"{context} requires a {key!r}")
+    if not isinstance(raw["name"], str):
         raise ConfigValidationError(f"{context}.name must be a string")
     try:
         kind = VehicleKind(raw["kind"])
@@ -249,18 +234,13 @@ def _load_vehicle(raw, index: int) -> VehicleSpec:
             f"{context}.kind must be one of twin, shadow, ghost; got {raw['kind']!r}"
         ) from None
 
-    kwargs = {"name": name, "kind": kind}
-    for key in ("wheelbase", "track", "wheel_radius", "max_steer_angle"):
+    kwargs = {"name": raw["name"], "kind": kind}
+    for key in _VEHICLE_NUMBERS:  # a chassis_* name is never a key here
         if key in raw:
             kwargs[key] = _number(raw[key], f"{context}.{key}")
     if "chassis" in raw:
-        chassis = raw["chassis"]
-        if not isinstance(chassis, dict):
-            raise ConfigValidationError(f"{context}.chassis must be an object")
-        _reject_unknown(chassis, _CHASSIS_KEYS, f"{context}.chassis")
-        for key in _CHASSIS_KEYS:
-            if key in chassis:
-                kwargs[f"chassis_{key}"] = _number(chassis[key], f"{context}.chassis.{key}")
+        chassis = _numbers(raw["chassis"], _CHASSIS_KEYS, [], f"{context}.chassis")
+        kwargs.update({f"chassis_{key}": value for key, value in chassis.items()})
     if "gps" in raw:
         if not isinstance(raw["gps"], bool):
             raise ConfigValidationError(f"{context}.gps must be true or false")
@@ -273,19 +253,9 @@ def _load_vehicle(raw, index: int) -> VehicleSpec:
 def _load_spawn(raw, context: str) -> Spawn:
     if not isinstance(raw, dict):
         raise ConfigValidationError(f"{context} must be an object")
-    keys = set(raw)
-    if keys <= {"lat", "lon", "yaw"} and {"lat", "lon"} <= keys:
-        return GeoSpawn(
-            lat=_number(raw["lat"], f"{context}.lat"),
-            lon=_number(raw["lon"], f"{context}.lon"),
-            yaw=_number(raw.get("yaw", 0.0), f"{context}.yaw"),
-        )
-    if keys <= {"x", "y", "yaw"} and {"x", "y"} <= keys:
-        return LocalSpawn(
-            x=_number(raw["x"], f"{context}.x"),
-            y=_number(raw["y"], f"{context}.y"),
-            yaw=_number(raw.get("yaw", 0.0), f"{context}.yaw"),
-        )
+    for cls in (GeoSpawn, LocalSpawn):
+        if set(_keys(cls)[1]) <= raw.keys() <= set(_keys(cls)[0]):
+            return _load_numbers(cls, raw, context)
     raise ConfigValidationError(
         f"{context} must contain either lat/lon or x/y, plus an optional yaw"
     )

@@ -20,6 +20,13 @@ from xml.parsers import expat
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
 _SLICE_CHARS = 1 << 16  # characters fed to the XML parser at a time
+OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
+
+
+def lat_lon_in_range(lat: float, lon: float) -> bool:
+    """Whether ``lat`` lies in [-90, 90] and ``lon`` in [-180, 180] degrees,
+    bounds included; NaN lies in neither."""
+    return -90 <= lat <= 90 and -180 <= lon <= 180
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +56,13 @@ class BoundingBox:
         values = (self.min_lat, self.min_lon, self.max_lat, self.max_lon)
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
             raise ValueError("bounding box coordinates must be finite numbers")
+        if not (
+            lat_lon_in_range(self.min_lat, self.min_lon)
+            and lat_lon_in_range(self.max_lat, self.max_lon)
+        ):
+            raise ValueError(
+                "bounding box latitudes must lie in [-90, 90] and longitudes in [-180, 180]"
+            )
         if not self.min_lat < self.max_lat:
             raise ValueError("bounding box requires min_lat < max_lat")
         if not self.min_lon < self.max_lon:
@@ -225,7 +239,7 @@ def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:
     except ValueError:
         warnings.append(f"node id={raw_id!r} skipped: unparseable id/lat/lon")
         return None
-    if not (math.isfinite(lat) and math.isfinite(lon) and -90 <= lat <= 90 and -180 <= lon <= 180):
+    if not lat_lon_in_range(lat, lon):
         warnings.append(f"node {node_id} skipped: coordinates ({raw_lat}, {raw_lon}) out of range")
         return None
     return OsmNode(id=node_id, lat=lat, lon=lon)
@@ -251,7 +265,7 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
     return OsmDocument(nodes=nodes, ways=kept_ways, warnings=list(doc.warnings))
 
 
-def overpass_query(bbox: BoundingBox, timeout: float = 25.0) -> str:
+def overpass_query(bbox: BoundingBox, timeout: float = OVERPASS_TIMEOUT_S) -> str:
     """Build the Overpass QL query for all nodes and ways in ``bbox``.
 
     The bbox appears in Overpass order: south,west,north,east. The trailing
@@ -270,7 +284,7 @@ def overpass_query(bbox: BoundingBox, timeout: float = 25.0) -> str:
     )
 
 
-def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = 25.0) -> str:
+def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_TIMEOUT_S) -> str:
     """POST an Overpass query and return the OSM XML response verbatim.
 
     The body is decoded with the charset named in the response's

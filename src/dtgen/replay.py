@@ -22,6 +22,7 @@ from functools import cached_property
 
 from .config import VehicleSpec
 from .geodesy import GeoOrigin, project
+from .osm import lat_lon_in_range
 
 HEADING_DISPLACEMENT_GATE_M = 0.05
 # A box is skipped only when its farthest corner is this far inside the gate.
@@ -354,7 +355,8 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
 
     Header ``t,lat,lon[,yaw]`` means geodetic samples, projected with
     ``origin``; header ``t,x,y[,yaw]`` means local meters. Every value must
-    be a finite number.
+    be a finite number, and a geodetic sample must lie in range (see
+    :func:`dtgen.osm.lat_lon_in_range`).
     """
     header, rows = _read_csv(text, "trajectory")
     if header in (["t", "lat", "lon"], ["t", "lat", "lon", "yaw"]):
@@ -380,6 +382,11 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
         t, a, b = values[:3]
         yaw = values[3] if has_yaw else None
         if geodetic:
+            if not lat_lon_in_range(a, b):
+                raise ValueError(
+                    f"trajectory CSV line {line_no}: coordinates ({a!r}, {b!r}) out of range; "
+                    "latitude must lie in [-90, 90] and longitude in [-180, 180]"
+                )
             point = project(origin, a, b)
             samples.append(TrajectorySample(t, point.x, point.y, yaw))
         else:

@@ -8,7 +8,7 @@ width. All geometry is projected into local metric coordinates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .geodesy import GeoOrigin, LocalPoint, project
 from .osm import OsmDocument
@@ -39,15 +39,10 @@ class ExtractionDefaults:
     road_thickness: float = 0.1
 
     def __post_init__(self):
-        for name in (
-            "default_building_height",
-            "meters_per_level",
-            "road_width",
-            "road_thickness",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,14 @@
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtgen.config import (
     GenerationConfig,
@@ -15,6 +22,7 @@ from dtgen.config import (
 from dtgen.errors import ConfigParseError, ConfigValidationError
 from dtgen.geodesy import GeoOrigin
 from dtgen.osm import BoundingBox
+from dtgen.world_model import ExtractionDefaults
 
 MINIMAL = '{"bbox": {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.1, "max_lon": 8.1}}'
 
@@ -36,6 +44,14 @@ class TestLoadConfig:
     def test_missing_bbox_rejected(self):
         with pytest.raises(ConfigValidationError, match="bbox"):
             load_config("{}")
+
+    def test_bbox_out_of_range_rejected(self):
+        doc = {"bbox": {"min_lat": -95, "min_lon": 0, "max_lat": 95, "max_lon": 1}}
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(json.dumps(doc))
+        assert str(exc.value) == (
+            "bbox: bounding box latitudes must lie in [-90, 90] and longitudes in [-180, 180]"
+        )
 
     def test_unknown_top_level_key_rejected(self):
         raw = json.loads(MINIMAL)
@@ -161,6 +177,25 @@ class TestSpawnInvariants:
         with pytest.raises(ConfigValidationError, match=f"GeoSpawn.{field} must be a finite"):
             GeoSpawn(**kwargs)
 
+    @pytest.mark.parametrize("lat, lon", [(95.0, 400.0), (90.5, 8.0), (48.0, -180.5), (-91.0, 8.0)])
+    def test_geo_spawn_rejects_coordinates_out_of_range(self, lat, lon):
+        with pytest.raises(ConfigValidationError) as exc:
+            GeoSpawn(lat, lon)
+        assert str(exc.value) == f"GeoSpawn ({lat!r}, {lon!r}) lies outside [-90, 90] x [-180, 180]"
+
+    @pytest.mark.parametrize("lat, lon", [(90.0, 180.0), (-90.0, -180.0), (90, -180), (-90, 180)])
+    def test_geo_spawn_range_bounds_are_inclusive(self, lat, lon):
+        assert GeoSpawn(lat, lon).lat == lat
+
+    def test_load_config_locates_a_spawn_out_of_range(self):
+        doc = json.loads(MINIMAL)
+        doc["vehicles"] = [{"name": "a", "kind": "twin", "spawn": {"lat": 95, "lon": 400}}]
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(json.dumps(doc))
+        assert str(exc.value) == (
+            "vehicles[0].spawn: GeoSpawn (95.0, 400.0) lies outside [-90, 90] x [-180, 180]"
+        )
+
     def test_load_config_keeps_its_own_message(self):
         doc = json.loads(MINIMAL)
         doc["vehicles"] = [{"name": "a", "kind": "twin", "spawn": {"x": 0.0, "y": math.inf}}]
@@ -179,3 +214,213 @@ class TestResolveSpawn:
         x, y, yaw = resolve_spawn(GeoSpawn(48.0, 8.0, 1.0), origin)
         assert (x, y) == (0.0, 0.0)
         assert yaw == 1.0
+
+
+# ------------------------------------------------ load_config's outcomes
+# Valid documents draw each optional key or leave it out; a faulty one is a
+# valid document with one edit, and must fail with that edit's own message.
+# The key lists below are written out on purpose: they state the config
+# format independently of the dataclasses that the loader reads it into.
+
+_NAMES = ("ego", "a", "car_2", "B9")
+_POSITIVE = st.one_of(st.floats(0.01, 100.0), st.integers(1, 50))
+
+
+@st.composite
+def _shuffled(draw, items: dict) -> dict:
+    """``items`` with its keys in a drawn order, as a JSON author may write them."""
+    return dict(draw(st.permutations(list(items.items()))))
+
+
+@st.composite
+def _optional(draw, choices: dict) -> dict:
+    """A drawn subset of ``choices``, each key kept with its drawn value."""
+    return {key: draw(value) for key, value in choices.items() if draw(st.booleans())}
+
+
+@st.composite
+def _spawns(draw) -> tuple[dict, GeoSpawn | LocalSpawn]:
+    geodetic = draw(st.booleans())
+    if geodetic:
+        doc = {"lat": draw(st.floats(-90.0, 90.0)), "lon": draw(st.floats(-180.0, 180.0))}
+    else:
+        doc = {"x": draw(st.floats(-1e6, 1e6)), "y": draw(st.floats(-1e6, 1e6))}
+    doc.update(draw(_optional({"yaw": st.floats(-7.0, 7.0)})))
+    return draw(_shuffled(doc)), (GeoSpawn if geodetic else LocalSpawn)(**doc)
+
+
+@st.composite
+def _vehicles(draw, name: str) -> tuple[dict, VehicleSpec]:
+    kind = draw(st.sampled_from([k.value for k in VehicleKind]))
+    numbers = draw(_optional({
+        "wheelbase": st.floats(1.0, 3.0),  # under any chassis length drawn below
+        "track": st.floats(0.5, 3.0),
+        "wheel_radius": st.floats(0.1, 1.0),
+        "max_steer_angle": st.floats(0.05, 1.5),
+    }))
+    doc = {"name": name, "kind": kind, **numbers}
+    expected = {"name": name, "kind": VehicleKind(kind), **numbers}
+    if draw(st.booleans()):
+        chassis = draw(_optional({
+            "length": st.floats(3.5, 6.0), "width": _POSITIVE, "height": _POSITIVE,
+        }))
+        doc["chassis"] = draw(_shuffled(chassis))
+        expected.update({f"chassis_{key}": value for key, value in chassis.items()})
+    if draw(st.booleans()):
+        doc["gps"] = expected["gps"] = draw(st.booleans())
+    if draw(st.booleans()):
+        doc["spawn"], expected["spawn"] = draw(_spawns())
+    return draw(_shuffled(doc)), VehicleSpec(**expected)
+
+
+@st.composite
+def _valid_configs(draw) -> tuple[dict, GenerationConfig]:
+    """A valid config document and the config it must load to: the drawn
+    values, and the dataclass defaults for every key left out."""
+    min_lat, min_lon = draw(st.floats(-90.0, 89.0)), draw(st.floats(-180.0, 179.0))
+    bbox = {
+        "min_lat": min_lat,
+        "min_lon": min_lon,
+        "max_lat": min_lat + draw(st.floats(0.001, 1.0)),
+        "max_lon": min_lon + draw(st.floats(0.001, 1.0)),
+    }
+    doc = {"bbox": draw(_shuffled(bbox))}
+    expected = {"bbox": BoundingBox(**bbox)}
+    if draw(st.booleans()):
+        defaults = draw(_optional({
+            "default_building_height": _POSITIVE,
+            "meters_per_level": _POSITIVE,
+            "road_width": _POSITIVE,
+            "road_thickness": _POSITIVE,
+        }))
+        doc["defaults"] = draw(_shuffled(defaults))
+        expected["defaults"] = ExtractionDefaults(**defaults)
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(_NAMES), max_size=3, unique=True))
+        pairs = [draw(_vehicles(name)) for name in names]
+        doc["vehicles"] = [vehicle for vehicle, _ in pairs]
+        expected["vehicles"] = tuple(spec for _, spec in pairs)
+    if draw(st.booleans()):
+        doc["sdf_version"] = expected["sdf_version"] = draw(st.sampled_from(["1.6", "1.7", "1.10"]))
+    return draw(_shuffled(doc)), GenerationConfig(**expected)
+
+
+_DELETE = object()
+
+
+def _number_faults(path: list, context: str):
+    for value in ("x", None, [1.0], {"v": 1.0}, True, False):
+        yield path, value, f"{context} must be a number, got {value!r}"
+    for value in (math.inf, -math.inf, math.nan):
+        yield path, value, f"{context} must be finite, got {value!r}"
+
+
+def _faults(doc: dict):
+    """Every one-edit fault of the valid document ``doc``, as (path, value,
+    message): the value goes at the path, or the key there is deleted when it
+    is ``_DELETE``; the message is the error the edited document must raise."""
+    yield [], [], "config root must be a JSON object"
+    yield ["extra"], 1, "unknown key 'extra' in config"
+    yield ["bbox"], _DELETE, "config requires a 'bbox' object"
+    yield ["bbox"], [], "bbox must be an object"
+    yield ["bbox", "extra"], 1.0, "unknown key 'extra' in bbox"
+    for key in ("min_lat", "min_lon", "max_lat", "max_lon"):
+        yield ["bbox", key], _DELETE, f"bbox is missing key {key!r}"
+        yield from _number_faults(["bbox", key], f"bbox.{key}")
+    yield ["defaults"], "x", "defaults must be an object"
+    yield ["defaults", "extra"], 1.0, "unknown key 'extra' in defaults"
+    for key in ("default_building_height", "meters_per_level", "road_width", "road_thickness"):
+        yield from _number_faults(["defaults", key], f"defaults.{key}")
+    yield ["vehicles"], {"name": "ego"}, "vehicles must be a list"
+    yield ["sdf_version"], 1.6, "sdf_version must be dotted decimal digits such as '1.6', got 1.6"
+    for i, vehicle in enumerate(doc.get("vehicles", [])):
+        path, context = ["vehicles", i], f"vehicles[{i}]"
+        yield path, "ego", f"{context} must be an object"
+        yield path + ["wheel_base"], 2.5, f"unknown key 'wheel_base' in {context}"
+        yield path + ["name"], _DELETE, f"{context} requires a 'name'"
+        yield path + ["kind"], _DELETE, f"{context} requires a 'kind'"
+        yield path + ["name"], 7, f"{context}.name must be a string"
+        for kind in ("phantom", "TWIN", 1):
+            yield (path + ["kind"], kind,
+                   f"{context}.kind must be one of twin, shadow, ghost; got {kind!r}")
+        for key in ("wheelbase", "track", "wheel_radius", "max_steer_angle"):
+            yield from _number_faults(path + [key], f"{context}.{key}")
+        yield path + ["chassis"], [4.5], f"{context}.chassis must be an object"
+        yield path + ["chassis", "depth"], 1.0, f"unknown key 'depth' in {context}.chassis"
+        for key in ("length", "width", "height"):
+            yield from _number_faults(path + ["chassis", key], f"{context}.chassis.{key}")
+        yield path + ["gps"], 1, f"{context}.gps must be true or false"
+        yield path + ["spawn"], "origin", f"{context}.spawn must be an object"
+        if "spawn" not in vehicle:
+            continue
+        either = f"{context}.spawn must contain either lat/lon or x/y, plus an optional yaw"
+        first, second = ("lat", "lon") if "lat" in vehicle["spawn"] else ("x", "y")
+        yield path + ["spawn", first], _DELETE, either
+        yield path + ["spawn", second], _DELETE, either
+        yield path + ["spawn", "x" if first == "lat" else "lat"], 1.0, either  # mixed keys
+        yield path + ["spawn", "z"], 1.0, either
+        for key in (first, second, "yaw"):
+            yield from _number_faults(path + ["spawn", key], f"{context}.spawn.{key}")
+
+
+def _edited(doc: dict, path: list, value):
+    """A deep copy of ``doc`` with ``value`` at ``path``; objects missing on
+    the way are made, and ``_DELETE`` removes the key."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key] if isinstance(parent, list) else parent.setdefault(key, {})
+    if value is _DELETE:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _faulty_configs(draw) -> tuple[str, str]:
+    doc, _ = draw(_valid_configs())
+    path, value, message = draw(st.sampled_from(list(_faults(doc))))
+    return json.dumps(_edited(doc, path, value)), message
+
+
+@given(case=_valid_configs())
+@settings(max_examples=200, deadline=None)
+def test_valid_config_loads_to_given_values_or_defaults(case):
+    doc, expected = case
+    assert load_config(json.dumps(doc)) == expected
+
+
+@given(case=_faulty_configs())
+@settings(max_examples=300, deadline=None)
+def test_config_with_one_fault_fails_with_its_message(case):
+    text, message = case
+    with pytest.raises(ConfigValidationError) as exc:
+        load_config(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chassis_error_names_the_first_field_under_any_hash_seed(seed):
+    # string hashing, and so the order of a set of key names, changes with
+    # PYTHONHASHSEED; which bad chassis value the error names must not
+    doc = json.loads(MINIMAL)
+    doc["vehicles"] = [
+        {"name": "ego", "kind": "twin", "chassis": {"length": "x", "width": "y", "height": "z"}}
+    ]
+    script = (
+        "import sys\n"
+        "from dtgen.config import load_config\n"
+        "try:\n"
+        "    load_config(sys.stdin.read())\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": str(seed),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], input=json.dumps(doc), env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "vehicles[0].chassis.length must be a number, got 'x'\n"

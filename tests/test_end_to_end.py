@@ -66,7 +66,9 @@ _COLUMN_VALUES = {
     "steer": st.floats(-1.6, 1.6),
 }
 _ODD_FIELDS = ("nan", "inf", "-inf", "1e999", "-1e999", "", "x", " 2 ", "1e308", "5e-324", "91")
-_ROW_DEFECTS = (None,) * 6 + ("short", "long", "odd", "repeat_t", "back_t")
+# past the latitude or longitude range, or just inside it
+_RANGE_FIELDS = ("91", "-90.000001", "180.000001", "-400", "1e308", "90", "-180")
+_ROW_DEFECTS = (None,) * 6 + ("short", "long", "odd", "range", "repeat_t", "back_t")
 
 
 @st.composite
@@ -91,6 +93,9 @@ def _csv_text(draw, headers: tuple[str, ...], starts: tuple[float, ...]) -> str:
             row.append("0")
         elif defect == "odd":
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif defect == "range":
+            # the lat or lon column, or the last one of a shorter header
+            row[min(draw(st.integers(1, 2)), len(row) - 1)] = draw(st.sampled_from(_RANGE_FIELDS))
         elif defect == "repeat_t":
             row[0] = repr(times[max(0, i - 1)])
         elif defect == "back_t":

@@ -17,6 +17,7 @@ from dtgen.osm import (
     OsmWay,
     fetch_overpass,
     filter_bbox,
+    lat_lon_in_range,
     overpass_query,
     parse_osm,
 )
@@ -131,6 +132,39 @@ class TestBoundingBox:
     def test_rejects_antimeridian_crossing(self):
         with pytest.raises(ValueError):
             BoundingBox(0.0, 179.0, 1.0, -179.0)
+
+    @pytest.mark.parametrize("corners", [
+        (-95.0, 0.0, 95.0, 1.0),
+        (0.0, 0.0, 90.5, 1.0),
+        (0.0, -180.5, 1.0, 1.0),
+        (0.0, 0.0, 1.0, 400.0),
+    ])
+    def test_rejects_coordinates_out_of_range(self, corners):
+        with pytest.raises(ValueError, match=r"latitudes must lie in \[-90, 90\] and longitudes"):
+            BoundingBox(*corners)
+
+    def test_range_bounds_are_inclusive(self):
+        assert BoundingBox(-90, -180, 90, 180).contains(90.0, -180.0)
+
+
+@pytest.mark.parametrize("lat, lon, inside", [
+    (0.0, 0.0, True),
+    (90.0, 180.0, True),
+    (-90.0, -180.0, True),
+    (90.0000001, 0.0, False),
+    (-90.0000001, 0.0, False),
+    (0.0, 180.0000001, False),
+    (0.0, -180.0000001, False),
+    (91.0, 8.0, False),
+    (95.0, 400.0, False),
+    (1e308, 0.0, False),
+    (math.nan, 0.0, False),
+    (0.0, math.nan, False),
+    (math.inf, 0.0, False),
+    (0.0, -math.inf, False),
+])
+def test_lat_lon_range(lat, lon, inside):
+    assert lat_lon_in_range(lat, lon) is inside
 
 
 def _doc(nodes, ways):

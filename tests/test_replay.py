@@ -706,6 +706,32 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="controls CSV line 5:"):
             parse_controls_csv("t,speed,steer\n\n0,1,0\n\n1,x,0\n")
 
+    def test_geodetic_rows_out_of_range_rejected_with_line(self):
+        # both rows used to project: 4,786 km and 29,192 km from the origin
+        with pytest.raises(ValueError) as exc:
+            parse_trajectory_csv("t,lat,lon\n0,91,8\n1,95,400\n", origin=GeoOrigin(48.01, 8.015))
+        assert str(exc.value) == (
+            "trajectory CSV line 2: coordinates (91.0, 8.0) out of range; "
+            "latitude must lie in [-90, 90] and longitude in [-180, 180]"
+        )
+
+    @pytest.mark.parametrize("lat, lon", [
+        ("1e308", "8"), ("-1e308", "8"), ("48", "180.000001"), ("-90.000001", "8"), ("48", "-400"),
+    ])
+    def test_geodetic_value_past_the_range_names_its_line(self, lat, lon):
+        # a latitude of 1e308 used to fail as "local coordinates must be finite"
+        text = f"t,lat,lon,yaw\n0,48,8,0\n\n1,{lat},{lon},0\n"
+        with pytest.raises(ValueError, match=r"^trajectory CSV line 4: coordinates \("):
+            parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0))
+
+    def test_geodetic_range_bounds_are_inclusive(self):
+        text = "t,lat,lon\n0,90,180\n1,-90,-180\n2,90,-180\n3,-90,180\n"
+        assert len(parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0)).samples) == 4
+
+    def test_local_rows_have_no_range(self):
+        traj = parse_trajectory_csv("t,x,y\n0,91,400\n1,-1e6,1e6\n")
+        assert traj.samples[0] == TrajectorySample(0.0, 91.0, 400.0)
+
     @pytest.mark.parametrize("text", ["t,x,y\n", "t,lat,lon,yaw\n\n\n", "\nt,x,y,yaw"])
     def test_trajectory_header_without_rows_rejected(self, text):
         with pytest.raises(ValueError, match="^trajectory CSV has no data rows$"):
