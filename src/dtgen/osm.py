@@ -105,6 +105,11 @@ def parse_osm(xml_text: str) -> OsmDocument:
     splits them, so a prefixed or namespaced element is never a plain
     ``node``, and an unbound prefix is an error. A lone surrogate, which
     UTF-8 cannot encode, is an error at its own line and column.
+
+    The document is held compactly. A ref to a node read before its way
+    is the very int that keys the node in ``nodes``, and equal tag keys
+    and values are one ``str``, so a city's worth of refs and tags costs
+    pointers, not objects.
     """
     nodes: dict[int, OsmNode] = {}
     ways: dict[int, OsmWay] = {}
@@ -113,6 +118,7 @@ def parse_osm(xml_text: str) -> OsmDocument:
     way_id: int | None = None  # of the root-level way being read, if its id is good
     refs: list[int] = []
     tags: dict[str, str] = {}
+    texts: dict[str, str] = {}  # one object per distinct tag key or value
 
     def start(tag: str, attrs: dict[str, str]) -> None:
         nonlocal depth, way_id, refs, tags
@@ -123,14 +129,17 @@ def parse_osm(xml_text: str) -> OsmDocument:
             if tag == "nd":
                 raw_ref = attrs.get("ref")
                 try:
-                    refs.append(int(raw_ref))
+                    ref = int(raw_ref)
                 except (TypeError, ValueError):
                     warnings.append(f"way {way_id}: ignoring <nd> with bad ref {raw_ref!r}")
+                    return
+                node = nodes.get(ref)
+                refs.append(ref if node is None else node.id)
             elif tag == "tag":
                 key = attrs.get("k")
                 value = attrs.get("v")
                 if key is not None and value is not None:
-                    tags[key] = value
+                    tags[texts.setdefault(key, key)] = texts.setdefault(value, value)
         elif depth == 2:
             if tag == "node":
                 node = _read_node(attrs, warnings)
@@ -250,18 +259,19 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
 
     Keeps every node inside the box (boundary inclusive), every way with at
     least one node inside, and all nodes referenced by a kept way. Ways are
-    kept whole, never clipped.
+    kept whole, never clipped. The nodes inside come first, in document
+    order, then the kept ways' nodes outside the box, in way order.
     """
-    inside = {nid for nid, n in doc.nodes.items() if bbox.contains(n.lat, n.lon)}
+    nodes = {nid: n for nid, n in doc.nodes.items() if bbox.contains(n.lat, n.lon)}
     kept_ways = {
         wid: way
         for wid, way in doc.ways.items()
-        if any(ref in inside for ref in way.node_refs)
+        if any(ref in nodes for ref in way.node_refs)
     }
-    keep_nodes = set(inside)
     for way in kept_ways.values():
-        keep_nodes.update(ref for ref in way.node_refs if ref in doc.nodes)
-    nodes = {nid: n for nid, n in doc.nodes.items() if nid in keep_nodes}
+        for ref in way.node_refs:
+            if ref not in nodes and (node := doc.nodes.get(ref)) is not None:
+                nodes[node.id] = node
     return OsmDocument(nodes=nodes, ways=kept_ways, warnings=list(doc.warnings))
 
 

@@ -102,6 +102,7 @@ def extract_buildings(
     """
     buildings: list[Building] = []
     warnings: list[str] = []
+    projected: dict[int, LocalPoint] = {}
     for way_id in sorted(doc.ways):
         way = doc.ways[way_id]
         value = way.tags.get("building")
@@ -110,7 +111,9 @@ def extract_buildings(
         if len(way.node_refs) < 2 or way.node_refs[0] != way.node_refs[-1]:
             warnings.append(f"building way {way_id} skipped: not closed")
             continue
-        points = _project_refs(way.node_refs[:-1], doc, origin, warnings, f"building way {way_id}")
+        points = _project_refs(
+            way.node_refs[:-1], doc, origin, projected, warnings, f"building way {way_id}"
+        )
         if points is None:
             continue
         ring = _collapse_ring(points)
@@ -138,11 +141,14 @@ def extract_roads(
     """
     roads: list[Road] = []
     warnings: list[str] = []
+    projected: dict[int, LocalPoint] = {}
     for way_id in sorted(doc.ways):
         way = doc.ways[way_id]
         if way.tags.get("highway") not in DRIVABLE_HIGHWAY_VALUES:
             continue
-        points = _project_refs(way.node_refs, doc, origin, warnings, f"road way {way_id}")
+        points = _project_refs(
+            way.node_refs, doc, origin, projected, warnings, f"road way {way_id}"
+        )
         if points is None:
             continue
         line = _collapse_polyline(points)
@@ -160,14 +166,19 @@ def extract_roads(
     return roads, warnings
 
 
-def _project_refs(refs, doc, origin, warnings, context) -> list[LocalPoint] | None:
+def _project_refs(refs, doc, origin, projected, warnings, context) -> list[LocalPoint] | None:
+    """The refs' points, each node projected once per extraction: ``projected``
+    memoizes ref -> point, so ways that share a node share its point."""
     points = []
     for ref in refs:
-        node = doc.nodes.get(ref)
-        if node is None:
-            warnings.append(f"{context} skipped: unresolved node ref {ref}")
-            return None
-        points.append(project(origin, node.lat, node.lon))
+        point = projected.get(ref)
+        if point is None:
+            node = doc.nodes.get(ref)
+            if node is None:
+                warnings.append(f"{context} skipped: unresolved node ref {ref}")
+                return None
+            point = projected[ref] = project(origin, node.lat, node.lon)
+        points.append(point)
     return points
 
 

@@ -146,3 +146,18 @@ def _tree_way(element, warnings):
         warnings.append(f"way {way_id} skipped: no node references")
         return None
     return OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
+
+
+def three_set_filter_bbox(doc, bbox):
+    """``filter_bbox`` as three id sets and a second pass over the nodes:
+    the nodes inside, the ways with a node inside, and every node those
+    ways reference."""
+    inside = {nid for nid, n in doc.nodes.items() if bbox.contains(n.lat, n.lon)}
+    kept_ways = {
+        wid: way for wid, way in doc.ways.items() if any(ref in inside for ref in way.node_refs)
+    }
+    keep_nodes = set(inside)
+    for way in kept_ways.values():
+        keep_nodes.update(ref for ref in way.node_refs if ref in doc.nodes)
+    nodes = {nid: n for nid, n in doc.nodes.items() if nid in keep_nodes}
+    return OsmDocument(nodes=nodes, ways=kept_ways, warnings=list(doc.warnings))

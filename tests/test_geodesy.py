@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dtgen.geodesy import EARTH_RADIUS_M, GeoOrigin, LocalPoint, origin_of, project, unproject
 from dtgen.osm import BoundingBox
+
+
+def degrees_apart(lon_a, lon_b):
+    """Angle between two meridians, in [0, 180] degrees: -180 and 180 are
+    one meridian."""
+    d = abs(lon_a - lon_b) % 360.0
+    return min(d, 360.0 - d)
 
 
 def haversine_m(lat1, lon1, lat2, lon2, radius=EARTH_RADIUS_M):
@@ -97,7 +104,57 @@ def test_unproject_inverts_project_everywhere(lat0, lon0, lat, lon):
     origin = GeoOrigin(lat0, lon0)
     lat2, lon2 = unproject(origin, project(origin, lat, lon))
     assert abs(lat2 - lat) < 1e-9
-    assert abs(lon2 - lon) < 1e-9
+    assert -180 <= lon2 <= 180
+    assert degrees_apart(lon2, lon) < 1e-9
+
+
+_near_seam = st.floats(175.0, 180.0, **_finite)
+
+
+@given(
+    lat0=st.floats(-60.0, 60.0, **_finite),
+    lon0=_near_seam,
+    lon=_near_seam,
+    lat=st.floats(-60.0, 60.0, **_finite),
+    east=st.booleans(),
+    across=st.booleans(),
+)
+def test_round_trip_across_the_antimeridian(lat0, lon0, lat, lon, east, across):
+    # origin and point within 5 degrees of the antimeridian, on the same
+    # side of it or on opposite sides
+    lon0 = lon0 if east else -lon0
+    lon = math.copysign(lon, -lon0 if across else lon0)
+    origin = GeoOrigin(lat0, lon0)
+    point = project(origin, lat, lon)
+    short = (lon - lon0 + 180.0) % 360.0 - 180.0  # the difference the short way round
+    expected_x = EARTH_RADIUS_M * math.radians(short) * math.cos(math.radians(lat0))
+    assert point.x == pytest.approx(expected_x, rel=1e-9, abs=1e-6)
+    lat2, lon2 = unproject(origin, point)
+    assert abs(lat2 - lat) < 1e-9
+    assert -180 <= lon2 <= 180
+    assert degrees_apart(lon2, lon) < 1e-9
+
+
+@given(
+    lat0=st.floats(-88.0, 88.0, **_finite),
+    lon0=st.floats(-180.0, 180.0, **_finite),
+    dlon=st.floats(-180.0, 180.0, **_finite),
+)
+def test_a_short_longitude_difference_keeps_its_bits(lat0, lon0, dlon):
+    # the wrap leaves every difference of at most 180 degrees as it was,
+    # so worlds away from the antimeridian keep their bytes
+    lon = lon0 + dlon
+    assume(abs(lon - lon0) <= 180.0)
+    x = EARTH_RADIUS_M * math.radians(lon - lon0) * math.cos(math.radians(lat0))
+    assert project(GeoOrigin(lat0, lon0), lat0, lon).x == x
+
+
+def test_point_just_across_the_antimeridian_lands_next_to_the_origin():
+    # 0.51 degrees east of the origin, the short way; it used to land
+    # 359.49 degrees west, 40,018 km away
+    origin = GeoOrigin(0.0, 179.5)
+    assert project(origin, 0.0, -179.99).x == pytest.approx(56_772.9, abs=0.1)
+    assert unproject(origin, LocalPoint(56_772.9, 0.0))[1] == pytest.approx(-179.99, abs=1e-5)
 
 
 def test_projection_is_affine_in_lat_lon():

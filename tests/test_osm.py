@@ -6,7 +6,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import tree_parse_osm
+from oracles import three_set_filter_bbox, tree_parse_osm
 
 from dtgen import osm
 from dtgen.errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
@@ -251,6 +251,43 @@ def test_filter_bbox_monotone(doc, grow):
     b = filter_bbox(doc, large)
     assert set(a.nodes) <= set(b.nodes)
     assert set(a.ways) <= set(b.ways)
+
+
+@st.composite
+def _boxes(draw):
+    lats = sorted(draw(st.lists(_coords, min_size=2, max_size=2, unique=True)))
+    lons = sorted(draw(st.lists(_coords, min_size=2, max_size=2, unique=True)))
+    return BoundingBox(lats[0], lons[0], lats[1], lons[1])
+
+
+@given(doc=_documents(), box=_boxes())
+@settings(max_examples=200)
+def test_filter_bbox_matches_the_three_set_filter(doc, box):
+    # the documents hold dangling refs, nodes outside the box and ways that
+    # cross its edge
+    got, want = filter_bbox(doc, box), three_set_filter_bbox(doc, box)
+    assert got.nodes == want.nodes
+    assert list(got.ways.items()) == list(want.ways.items())
+    assert got.warnings == want.warnings
+
+
+def test_parsed_refs_are_the_node_keys_and_equal_tags_one_object():
+    ids = [10**12 + i for i in range(4)]
+    nodes = "".join(f'<node id="{i}" lat="48.0" lon="8.{n}"/>' for n, i in enumerate(ids))
+    tags = '<tag k="building" v="yes"/><tag k="name" v="Hall A"/>'
+    ways = "".join(
+        f'<way id="{w}">' + "".join(f'<nd ref="{i}"/>' for i in refs) + tags + "</way>"
+        for w, refs in [(1, [*ids, ids[0]]), (2, ids[1:3])]
+    )
+    doc = parse_osm(f"<osm>{nodes}{ways}</osm>")
+    keys = {key: key for key in doc.nodes}
+    refs = [ref for way in doc.ways.values() for ref in way.node_refs]
+    assert len(refs) == 7
+    assert all(ref is keys[ref] for ref in refs)
+    first, second = (list(way.tags.items()) for way in doc.ways.values())
+    assert first == second
+    for (k1, v1), (k2, v2) in zip(first, second):
+        assert k1 is k2 and v1 is v2
 
 
 # attribute text that XML 1.0 can carry: no controls, surrogates or noncharacters

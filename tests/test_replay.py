@@ -728,6 +728,13 @@ class TestCsvParsing:
         text = "t,lat,lon\n0,90,180\n1,-90,-180\n2,90,-180\n3,-90,180\n"
         assert len(parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0)).samples) == 4
 
+    def test_geodetic_rows_across_the_antimeridian_stay_neighbours(self):
+        # the second row used to land 40,018 km west of the first
+        text = "t,lat,lon\n0,0,179.99\n1,0,-179.99\n"
+        first, second = parse_trajectory_csv(text, origin=GeoOrigin(0, 179.5)).samples
+        assert second.x - first.x == pytest.approx(2226.4, abs=0.1)
+        assert first.y == second.y == 0.0
+
     def test_local_rows_have_no_range(self):
         traj = parse_trajectory_csv("t,x,y\n0,91,400\n1,-1e6,1e6\n")
         assert traj.samples[0] == TrajectorySample(0.0, 91.0, 400.0)

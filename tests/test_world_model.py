@@ -230,6 +230,38 @@ class TestExtractRoads:
         assert roads == []
         assert any("shorter than 2" in w for w in warnings)
 
+    def test_road_grid_projects_each_node_once(self, monkeypatch):
+        # three east-west and three north-south roads meet at nine junctions
+        n = 3
+        grid = [[1000 + 10 * r + c for c in range(n)] for r in range(n)]
+        nodes = "".join(
+            f'<node id="{grid[r][c]}" lat="{48.0 + 1e-3 * r}" lon="{8.0 + 1e-3 * c}"/>'
+            for r in range(n) for c in range(n)
+        )
+        lines = grid + [list(column) for column in zip(*grid)]
+        ways = "".join(
+            f'<way id="{w + 1}">' + "".join(f'<nd ref="{ref}"/>' for ref in refs)
+            + '<tag k="highway" v="residential"/></way>'
+            for w, refs in enumerate(lines)
+        )
+        doc = parse_osm(f"<osm>{nodes}{ways}</osm>")
+        calls = []
+        project = world_model.project
+
+        def counted(origin, lat, lon):
+            calls.append((lat, lon))
+            return project(origin, lat, lon)
+
+        monkeypatch.setattr(world_model, "project", counted)
+        roads, warnings = extract_roads(doc, GeoOrigin(48.001, 8.001), DEFAULTS)
+        assert warnings == []
+        assert len(roads) == 2 * n
+        assert len(calls) == len(set(calls)) == n * n
+        centerlines = {road.id: road.centerline for road in roads}
+        for r in range(n):
+            for c in range(n):
+                assert centerlines[r + 1][c] is centerlines[n + c + 1][r]
+
     def test_extraction_deterministic(self, data_dir):
         doc, origin = _load(data_dir, "mixed.osm")
         first = extract_roads(doc, origin, DEFAULTS)
