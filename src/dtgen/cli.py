@@ -6,6 +6,7 @@ line on stdout is the gap summary.
 """
 
 import argparse
+import functools
 import math
 import os
 import stat
@@ -49,7 +50,12 @@ def _seconds(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: it holds no state of its own between parses, and the
+    ``--endpoint`` default is read from the environment when a command runs
+    (see :func:`_endpoint`)."""
     parser = argparse.ArgumentParser(
         prog="dtgen",
         description=(
@@ -64,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", required=True, help="generation config JSON")
     overpass = argparse.ArgumentParser(add_help=False)
     overpass.add_argument(
-        "--endpoint",
-        default=os.environ.get(ENDPOINT_ENV_VAR),
-        help=f"Overpass interpreter URL (default: ${ENDPOINT_ENV_VAR})",
+        "--endpoint", help=f"Overpass interpreter URL (default: ${ENDPOINT_ENV_VAR})"
     )
     overpass.add_argument(
         "--timeout", type=_seconds, default=OVERPASS_TIMEOUT_S, help="network timeout, seconds"
@@ -136,13 +140,20 @@ def _error(message: str) -> None:
     print(f"dtgen: error: {message}", file=sys.stderr)
 
 
+def _endpoint(args) -> str | None:
+    """``--endpoint`` as given, else ``$DTGEN_OVERPASS_ENDPOINT`` as it is
+    when the command runs."""
+    return os.environ.get(ENDPOINT_ENV_VAR) if args.endpoint is None else args.endpoint
+
+
 def _cmd_generate(args) -> int:
     config = load_config(Path(args.config).read_text(encoding="utf-8"))
     if args.fetch:
-        if not args.endpoint:
+        endpoint = _endpoint(args)
+        if not endpoint:
             _error(f"--fetch requires --endpoint or ${ENDPOINT_ENV_VAR}")
             return EXIT_USAGE
-        osm_xml = fetch_overpass(config.bbox, args.endpoint, args.timeout)
+        osm_xml = fetch_overpass(config.bbox, endpoint, args.timeout)
     else:
         osm_xml = Path(args.osm).read_text(encoding="utf-8")
 
@@ -234,12 +245,14 @@ def _cmd_gap(args) -> int:
         initial = VehicleState(start.x, start.y, start.yaw, 0.0)
         t_end = recorded.t_last if recorded.t_last > controls[-1].t else None
         sim = simulate_controls(initial, controls, spec, t_end=t_end)
+        del controls  # the simulated poses are all the comparison needs
         for warning in sim.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     else:
         sim = parse_trajectory_csv(Path(args.sim).read_text(encoding="utf-8"), origin=origin)
 
     report = compute_gap(recorded, sim)
+    del recorded, sim  # not needed while the report is formatted
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(
         f"rmse={report.rmse:.6f} max={report.max_dev:.6f} "
@@ -250,9 +263,10 @@ def _cmd_gap(args) -> int:
 
 def _cmd_fetch(args) -> int:
     config = load_config(Path(args.config).read_text(encoding="utf-8"))
-    if not args.endpoint:
+    endpoint = _endpoint(args)
+    if not endpoint:
         _error(f"fetch requires --endpoint or ${ENDPOINT_ENV_VAR}")
         return EXIT_USAGE
-    xml_text = fetch_overpass(config.bbox, args.endpoint, args.timeout)
+    xml_text = fetch_overpass(config.bbox, endpoint, args.timeout)
     Path(args.out).write_text(xml_text, encoding="utf-8")
     return EXIT_OK

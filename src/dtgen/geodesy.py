@@ -9,7 +9,7 @@ consistent with the generated geometry.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .osm import BoundingBox
 
@@ -21,6 +21,8 @@ MAX_ORIGIN_LAT_DEG = 89.0
 class GeoOrigin:
     lat0: float
     lon0: float
+    # cos(radians(lat0)), the east-west scale that every projection uses
+    cos_lat0: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.lat0) and math.isfinite(self.lon0)):
@@ -30,6 +32,7 @@ class GeoOrigin:
                 f"origin latitude {self.lat0} is too close to a pole; "
                 f"|lat| must stay below {MAX_ORIGIN_LAT_DEG} degrees"
             )
+        object.__setattr__(self, "cos_lat0", math.cos(math.radians(self.lat0)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +73,7 @@ def project(origin: GeoOrigin, lat: float, lon: float) -> LocalPoint:
     if not (math.isfinite(lat) and math.isfinite(lon)):
         raise ValueError("latitude and longitude must be finite")
     dlon = _wrapped(lon - origin.lon0)
-    x = EARTH_RADIUS_M * math.radians(dlon) * math.cos(math.radians(origin.lat0))
+    x = EARTH_RADIUS_M * math.radians(dlon) * origin.cos_lat0
     y = EARTH_RADIUS_M * math.radians(lat - origin.lat0)
     return LocalPoint(x, y)
 
@@ -81,7 +84,5 @@ def unproject(origin: GeoOrigin, point: LocalPoint) -> tuple[float, float]:
     rounding, and up to a whole turn at the antimeridian, where -180 and 180
     name one meridian."""
     lat = origin.lat0 + math.degrees(point.y / EARTH_RADIUS_M)
-    lon = origin.lon0 + math.degrees(
-        point.x / (EARTH_RADIUS_M * math.cos(math.radians(origin.lat0)))
-    )
+    lon = origin.lon0 + math.degrees(point.x / (EARTH_RADIUS_M * origin.cos_lat0))
     return lat, _wrapped(lon)

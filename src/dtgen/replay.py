@@ -14,11 +14,14 @@ side of the twin is to blame remains a human call.
 import bisect
 import csv
 import io
+import itertools
 import json
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .config import VehicleSpec
 from .geodesy import GeoOrigin, project
@@ -38,7 +41,7 @@ def normalize_angle(theta: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     x: float
     y: float
@@ -49,14 +52,14 @@ class VehicleState:
         object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlSample:
     t: float
     speed: float
     steer: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     t: float
     x: float
@@ -198,9 +201,33 @@ class GapReport:
         return {**vars(self), "per_sample": [[t, d] for t, d in self.per_sample]}
 
     def to_json(self) -> str:
-        # allow_nan=False: a NaN or inf metric must fail loudly, never
-        # become a bare NaN token that strict JSON readers reject
-        return json.dumps(self.as_dict(), indent=2, allow_nan=False) + "\n"
+        """The report as ``json.dumps(self.as_dict(), indent=2,
+        allow_nan=False)`` plus a newline, byte for byte.
+
+        ``json.dumps`` with an indent runs the pure-Python encoder, so it
+        formats only the scalar head; ``per_sample`` is written here with
+        ``float.__repr__``, as the encoder writes a float. A NaN or inf
+        anywhere raises ``ValueError``: it must fail loudly, never become a
+        bare NaN token that strict JSON readers reject.
+        """
+        scalars = {k: v for k, v in vars(self).items() if k != "per_sample"}
+        # the head without its closing "\n}"; per_sample is the last key
+        head = json.dumps(scalars, indent=2, allow_nan=False)[:-2]
+        if not self.per_sample:
+            return head + ',\n  "per_sample": []\n}\n'
+        pairs = ",".join(map(_json_pair, self.per_sample))
+        return "".join((head, ',\n  "per_sample": [', pairs, "\n  ]\n}\n"))
+
+
+def _json_pair(pair: tuple[float, float]) -> str:
+    """One ``per_sample`` entry as the indent-2 encoder writes it, with the
+    newline and indent that precede it."""
+    t, d = pair
+    if not (math.isfinite(t) and math.isfinite(d)):
+        # the encoder's message, naming the first value it refuses
+        bad = d if math.isfinite(t) else t
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return f"\n    [\n      {float.__repr__(t)},\n      {float.__repr__(d)}\n    ]"
 
 
 def step_kinematic(
@@ -240,8 +267,7 @@ def simulate_controls(
     """
     if not controls:
         raise ValueError("at least one control sample is required")
-    times = [c.t for c in controls]
-    if any(not b > a for a, b in zip(times, times[1:])):
+    if any(not b.t > a.t for a, b in itertools.pairwise(controls)):
         raise ValueError("control timestamps must be strictly increasing")
 
     warnings = [
@@ -251,16 +277,15 @@ def simulate_controls(
         if abs(c.steer) > spec.max_steer_angle
     ]
 
-    intervals = [
-        (controls[i], times[i], times[i + 1]) for i in range(len(controls) - 1)
-    ]
-    if t_end is not None and t_end > times[-1]:
-        intervals.append((controls[-1], times[-1], t_end))
+    # (control, end of its hold) for each pair of consecutive controls
+    holds = ((c, following.t) for c, following in itertools.pairwise(controls))
+    if t_end is not None and t_end > controls[-1].t:
+        holds = itertools.chain(holds, [(controls[-1], t_end)])
 
     state = initial
-    samples = [TrajectorySample(times[0], state.x, state.y, state.yaw)]
-    for control, t0, t1 in intervals:
-        state = step_kinematic(state, control, t1 - t0, spec)
+    samples = [TrajectorySample(controls[0].t, state.x, state.y, state.yaw)]
+    for control, t1 in holds:
+        state = step_kinematic(state, control, t1 - control.t, spec)
         samples.append(TrajectorySample(t1, state.x, state.y, state.yaw))
     return Trajectory(tuple(samples), warnings=tuple(warnings))
 
@@ -305,39 +330,64 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     """Deviation statistics between a recorded and a simulated trajectory.
 
     Comparison runs on the recorded timestamps inside the overlapping time
-    range, with the simulated trajectory resampled onto them. The lateral and
-    longitudinal components live in the recorded trajectory's heading frame
-    (heading from motion direction).
+    range, with the simulated positions resampled onto them by
+    :func:`shadow_follow`'s linear interpolation, bit for bit, in one
+    forward walk (the yaw it would also resample is not needed). The lateral
+    and longitudinal components live in the recorded trajectory's heading
+    frame (heading from motion direction).
     """
     t_lo = max(real.t_first, sim.t_first)
     t_hi = min(real.t_last, sim.t_last)
-    selected = [i for i, s in enumerate(real.samples) if t_lo <= s.t <= t_hi]
-    if len(selected) < 2:
+    # the recorded samples in [t_lo, t_hi]: a run, as the times increase
+    first = bisect.bisect_left(real.samples, t_lo, key=attrgetter("t"))
+    stop = bisect.bisect_right(real.samples, t_hi, key=attrgetter("t"))
+    if stop - first < 2:
         raise ValueError("trajectories overlap on fewer than 2 samples")
-    times = [real.samples[i].t for i in selected]
-    resampled = shadow_follow(sim, times)
+    # the times are sorted, so only the first can fall outside the simulated
+    # range, and only when that range is a single NaN timestamp
+    if not sim.t_first <= real.samples[first].t <= sim.t_last:
+        raise ValueError(
+            f"query time {real.samples[first].t} outside recorded range "
+            f"[{sim.t_first}, {sim.t_last}]"
+        )
 
     headings = derive_headings(real)
-    devs, lateral_sq, longitudinal_sq = [], [], []
-    for i, s in zip(selected, resampled.samples):
-        dx = s.x - real.samples[i].x
-        dy = s.y - real.samples[i].y
+    sim_samples = sim.samples
+    j = 0  # the first simulated sample at or after t, as bisect_left finds it
+    devs, lateral_sq, longitudinal_sq, per_sample = [], [], [], []
+    for i in range(first, stop):
+        r = real.samples[i]
+        t = r.t
+        while sim_samples[j].t < t:
+            j += 1
+        hi = sim_samples[j]
+        if hi.t == t:
+            x, y = hi.x, hi.y
+        else:
+            lo = sim_samples[j - 1]
+            frac = (t - lo.t) / (hi.t - lo.t)
+            x = lo.x + frac * (hi.x - lo.x)
+            y = lo.y + frac * (hi.y - lo.y)
+        dx = x - r.x
+        dy = y - r.y
         cos_h, sin_h = math.cos(headings[i]), math.sin(headings[i])
         lateral = -sin_h * dx + cos_h * dy
         longitudinal = cos_h * dx + sin_h * dy
-        devs.append(math.hypot(dx, dy))
+        dev = math.hypot(dx, dy)
+        devs.append(dev)
+        per_sample.append((float(t), dev))
         lateral_sq.append(lateral * lateral)
         longitudinal_sq.append(longitudinal * longitudinal)
 
     return GapReport(
-        n=len(selected),
+        n=len(devs),
         rmse=math.sqrt(_mean([d * d for d in devs])),
         max_dev=max(devs),
         mean_dev=_mean(devs),
         final_drift=devs[-1],
         lateral_rmse=math.sqrt(_mean(lateral_sq)),
         longitudinal_rmse=math.sqrt(_mean(longitudinal_sq)),
-        per_sample=tuple((float(t), d) for t, d in zip(times, devs)),
+        per_sample=tuple(per_sample),
     )
 
 
@@ -409,17 +459,21 @@ def parse_controls_csv(text: str) -> list[ControlSample]:
     return controls
 
 
-def _read_csv(text: str, kind: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The stripped header and the data rows of a CSV text, blank lines
-    skipped; each row comes with its physical line number. A text with no
-    header, or with a header and no data rows, is a ``ValueError``."""
+def _read_csv(text: str, kind: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of a CSV text and an iterator over its data rows,
+    blank lines skipped; each row comes with its physical line number. The
+    rows are read as the iterator is consumed, so they are never all held at
+    once. A text with no header, or with a header and no data rows, is a
+    ``ValueError``."""
     reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
+    rows = ((reader.line_num, row) for row in reader if row)
+    header = next(rows, None)
+    if header is None:
         raise ValueError(f"{kind} CSV is empty")
-    if len(rows) == 1:
+    first = next(rows, None)
+    if first is None:
         raise ValueError(f"{kind} CSV has no data rows")
-    return [h.strip() for h in rows[0][1]], rows[1:]
+    return [h.strip() for h in header[1]], itertools.chain((first,), rows)
 
 
 def _parse_numbers(row: list[str], kind: str, line_no: int) -> list[float]:

@@ -1,15 +1,18 @@
 """Independent reference implementations used to check library results.
 
 These deliberately avoid numpy and any dtgen internals: plain loops and
-math, written straight from the documented rules, and whole-document
-parses where the library streams.
+math, written straight from the documented rules, whole-document parses
+where the library streams, and, where a faster path replaced a slower one,
+the slower one built from dtgen's public functions.
 """
 
+import json
 import math
 import xml.etree.ElementTree as ET
 
 from dtgen.errors import OsmParseError
 from dtgen.osm import OsmDocument, OsmNode, OsmWay
+from dtgen.replay import GapReport, derive_headings, shadow_follow
 
 HEADING_GATE_M = 0.05
 MIN_VERTEX_SEPARATION_M = 1e-6
@@ -161,3 +164,53 @@ def three_set_filter_bbox(doc, bbox):
         keep_nodes.update(ref for ref in way.node_refs if ref in doc.nodes)
     nodes = {nid: n for nid, n in doc.nodes.items() if nid in keep_nodes}
     return OsmDocument(nodes=nodes, ways=kept_ways, warnings=list(doc.warnings))
+
+
+def indent_encoder_gap_json(report):
+    """``GapReport.to_json`` as the whole report through ``json.dumps`` with
+    an indent, which runs the pure-Python encoder: the serializer the direct
+    ``per_sample`` formatter replaced."""
+    return json.dumps(report.as_dict(), indent=2, allow_nan=False) + "\n"
+
+
+def shadow_follow_compute_gap(real, sim):
+    """``compute_gap`` as the recorded samples in the overlap selected into a
+    list, the simulated trajectory resampled onto their times by the public
+    ``shadow_follow`` (yaw and all), then three lists of per-sample values:
+    the comparison the one-pass walk replaced."""
+    t_lo = max(real.t_first, sim.t_first)
+    t_hi = min(real.t_last, sim.t_last)
+    selected = [i for i, s in enumerate(real.samples) if t_lo <= s.t <= t_hi]
+    if len(selected) < 2:
+        raise ValueError("trajectories overlap on fewer than 2 samples")
+    times = [real.samples[i].t for i in selected]
+    resampled = shadow_follow(sim, times)
+
+    headings = derive_headings(real)
+    devs, lateral_sq, longitudinal_sq = [], [], []
+    for i, s in zip(selected, resampled.samples):
+        dx = s.x - real.samples[i].x
+        dy = s.y - real.samples[i].y
+        cos_h, sin_h = math.cos(headings[i]), math.sin(headings[i])
+        lateral = -sin_h * dx + cos_h * dy
+        longitudinal = cos_h * dx + sin_h * dy
+        devs.append(math.hypot(dx, dy))
+        lateral_sq.append(lateral * lateral)
+        longitudinal_sq.append(longitudinal * longitudinal)
+
+    def mean(values):
+        try:
+            return math.fsum(values) / len(values)
+        except OverflowError:
+            return math.inf
+
+    return GapReport(
+        n=len(selected),
+        rmse=math.sqrt(mean([d * d for d in devs])),
+        max_dev=max(devs),
+        mean_dev=mean(devs),
+        final_drift=devs[-1],
+        lateral_rmse=math.sqrt(mean(lateral_sq)),
+        longitudinal_rmse=math.sqrt(mean(longitudinal_sq)),
+        per_sample=tuple((float(t), d) for t, d in zip(times, devs)),
+    )

@@ -540,6 +540,24 @@ class TestGap:
         assert code == 0
         assert json.loads(out.read_text())["rmse"] == 0.0
 
+    def test_a_refused_report_leaves_an_existing_out_as_it_was(self, data_dir, tmp_path, capsys):
+        # squared deviations past the float range: rmse is inf, which JSON refuses
+        recorded = _write(tmp_path / "trace.csv", "t,x,y\n0,0,0\n1,1,0\n")
+        sim = _write(tmp_path / "sim.csv", "t,x,y\n0,1e154,0\n1,1.2e154,0\n")
+        out = tmp_path / "gap.json"
+        out.write_text("previous report\n", encoding="utf-8")
+        code = cli.main(
+            ["gap", "--recorded", recorded, "--sim", sim,
+             "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+        )
+        assert code == 1
+        assert out.read_text(encoding="utf-8") == "previous report\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "dtgen: error: Out of range float values are not JSON compliant: inf\n"
+        )
+
 
 class TestFetch:
     def test_writes_stub_response_verbatim(self, data_dir, tmp_path, stub_server):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -652,6 +654,119 @@ class TestComputeGap:
         report = GapReport(2, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, ((0.0, 0.0), (1.0, math.nan)))
         with pytest.raises(ValueError):
             report.to_json()
+
+
+# subnormals, signed zeros, the ends of the float range and integer-valued
+# floats, on top of hypothesis's own spread of finite floats
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     sys.float_info.max, 1e16, 1e-7, 0.1]),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+@st.composite
+def gap_reports(draw):
+    pair = st.tuples(_JSON_FLOATS, _JSON_FLOATS)
+    per_sample = draw(st.one_of(
+        st.just(()),
+        st.tuples(pair),
+        st.lists(pair, min_size=2, max_size=12).map(tuple),
+    ))
+    metrics = draw(st.lists(_JSON_FLOATS, min_size=6, max_size=6))
+    return GapReport(draw(st.integers(0, 10**9)), *metrics, per_sample)
+
+
+def _outcome(func, *args):
+    """What a call returns, as its repr, or the text of the ValueError it
+    raises; a repr tells -0.0 from 0.0, so equal outcomes are equal bits."""
+    try:
+        return repr(func(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestGapJson:
+    @given(gap_reports())
+    @settings(max_examples=400)
+    def test_matches_the_indent_encoder_byte_for_byte(self, report):
+        from oracles import indent_encoder_gap_json
+
+        assert report.to_json() == indent_encoder_gap_json(report)
+
+    @given(gap_reports(), st.data())
+    @settings(max_examples=300)
+    def test_a_non_finite_value_anywhere_is_refused_as_the_encoder_refuses_it(self, report, data):
+        from oracles import indent_encoder_gap_json
+
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        metrics = list(dataclasses.astuple(report)[1:7])
+        pairs = [list(p) for p in report.per_sample]
+        slot = data.draw(st.integers(0, len(metrics) + 2 * len(pairs) - 1))
+        if slot < len(metrics):
+            metrics[slot] = bad
+        else:
+            pairs[(slot - len(metrics)) // 2][slot % 2] = bad
+        report = GapReport(report.n, *metrics, tuple(tuple(p) for p in pairs))
+        with pytest.raises(ValueError) as refused:
+            report.to_json()
+        with pytest.raises(ValueError) as expected:
+            indent_encoder_gap_json(report)
+        assert str(refused.value) == str(expected.value)
+
+
+@st.composite
+def gap_pairs(draw):
+    """A recorded and a simulated trajectory on time grids that coincide,
+    interleave, start later or end earlier than each other, or barely meet;
+    either may carry yaw."""
+    pool = sorted(set(draw(st.lists(st.integers(-500, 500), min_size=1, max_size=30))))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-3, 7.25]))
+    times = [k * scale for k in pool]
+    grid = draw(st.sampled_from(["coincide", "interleave", "mixed"]))
+    if grid == "coincide":
+        real_times = sim_times = times
+    elif grid == "interleave":
+        real_times, sim_times = times[0::2], times[1::2]
+    else:
+        # each time goes to the recording, the simulation or both
+        sides = draw(st.lists(st.integers(0, 2), min_size=len(times), max_size=len(times)))
+        real_times = [t for t, side in zip(times, sides) if side != 1]
+        sim_times = [t for t, side in zip(times, sides) if side != 0]
+    assume(real_times and sim_times)
+    coord = st.one_of(st.floats(-1e3, 1e3), st.integers(-(10**6), 10**6).map(lambda k: k / 997))
+
+    def trajectory(ts):
+        yaw = st.floats(-4.0, 4.0) if draw(st.booleans()) else st.none()
+        return Trajectory(tuple(
+            TrajectorySample(t, draw(coord), draw(coord), draw(yaw)) for t in ts
+        ))
+
+    return trajectory(real_times), trajectory(sim_times)
+
+
+class TestOnePassCompare:
+    @given(gap_pairs())
+    @settings(max_examples=400)
+    def test_matches_the_shadow_follow_comparison_bit_for_bit(self, pair):
+        from oracles import shadow_follow_compute_gap
+
+        real, sim = pair
+        outcome = _outcome(compute_gap, real, sim)
+        if not sim.has_yaw:
+            # the comparison needs no headings of the simulated path
+            assert "motion_headings" not in vars(sim)
+        assert outcome == _outcome(shadow_follow_compute_gap, real, sim)
+
+    def test_a_one_sample_sim_at_a_nan_time_fails_as_before(self):
+        from oracles import shadow_follow_compute_gap
+
+        real = _traj([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 2.0, 0.0)])
+        sim = _traj([(math.nan, 0.0, 0.0)])
+        outcome = _outcome(compute_gap, real, sim)
+        assert outcome.startswith("ValueError: query time 0.0 outside recorded range")
+        assert outcome == _outcome(shadow_follow_compute_gap, real, sim)
 
 
 class TestCsvParsing:
