@@ -22,9 +22,6 @@ generate, validate, gap, fetch, and the exception classes. Everything else
 lives in its submodule (``dtgen.osm``, ``dtgen.world_model``, ...).
 """
 
-import importlib
-import warnings
-
 from .config import VehicleKind, VehicleSpec, load_config
 from .errors import (
     ConfigError,
@@ -52,7 +49,7 @@ from .replay import (
 )
 from .sdf import validate_sdf
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"  # pyproject.toml reads it from here
 
 __all__ = [
     # generate
@@ -70,40 +67,3 @@ __all__ = [
     "ConfigError", "ConfigParseError", "ConfigValidationError", "DtGenError", "EmitError",
     "FetchError", "OsmParseError", "RemoteError", "ResponseFormatError", "TransportError",
 ]
-
-# Names that left the top level: each stays importable from here for one
-# release, with a DeprecationWarning that names its submodule.
-_MOVED = {
-    **dict.fromkeys(("GenerationConfig", "GeoSpawn", "LocalSpawn", "resolve_spawn"), "config"),
-    "LocalPoint": "geodesy",
-    **dict.fromkeys(("OsmDocument", "OsmNode", "OsmWay"), "osm"),
-    **dict.fromkeys(
-        ("GapReport", "Trajectory", "TrajectorySample", "derive_headings", "normalize_angle",
-         "step_kinematic"),
-        "replay",
-    ),
-    **dict.fromkeys(("SdfWorld", "ValidationIssue", "ValidationReport", "emit_world"), "sdf"),
-    **dict.fromkeys(
-        ("DRIVABLE_HIGHWAY_VALUES", "Building", "ExtractionDefaults", "Road", "estimate_height",
-         "extract_buildings", "extract_roads"),
-        "world_model",
-    ),
-}
-
-
-def __getattr__(name):
-    """Resolve a moved name with a DeprecationWarning, then bind it here, so
-    ``from dtgen import OsmNode`` warns once. Any other unknown name raises
-    AttributeError, which lets ``from dtgen import cli`` import the
-    submodule."""
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"dtgen.{name} is deprecated; import it from dtgen.{module}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value

@@ -243,8 +243,7 @@ def _cmd_gap(args) -> int:
         # the replay starts from the recorded pose at the first control
         start = shadow_follow(recorded, [controls[0].t]).samples[0]
         initial = VehicleState(start.x, start.y, start.yaw, 0.0)
-        t_end = recorded.t_last if recorded.t_last > controls[-1].t else None
-        sim = simulate_controls(initial, controls, spec, t_end=t_end)
+        sim = simulate_controls(initial, controls, spec, t_end=recorded.t_last)
         del controls  # the simulated poses are all the comparison needs
         for warning in sim.warnings:
             print(f"warning: {warning}", file=sys.stderr)

@@ -19,7 +19,7 @@ from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
-_SLICE_CHARS = 1 << 16  # characters fed to the XML parser at a time
+_SLICE_CHARS = 1 << 14  # characters fed to the XML parser at a time
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
 
 
@@ -215,6 +215,8 @@ def parse_osm(xml_text: str) -> OsmDocument:
         parser.Parse("", True)
     except expat.ExpatError as exc:
         raise OsmParseError(_malformed(exc.lineno, exc.offset, str(exc)), exc.lineno, exc.offset) from exc
+    finally:
+        del parser  # refuse_entity closes over it: a cycle through the handlers
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 
 

@@ -197,12 +197,10 @@ class GapReport:
     longitudinal_rmse: float
     per_sample: tuple[tuple[float, float], ...]
 
-    def as_dict(self) -> dict:
-        return {**vars(self), "per_sample": [[t, d] for t, d in self.per_sample]}
-
     def to_json(self) -> str:
-        """The report as ``json.dumps(self.as_dict(), indent=2,
-        allow_nan=False)`` plus a newline, byte for byte.
+        """The report, with ``per_sample`` as a list of ``[t, deviation]``
+        pairs, as ``json.dumps(..., indent=2, allow_nan=False)`` plus a
+        newline would write it, byte for byte.
 
         ``json.dumps`` with an indent runs the pure-Python encoder, so it
         formats only the scalar head; ``per_sample`` is written here with
@@ -464,9 +462,19 @@ def _read_csv(text: str, kind: str) -> tuple[list[str], Iterator[tuple[int, list
     blank lines skipped; each row comes with its physical line number. The
     rows are read as the iterator is consumed, so they are never all held at
     once. A text with no header, or with a header and no data rows, is a
-    ``ValueError``."""
+    ``ValueError``, and so is a row the ``csv`` module refuses, such as a
+    field over its length limit, with the line it was refused at."""
     reader = csv.reader(io.StringIO(text))
-    rows = ((reader.line_num, row) for row in reader if row)
+
+    def numbered_rows() -> Iterator[tuple[int, list[str]]]:
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"{kind} CSV line {reader.line_num}: {exc}") from exc
+
+    rows = numbered_rows()
     header = next(rows, None)
     if header is None:
         raise ValueError(f"{kind} CSV is empty")

@@ -170,7 +170,8 @@ def indent_encoder_gap_json(report):
     """``GapReport.to_json`` as the whole report through ``json.dumps`` with
     an indent, which runs the pure-Python encoder: the serializer the direct
     ``per_sample`` formatter replaced."""
-    return json.dumps(report.as_dict(), indent=2, allow_nan=False) + "\n"
+    fields = {**vars(report), "per_sample": [[t, d] for t, d in report.per_sample]}
+    return json.dumps(fields, indent=2, allow_nan=False) + "\n"
 
 
 def shadow_follow_compute_gap(real, sim):

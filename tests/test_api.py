@@ -71,23 +71,32 @@ def test_readme_lists_the_whole_surface():
     assert listed == set(dtgen.__all__)
 
 
-@pytest.mark.parametrize("name, module", sorted(dtgen._MOVED.items()))
-def test_moved_name_warns_once_and_resolves_to_its_submodule(monkeypatch, name, module):
-    expected = getattr(importlib.import_module(f"dtgen.{module}"), name)
-    message = f"dtgen.{name} is deprecated; import it from dtgen.{module}"
-    # the shim binds a name after its first use; forget that, each way in turn
-    for access in ("getattr", "from-import"):
-        monkeypatch.delitem(vars(dtgen), name, raising=False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if access == "getattr":
-                value = getattr(dtgen, name)
-            else:
-                namespace = {}
-                exec(f"from dtgen import {name}", namespace)
-                value = namespace[name]
-        assert value is expected
-        assert [(w.category, str(w.message)) for w in caught] == [(DeprecationWarning, message)]
+# names the top level still served, with a DeprecationWarning, until 0.2.0
+_MOVED = {
+    "config": ("GenerationConfig", "GeoSpawn", "LocalSpawn", "resolve_spawn"),
+    "geodesy": ("LocalPoint",),
+    "osm": ("OsmDocument", "OsmNode", "OsmWay"),
+    "replay": (
+        "GapReport", "Trajectory", "TrajectorySample", "derive_headings", "normalize_angle",
+        "step_kinematic",
+    ),
+    "sdf": ("SdfWorld", "ValidationIssue", "ValidationReport", "emit_world"),
+    "world_model": (
+        "DRIVABLE_HIGHWAY_VALUES", "Building", "ExtractionDefaults", "Road", "estimate_height",
+        "extract_buildings", "extract_roads",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in _MOVED.items() for name in names]
+)
+def test_moved_name_imports_only_from_its_submodule(module, name):
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(dtgen, name)
+    with pytest.raises(ImportError, match=f"cannot import name '{name}' from 'dtgen'"):
+        exec(f"from dtgen import {name}", {})
+    assert hasattr(importlib.import_module(f"dtgen.{module}"), name)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -517,6 +517,22 @@ class TestGap:
         assert captured.out == ""
         assert captured.err == f"dtgen: error: {kind} CSV has no data rows\n"
 
+    def test_a_field_over_the_csv_limit_is_located(self, data_dir, tmp_path, capsys):
+        recorded = _write(tmp_path / "trace.csv", STRAIGHT_TRACE)
+        sim = _write(tmp_path / "sim.csv", f"t,x,y\n0,1,2\n1,{'9' * 140_000},3\n")
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            ["gap", "--recorded", recorded, "--sim", sim,
+             "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "dtgen: error: trajectory CSV line 3: field larger than field limit (131072)\n"
+        )
+
     def test_geodetic_recorded_trace(self, data_dir, tmp_path):
         # same straight line, expressed as lat/lon around the bbox center
         recorded = _write(

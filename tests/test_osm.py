@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from unittest import mock
@@ -508,8 +509,9 @@ def _city_map(blocks):
 
 def test_parse_peak_stays_near_the_document_it_returns():
     # the whole-tree reader peaks at about four times the document (19 MB
-    # over it here); the stream builds no tree and holds about one slice of
-    # text beyond it, 51 kB measured here (the last slice, at the peak)
+    # over it here); the stream builds no tree and holds a few times one
+    # slice of text beyond it, the slice and its copies on the way into
+    # expat: 48 kB measured here, with 16k-character slices
     text = _city_map(4000)
     assert len(text) > 10 * osm._SLICE_CHARS
     tracemalloc.start()
@@ -520,6 +522,21 @@ def test_parse_peak_stays_near_the_document_it_returns():
         tracemalloc.stop()
     assert len(doc.ways) == 4000
     assert peak - document < 100_000
+
+
+def test_parse_leaves_nothing_for_the_cycle_collector(data_dir):
+    # the parser and its handlers go with the call, not at a later
+    # collection, so a parse leaves only the document it returns
+    text = (data_dir / "track.osm").read_text(encoding="utf-8")
+    gc.collect()
+    gc.disable()
+    try:
+        doc = parse_osm(text)
+        assert doc.ways
+        del doc
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestOverpass:
