@@ -10,7 +10,8 @@ Typical flow::
     from dtgen import load_config, generate_world, validate_sdf
 
     config = load_config(config_json)
-    result = generate_world(config, osm_xml)
+    with open("map.osm", "rb") as osm:  # read in slices, never held whole
+        result = generate_world(config, osm)
     with open("world.sdf", "w", encoding="utf-8") as out:
         faults = result.write(out)  # 0 exactly when validate_sdf finds nothing
     if faults:

@@ -153,12 +153,12 @@ def _cmd_generate(args) -> int:
         if not endpoint:
             _error(f"--fetch requires --endpoint or ${ENDPOINT_ENV_VAR}")
             return EXIT_USAGE
-        osm_xml = fetch_overpass(config.bbox, endpoint, args.timeout)
+        result = generate_world(config, fetch_overpass(config.bbox, endpoint, args.timeout))
     else:
-        osm_xml = Path(args.osm).read_text(encoding="utf-8")
+        # read in slices by the parser, and closed before the world is written
+        with open(args.osm, "rb") as osm:
+            result = generate_world(config, osm)
 
-    result = generate_world(config, osm_xml)
-    del osm_xml  # not needed while the world is written
     violations = _write_world_file(Path(args.out), result)
     if violations:
         for violation in violations:

@@ -4,22 +4,25 @@ Only the elements needed for low-fidelity world generation are read:
 ``<node>`` and ``<way>`` (with ``<nd>``/``<tag>`` children) that are direct
 children of the root. Relations and anything else are skipped. Parsing never
 aborts on unknown content; defective nodes and ways are dropped and recorded
-on the document's warning list. The text is parsed as a stream, on expat's
-element callbacks: a node is read at its start tag and a way at its end tag,
-and no element tree is built, so the parse holds the returned document and
-little else, never a tree of a city-sized map.
+on the document's warning list. The map, a ``str`` or a file open in binary
+mode, is parsed as a stream, on expat's element callbacks: a node is read at
+its start tag and a way at its end tag, and no element tree is built, so the
+parse holds the returned document and little else, never a tree of a
+city-sized map.
 """
 
 import http.client
 import math
 import urllib.error
 import urllib.request
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import BinaryIO
 from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
-_SLICE_CHARS = 1 << 14  # characters fed to the XML parser at a time
+_SLICE_CHARS = 1 << 14  # characters of a str, or bytes of a file, fed to expat at a time
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
 
 
@@ -89,17 +92,22 @@ class OsmDocument:
     warnings: list[str] = field(default_factory=list, compare=False)
 
 
-def parse_osm(xml_text: str) -> OsmDocument:
-    """Parse OSM XML into an :class:`OsmDocument`.
+def parse_osm(xml_text: str | BinaryIO) -> OsmDocument:
+    """Parse OSM XML, a ``str`` or a file open in binary mode, into an
+    :class:`OsmDocument`.
 
     Nodes missing id/lat/lon or with out-of-range coordinates are skipped with
     a warning; a duplicate id keeps the first occurrence. Relations and
     unrecognized elements are ignored silently, and so is any ``node`` or
     ``way`` that is not a direct child of the root.
 
-    The text goes to expat ``_SLICE_CHARS`` characters at a time, as plain
-    string slices: wrapping it in a file object would copy it into a buffer
-    four times its size. The handlers keep the depth of the element they
+    The map goes to expat ``_SLICE_CHARS`` at a time: characters of a
+    ``str``, as plain string slices (wrapping it in a file object would copy
+    it into a buffer four times its size), or bytes read from the file, so
+    the whole document is never held. Both reach expat as UTF-8: a file is
+    not decoded in Python, its declared encoding is not followed, and bytes
+    that are not UTF-8 are an error at their line and column. The file is
+    read, not closed. The handlers keep the depth of the element they
     are given, the root at depth 1, so only the root's children and a way's
     own members are read. Names are split on namespaces as ElementTree
     splits them, so a prefixed or namespaced element is never a plain
@@ -198,26 +206,39 @@ def parse_osm(xml_text: str) -> OsmDocument:
         # set order, and it is the only external one
         refuse_entity(next(name for name in context.split("\f") if name in external))
 
-    parser = expat.ParserCreate(namespace_separator="}")
+    # pyexpat encodes every str it is given as UTF-8, so bytes read from a
+    # file are taken as UTF-8 too, whatever encoding the document declares
+    parser = expat.ParserCreate(encoding="utf-8", namespace_separator="}")
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.SkippedEntityHandler = skipped_entity
     parser.EntityDeclHandler = entity_declared
     parser.ExternalEntityRefHandler = external_entity
     try:
-        for i in range(0, len(xml_text), _SLICE_CHARS):
-            text = xml_text[i:i + _SLICE_CHARS]
+        offset = 0
+        for data in _slices(xml_text):
             try:
-                parser.Parse(text, False)
-            except UnicodeEncodeError as exc:
-                parser.Parse(text[:exc.start], False)  # so a fault before it comes first
-                raise _lone_surrogate(xml_text, i + exc.start) from None
-        parser.Parse("", True)
+                parser.Parse(data, False)
+            except UnicodeEncodeError as exc:  # only a str holds a surrogate
+                parser.Parse(data[:exc.start], False)  # so a fault before it comes first
+                raise _lone_surrogate(xml_text, offset + exc.start) from None
+            offset += len(data)
+        parser.Parse(b"", True)
     except expat.ExpatError as exc:
         raise OsmParseError(_malformed(exc.lineno, exc.offset, str(exc)), exc.lineno, exc.offset) from exc
     finally:
         del parser  # refuse_entity closes over it: a cycle through the handlers
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
+
+
+def _slices(source: str | BinaryIO) -> Iterator[str | bytes]:
+    """``source`` in slices of ``_SLICE_CHARS``, in order."""
+    if isinstance(source, str):
+        for i in range(0, len(source), _SLICE_CHARS):
+            yield source[i:i + _SLICE_CHARS]
+    else:
+        while data := source.read(_SLICE_CHARS):
+            yield data
 
 
 def _malformed(line: int, column: int, message: str) -> str:

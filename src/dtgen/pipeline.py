@@ -1,7 +1,7 @@
 """End-to-end world generation: map XML plus config in, assembled world out."""
 
 from dataclasses import dataclass
-from typing import TextIO
+from typing import BinaryIO, TextIO
 
 from .config import GenerationConfig, resolve_spawn
 from .geodesy import GeoOrigin, origin_of, project
@@ -35,11 +35,14 @@ class GenerationResult:
         return write_world(out, self.buildings, self.roads, self.spawns, self.origin, self.config)
 
 
-def generate_world(config: GenerationConfig, osm_xml: str) -> GenerationResult:
+def generate_world(config: GenerationConfig, osm_xml: str | BinaryIO) -> GenerationResult:
     """Parse, filter and extract in one pass; the result writes the world.
 
-    All defects along the way (bad map elements, skipped ways, spawns outside
-    the bounding box) are collected as warnings, never printed.
+    ``osm_xml`` is the map as a ``str`` or as a file open in binary mode,
+    which is read in slices and never held whole (see :func:`parse_osm`);
+    the caller closes the file. All defects along the way (bad map
+    elements, skipped ways, spawns outside the bounding box) are collected
+    as warnings, never printed.
     """
     doc = filter_bbox(parse_osm(osm_xml), config.bbox)
     origin = origin_of(config.bbox)

@@ -1,6 +1,9 @@
+import codecs
+import gc
 import json
 import os
 import stat
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -103,6 +106,67 @@ class TestGenerate:
             ]
         )
         assert code == 1
+
+    def test_a_map_that_is_not_utf8_is_a_located_parse_error(self, data_dir, tmp_path, capsys):
+        # the map is never decoded in Python: expat meets the byte where it lies
+        osm = tmp_path / "latin1.osm"
+        osm.write_bytes(
+            b"<?xml version='1.0'?>\n<osm version='0.6'>\n"
+            b" <way id='1'><tag k='name' v='Z\xfcrich'/></way>\n</osm>\n"
+        )
+        out = tmp_path / "w.sdf"
+        out.write_bytes(b"<sdf version='1.6'>an older world</sdf>\n")
+        code = cli.main(
+            ["generate", "--config", str(data_dir / "config_minimal.json"), "--osm", str(osm), "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "dtgen: error: malformed OSM XML at line 3, column 31: "
+            "not well-formed (invalid token): line 3, column 31\n"
+        )
+        assert out.read_bytes() == b"<sdf version='1.6'>an older world</sdf>\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.osm", "w.sdf"]  # no temporary file
+
+    def test_a_byte_order_mark_and_crlf_line_ends_give_the_same_world(self, data_dir, tmp_path):
+        lf = (data_dir / "track.osm").read_bytes()
+        assert b"\r" not in lf and not lf.startswith(codecs.BOM_UTF8)
+        crlf = tmp_path / "crlf.osm"
+        crlf.write_bytes(codecs.BOM_UTF8 + lf.replace(b"\n", b"\r\n"))
+        worlds = []
+        for osm in (data_dir / "track.osm", crlf):
+            out = tmp_path / f"{osm.stem}.sdf"
+            code = cli.main(
+                ["generate", "--config", str(data_dir / "config_track.json"), "--osm", str(osm), "--out", str(out)]
+            )
+            assert code == 0
+            worlds.append(out.read_bytes())
+        assert worlds[0] == worlds[1]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_the_map_is_closed_on_every_path(self, data_dir, tmp_path):
+        track = str(data_dir / "config_track.json")
+        bad = _write(tmp_path / "bad.osm", "<osm><node id='1'</osm>")
+        # the chassis pose z overflows, so the writer counts a fault
+        huge = _write(
+            tmp_path / "huge.json",
+            '{"bbox": {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.02, "max_lon": 8.03},'
+            ' "vehicles": [{"name": "ego", "kind": "twin", "wheel_radius": 1e308,'
+            ' "chassis": {"height": 1.7e308}}]}',
+        )
+        fifo = tmp_path / "fifo.sdf"
+        os.mkfifo(fifo)
+        runs = [
+            (track, str(data_dir / "track.osm"), tmp_path / "w.sdf", 0),  # success
+            (track, bad, tmp_path / "w.sdf", 1),  # parse error
+            (huge, str(data_dir / "track.osm"), tmp_path / "w.sdf", 1),  # writer fault
+            (track, str(data_dir / "track.osm"), fifo, 3),  # --out refused
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for config, osm, out, expected in runs:
+                assert cli.main(["generate", "--config", config, "--osm", osm, "--out", str(out)]) == expected
+                gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_byte_identical_across_runs(self, data_dir, tmp_path):
         outs = []
