@@ -8,6 +8,7 @@ that Gazebo Classic (or Gazebo / o3de) can load directly.
 Run:  python3 demos/01_world_from_map.py
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from dtgen import (
 
 # A toy block: two buildings (one with an explicit height, one with floor
 # levels) and a residential street, all within ~100 m of (48.01, 8.015).
-OSM_XML = """<?xml version="1.0" encoding="UTF-8"?>
+OSM_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
 <osm version="0.6">
   <node id="1" lat="48.0100" lon="8.0150"/>
   <node id="2" lat="48.0100" lon="8.0156"/>
@@ -66,11 +67,11 @@ def main():
     config = load_config(json.dumps(CONFIG))
 
     # the individual stages, for a look at the intermediate results
-    doc = filter_bbox(parse_osm(OSM_XML), config.bbox)
+    doc = filter_bbox(parse_osm(io.BytesIO(OSM_XML)), config.bbox)
     print(f"parsed + clipped: {len(doc.nodes)} nodes, {len(doc.ways)} ways")
 
     # ... or the whole pipeline in one call
-    result = generate_world(config, OSM_XML)
+    result = generate_world(config, io.BytesIO(OSM_XML))
     for building in result.buildings:
         print(f"  building_{building.id}: {len(building.footprint)} vertices, "
               f"height {building.height} m")

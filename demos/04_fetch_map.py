@@ -9,6 +9,7 @@ Without the endpoint variable the script prints the query it would send and
 exits; everything else in this package works offline from .osm files.
 """
 
+import io
 import os
 from pathlib import Path
 
@@ -27,17 +28,17 @@ def main():
         return
 
     try:
-        xml_text = fetch_overpass(BBOX, endpoint, timeout=30.0)
+        body = fetch_overpass(BBOX, endpoint, timeout=30.0)  # UTF-8 bytes
     except FetchError as exc:
         print(f"fetch failed: {exc}")
         return
 
-    doc = parse_osm(xml_text)
-    print(f"received {len(xml_text)} bytes: {len(doc.nodes)} nodes, {len(doc.ways)} ways")
+    doc = parse_osm(io.BytesIO(body))
+    print(f"received {len(body)} bytes: {len(doc.nodes)} nodes, {len(doc.ways)} ways")
     out = Path(__file__).parent / "out"
     out.mkdir(exist_ok=True)
     target = out / "prague_extract.osm"
-    target.write_text(xml_text, encoding="utf-8")
+    target.write_bytes(body)
     print(f"saved to {target}; feed it to 'dtgen generate --osm {target} ...'")
 
 

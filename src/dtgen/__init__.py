@@ -50,7 +50,7 @@ from .replay import (
 )
 from .sdf import validate_sdf
 
-__version__ = "0.2.0"  # pyproject.toml reads it from here
+__version__ = "0.3.0"  # pyproject.toml reads it from here
 
 __all__ = [
     # generate

@@ -7,6 +7,7 @@ line on stdout is the gap summary.
 
 import argparse
 import functools
+import io
 import math
 import os
 import stat
@@ -146,14 +147,27 @@ def _endpoint(args) -> str | None:
     return os.environ.get(ENDPOINT_ENV_VAR) if args.endpoint is None else args.endpoint
 
 
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``. A byte that is not UTF-8 is
+    a ``ValueError`` that names the file and the line the byte is on."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + exc.object.count(b"\n", 0, exc.start)
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason}, byte 0x{byte:02x})") from exc
+
+
 def _cmd_generate(args) -> int:
-    config = load_config(Path(args.config).read_text(encoding="utf-8"))
+    config = load_config(_read_text(args.config))
     if args.fetch:
         endpoint = _endpoint(args)
         if not endpoint:
             _error(f"--fetch requires --endpoint or ${ENDPOINT_ENV_VAR}")
             return EXIT_USAGE
-        result = generate_world(config, fetch_overpass(config.bbox, endpoint, args.timeout))
+        # parsed from the response's own bytes, which BytesIO shares
+        osm = io.BytesIO(fetch_overpass(config.bbox, endpoint, args.timeout))
+        result = generate_world(config, osm)
     else:
         # read in slices by the parser, and closed before the world is written
         with open(args.osm, "rb") as osm:
@@ -213,18 +227,16 @@ def _write_world_file(path: Path, result: GenerationResult) -> tuple[ValidationI
 
 
 def _cmd_validate(args) -> int:
-    report = validate_sdf(Path(args.path).read_text(encoding="utf-8"))
+    report = validate_sdf(_read_text(args.path))
     for violation in report.violations:
         print(f"{violation.location}: {violation.message}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def _cmd_gap(args) -> int:
-    config = load_config(Path(args.config).read_text(encoding="utf-8"))
+    config = load_config(_read_text(args.config))
     origin = origin_of(config.bbox)
-    recorded = parse_trajectory_csv(
-        Path(args.recorded).read_text(encoding="utf-8"), origin=origin
-    )
+    recorded = parse_trajectory_csv(_read_text(args.recorded), origin=origin)
 
     if args.controls:
         if not args.vehicle:
@@ -234,7 +246,7 @@ def _cmd_gap(args) -> int:
         if spec is None:
             _error(f"unknown vehicle name {args.vehicle!r}")
             return EXIT_USAGE
-        controls = parse_controls_csv(Path(args.controls).read_text(encoding="utf-8"))
+        controls = parse_controls_csv(_read_text(args.controls))
         if controls[0].t < recorded.t_first:
             raise ValueError(
                 f"control log starts at t={controls[0].t}, before the recorded "
@@ -248,7 +260,7 @@ def _cmd_gap(args) -> int:
         for warning in sim.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     else:
-        sim = parse_trajectory_csv(Path(args.sim).read_text(encoding="utf-8"), origin=origin)
+        sim = parse_trajectory_csv(_read_text(args.sim), origin=origin)
 
     report = compute_gap(recorded, sim)
     del recorded, sim  # not needed while the report is formatted
@@ -261,11 +273,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    config = load_config(Path(args.config).read_text(encoding="utf-8"))
+    config = load_config(_read_text(args.config))
     endpoint = _endpoint(args)
     if not endpoint:
         _error(f"fetch requires --endpoint or ${ENDPOINT_ENV_VAR}")
         return EXIT_USAGE
-    xml_text = fetch_overpass(config.bbox, endpoint, args.timeout)
-    Path(args.out).write_text(xml_text, encoding="utf-8")
+    Path(args.out).write_bytes(fetch_overpass(config.bbox, endpoint, args.timeout))
     return EXIT_OK

@@ -4,25 +4,25 @@ Only the elements needed for low-fidelity world generation are read:
 ``<node>`` and ``<way>`` (with ``<nd>``/``<tag>`` children) that are direct
 children of the root. Relations and anything else are skipped. Parsing never
 aborts on unknown content; defective nodes and ways are dropped and recorded
-on the document's warning list. The map, a ``str`` or a file open in binary
-mode, is parsed as a stream, on expat's element callbacks: a node is read at
-its start tag and a way at its end tag, and no element tree is built, so the
-parse holds the returned document and little else, never a tree of a
-city-sized map.
+on the document's warning list. The map, a file open in binary mode, is
+parsed as a stream, on expat's element callbacks: a node is read at its start
+tag and a way at its end tag, and no element tree is built, so the parse
+holds the returned document and little else, never a tree of a city-sized
+map.
 """
 
+import codecs
 import http.client
 import math
 import urllib.error
 import urllib.request
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import BinaryIO
 from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
-_SLICE_CHARS = 1 << 14  # characters of a str, or bytes of a file, fed to expat at a time
+_SLICE_CHARS = 1 << 14  # bytes of the map read and fed to expat at a time
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
 
 
@@ -92,8 +92,8 @@ class OsmDocument:
     warnings: list[str] = field(default_factory=list, compare=False)
 
 
-def parse_osm(xml_text: str | BinaryIO) -> OsmDocument:
-    """Parse OSM XML, a ``str`` or a file open in binary mode, into an
+def parse_osm(source: BinaryIO) -> OsmDocument:
+    """Parse OSM XML from ``source``, a file open in binary mode, into an
     :class:`OsmDocument`.
 
     Nodes missing id/lat/lon or with out-of-range coordinates are skipped with
@@ -101,18 +101,15 @@ def parse_osm(xml_text: str | BinaryIO) -> OsmDocument:
     unrecognized elements are ignored silently, and so is any ``node`` or
     ``way`` that is not a direct child of the root.
 
-    The map goes to expat ``_SLICE_CHARS`` at a time: characters of a
-    ``str``, as plain string slices (wrapping it in a file object would copy
-    it into a buffer four times its size), or bytes read from the file, so
-    the whole document is never held. Both reach expat as UTF-8: a file is
-    not decoded in Python, its declared encoding is not followed, and bytes
-    that are not UTF-8 are an error at their line and column. The file is
-    read, not closed. The handlers keep the depth of the element they
-    are given, the root at depth 1, so only the root's children and a way's
-    own members are read. Names are split on namespaces as ElementTree
-    splits them, so a prefixed or namespaced element is never a plain
-    ``node``, and an unbound prefix is an error. A lone surrogate, which
-    UTF-8 cannot encode, is an error at its own line and column.
+    The file is read ``_SLICE_CHARS`` bytes at a time and each slice goes
+    straight to expat, so the whole document is never held. The bytes are
+    taken as UTF-8: they are not decoded in Python, the declared encoding
+    is not followed, and bytes that are not UTF-8 are an error at their
+    line and column. The file is read, not closed. The handlers keep the
+    depth of the element they are given, the root at depth 1, so only the
+    root's children and a way's own members are read. Names are split on
+    namespaces as ElementTree splits them, so a prefixed or namespaced
+    element is never a plain ``node``, and an unbound prefix is an error.
 
     The document is held compactly. A ref to a node read before its way
     is the very int that keys the node in ``nodes``, and equal tag keys
@@ -206,8 +203,7 @@ def parse_osm(xml_text: str | BinaryIO) -> OsmDocument:
         # set order, and it is the only external one
         refuse_entity(next(name for name in context.split("\f") if name in external))
 
-    # pyexpat encodes every str it is given as UTF-8, so bytes read from a
-    # file are taken as UTF-8 too, whatever encoding the document declares
+    # the bytes are taken as UTF-8, whatever encoding the document declares
     parser = expat.ParserCreate(encoding="utf-8", namespace_separator="}")
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -215,14 +211,8 @@ def parse_osm(xml_text: str | BinaryIO) -> OsmDocument:
     parser.EntityDeclHandler = entity_declared
     parser.ExternalEntityRefHandler = external_entity
     try:
-        offset = 0
-        for data in _slices(xml_text):
-            try:
-                parser.Parse(data, False)
-            except UnicodeEncodeError as exc:  # only a str holds a surrogate
-                parser.Parse(data[:exc.start], False)  # so a fault before it comes first
-                raise _lone_surrogate(xml_text, offset + exc.start) from None
-            offset += len(data)
+        while data := source.read(_SLICE_CHARS):
+            parser.Parse(data, False)
         parser.Parse(b"", True)
     except expat.ExpatError as exc:
         raise OsmParseError(_malformed(exc.lineno, exc.offset, str(exc)), exc.lineno, exc.offset) from exc
@@ -231,30 +221,8 @@ def parse_osm(xml_text: str | BinaryIO) -> OsmDocument:
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 
 
-def _slices(source: str | BinaryIO) -> Iterator[str | bytes]:
-    """``source`` in slices of ``_SLICE_CHARS``, in order."""
-    if isinstance(source, str):
-        for i in range(0, len(source), _SLICE_CHARS):
-            yield source[i:i + _SLICE_CHARS]
-    else:
-        while data := source.read(_SLICE_CHARS):
-            yield data
-
-
 def _malformed(line: int, column: int, message: str) -> str:
     return f"malformed OSM XML at line {line}, column {column}: {message}"
-
-
-def _lone_surrogate(text: str, index: int) -> OsmParseError:
-    """The error for the surrogate at ``text[index]``, which UTF-8 cannot
-    encode, located as expat locates its own: a line break is ``\\r\\n``,
-    ``\\r`` or ``\\n``, and a column counts characters from 0."""
-    breaks = text.count("\n", 0, index) + text.count("\r", 0, index) - text.count("\r\n", 0, index)
-    line = 1 + breaks
-    column = index - 1 - max(text.rfind("\n", 0, index), text.rfind("\r", 0, index))
-    surrogate = f"lone surrogate U+{ord(text[index]):04X} is not encodable as UTF-8"
-    message = _malformed(line, column, f"{surrogate}: line {line}, column {column}")
-    return OsmParseError(message, line, column)
 
 
 def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:
@@ -317,12 +285,16 @@ def overpass_query(bbox: BoundingBox, timeout: float = OVERPASS_TIMEOUT_S) -> st
     )
 
 
-def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_TIMEOUT_S) -> str:
-    """POST an Overpass query and return the OSM XML response verbatim.
+def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_TIMEOUT_S) -> bytes:
+    """POST an Overpass query and return the OSM XML response as UTF-8 bytes.
 
     The body is decoded with the charset named in the response's
-    Content-Type, UTF-8 when none is named. A ``timeout`` that is not a
-    finite positive number raises ``ValueError`` before any request.
+    Content-Type, UTF-8 when none is named, to check that it is text and
+    starts as OSM XML does, after one optional byte order mark. A UTF-8
+    body is returned verbatim, mark included; any other is returned
+    encoded as UTF-8, ready for :func:`parse_osm` through ``io.BytesIO``.
+    A ``timeout`` that is not a finite positive number raises
+    ``ValueError`` before any request.
     """
     query = overpass_query(bbox, timeout)
     try:
@@ -348,11 +320,13 @@ def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_T
         raise RemoteError(status, body.decode(charset, errors="replace")[:200])
     try:
         text = body.decode(charset)
-    except (LookupError, UnicodeDecodeError) as exc:
+        if codecs.lookup(charset).name != "utf-8":
+            body = text.encode("utf-8")  # fails on a lone surrogate, which utf-7 can carry
+    except (LookupError, UnicodeError) as exc:
         raise ResponseFormatError(f"response body does not decode as {charset}: {exc}") from exc
-    head = text.lstrip()
+    head = text.removeprefix("\ufeff").lstrip()
     if not (head.startswith("<?xml") or head.startswith("<osm")):
         raise ResponseFormatError(
             f"response does not look like OSM XML (starts with {head[:40]!r})"
         )
-    return text
+    return body

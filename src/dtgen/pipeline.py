@@ -35,16 +35,15 @@ class GenerationResult:
         return write_world(out, self.buildings, self.roads, self.spawns, self.origin, self.config)
 
 
-def generate_world(config: GenerationConfig, osm_xml: str | BinaryIO) -> GenerationResult:
+def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
     """Parse, filter and extract in one pass; the result writes the world.
 
-    ``osm_xml`` is the map as a ``str`` or as a file open in binary mode,
-    which is read in slices and never held whole (see :func:`parse_osm`);
-    the caller closes the file. All defects along the way (bad map
-    elements, skipped ways, spawns outside the bounding box) are collected
-    as warnings, never printed.
+    ``osm`` is the map as a file open in binary mode, which is read in
+    slices and never held whole (see :func:`parse_osm`); the caller closes
+    it. All defects along the way (bad map elements, skipped ways, spawns
+    outside the bounding box) are collected as warnings, never printed.
     """
-    doc = filter_bbox(parse_osm(osm_xml), config.bbox)
+    doc = filter_bbox(parse_osm(osm), config.bbox)
     origin = origin_of(config.bbox)
     buildings, building_warnings = extract_buildings(doc, origin, config.defaults)
     roads, road_warnings = extract_roads(doc, origin, config.defaults)

@@ -3,6 +3,7 @@ tolerance. Each test prints a single PASS line with the measured numbers so a
 plain ``pytest tests/test_acceptance.py -v -s`` doubles as the release
 checklist."""
 
+import io
 import json
 import math
 import statistics
@@ -165,7 +166,7 @@ def test_extraction_count_oracle(data_dir, tmp_path):
     for name in OSM_FIXTURES:
         text = (data_dir / name).read_text()
         expected_buildings, expected_roads = _scan_fixture(text)
-        doc = filter_bbox(parse_osm(text), bbox)
+        doc = filter_bbox(parse_osm(io.BytesIO(text.encode())), bbox)
         buildings, _ = extract_buildings(doc, origin, defaults)
         roads, _ = extract_roads(doc, origin, defaults)
         assert len(buildings) == expected_buildings, name

@@ -312,23 +312,32 @@ class TestGenerate:
         assert cli.main(args) == 0
         assert out.read_bytes() == expected
 
-    def test_generate_with_fetch_from_stub(self, data_dir, tmp_path, stub_server):
-        stub_server.state.body = (data_dir / "mixed.osm").read_bytes()
-        out = tmp_path / "w.sdf"
-        code = cli.main(
-            [
-                "generate",
-                "--config",
-                str(data_dir / "config_minimal.json"),
-                "--fetch",
-                "--endpoint",
-                stub_server.url,
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert out.exists()
+    @pytest.mark.parametrize("served", ["as-is", "bom-crlf", "latin-1"])
+    def test_generate_with_fetch_from_stub(self, data_dir, tmp_path, stub_server, served):
+        # the world of a fetched map is the world of the same map on disk
+        data = (data_dir / "mixed.osm").read_bytes()
+        if served == "bom-crlf":
+            data = codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n")
+        stub_server.state.body = data
+        if served == "latin-1":
+            # a named road, so the body holds bytes that are not UTF-8
+            text = data.decode("utf-8").replace('encoding="UTF-8"', 'encoding="ISO-8859-1"').replace(
+                '<tag k="highway" v="unclassified"/>',
+                '<tag k="highway" v="unclassified"/><tag k="name" v="Zürichstraße"/>',
+            )
+            data = text.encode("utf-8")
+            stub_server.state.body = text.encode("iso-8859-1")
+            stub_server.state.content_type = "application/osm3s+xml; charset=iso-8859-1"
+        osm = tmp_path / "map.osm"
+        osm.write_bytes(data)
+        config = str(data_dir / "config_minimal.json")
+        fetched, read = tmp_path / "fetched.sdf", tmp_path / "read.sdf"
+        assert cli.main(
+            ["generate", "--config", config, "--fetch", "--endpoint", stub_server.url, "--out", str(fetched)]
+        ) == 0
+        assert cli.main(["generate", "--config", config, "--osm", str(osm), "--out", str(read)]) == 0
+        assert fetched.read_bytes() == read.read_bytes()
+        assert b"road_303" in fetched.read_bytes()
 
     def test_fetch_without_endpoint_is_usage_error(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.ENDPOINT_ENV_VAR, raising=False)
@@ -367,6 +376,14 @@ class TestValidate:
 
     def test_nonexistent_path_is_io_error(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "missing.sdf")]) == 3
+
+    def test_a_file_that_is_not_utf8_is_a_located_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.sdf"
+        bad.write_bytes(b"<?xml version='1.0'?>\n<sdf version='1.6'>\n<world name='Z\xfcrich'/>\n</sdf>\n")
+        assert cli.main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"dtgen: error: {bad}, line 3: not UTF-8 (invalid start byte, byte 0xfc)\n"
+        )
 
 
 class TestGap:
@@ -637,6 +654,35 @@ class TestGap:
         assert captured.err == (
             "dtgen: error: Out of range float values are not JSON compliant: inf\n"
         )
+
+
+@pytest.mark.parametrize("flag", ["--config", "--recorded", "--controls", "--sim"])
+def test_an_input_that_is_not_utf8_is_a_located_error(flag, data_dir, tmp_path, capsys):
+    controls = "t,speed,steer\n" + "".join(f"{t},2.0,0\n" for t in range(6))
+    files = {
+        "--config": (data_dir / "config_track.json").read_text(encoding="utf-8"),
+        "--recorded": STRAIGHT_TRACE,
+        "--controls": controls,
+        "--sim": STRAIGHT_TRACE,
+    }
+    paths = {name: _write(tmp_path / f"{name[2:]}.txt", text) for name, text in files.items()}
+    bad = tmp_path / f"{flag[2:]}.txt"
+    lines = bad.read_bytes().splitlines(keepends=True)
+    lines[5] = lines[5][:2] + b"\xff" + lines[5][2:]
+    bad.write_bytes(b"".join(lines))
+    source = ["--sim", paths["--sim"]]
+    if flag == "--controls":
+        source = ["--controls", paths["--controls"], "--vehicle", "ego"]
+    out = tmp_path / "gap.json"
+    code = cli.main(
+        ["gap", "--recorded", paths["--recorded"], *source,
+         "--config", paths["--config"], "--out", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dtgen: error: {bad}, line 6: not UTF-8 (invalid start byte, byte 0xff)\n"
 
 
 class TestFetch:

@@ -261,7 +261,7 @@ def _checked_generate(osm: str, config: dict) -> int:
             written = out.read_bytes()
             assert validate_sdf(written.decode("utf-8")).ok
             sink = io.StringIO()
-            assert generate_world(load_config(config_text), osm).write(sink) == 0
+            assert generate_world(load_config(config_text), io.BytesIO(osm.encode())).write(sink) == 0
             assert written == sink.getvalue().encode("utf-8")
             assert stdout == "" and "dtgen: error:" not in stderr
             expected = {"config.json", "map.osm", "world.sdf"}
@@ -280,7 +280,7 @@ def test_generate_writes_a_valid_world_or_fails_with_one_error(osm, config):
 
 def test_generate_property_reaches_both_outcomes():
     def has_both_model_kinds(osm, config):
-        result = generate_world(load_config(json.dumps(config)), osm)
+        result = generate_world(load_config(json.dumps(config)), io.BytesIO(osm.encode()))
         return bool(result.buildings and result.roads)
 
     cases = st.tuples(_map_xml(), _CONFIGS)

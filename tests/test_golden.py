@@ -44,13 +44,13 @@ def test_every_fixture_pair_has_a_hash():
 def test_world_bytes_match_golden_hash(pair):
     osm_name, config_name = pair.split()
     config = load_config((DATA_DIR / config_name).read_text(encoding="utf-8"))
-    result = generate_world(config, (DATA_DIR / osm_name).read_text(encoding="utf-8"))
+    result = generate_world(config, io.BytesIO((DATA_DIR / osm_name).read_bytes()))
     digest = hashlib.sha256(_written(result).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[pair]
 
 
 def test_committed_demo_world_is_current():
     demo = runpy.run_path(str(DEMOS_DIR / "01_world_from_map.py"))
-    result = generate_world(load_config(json.dumps(demo["CONFIG"])), demo["OSM_XML"])
+    result = generate_world(load_config(json.dumps(demo["CONFIG"])), io.BytesIO(demo["OSM_XML"]))
     committed = (DEMOS_DIR / "out" / "block_world.sdf").read_text(encoding="utf-8")
     assert _written(result) == committed

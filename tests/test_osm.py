@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import three_set_filter_bbox, tree_parse_osm
 
-from dtgen import osm
+from dtgen import cli, osm
 from dtgen.errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 from dtgen.osm import (
     BoundingBox,
@@ -23,6 +23,11 @@ from dtgen.osm import (
     overpass_query,
     parse_osm,
 )
+
+
+def _parse(text):
+    return parse_osm(io.BytesIO(text.encode("utf-8")))
+
 
 MINIMAL = """<?xml version="1.0"?>
 <osm version="0.6">
@@ -50,20 +55,20 @@ CLOSED_WAY = """<?xml version="1.0"?>
 
 class TestParseOsm:
     def test_single_node(self):
-        doc = parse_osm(MINIMAL)
+        doc = _parse(MINIMAL)
         assert len(doc.nodes) == 1
         assert len(doc.ways) == 0
         assert doc.nodes[1] == OsmNode(id=1, lat=48.0, lon=8.0)
 
     def test_closed_way_with_tags(self):
-        doc = parse_osm(CLOSED_WAY)
+        doc = _parse(CLOSED_WAY)
         assert len(doc.ways) == 1
         way = doc.ways[10]
         assert len(way.node_refs) == 5
         assert way.tags == {"building": "yes"}
 
     def test_relation_only_is_skipped(self):
-        doc = parse_osm(
+        doc = _parse(
             "<osm><relation id='5'><member type='way' ref='1'/></relation></osm>"
         )
         assert len(doc.nodes) == 0
@@ -71,49 +76,29 @@ class TestParseOsm:
 
     def test_malformed_xml_reports_position(self):
         with pytest.raises(OsmParseError) as excinfo:
-            parse_osm("<osm><node id='1'</osm>")
+            _parse("<osm><node id='1'</osm>")
         assert excinfo.value.line is not None
         assert excinfo.value.column is not None
 
-    @pytest.mark.parametrize(
-        ("xml_text", "line", "column"),
-        [
-            ("<osm>\ud800</osm>", 1, 5),
-            ("<osm>\r\n<node id='1' lat='1' lon='2'/>\r\u00e9\udfff</osm>", 3, 1),
-            ("<osm>" + "<node id='1' lat='1' lon='2'/>\n" * 3000 + "x\udc80</osm>", 3001, 1),
-        ],
-    )
-    def test_lone_surrogate_is_a_located_parse_error(self, xml_text, line, column):
-        # UTF-8 cannot encode it; located as expat locates its own errors,
-        # past the first slice of the stream too
-        with pytest.raises(OsmParseError, match="lone surrogate") as excinfo:
-            parse_osm(xml_text)
-        assert (excinfo.value.line, excinfo.value.column) == (line, column)
-
-    def test_fault_before_a_lone_surrogate_is_reported_first(self):
-        with pytest.raises(OsmParseError, match="invalid token") as excinfo:
-            parse_osm("<osm><1/>\ud800</osm>")
-        assert (excinfo.value.line, excinfo.value.column) == (1, 6)
-
     def test_node_missing_coordinates_is_skipped_with_warning(self):
-        doc = parse_osm("<osm><node id='1' lat='48.0'/><node id='2' lat='48.0' lon='8.0'/></osm>")
+        doc = _parse("<osm><node id='1' lat='48.0'/><node id='2' lat='48.0' lon='8.0'/></osm>")
         assert set(doc.nodes) == {2}
         assert len(doc.warnings) == 1
 
     def test_duplicate_node_id_keeps_first(self):
-        doc = parse_osm(
+        doc = _parse(
             "<osm><node id='1' lat='48.0' lon='8.0'/><node id='1' lat='49.0' lon='9.0'/></osm>"
         )
         assert doc.nodes[1].lat == 48.0
         assert any("duplicate" in w for w in doc.warnings)
 
     def test_out_of_range_coordinates_skipped(self):
-        doc = parse_osm("<osm><node id='1' lat='91.0' lon='8.0'/></osm>")
+        doc = _parse("<osm><node id='1' lat='91.0' lon='8.0'/></osm>")
         assert len(doc.nodes) == 0
         assert len(doc.warnings) == 1
 
     def test_unknown_elements_never_abort(self):
-        doc = parse_osm(
+        doc = _parse(
             "<osm><bounds minlat='0' maxlat='1'/><node id='1' lat='0.5' lon='0.5'>"
             "<tag k='amenity' v='bench'/></node><changeset id='9'/></osm>"
         )
@@ -121,7 +106,7 @@ class TestParseOsm:
 
     def test_counts_match_independent_text_scan(self, data_dir):
         text = (data_dir / "track.osm").read_text()
-        doc = parse_osm(text)
+        doc = _parse(text)
         assert len(doc.nodes) == text.count("<node ")
         assert len(doc.ways) == text.count("<way ")
 
@@ -180,12 +165,12 @@ class TestFilterBbox:
     BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
 
     def test_all_inside_is_identity(self):
-        doc = parse_osm(CLOSED_WAY)
+        doc = _parse(CLOSED_WAY)
         box = BoundingBox(47.0, 7.0, 49.0, 9.0)
         assert filter_bbox(doc, box) == doc
 
     def test_nothing_inside_is_empty(self):
-        doc = parse_osm(CLOSED_WAY)
+        doc = _parse(CLOSED_WAY)
         box = BoundingBox(0.0, 0.0, 1.0, 1.0)
         filtered = filter_bbox(doc, box)
         assert len(filtered.nodes) == 0
@@ -281,7 +266,7 @@ def test_parsed_refs_are_the_node_keys_and_equal_tags_one_object():
         f'<way id="{w}">' + "".join(f'<nd ref="{i}"/>' for i in refs) + tags + "</way>"
         for w, refs in [(1, [*ids, ids[0]]), (2, ids[1:3])]
     )
-    doc = parse_osm(f"<osm>{nodes}{ways}</osm>")
+    doc = _parse(f"<osm>{nodes}{ways}</osm>")
     keys = {key: key for key in doc.nodes}
     refs = [ref for way in doc.ways.values() for ref in way.node_refs]
     assert len(refs) == 7
@@ -321,11 +306,11 @@ def _osm_documents(draw):
     return '<?xml version="1.0"?><osm version="0.6">' + "".join(parts) + "</osm>"
 
 
-@given(st.text())
+@given(st.binary())
 @settings(max_examples=300)
-def test_parse_osm_raises_only_osm_parse_error_on_any_text(text):
+def test_parse_osm_raises_only_osm_parse_error_on_any_text(data):
     try:
-        parse_osm(text)
+        parse_osm(io.BytesIO(data))
     except OsmParseError:
         pass
 
@@ -333,7 +318,7 @@ def test_parse_osm_raises_only_osm_parse_error_on_any_text(text):
 @given(_osm_documents())
 @settings(max_examples=300)
 def test_parse_osm_reads_any_well_formed_document(xml_text):
-    doc = parse_osm(xml_text)
+    doc = _parse(xml_text)
     for node in doc.nodes.values():
         assert -90 <= node.lat <= 90 and -180 <= node.lon <= 180
     assert all(way.node_refs for way in doc.ways.values())
@@ -375,33 +360,18 @@ def _member(draw, children):
 _members = st.recursive(_member(st.just("")), _member, max_leaves=12)
 
 
-@st.composite
-def _nested_osm_documents(draw):
-    spacer = draw(st.sampled_from(["", "\n", "\n  "]))
-    parts = draw(st.lists(_members, max_size=8))
-    text = f'<?xml version="1.0"?>{spacer}<osm version="0.6">{spacer}' + spacer.join(parts) + "</osm>\n"
-    cut = draw(st.none() | st.integers(0, len(text)))  # a truncated tail
-    return text if cut is None else text[:cut]
-
-
-@given(xml_text=_nested_osm_documents(), slice_chars=st.sampled_from([1, 2, 3, 16, 1 << 16]))
-@settings(max_examples=300, deadline=None)
-def test_streaming_parse_matches_the_whole_tree_reader(xml_text, slice_chars):
-    with mock.patch.object(osm, "_SLICE_CHARS", slice_chars):
-        assert _outcome(parse_osm, xml_text) == _outcome(tree_parse_osm, xml_text)
-
-
 # tag texts of one, two and three UTF-8 bytes a character
 _pool_intl_text = st.sampled_from(["name", "Zürich", "€", "highway", None])
 
 
 @st.composite
 def _encoded_osm_documents(draw):
-    """Documents as ``_nested_osm_documents`` draws them, plus ways with
-    tags that are not all ASCII; CRLF, CR or LF between elements; an
-    optional UTF-8 byte order mark; and an optional declared encoding,
-    latin-1 among them, though the bytes are always UTF-8."""
-    spacer = draw(st.sampled_from(["", "\n", "\r\n", "\r", "\r\n  "]))
+    """``<osm>`` documents of ``_members``, which nest every element in any
+    other, plus ways with tags that are not all ASCII; CRLF, CR or LF, with
+    or without indentation, between elements; an optional UTF-8 byte order
+    mark; an optional declared encoding, latin-1 among them, though the
+    bytes are always UTF-8; and an optional truncated tail."""
+    spacer = draw(st.sampled_from(["", "\n", "\n  ", "\r\n", "\r", "\r\n  "]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
     encoding = draw(st.sampled_from(["", ' encoding="utf-8"', ' encoding="latin-1"']))
     named = st.builds(lambda k, v: _element("tag", {"k": k, "v": v}), _pool_intl_text, _pool_intl_text)
@@ -416,32 +386,13 @@ def _encoded_osm_documents(draw):
     return text if cut is None else text[:cut]
 
 
-@pytest.fixture(scope="module")
-def map_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("maps") / "map.osm"
-
-
 @given(xml_text=_encoded_osm_documents(), slice_chars=st.sampled_from([1, 2, 3, 16, 1 << 16]))
 @settings(max_examples=300, deadline=None)
-def test_parse_of_the_encoded_bytes_matches_the_whole_tree_reader(map_file, xml_text, slice_chars):
-    # byte slices split multi-byte characters and CRLF pairs; the outcome is
-    # the tree reader's on the text, and that of the text read back as the
-    # CLI read it before it streamed the file
-    data = xml_text.encode("utf-8")
-    map_file.write_bytes(data)
+def test_parse_of_the_encoded_bytes_matches_the_whole_tree_reader(xml_text, slice_chars):
+    # byte slices split elements, multi-byte characters and CRLF pairs; the
+    # outcome is the tree reader's on the text
     with mock.patch.object(osm, "_SLICE_CHARS", slice_chars):
-        outcome = _outcome(parse_osm, io.BytesIO(data))
-        assert outcome == _outcome(tree_parse_osm, xml_text)
-        read_back = _outcome(parse_osm, map_file.read_text(encoding="utf-8"))
-    # but for one case: read_text turns a final CR into a line break, and
-    # expat counts a CR only once a character follows it, so an error at
-    # the end of the input is located at the end of the CR's line, not at
-    # the start of the next
-    if xml_text.endswith("\r") and outcome != read_back:
-        assert outcome[0] == read_back[0] == "error"
-        assert (outcome[1] + 1, 0) == read_back[1:3]
-    else:
-        assert outcome == read_back
+        assert _outcome(_parse, xml_text) == _outcome(tree_parse_osm, xml_text)
 
 
 _NODE = '<node id="1" lat="48.5" lon="8"/>'
@@ -513,7 +464,7 @@ _NODE = '<node id="1" lat="48.5" lon="8"/>'
     ],
 )
 def test_parse_matches_the_whole_tree_reader_on_xml_features(xml_text, expected):
-    outcome = _outcome(parse_osm, xml_text)
+    outcome = _outcome(_parse, xml_text)
     assert outcome == _outcome(tree_parse_osm, xml_text)
     assert (outcome[0] if expected == "error" else (len(outcome[0]), len(outcome[1]))) == expected
 
@@ -526,26 +477,26 @@ class TestParseAcrossSlices:
         pad = osm._SLICE_CHARS - len("<osm>") - (way.index("<tag") + 8)
         text = "<osm>" + " " * pad + way + "</osm>"
         assert text[osm._SLICE_CHARS - 8:osm._SLICE_CHARS] == "<tag k='"
-        doc = parse_osm(text)
+        doc = _parse(text)
         assert doc.ways[9] == OsmWay(9, (1, 2), {"highway": "residential"})
-        assert _outcome(parse_osm, text) == _outcome(tree_parse_osm, text)
+        assert _outcome(_parse, text) == _outcome(tree_parse_osm, text)
 
     def test_syntax_error_past_the_first_slice_is_located_absolutely(self):
         nodes = "".join(f"<node id='{i}' lat='48.0' lon='8.0'/>\n" for i in range(4000))
         text = f"<osm>\n{nodes}<node id='x' lat='1'</osm>"
         assert len(text) > 2 * osm._SLICE_CHARS
         with pytest.raises(OsmParseError) as excinfo:
-            parse_osm(text)
+            _parse(text)
         assert (excinfo.value.line, excinfo.value.column) == (4002, 20)
-        assert _outcome(parse_osm, text) == _outcome(tree_parse_osm, text)
+        assert _outcome(_parse, text) == _outcome(tree_parse_osm, text)
 
     def test_every_element_of_a_many_slice_map_is_read(self):
         text = _city_map(2000)
-        doc = parse_osm(text)
+        doc = _parse(text)
         assert len(text) > 4 * osm._SLICE_CHARS
         assert len(doc.nodes) == text.count("<node ")
         assert len(doc.ways) == text.count("<way ")
-        assert _outcome(parse_osm, text) == _outcome(tree_parse_osm, text)
+        assert _outcome(_parse, text) == _outcome(tree_parse_osm, text)
 
 
 def _city_map(blocks):
@@ -561,27 +512,12 @@ def _city_map(blocks):
     return "\n".join(parts)
 
 
-def test_parse_peak_stays_near_the_document_it_returns():
-    # the whole-tree reader peaks at about four times the document (19 MB
-    # over it here); the stream builds no tree and holds a few times one
-    # slice of text beyond it, the slice and its copies on the way into
-    # expat: 48 kB measured here, with 16k-character slices
-    text = _city_map(4000)
-    assert len(text) > 10 * osm._SLICE_CHARS
-    tracemalloc.start()
-    try:
-        doc = parse_osm(text)
-        document, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(doc.ways) == 4000
-    assert peak - document < 100_000
-
-
 def test_parse_of_a_binary_stream_peaks_near_the_document_it_returns():
-    # the bytes are read a slice at a time and never decoded in Python, so
-    # the stream's own buffer is the only copy of the map: 48 kB over the
-    # document measured here, as for the text
+    # the whole-tree reader peaks at about four times the document (19 MB
+    # over it here); the stream builds no tree, and its bytes are read a
+    # slice at a time and never decoded in Python, so the stream's own
+    # buffer is the only copy of the map: 48 kB over the document measured
+    # here, with 16 kB slices
     data = _city_map(4000).encode("utf-8")
     assert len(data) > 10 * osm._SLICE_CHARS
     tracemalloc.start()
@@ -597,11 +533,11 @@ def test_parse_of_a_binary_stream_peaks_near_the_document_it_returns():
 def test_parse_leaves_nothing_for_the_cycle_collector(data_dir):
     # the parser and its handlers go with the call, not at a later
     # collection, so a parse leaves only the document it returns
-    text = (data_dir / "track.osm").read_text(encoding="utf-8")
+    data = io.BytesIO((data_dir / "track.osm").read_bytes())
     gc.collect()
     gc.disable()
     try:
-        doc = parse_osm(text)
+        doc = parse_osm(data)
         assert doc.ways
         del doc
         assert gc.collect() == 0
@@ -624,18 +560,36 @@ class TestOverpass:
     def test_fetch_returns_body_verbatim(self, stub_server):
         stub_server.state.body = MINIMAL.encode()
         result = fetch_overpass(self.BOX, stub_server.url, timeout=5)
-        assert result == MINIMAL
+        assert result == MINIMAL.encode()
         assert b"48.0,8.0,48.1,8.1" in stub_server.state.requests[0]
 
+    def test_a_utf8_body_with_a_byte_order_mark_is_kept_whole(self, stub_server, data_dir, tmp_path):
+        # the mark is skipped for the head check only, as the parser skips it
+        body = "\ufeff<?xml version='1.0'?>\r\n<osm version='0.6'>Zürich</osm>".encode()
+        stub_server.state.body = body
+        assert fetch_overpass(self.BOX, stub_server.url, timeout=5) == body
+        out = tmp_path / "extract.osm"
+        config = str(data_dir / "config_minimal.json")
+        assert cli.main(["fetch", "--config", config, "--endpoint", stub_server.url, "--out", str(out)]) == 0
+        assert out.read_bytes() == body
+
     def test_fetch_decodes_body_by_response_charset(self, stub_server):
+        # and returns it as UTF-8, the parser's one encoding
         text = "<?xml version='1.0'?><osm version='0.6'><!-- Zürich, Genève --></osm>"
         stub_server.state.body = text.encode("iso-8859-1")
         stub_server.state.content_type = "application/osm3s+xml; charset=iso-8859-1"
-        assert fetch_overpass(self.BOX, stub_server.url, timeout=5) == text
+        assert fetch_overpass(self.BOX, stub_server.url, timeout=5) == text.encode("utf-8")
 
     def test_undecodable_body_raises_format_error(self, stub_server):
         stub_server.state.body = "<?xml version='1.0'?><osm>Zürich</osm>".encode("iso-8859-1")
         with pytest.raises(ResponseFormatError, match="utf-8"):
+            fetch_overpass(self.BOX, stub_server.url, timeout=5)
+
+    def test_body_without_a_utf8_form_raises_format_error(self, stub_server):
+        # utf-7 decodes "+2AA-" to a lone surrogate, which UTF-8 cannot encode
+        stub_server.state.body = b"<?xml version='1.0'?><osm>+2AA-</osm>"
+        stub_server.state.content_type = "application/osm3s+xml; charset=utf-7"
+        with pytest.raises(ResponseFormatError, match="surrogates not allowed"):
             fetch_overpass(self.BOX, stub_server.url, timeout=5)
 
     def test_http_429_raises_remote_error(self, stub_server):

@@ -370,7 +370,7 @@ class TestEmitWorld:
             "<way id='5'><nd ref='1'/><nd ref='2'/><tag k='highway' v='residential'/></way>"
             "</osm>"
         )
-        result = generate_world(GenerationConfig(bbox=bbox), osm)
+        result = generate_world(GenerationConfig(bbox=bbox), io.BytesIO(osm.encode()))
         end = result.roads[0].centerline[-1]
         origin = origin_of(bbox)
         high = project(origin, bbox.max_lat, bbox.max_lon)
@@ -389,7 +389,7 @@ _END_TAG = re.compile(r"</([A-Za-z_][\w.-]*)>")
 @pytest.mark.parametrize("osm_name", ["track.osm", "mixed.osm"])
 def test_fixture_world_is_flat_with_one_element_per_line(osm_name):
     config = load_config((DATA_DIR / "config_kinds.json").read_text(encoding="utf-8"))
-    text = _written(generate_world(config, (DATA_DIR / osm_name).read_text(encoding="utf-8")))
+    text = _written(generate_world(config, io.BytesIO((DATA_DIR / osm_name).read_bytes())))
     lines = text.splitlines()
     assert lines[0].startswith("<?xml")
     for line in lines:
@@ -580,7 +580,7 @@ def test_generated_world_always_validates(height, levels, meters_per_level, defa
         default_building_height=default_height, meters_per_level=meters_per_level
     )
     config = GenerationConfig(bbox=BoundingBox(48.0, 8.0, 48.02, 8.03), defaults=defaults)
-    result = generate_world(config, osm)
+    result = generate_world(config, io.BytesIO(osm.encode()))
     assert len(result.buildings) == 1
     assert validate_sdf(_written(result)).violations == ()
 

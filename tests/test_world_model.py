@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -21,8 +22,12 @@ BBOX = BoundingBox(48.0, 8.0, 48.02, 8.03)
 DEFAULTS = ExtractionDefaults()
 
 
+def _parse(text):
+    return parse_osm(io.BytesIO(text.encode("utf-8")))
+
+
 def _load(data_dir, name):
-    doc = filter_bbox(parse_osm((data_dir / name).read_text()), BBOX)
+    doc = filter_bbox(parse_osm(io.BytesIO((data_dir / name).read_bytes())), BBOX)
     return doc, origin_of(BBOX)
 
 
@@ -121,7 +126,7 @@ class TestExtractBuildings:
           <way id="9"><nd ref="1"/><nd ref="2"/><nd ref="3"/><nd ref="1"/>
             <tag k="building" v="yes"/></way>
         </osm>"""
-        doc = parse_osm(xml)
+        doc = _parse(xml)
         buildings, warnings = extract_buildings(doc, GeoOrigin(48.0, 8.0), DEFAULTS)
         assert buildings == []
         assert any("distinct" in w for w in warnings)
@@ -134,7 +139,7 @@ class TestExtractBuildings:
             for i in range(n)
         )
         refs = "".join(f'<nd ref="{i + 1}"/>' for i in [*range(n), 0])
-        doc = parse_osm(f'<osm>{nodes}<way id="9">{refs}<tag k="building" v="yes"/></way></osm>')
+        doc = _parse(f'<osm>{nodes}<way id="9">{refs}<tag k="building" v="yes"/></way></osm>')
         calls = 0
         separated = world_model._separated
 
@@ -225,7 +230,7 @@ class TestExtractRoads:
           <node id="2" lat="48.0" lon="8.0"/>
           <way id="9"><nd ref="1"/><nd ref="2"/><tag k="highway" v="residential"/></way>
         </osm>"""
-        doc = parse_osm(xml)
+        doc = _parse(xml)
         roads, warnings = extract_roads(doc, GeoOrigin(48.0, 8.0), DEFAULTS)
         assert roads == []
         assert any("shorter than 2" in w for w in warnings)
@@ -244,7 +249,7 @@ class TestExtractRoads:
             + '<tag k="highway" v="residential"/></way>'
             for w, refs in enumerate(lines)
         )
-        doc = parse_osm(f"<osm>{nodes}{ways}</osm>")
+        doc = _parse(f"<osm>{nodes}{ways}</osm>")
         calls = []
         project = world_model.project
 
