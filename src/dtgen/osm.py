@@ -8,22 +8,28 @@ on the document's warning list. The map, a file open in binary mode, is
 parsed as a stream, on expat's element callbacks: a node is read at its start
 tag and a way at its end tag, and no element tree is built, so the parse
 holds the returned document and little else, never a tree of a city-sized
-map.
+map. A ``str``, ``bytes`` or a file open in text mode is refused with a
+``TypeError``.
+
+Only :func:`fetch_overpass` needs the network stack (``urllib.request``,
+``http.client`` and, through them, ``ssl``, ``socket`` and ``email``), so
+it imports it when it is called: importing this module, or ``dtgen``,
+loads none of it. It checks a UTF-8 download in slices and returns the
+body it received, so the map is held once.
 """
 
 import codecs
-import http.client
+import io
 import math
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import BinaryIO
 from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
-_SLICE_CHARS = 1 << 14  # bytes of the map read and fed to expat at a time
+_SLICE_CHARS = 1 << 14  # bytes of a map fed to expat, or of a download checked, at a time
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
+_HEAD_CHARS = 40  # of a response's text, after its leading whitespace, that a refusal shows
 
 
 def lat_lon_in_range(lat: float, lon: float) -> bool:
@@ -115,7 +121,14 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
     is the very int that keys the node in ``nodes``, and equal tag keys
     and values are one ``str``, so a city's worth of refs and tags costs
     pointers, not objects.
+
+    A ``str``, a ``bytes`` or a file open in text mode raises ``TypeError``.
     """
+    if isinstance(source, (str, bytes, bytearray, memoryview, io.TextIOBase)):
+        raise TypeError(
+            f"parse_osm takes the map as a file open in binary mode, not {type(source).__name__}: "
+            'open it with open(path, "rb"), or wrap bytes in io.BytesIO'
+        )
     nodes: dict[int, OsmNode] = {}
     ways: dict[int, OsmWay] = {}
     warnings: list[str] = []
@@ -288,14 +301,19 @@ def overpass_query(bbox: BoundingBox, timeout: float = OVERPASS_TIMEOUT_S) -> st
 def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_TIMEOUT_S) -> bytes:
     """POST an Overpass query and return the OSM XML response as UTF-8 bytes.
 
-    The body is decoded with the charset named in the response's
-    Content-Type, UTF-8 when none is named, to check that it is text and
-    starts as OSM XML does, after one optional byte order mark. A UTF-8
-    body is returned verbatim, mark included; any other is returned
-    encoded as UTF-8, ready for :func:`parse_osm` through ``io.BytesIO``.
-    A ``timeout`` that is not a finite positive number raises
-    ``ValueError`` before any request.
+    The body is checked to decode with the charset named in the response's
+    Content-Type, UTF-8 when none is named, and to start as OSM XML does,
+    after one optional byte order mark. A UTF-8 body is checked in slices,
+    never decoded whole, and returned verbatim, mark included; any other is
+    returned encoded as UTF-8, ready for :func:`parse_osm` through
+    ``io.BytesIO``. A ``timeout`` that is not a finite positive number
+    raises ``ValueError`` before any request. The network stack is
+    imported on the first call.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
     query = overpass_query(bbox, timeout)
     try:
         request = urllib.request.Request(
@@ -319,14 +337,40 @@ def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_T
     if status >= 400:
         raise RemoteError(status, body.decode(charset, errors="replace")[:200])
     try:
-        text = body.decode(charset)
-        if codecs.lookup(charset).name != "utf-8":
+        if codecs.lookup(charset).name == "utf-8":
+            head = _utf8_head(body)
+        else:
+            text = body.decode(charset)
             body = text.encode("utf-8")  # fails on a lone surrogate, which utf-7 can carry
+            head = text.removeprefix("\ufeff").lstrip()
     except (LookupError, UnicodeError) as exc:
         raise ResponseFormatError(f"response body does not decode as {charset}: {exc}") from exc
-    head = text.removeprefix("\ufeff").lstrip()
     if not (head.startswith("<?xml") or head.startswith("<osm")):
         raise ResponseFormatError(
-            f"response does not look like OSM XML (starts with {head[:40]!r})"
+            f"response does not look like OSM XML (starts with {head[:_HEAD_CHARS]!r})"
         )
     return body
+
+
+def _utf8_head(body: bytes) -> str:
+    """The first ``_HEAD_CHARS`` characters of the UTF-8 ``body`` after one
+    optional byte order mark and any leading whitespace.
+
+    The whole body is decoded to check it, ``_SLICE_CHARS`` bytes at a time,
+    and only the head is kept. A byte that is not UTF-8 raises
+    ``UnicodeDecodeError`` as ``body.decode("utf-8")`` raises it.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(body)
+    head = ""
+    first = len(codecs.BOM_UTF8) if body.startswith(codecs.BOM_UTF8) else 0
+    try:
+        for start in range(first, len(body), _SLICE_CHARS):
+            text = decoder.decode(view[start : start + _SLICE_CHARS])
+            if len(head) < _HEAD_CHARS:
+                head = (head + text).lstrip()[:_HEAD_CHARS]
+        decoder.decode(b"", True)  # a character cut at the end
+    except UnicodeDecodeError:
+        body.decode("utf-8")  # raises with the position in the whole body
+        raise
+    return head

@@ -19,20 +19,26 @@ that ``validate_sdf`` applies to the numbers it reads back, and formatted.
 writer's fault count is its verdict and a world needs no re-parse.
 ``validate_sdf`` parses foreign files, and emitted ones whose writer counted
 a fault, and reports each violation at its location instead of raising.
+It alone needs ``xml.etree.ElementTree``, and imports it when it is called,
+so writing a clean world never loads it.
 """
+
+from __future__ import annotations
 
 import io
 import math
-import xml.etree.ElementTree as ET
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .config import GenerationConfig, VehicleKind, VehicleSpec
 from .errors import EmitError
 from .geodesy import GeoOrigin, LocalPoint, project
 from .world_model import Building, Road
+
+if TYPE_CHECKING:  # validate_sdf imports it when it runs
+    import xml.etree.ElementTree as ET
 
 WORLD_NAME = "generated"
 GROUND_PLANE_NAME = "ground_plane"
@@ -335,6 +341,8 @@ def validate_sdf(text: str) -> ValidationReport:
     names, polylines with at least 3 points and positive height, poses of 6
     finite numbers, and box and plane sizes of finite positive numbers.
     """
+    import xml.etree.ElementTree as ET
+
     issues: list[ValidationIssue] = []
     try:
         root = ET.fromstring(text)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -21,21 +22,46 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_import_and_gap_load_neither_requests_nor_numpy():
+# what only fetch (the network stack) and validate (ElementTree) may load
+_LOADED_ON_DEMAND = ("http.client", "urllib.request", "ssl", "email.parser", "xml.etree.ElementTree")
+
+
+def test_import_and_gap_load_neither_requests_nor_numpy(data_dir, tmp_path):
     src = str(Path(dtgen.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    # one compute_gap call, so a lazy import inside it would show up too
+    (tmp_path / "trace.csv").write_text(
+        "t,x,y\n" + "".join(f"{t / 2},{t},0\n" for t in range(11)), encoding="utf-8"
+    )
+    (tmp_path / "controls.csv").write_text("t,speed,steer\n0,2.0,0\n5,2.0,0\n", encoding="utf-8")
+    config = str(data_dir / "config_track.json")
+    world = str(tmp_path / "world.sdf")
+    generate = ["generate", "--config", config, "--osm", str(data_dir / "track.osm"), "--out", world]
+    gap = [
+        "gap", "--recorded", str(tmp_path / "trace.csv"), "--controls", str(tmp_path / "controls.csv"),
+        "--config", config, "--vehicle", "ego", "--out", str(tmp_path / "gap.json"),
+    ]
+    # one compute_gap call, so a lazy import inside it would show up too;
+    # then a generate and a gap through the CLI, and last a validate
     probe = (
-        "import sys, dtgen\n"
+        "import json, sys, dtgen\n"
+        "from dtgen import cli\n"
         "from dtgen.replay import Trajectory, TrajectorySample\n"
         "t = Trajectory((TrajectorySample(0.0, 0.0, 0.0), TrajectorySample(1.0, 1.0, 0.0)))\n"
         "assert dtgen.compute_gap(t, t).rmse == 0.0\n"
-        "print(sorted({'requests', 'numpy'} & set(sys.modules)))"
+        "print(sorted({'requests', 'numpy'} & set(sys.modules)))\n"
+        f"assert cli.main({generate!r}) == 0\n"
+        f"assert cli.main({gap!r}) == 0\n"
+        f"print(json.dumps(sorted(set({_LOADED_ON_DEMAND!r}) & set(sys.modules))))\n"
+        f"assert cli.main(['validate', {world!r}]) == 0\n"
+        "print('xml.etree.ElementTree' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert json.loads(lines[-2]) == []  # gap prints its summary line in between
+    assert lines[-1] == "True"
 
 
 def _names_imported_from_dtgen(source: str) -> set[str]:

@@ -1,3 +1,4 @@
+import codecs
 import gc
 import io
 import math
@@ -109,6 +110,23 @@ class TestParseOsm:
         doc = _parse(text)
         assert len(doc.nodes) == text.count("<node ")
         assert len(doc.ways) == text.count("<way ")
+
+    # the map is a file open in binary mode, and nothing else
+    def test_a_str_is_refused_with_the_fix(self):
+        with pytest.raises(TypeError, match=r'not str: .*open\(path, "rb"\).*io\.BytesIO'):
+            parse_osm(MINIMAL)
+
+    def test_bytes_are_refused_with_the_fix(self):
+        with pytest.raises(TypeError, match=r"not bytes: .*io\.BytesIO"):
+            parse_osm(MINIMAL.encode("utf-8"))
+
+    def test_a_file_open_in_text_mode_is_refused_with_the_fix(self, data_dir):
+        with open(data_dir / "track.osm", encoding="utf-8") as text_file:
+            with pytest.raises(TypeError, match=r'not TextIOWrapper: .*open\(path, "rb"\)'):
+                parse_osm(text_file)
+            assert text_file.tell() == 0  # refused before any read
+        with pytest.raises(TypeError, match="not StringIO"):
+            parse_osm(io.StringIO(MINIMAL))
 
 
 class TestBoundingBox:
@@ -543,6 +561,27 @@ def test_parse_leaves_nothing_for_the_cycle_collector(data_dir):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# bodies built from pieces that a slice can cut: multi-byte characters,
+# their lone lead bytes, bytes that are never UTF-8, marks and whitespace
+_BODY_PIECES = st.sampled_from(
+    [b"<osm", b"a", b" ", b"\n", "é".encode(), "€".encode(), "𝄞".encode(), b"\xe2\x82", b"\xff",
+     b"\x80", codecs.BOM_UTF8]
+)
+
+
+@given(body=st.lists(_BODY_PIECES, max_size=30).map(b"".join), slice_bytes=st.integers(1, 7))
+@settings(deadline=None)
+def test_sliced_utf8_check_agrees_with_decoding_the_whole_body(body, slice_bytes):
+    with mock.patch.object(osm, "_SLICE_CHARS", slice_bytes):
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError:
+            with pytest.raises(UnicodeDecodeError):
+                osm._utf8_head(body)
+        else:
+            assert osm._utf8_head(body) == text.removeprefix("\ufeff").lstrip()[:40]
 
 
 class TestOverpass:
