@@ -5,11 +5,9 @@ Only the elements needed for low-fidelity world generation are read:
 children of the root. Relations and anything else are skipped. Parsing never
 aborts on unknown content; defective nodes and ways are dropped and recorded
 on the document's warning list. The map, a file open in binary mode, is
-parsed as a stream, on expat's element callbacks: a node is read at its start
-tag and a way at its end tag, and no element tree is built, so the parse
-holds the returned document and little else, never a tree of a city-sized
-map. A ``str``, ``bytes`` or a file open in text mode is refused with a
-``TypeError``.
+parsed as a stream, on the callbacks of the package's one XML reader: a node
+is read at its start tag and a way at its end tag, and no element tree is
+built, so the parse holds the returned document and little else.
 
 Only :func:`fetch_overpass` needs the network stack (``urllib.request``,
 ``http.client`` and, through them, ``ssl``, ``socket`` and ``email``), so
@@ -21,13 +19,14 @@ body it received, so the map is held once.
 import codecs
 import io
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import BinaryIO
 from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
 
-_SLICE_CHARS = 1 << 14  # bytes of a map fed to expat, or of a download checked, at a time
+_SLICE_CHARS = 1 << 14  # per slice: map bytes or SDF characters parsed, download bytes checked
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
 _HEAD_CHARS = 40  # of a response's text, after its leading whitespace, that a refusal shows
 
@@ -107,15 +106,10 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
     unrecognized elements are ignored silently, and so is any ``node`` or
     ``way`` that is not a direct child of the root.
 
-    The file is read ``_SLICE_CHARS`` bytes at a time and each slice goes
-    straight to expat, so the whole document is never held. The bytes are
-    taken as UTF-8: they are not decoded in Python, the declared encoding
-    is not followed, and bytes that are not UTF-8 are an error at their
-    line and column. The file is read, not closed. The handlers keep the
-    depth of the element they are given, the root at depth 1, so only the
-    root's children and a way's own members are read. Names are split on
-    namespaces as ElementTree splits them, so a prefixed or namespaced
-    element is never a plain ``node``, and an unbound prefix is an error.
+    The file is read ``_SLICE_CHARS`` bytes at a time, each slice straight
+    to :func:`_read_xml`, and not closed. The handlers keep the depth of the
+    element they are given, the root at depth 1, so only the root's
+    children and a way's own members are read.
 
     The document is held compactly. A ref to a node read before its way
     is the very int that keys the node in ``nodes``, and equal tag keys
@@ -190,52 +184,55 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
                 ways[way_id] = OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
             way_id = None
 
-    def refuse_entity(name: str) -> None:
-        # refused as ElementTree refuses it, the reference cut to 100 characters
-        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
-        message = f"undefined entity {f'&{name};'[:100]}: line {line}, column {column}"
-        raise OsmParseError(_malformed(line, column, message), line, column)
+    try:
+        _read_xml(iter(lambda: source.read(_SLICE_CHARS), b""), start, end)
+    except expat.ExpatError as exc:
+        line, column = exc.lineno, exc.offset
+        raise OsmParseError(f"malformed OSM XML at line {line}, column {column}: {exc}", line, column) from exc
+    return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 
-    def skipped_entity(name: str, is_parameter: int) -> None:
-        # a reference in text to an entity that an external DTD may declare;
-        # a parameter entity skipped in the DTD is ignored, by both
-        if not is_parameter:
-            refuse_entity(name)
 
+def _read_xml(chunks: Iterable, start: Callable, end: Callable, text: Callable | None = None) -> None:
+    """Feed ``chunks``, the slices of one XML document, to expat, which calls
+    ``start(tag, attrs)``, ``end(tag)`` and ``text(data)``. The bytes, or a
+    ``str`` slice's UTF-8 bytes, are taken as UTF-8 whatever the declared
+    encoding; names are split on namespaces into ``uri}local``, as ElementTree
+    splits them. Bytes that are not UTF-8, an unbound prefix or an undefined or
+    external entity raise ``expat.ExpatError`` with ElementTree's message.
+    """
     external: set[str] = set()  # general entities declared with a system id
 
-    def entity_declared(
-        name: str, is_parameter: int, value: str | None, base: str | None, system_id: str | None, *_: str | None
-    ) -> None:
+    def refuse_entity(name: str, is_parameter: int = 0) -> None:
+        # an entity undefined, or that only an external DTD may declare, refused as
+        # ElementTree refuses it; a parameter entity skipped in the DTD is ignored
+        if is_parameter:
+            return
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+        error = expat.ExpatError(f"undefined entity {f'&{name};'[:100]}: line {line}, column {column}")
+        error.lineno, error.offset = line, column
+        raise error
+
+    def entity_declared(name: str, is_parameter: int, _value, _base, system_id: str | None, *_) -> None:
         if system_id is not None and not is_parameter:
             external.add(name)
 
     def external_entity(context: str, *_: str | None) -> None:
-        # a reference to a declared external entity, which is never loaded;
-        # the context names it among the entities being expanded, in no
-        # set order, and it is the only external one
+        # a declared external entity, never loaded: the one external name in the context
         refuse_entity(next(name for name in context.split("\f") if name in external))
 
-    # the bytes are taken as UTF-8, whatever encoding the document declares
     parser = expat.ParserCreate(encoding="utf-8", namespace_separator="}")
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.SkippedEntityHandler = skipped_entity
+    parser.CharacterDataHandler = text
+    parser.SkippedEntityHandler = refuse_entity
     parser.EntityDeclHandler = entity_declared
     parser.ExternalEntityRefHandler = external_entity
     try:
-        while data := source.read(_SLICE_CHARS):
-            parser.Parse(data, False)
+        for chunk in chunks:
+            parser.Parse(chunk, False)
         parser.Parse(b"", True)
-    except expat.ExpatError as exc:
-        raise OsmParseError(_malformed(exc.lineno, exc.offset, str(exc)), exc.lineno, exc.offset) from exc
     finally:
         del parser  # refuse_entity closes over it: a cycle through the handlers
-    return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
-
-
-def _malformed(line: int, column: int, message: str) -> str:
-    return f"malformed OSM XML at line {line}, column {column}: {message}"
 
 
 def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:

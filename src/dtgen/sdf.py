@@ -17,28 +17,27 @@ or a ``<size>`` is made a float once, checked by the same per-element rule
 that ``validate_sdf`` applies to the numbers it reads back, and formatted.
 ``fmt`` keeps a finite number finite and a positive one positive, so the
 writer's fault count is its verdict and a world needs no re-parse.
-``validate_sdf`` parses foreign files, and emitted ones whose writer counted
-a fault, and reports each violation at its location instead of raising.
-It alone needs ``xml.etree.ElementTree``, and imports it when it is called,
-so writing a clean world never loads it.
+``validate_sdf`` reads foreign files, and emitted ones whose writer counted
+a fault, on the callbacks of the map's XML reader, holding the path to the
+element being read and no tree, and reports each violation at its location.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
+from xml.parsers import expat
 
 from .config import GenerationConfig, VehicleKind, VehicleSpec
 from .errors import EmitError
 from .geodesy import GeoOrigin, LocalPoint, project
+from .osm import _SLICE_CHARS, _read_xml
 from .world_model import Building, Road
-
-if TYPE_CHECKING:  # validate_sdf imports it when it runs
-    import xml.etree.ElementTree as ET
 
 WORLD_NAME = "generated"
 GROUND_PLANE_NAME = "ground_plane"
@@ -341,69 +340,83 @@ def validate_sdf(text: str) -> ValidationReport:
     names, polylines with at least 3 points and positive height, poses of 6
     finite numbers, and box and plane sizes of finite positive numbers.
     """
-    import xml.etree.ElementTree as ET
+    stack: list = []  # (tag, name) of each open element, [tag, name, slot, text, points] if checked
+    root: list[str | None] = []  # the root's tag and version
+    worlds: list[list] = []  # location, <spherical_coordinates> seen, issues and model names
+    faults: list[ValidationIssue] = []  # of poses, sizes and polylines, in start-tag order
+    gathered: list[str] | None = None  # text of the open pose, size or height, to its first child
 
-    issues: list[ValidationIssue] = []
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        return ValidationReport((ValidationIssue("/", f"malformed XML: {exc}"),))
-    except UnicodeEncodeError as exc:
-        surrogate = f"U+{ord(exc.object[exc.start]):04X}"
-        message = f"malformed XML: lone surrogate {surrogate} is not encodable as UTF-8"
-        return ValidationReport((ValidationIssue("/", message),))
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal gathered
+        gathered = None
+        entry: tuple | list = (tag, attrs.get("name"))
+        if tag in _READ and stack:  # of any other element only the path is kept
+            parent = stack[-1]
+            if parent[0] == "polyline" and tag == "point":
+                parent[4] += 1
+            elif parent[0] == "polyline" and tag == "height" and parent[3] is None:
+                parent[3] = gathered = []  # only the first height counts
+            elif tag == "polyline" or tag == "pose" or (tag == "size" and parent[0] in _SHAPES):
+                gathered = None if tag == "polyline" else []
+                entry = [tag, entry[1], len(faults), gathered, 0]  # its faults go in at the slot
+            elif tag == "world" and len(stack) == 1:
+                worlds.append([_location([*stack, entry]), False, [], set()])
+            elif parent[0] == "world" and len(stack) == 2 and tag == "spherical_coordinates":
+                worlds[-1][1] = True
+            elif parent[0] == "world" and len(stack) == 2 and tag == "model":
+                location, _, issues, seen = worlds[-1]
+                if not entry[1]:
+                    issues.append(ValidationIssue(location, "model without a name attribute"))
+                elif entry[1] in seen:
+                    issues.append(ValidationIssue(location, f"duplicate model name {entry[1]}"))
+                seen.add(entry[1])
+        elif not stack:
+            root[:] = tag, attrs.get("version")
+        stack.append(entry)
 
-    if root.tag != "sdf":
-        return ValidationReport(
-            (ValidationIssue("/", f"root element is <{root.tag}>, expected <sdf>"),)
-        )
-    if not root.get("version"):
-        issues.append(ValidationIssue("/sdf", "missing version attribute"))
-
-    worlds = root.findall("world")
-    if len(worlds) != 1:
-        issues.append(
-            ValidationIssue("/sdf", f"expected exactly one <world>, found {len(worlds)}")
-        )
-    for world in worlds:
-        world_loc = _located(world, {world: root})
-        if world.find("spherical_coordinates") is None:
-            issues.append(
-                ValidationIssue(world_loc, "missing <spherical_coordinates> element")
+    def end(tag: str) -> None:
+        nonlocal gathered
+        gathered = None
+        entry = stack.pop()
+        if len(entry) > 2:
+            numbers = _numbers("".join(entry[3] or ()))
+            messages = _RULES[tag](numbers) if tag != "polyline" else _polyline_faults(
+                entry[4], numbers[0] if len(numbers) == 1 else math.nan
             )
-        seen: set[str] = set()
-        for model in world.findall("model"):
-            name = model.get("name")
-            if not name:
-                issues.append(ValidationIssue(world_loc, "model without a name attribute"))
-                continue
-            if name in seen:
-                issues.append(ValidationIssue(world_loc, f"duplicate model name {name}"))
-            seen.add(name)
+            faults[entry[2] : entry[2]] = (ValidationIssue(_location([*stack, entry]), m) for m in messages)
 
-    # every pose, polyline and box or plane size in document order; the
-    # parent map that a location needs is built only once a check has failed
-    parents = None
-    for element in root.iter():
-        check = _CHECKS.get(element.tag)
-        for message in check(element) if check else ():
-            if parents is None:
-                parents = {child: parent for parent in root.iter() for child in parent}
-            if element.tag == "size" and parents[element].tag not in _SHAPES:
-                break  # other sizes, such as a particle emitter's, may be zero
-            issues.append(ValidationIssue(_located(element, parents), message))
-    return ValidationReport(tuple(issues))
+    def gather(data: str) -> None:
+        if gathered is not None:
+            gathered.append(data)
+
+    surrogate = None if text.isascii() else re.search(r"[\ud800-\udfff]", text)
+    try:
+        if surrogate:  # refused before any parse, as ElementTree refuses it
+            raise expat.ExpatError(f"lone surrogate U+{ord(surrogate[0]):04X} is not encodable as UTF-8")
+        _read_xml((text[i : i + _SLICE_CHARS] for i in range(0, len(text), _SLICE_CHARS)), start, end, gather)
+    except expat.ExpatError as exc:
+        return ValidationReport((ValidationIssue("/", f"malformed XML: {exc}"),))
+
+    if root[0] != "sdf":
+        return ValidationReport((ValidationIssue("/", f"root element is <{_qualified(root[0])}>, expected <sdf>"),))
+    issues = [] if root[1] else [ValidationIssue("/sdf", "missing version attribute")]
+    if len(worlds) != 1:
+        issues.append(ValidationIssue("/sdf", f"expected exactly one <world>, found {len(worlds)}"))
+    for location, spherical, model_issues, _ in worlds:
+        if not spherical:
+            issues.append(ValidationIssue(location, "missing <spherical_coordinates> element"))
+        issues += model_issues
+    return ValidationReport((*issues, *faults))
 
 
-def _located(element: ET.Element, parents: dict[ET.Element, ET.Element]) -> str:
-    """XPath-like location of ``element``: its ancestors below <sdf>, named
-    by tag and, where they have one, by name."""
-    steps = []
-    while element in parents:
-        name = element.get("name")
-        steps.append(f"/{element.tag}[@name='{name}']" if name else f"/{element.tag}")
-        element = parents[element]
-    return "/sdf" + "".join(reversed(steps))
+def _qualified(tag: str) -> str:
+    return "{" + tag if "}" in tag else tag  # expat's uri}local as ElementTree writes it
+
+
+def _location(path: Sequence[Sequence]) -> str:
+    """XPath-like location of the last element of ``path``, from the root, by tag and name."""
+    steps = ((_qualified(entry[0]), entry[1]) for entry in path[1:])
+    return "/sdf" + "".join(f"/{tag}[@name='{name}']" if name else f"/{tag}" for tag, name in steps)
 
 
 def _polyline_faults(points: int, height: float) -> list[str]:
@@ -432,27 +445,14 @@ def _size_faults(values: Sequence[float]) -> list[str]:
     return []
 
 
-def _numbers(element: ET.Element | None) -> list[float]:
-    """The numbers in the text of ``element``: none if it is missing, or if
-    any part of its text is not a number."""
-    if element is None:
-        return []
+def _numbers(text: str) -> list[float]:
+    """The numbers in ``text``: none if any part of it is not a number."""
     try:
-        return [float(p) for p in (element.text or "").split()]
+        return [float(p) for p in text.split()]
     except ValueError:
         return []
 
 
-def _check_polyline(element: ET.Element) -> list[str]:
-    height = _numbers(element.find("height"))
-    points = len(element.findall("point"))
-    return _polyline_faults(points, height[0] if len(height) == 1 else math.nan)
-
-
-def _check_numbers(element: ET.Element) -> list[str]:
-    return _RULES[element.tag](_numbers(element))
-
-
 _RULES = {"pose": _pose_faults, "size": _size_faults}  # by tag, for the writer and the validator
-_CHECKS = {"polyline": _check_polyline, "pose": _check_numbers, "size": _check_numbers}
 _SHAPES = ("box", "plane")  # the parents whose <size> the size rule applies to
+_READ = {"pose", "size", "polyline", "point", "height", "world", "model", "spherical_coordinates"}

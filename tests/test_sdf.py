@@ -117,7 +117,7 @@ def test_fmt_keeps_each_rules_verdict(value):
     written = float(value)
     text = fmt(value)
     assert fmt(written) == text
-    (read,) = _numbers(ET.fromstring(f"<size>{text}</size>"))
+    (read,) = _numbers(text)
     assert _size_faults([written]) == _size_faults([read])
     assert _pose_faults([0.0] * 5 + [written]) == _pose_faults([0.0] * 5 + [read])
     assert _polyline_faults(3, written) == _polyline_faults(3, read)
