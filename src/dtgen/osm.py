@@ -29,6 +29,7 @@ from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportEr
 _SLICE_CHARS = 1 << 14  # per slice: map bytes or SDF characters parsed, download bytes checked
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
 _HEAD_CHARS = 40  # of a response's text, after its leading whitespace, that a refusal shows
+_EXCERPT_CHARS = 200  # of an error response's text that a RemoteError shows
 
 
 def lat_lon_in_range(lat: float, lon: float) -> bool:
@@ -197,14 +198,14 @@ def _read_xml(chunks: Iterable, start: Callable, end: Callable, text: Callable |
     ``start(tag, attrs)``, ``end(tag)`` and ``text(data)``. The bytes, or a
     ``str`` slice's UTF-8 bytes, are taken as UTF-8 whatever the declared
     encoding; names are split on namespaces into ``uri}local``, as ElementTree
-    splits them. Bytes that are not UTF-8, an unbound prefix or an undefined or
-    external entity raise ``expat.ExpatError`` with ElementTree's message.
+    splits them. Any fault, an undefined or external entity included, raises
+    ``expat.ExpatError`` with ElementTree's message, ``lineno`` and ``offset``.
     """
     external: set[str] = set()  # general entities declared with a system id
 
     def refuse_entity(name: str, is_parameter: int = 0) -> None:
-        # an entity undefined, or that only an external DTD may declare, refused as
-        # ElementTree refuses it; a parameter entity skipped in the DTD is ignored
+        # an undefined entity, or one only an external DTD may declare: refused as
+        # ElementTree refuses it, cut to 100 characters; a skipped parameter entity is ignored
         if is_parameter:
             return
         line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
@@ -332,7 +333,7 @@ def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_T
         # ValueError an endpoint that is not an http(s) URL
         raise TransportError(f"request to {endpoint} failed: {exc}") from exc
     if status >= 400:
-        raise RemoteError(status, body.decode(charset, errors="replace")[:200])
+        raise RemoteError(status, _error_excerpt(body, charset))
     try:
         if codecs.lookup(charset).name == "utf-8":
             head = _utf8_head(body)
@@ -347,6 +348,28 @@ def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_T
             f"response does not look like OSM XML (starts with {head[:_HEAD_CHARS]!r})"
         )
     return body
+
+
+def _error_excerpt(body: bytes, charset: str) -> str:
+    """The first ``_EXCERPT_CHARS`` characters of an error response's
+    ``body`` in ``charset``, bytes that do not decode replaced, or in UTF-8
+    when Python has no text codec for ``charset`` or its codec fails even
+    so. Only the bytes the excerpt needs are decoded."""
+    try:
+        return _decoded_head(body, charset)
+    except (LookupError, UnicodeError):
+        return _decoded_head(body, "utf-8")
+
+
+def _decoded_head(body: bytes, encoding: str) -> str:
+    b" ".decode(encoding, errors="replace")  # a LookupError for a codec that is not for text
+    decoder = codecs.getincrementaldecoder(encoding)(errors="replace")
+    head = ""
+    for start in range(0, len(body), _EXCERPT_CHARS):
+        head += decoder.decode(body[start : start + _EXCERPT_CHARS])
+        if len(head) >= _EXCERPT_CHARS:
+            return head[:_EXCERPT_CHARS]
+    return (head + decoder.decode(b"", True))[:_EXCERPT_CHARS]
 
 
 def _utf8_head(body: bytes) -> str:

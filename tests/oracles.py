@@ -3,7 +3,9 @@
 These deliberately avoid numpy and any dtgen internals: plain loops and
 math, written straight from the documented rules, whole-document parses
 where the library streams, and, where a faster path replaced a slower one,
-the slower one built from dtgen's public functions.
+the slower one built from dtgen's public functions. The one exception is
+the SDF validator's per-element rules, which the tree walk takes from
+``dtgen.sdf`` so that a difference can only come from reading the XML.
 """
 
 import json
@@ -13,6 +15,7 @@ import xml.etree.ElementTree as ET
 from dtgen.errors import OsmParseError
 from dtgen.osm import OsmDocument, OsmNode, OsmWay
 from dtgen.replay import GapReport, derive_headings, shadow_follow
+from dtgen.sdf import _RULES, _SHAPES, ValidationIssue, ValidationReport, _polyline_faults
 
 HEADING_GATE_M = 0.05
 MIN_VERTEX_SEPARATION_M = 1e-6
@@ -149,6 +152,98 @@ def _tree_way(element, warnings):
         warnings.append(f"way {way_id} skipped: no node references")
         return None
     return OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
+
+
+def tree_validate_sdf(text):
+    """``validate_sdf`` as one ``ET.fromstring`` of the whole text, then
+    ``find``, ``findall`` and ``iter`` over the tree, with a parent map for
+    locations: the validator the streaming one replaced. It applies the
+    same per-element rules, from ``dtgen.sdf``."""
+    issues = []
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        return ValidationReport((ValidationIssue("/", f"malformed XML: {exc}"),))
+    except UnicodeEncodeError as exc:
+        surrogate = f"U+{ord(exc.object[exc.start]):04X}"
+        message = f"malformed XML: lone surrogate {surrogate} is not encodable as UTF-8"
+        return ValidationReport((ValidationIssue("/", message),))
+
+    if root.tag != "sdf":
+        return ValidationReport(
+            (ValidationIssue("/", f"root element is <{root.tag}>, expected <sdf>"),)
+        )
+    if not root.get("version"):
+        issues.append(ValidationIssue("/sdf", "missing version attribute"))
+
+    worlds = root.findall("world")
+    if len(worlds) != 1:
+        issues.append(
+            ValidationIssue("/sdf", f"expected exactly one <world>, found {len(worlds)}")
+        )
+    for world in worlds:
+        world_loc = _tree_located(world, {world: root})
+        if world.find("spherical_coordinates") is None:
+            issues.append(
+                ValidationIssue(world_loc, "missing <spherical_coordinates> element")
+            )
+        seen = set()
+        for model in world.findall("model"):
+            name = model.get("name")
+            if not name:
+                issues.append(ValidationIssue(world_loc, "model without a name attribute"))
+                continue
+            if name in seen:
+                issues.append(ValidationIssue(world_loc, f"duplicate model name {name}"))
+            seen.add(name)
+
+    # every pose, polyline and box or plane size in document order; the
+    # parent map that a location needs is built only once a check has failed
+    parents = None
+    for element in root.iter():
+        check = _TREE_CHECKS.get(element.tag)
+        for message in check(element) if check else ():
+            if parents is None:
+                parents = {child: parent for parent in root.iter() for child in parent}
+            if element.tag == "size" and parents[element].tag not in _SHAPES:
+                break  # other sizes, such as a particle emitter's, may be zero
+            issues.append(ValidationIssue(_tree_located(element, parents), message))
+    return ValidationReport(tuple(issues))
+
+
+def _tree_located(element, parents):
+    """XPath-like location of ``element``: its ancestors below <sdf>, named
+    by tag and, where they have one, by name."""
+    steps = []
+    while element in parents:
+        name = element.get("name")
+        steps.append(f"/{element.tag}[@name='{name}']" if name else f"/{element.tag}")
+        element = parents[element]
+    return "/sdf" + "".join(reversed(steps))
+
+
+def _tree_numbers(element):
+    """The numbers in the text of ``element``: none if it is missing, or if
+    any part of its text is not a number."""
+    if element is None:
+        return []
+    try:
+        return [float(p) for p in (element.text or "").split()]
+    except ValueError:
+        return []
+
+
+def _tree_check_polyline(element):
+    height = _tree_numbers(element.find("height"))
+    points = len(element.findall("point"))
+    return _polyline_faults(points, height[0] if len(height) == 1 else math.nan)
+
+
+def _tree_check_numbers(element):
+    return _RULES[element.tag](_tree_numbers(element))
+
+
+_TREE_CHECKS = {"polyline": _tree_check_polyline, "pose": _tree_check_numbers, "size": _tree_check_numbers}
 
 
 def three_set_filter_bbox(doc, bbox):

@@ -721,6 +721,17 @@ class TestFetch:
         assert code == 3
         assert not out.exists()
 
+    def test_http_503_with_an_unknown_charset_is_io_error(self, data_dir, tmp_path, stub_server, capsys):
+        stub_server.state.status = 503
+        stub_server.state.content_type = "text/plain; charset=bogus"
+        stub_server.state.body = b"overloaded \xff"
+        out = tmp_path / "extract.osm"
+        config = str(data_dir / "config_minimal.json")
+        code = cli.main(["fetch", "--config", config, "--endpoint", stub_server.url, "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == "dtgen: error: server returned HTTP 503: 'overloaded \ufffd'\n"
+
     def test_timeout_is_io_error(self, data_dir, tmp_path, stub_server, capsys):
         stub_server.state.delay = 2.0
         code = cli.main(

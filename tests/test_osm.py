@@ -638,6 +638,16 @@ class TestOverpass:
             fetch_overpass(self.BOX, stub_server.url, timeout=5)
         assert excinfo.value.status == 429
 
+    def test_http_error_with_an_unknown_charset_raises_remote_error(self, stub_server):
+        # the excerpt falls back to UTF-8, a byte that is not UTF-8 replaced
+        stub_server.state.status = 503
+        stub_server.state.content_type = "text/plain; charset=bogus"
+        stub_server.state.body = b"overloaded \xff" + b"x" * 1000
+        with pytest.raises(RemoteError) as excinfo:
+            fetch_overpass(self.BOX, stub_server.url, timeout=5)
+        assert excinfo.value.status == 503
+        assert excinfo.value.body_excerpt == ("overloaded \ufffd" + "x" * 1000)[:200]
+
     def test_non_xml_response_raises_format_error(self, stub_server):
         stub_server.state.body = b'{"elements": []}'
         with pytest.raises(ResponseFormatError):
@@ -659,3 +669,44 @@ class TestOverpass:
         stub_server.state.delay = 2.0
         with pytest.raises(TransportError):
             fetch_overpass(self.BOX, stub_server.url, timeout=0.3)
+
+
+_EXCERPT_TEXT = "Überlastet: " + "wait and retry, " * 20  # over 200 characters
+
+
+@pytest.mark.parametrize(
+    "body, charset",
+    [
+        (_EXCERPT_TEXT.encode("utf-8"), "utf-8"),
+        (_EXCERPT_TEXT.encode("utf-16"), "utf-16"),
+        (_EXCERPT_TEXT.encode("iso-8859-1"), "iso-8859-1"),
+        (_EXCERPT_TEXT.encode("utf-7"), "utf-7"),
+        ("é".encode("utf-8") * 10 + b"\xc3", "utf-8"),  # cut inside its last character
+        (b"ok \xff\xfe", "utf-8"),
+        (b"", "utf-8"),
+    ],
+)
+def test_error_excerpt_is_the_head_of_the_whole_decoded_body(body, charset):
+    assert osm._error_excerpt(body, charset) == body.decode(charset, errors="replace")[:200]
+
+
+@pytest.mark.parametrize("charset", ["bogus", "hex", "rot13", "idna"])
+def test_error_excerpt_without_a_text_codec_for_the_charset_is_utf8(charset):
+    # unknown, a bytes-to-bytes codec, a str-to-str one, one with no "replace"
+    body = _EXCERPT_TEXT.encode("utf-8") + b"\xff"
+    assert osm._error_excerpt(body, charset) == body.decode("utf-8", errors="replace")[:200]
+
+
+def test_error_excerpt_decodes_only_the_head_of_a_large_body():
+    decoded = []
+    real = codecs.getincrementaldecoder("utf-8")
+
+    class Counting(real):
+        def decode(self, data, final=False):
+            decoded.append(len(data))
+            return super().decode(data, final)
+
+    with mock.patch.object(codecs, "getincrementaldecoder", lambda encoding: Counting):
+        excerpt = osm._error_excerpt(b"x" * 1_000_000, "utf-8")
+    assert excerpt == "x" * 200
+    assert sum(decoded) <= 400

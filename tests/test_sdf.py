@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -12,6 +13,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
+from oracles import tree_validate_sdf
 
 from dtgen.config import (
     GenerationConfig,
@@ -23,7 +25,7 @@ from dtgen.config import (
 )
 from dtgen.errors import EmitError
 from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
-from dtgen.osm import BoundingBox
+from dtgen.osm import _SLICE_CHARS, BoundingBox
 from dtgen.pipeline import generate_world
 from dtgen.sdf import (
     GROUND_MARGIN_M,
@@ -755,3 +757,212 @@ def test_writer_verdict_property_reaches_both_outcomes():
     # the strategy itself draws clean and faulty worlds, not only the examples
     find(_world_inputs(), lambda inputs: not _emit_inputs(inputs).violations)
     find(_world_inputs(), lambda inputs: bool(_emit_inputs(inputs).violations))
+
+
+# the streaming validator against the tree walk it replaced: the same
+# (location, message) list, in the same order, for every document
+def _verdict(text):
+    return [(v.location, v.message) for v in validate_sdf(text).violations]
+
+
+def _tree_verdict(text):
+    return [(v.location, v.message) for v in tree_validate_sdf(text).violations]
+
+
+_DOC = "<sdf version='1.9'><world name='w'><spherical_coordinates/>{}</world></sdf>"
+
+
+def _in_model(body, name="m"):
+    return _DOC.format(f"<model name='{name}'>{body}</model>")
+
+
+def _box_sizes(*sizes):
+    return _in_model("".join(
+        f"<link name='l{i}'><collision name='c'><geometry><box><size>{size}</size></box></geometry>"
+        "</collision></link>"
+        for i, size in enumerate(sizes)
+    ))
+
+
+def _across_a_slice(tag):
+    """A document whose ``tag`` start tag is cut by the first slice boundary."""
+    head = _in_model("")[: -len("</model></world></sdf>")]
+    padding = "<!--" + "x" * (_SLICE_CHARS - len(head) - len("<!---->") - 3) + "-->"
+    text = _in_model(padding + tag)
+    start = text.index(tag)
+    assert start < _SLICE_CHARS < start + len(tag)
+    return text
+
+
+_XML_FEATURE_CASES = {
+    "prefixed root": "<s:sdf xmlns:s='urn:s' version='1.9'><world name='w'/></s:sdf>",
+    "default xmlns": "<sdf xmlns='urn:s' version='1.9'><world name='w'/></sdf>",
+    "namespaced ancestor": _DOC.format("<m:model xmlns:m='urn:m' name='a'><pose>1</pose></m:model>"),
+    "unbound prefix": _DOC.format("<m:model name='a'/>"),
+    "undefined entity": _in_model("<pose>&foo;</pose>"),
+    "undefined entity, external DOCTYPE": "<!DOCTYPE sdf SYSTEM 'sdf.dtd'>" + _in_model("<pose>&foo;</pose>"),
+    "declared external entity": "<!DOCTYPE sdf [<!ENTITY ext SYSTEM 'ext.xml'>]>" + _in_model("<pose>&ext;</pose>"),
+    "skipped parameter entity": (
+        "<!DOCTYPE sdf SYSTEM 'sdf.dtd' [<!ENTITY % pe SYSTEM 'pe.dtd'> %pe;]>" + _in_model("<pose>1</pose>")
+    ),
+    "internal entity in pose": (
+        "<!DOCTYPE sdf [<!ENTITY p '1 2 3'>]>" + _in_model("<pose>&p; 4 5 6</pose><pose>&p;</pose>")
+    ),
+    "internal entity with markup": "<!DOCTYPE sdf [<!ENTITY p '1 2<a/>3'>]>" + _in_model("<pose>&p; 4 5 6</pose>"),
+    "character references": _in_model("<pose>1&#32;2 3 4 5 &#x36;</pose><pose>1&#10;2</pose>"),
+    "CDATA in size": _box_sizes("<![CDATA[1 2 3]]>", "<![CDATA[0]]> 1", "1<![CDATA[ x]]>"),
+    "child inside pose": _in_model(
+        "<pose>1 2 3<a/>4 5 6</pose><pose><a/>1 2 3 4 5 6</pose><pose>1 2 3 <a>4 5 6</a></pose>"
+    ),
+    "comment and PI inside pose": _in_model("<pose>1 2 3<!-- c -->4 5 6</pose><pose>1 2 3 <?p x?> 4 5 6</pose>"),
+    "byte order mark": "\ufeff<?xml version='1.0'?>" + _in_model("<pose>1</pose>"),
+    "latin-1 declaration": "<?xml version='1.0' encoding='latin-1'?>" + _in_model("<pose>1</pose>", name="café"),
+    "empty text": "",
+    "whitespace only": "  \n",
+    "empty root": "<sdf/>",
+    "empty poses": _in_model("<pose/><pose></pose>"),
+    "empty box size": _box_sizes(""),
+    "nested polylines": _in_model(
+        "<polyline><point>0 0</point><polyline><point>0 0</point><height>2</height></polyline>"
+        "<height>-1</height><height>5</height></polyline>"
+    ),
+    "polyline heights": _in_model(
+        "<polyline><point/><point/><point/><height>1<a/></height></polyline>"
+        "<polyline><point/><point/><point/><height>1 2</height></polyline>"
+        "<polyline><point/><point/><point/><height> 3 </height><height>-1</height></polyline>"
+        "<polyline><point/><point/><point/><height/></polyline>"
+    ),
+    "two worlds": (
+        "<sdf version='1.9'><world name='a'><model name='x'/><model name='x'/><model/></world>"
+        "<world><spherical_coordinates/><model name=''/><pose>x</pose></world></sdf>"
+    ),
+    "no world": "<sdf version=''><pose>1</pose><size>0</size><box><size>0</size></box></sdf>",
+    "nested world and coordinates": _DOC.replace("<spherical_coordinates/>", "").format(
+        "<model name='m'><spherical_coordinates/><world name='inner'><model name='m'/></world></model>"
+    ),
+    "wrong root with faults inside it": "<robot><world><pose>x</pose><model/><model/></world></robot>",
+    "tag across a slice boundary": _across_a_slice("<pose>1 2 3</pose>"),
+    "fault across a slice boundary": _across_a_slice("<size>0</size>").replace("<size>0</size>", "<box><size>0</size></box>"),
+    "lone surrogate": _in_model("<pose>\ud800</pose>"),
+    "lone surrogate after malformed XML": "<sdf><world></sdf>" + "x" * (2 * _SLICE_CHARS) + "\udfff",
+    "junk after the root": _in_model("") + "<x/>",
+    "line ends": _in_model("<pose>1\r\n2 3\r4 5 6</pose><pose>1\r\n2</pose>"),
+    "names on any element": _in_model("<link name=''><pose name='p'>x</pose></link><link name='ü'><pose>x</pose></link>"),
+    "namespaced name attribute": _in_model("<link xmlns:x='urn:x' x:name='n'><pose>x</pose></link>"),
+}
+
+
+@pytest.mark.parametrize("text", _XML_FEATURE_CASES.values(), ids=_XML_FEATURE_CASES.keys())
+def test_validator_matches_the_tree_walk_on_xml_features(text):
+    assert _verdict(text) == _tree_verdict(text)
+
+
+def test_xml_feature_cases_reach_each_kind_of_verdict():
+    verdicts = {name: _verdict(text) for name, text in _XML_FEATURE_CASES.items()}
+    assert verdicts["empty poses"] == [
+        ("/sdf/world[@name='w']/model[@name='m']/pose", "pose must contain 6 finite numbers")
+    ] * 2
+    assert verdicts["undefined entity, external DOCTYPE"][0][1].startswith("malformed XML: undefined entity &foo;")
+    assert verdicts["declared external entity"][0][1].startswith("malformed XML: undefined entity &ext;")
+    assert verdicts["prefixed root"] == [("/", "root element is <{urn:s}sdf>, expected <sdf>")]
+    assert verdicts["lone surrogate after malformed XML"] == [
+        ("/", "malformed XML: lone surrogate U+DFFF is not encodable as UTF-8")
+    ]
+    assert verdicts["tag across a slice boundary"] != []
+    assert verdicts["skipped parameter entity"] != [] and verdicts["skipped parameter entity"][0][0] != "/"
+
+
+@functools.cache
+def _track_world_lines():
+    config = load_config((DATA_DIR / "config_track.json").read_text(encoding="utf-8"))
+    with open(DATA_DIR / "track.osm", "rb") as osm:
+        return tuple(_written(generate_world(config, osm)).splitlines())
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_NOT_A_NUMBER = ["nan", "inf", "-inf", "1e999", "0", "-1", "x", "1,5", "0x1", ""]
+_CHECKED = ("<pose>", "<size>", "<height>")  # the lines whose numbers the validator checks
+
+
+class _MutatedWorld(str):
+    """A mutated world's text, shown by its edits: the text is too long to print."""
+
+    edits: list[str]
+
+    def __repr__(self):
+        return f"<track world, {'; '.join(self.edits)}>"
+
+
+@st.composite
+def _mutated_track_world(draw):
+    """The track world with a few lines deleted, duplicated or truncated, a
+    number made non-finite or non-numeric, or a stray ``&x;`` or ``<a/>``."""
+    lines = list(_track_world_lines())
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        # most of the other kinds make the XML malformed, so numbers come up most
+        kind = draw(st.sampled_from(["delete", "duplicate", "truncate", "entity", "element"] + ["number"] * 8))
+        if kind == "number":
+            numbered = [j for j, line in enumerate(lines) if line.startswith(_CHECKED) and _NUMBER.search(line)]
+            i = draw(st.sampled_from(numbered))
+            number = draw(st.sampled_from(list(_NUMBER.finditer(lines[i]))))
+            replacement = draw(st.sampled_from(_NOT_A_NUMBER))
+            lines[i] = lines[i][: number.start()] + replacement + lines[i][number.end() :]
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+            if kind == "delete":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            elif kind == "truncate":
+                lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+            else:
+                at = draw(st.integers(0, len(lines[i])))
+                lines[i] = lines[i][:at] + ("&x;" if kind == "entity" else "<a/>") + lines[i][at:]
+        edits.append(f"{kind} line {i + 1}" + ("" if kind == "delete" else f", now {lines[i]!r}"))
+    world = _MutatedWorld("\n".join(lines) + "\n")
+    world.edits = edits
+    return world
+
+
+@given(text=_mutated_track_world())
+@settings(max_examples=300, deadline=None)
+def test_validator_matches_the_tree_walk_on_mutated_worlds(text):
+    assert _verdict(text) == _tree_verdict(text)
+
+
+def test_mutated_worlds_reach_located_violations_and_malformed_xml():
+    assert _verdict("\n".join(_track_world_lines())) == []
+    find(_mutated_track_world(), lambda text: any(loc != "/" for loc, _ in _verdict(text)))
+    find(_mutated_track_world(), lambda text: any(loc == "/" for loc, _ in _verdict(text)))
+    find(_mutated_track_world(), lambda text: len({loc for loc, _ in _verdict(text)}) >= 2)
+
+
+def _city_block_world(blocks):
+    """A generated world of ``blocks`` square buildings on a grid, as text."""
+    nodes, ways = [], []
+    for b in range(blocks):
+        lat, lon = 48.001 + (b // 100) * 0.0002, 8.001 + (b % 100) * 0.0002
+        corners = [(lat, lon), (lat, lon + 0.0001), (lat + 0.0001, lon + 0.0001), (lat + 0.0001, lon)]
+        ids = [4 * b + k + 1 for k in range(4)]
+        nodes += [f"<node id='{i}' lat='{la:.7f}' lon='{lo:.7f}'/>" for i, (la, lo) in zip(ids, corners)]
+        refs = "".join(f"<nd ref='{i}'/>" for i in ids + ids[:1])
+        ways.append(f"<way id='{b + 1}'>{refs}<tag k='building' v='yes'/></way>")
+    osm = f"<osm version='0.6'>{''.join(nodes)}{''.join(ways)}</osm>"
+    config = GenerationConfig(bbox=BoundingBox(48.0, 8.0, 48.1, 8.1))
+    return _written(generate_world(config, io.BytesIO(osm.encode())))
+
+
+def test_validate_sdf_holds_no_tree_of_the_text():
+    text = _city_block_world(3000)
+    assert len(text) >= 2_000_000
+    tracemalloc.start()
+    try:
+        report = validate_sdf(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # a tree of the text takes several times its length; the path, the
+    # model names and the slice being parsed take a small part of it
+    assert peak < len(text) / 4
