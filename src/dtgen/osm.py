@@ -354,22 +354,13 @@ def _error_excerpt(body: bytes, charset: str) -> str:
     """The first ``_EXCERPT_CHARS`` characters of an error response's
     ``body`` in ``charset``, bytes that do not decode replaced, or in UTF-8
     when Python has no text codec for ``charset`` or its codec fails even
-    so. Only the bytes the excerpt needs are decoded."""
+    so. Only the head of the body is decoded: no codec takes more than 8
+    bytes for a character."""
+    head = body[: 8 * _EXCERPT_CHARS]
     try:
-        return _decoded_head(body, charset)
+        return head.decode(charset, errors="replace")[:_EXCERPT_CHARS]
     except (LookupError, UnicodeError):
-        return _decoded_head(body, "utf-8")
-
-
-def _decoded_head(body: bytes, encoding: str) -> str:
-    b" ".decode(encoding, errors="replace")  # a LookupError for a codec that is not for text
-    decoder = codecs.getincrementaldecoder(encoding)(errors="replace")
-    head = ""
-    for start in range(0, len(body), _EXCERPT_CHARS):
-        head += decoder.decode(body[start : start + _EXCERPT_CHARS])
-        if len(head) >= _EXCERPT_CHARS:
-            return head[:_EXCERPT_CHARS]
-    return (head + decoder.decode(b"", True))[:_EXCERPT_CHARS]
+        return head.decode("utf-8", errors="replace")[:_EXCERPT_CHARS]
 
 
 def _utf8_head(body: bytes) -> str:

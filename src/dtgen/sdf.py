@@ -352,9 +352,10 @@ def validate_sdf(text: str) -> ValidationReport:
         entry: tuple | list = (tag, attrs.get("name"))
         if tag in _READ and stack:  # of any other element only the path is kept
             parent = stack[-1]
-            if parent[0] == "polyline" and tag == "point":
+            polyline = parent[0] == "polyline" and len(parent) > 2  # checked: not the root
+            if polyline and tag == "point":
                 parent[4] += 1
-            elif parent[0] == "polyline" and tag == "height" and parent[3] is None:
+            elif polyline and tag == "height" and parent[3] is None:
                 parent[3] = gathered = []  # only the first height counts
             elif tag == "polyline" or tag == "pose" or (tag == "size" and parent[0] in _SHAPES):
                 gathered = None if tag == "polyline" else []

@@ -841,6 +841,10 @@ _XML_FEATURE_CASES = {
         "<model name='m'><spherical_coordinates/><world name='inner'><model name='m'/></world></model>"
     ),
     "wrong root with faults inside it": "<robot><world><pose>x</pose><model/><model/></world></robot>",
+    "polyline root": "<polyline><point/><height>1</height><pose>x</pose></polyline>",
+    "pose root": "<pose><a/>x</pose>",
+    "box root": "<box><size>0</size></box>",
+    "world root": "<world><spherical_coordinates/><model/><model/></world>",
     "tag across a slice boundary": _across_a_slice("<pose>1 2 3</pose>"),
     "fault across a slice boundary": _across_a_slice("<size>0</size>").replace("<size>0</size>", "<box><size>0</size></box>"),
     "lone surrogate": _in_model("<pose>\ud800</pose>"),
@@ -936,6 +940,35 @@ def test_mutated_worlds_reach_located_violations_and_malformed_xml():
     find(_mutated_track_world(), lambda text: any(loc != "/" for loc, _ in _verdict(text)))
     find(_mutated_track_world(), lambda text: any(loc == "/" for loc, _ in _verdict(text)))
     find(_mutated_track_world(), lambda text: len({loc for loc, _ in _verdict(text)}) >= 2)
+
+
+_TREE_TAGS = [
+    "sdf", "world", "model", "spherical_coordinates", "polyline", "point", "height", "pose", "size", "box", "plane", "a",
+]
+_TREE_TEXTS = ["", "1", "0", "-1", "x", "1 2 3 4 5 6"]
+
+
+@st.composite
+def _tree(draw, depth=4):
+    """An element of the validator's tags at any place, the root included,
+    with a name or not, text before its first child and after it."""
+    tag = draw(st.sampled_from(_TREE_TAGS))
+    attrs = draw(st.sampled_from(["", " name='a'", " name='b'", " name=''", " version='1.9'"]))
+    children = draw(st.lists(_tree(depth - 1), max_size=3)) if depth else []
+    texts = (draw(st.sampled_from(_TREE_TEXTS)) for _ in range(2))
+    return f"<{tag}{attrs}>{next(texts)}{''.join(children)}{next(texts) if children else ''}</{tag}>"
+
+
+@given(text=_tree())
+@example(text="<polyline><point/><height>1</height></polyline>")
+@settings(max_examples=300, deadline=None)
+def test_validator_matches_the_tree_walk_on_trees_of_its_tags(text):
+    assert _verdict(text) == _tree_verdict(text)
+
+
+def test_trees_of_its_tags_reach_located_violations_and_any_root():
+    find(_tree(), lambda text: any(loc != "/" for loc, _ in _verdict(text)))
+    find(_tree(), lambda text: text.startswith("<polyline") and "<point" in text and "<height" in text)
 
 
 def _city_block_world(blocks):
