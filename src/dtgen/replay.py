@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -294,32 +294,43 @@ def derive_headings(traj: Trajectory) -> list[float]:
     return list(traj.motion_headings)
 
 
+def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:
+    """One forward walk over ``traj`` for increasing query times: per time t,
+    t, the index of the first sample at or after it, the fraction of the way
+    there from the sample before (``None`` on an exact hit) and the linearly
+    interpolated x and y. A time outside the range, NaN too, is refused."""
+    samples, first, last = traj.samples, traj.t_first, traj.t_last
+    j = 0
+    for t in times:
+        if not first <= t <= last:
+            raise ValueError(f"query time {t} outside recorded range [{first}, {last}]")
+        while samples[j].t < t:
+            j += 1
+        hi = samples[j]
+        if hi.t == t:
+            yield t, j, None, hi.x, hi.y
+        else:
+            lo = samples[j - 1]
+            frac = (t - lo.t) / (hi.t - lo.t)
+            yield t, j, frac, lo.x + frac * (hi.x - lo.x), lo.y + frac * (hi.y - lo.y)
+
+
 def shadow_follow(recorded: Trajectory, query_times: list[float]) -> Trajectory:
-    """Resample a recorded trajectory at the query times.
+    """Resample a recorded trajectory at the query times, which must
+    strictly increase.
 
     Positions interpolate linearly; yaw interpolates on the shortest angular
     arc, or is derived from the direction of motion when the recording has
     no yaw channel. This is the pose stream a shadow or ghost model follows.
     Query times outside the recorded range are rejected, never extrapolated.
     """
-    times = [s.t for s in recorded.samples]
     yaws = [s.yaw for s in recorded.samples] if recorded.has_yaw else derive_headings(recorded)
     out = []
-    for t in query_times:
-        if not times[0] <= t <= times[-1]:
-            raise ValueError(
-                f"query time {t} outside recorded range [{times[0]}, {times[-1]}]"
-            )
-        i = bisect.bisect_left(times, t)
-        hi = recorded.samples[i]
-        if hi.t == t:
-            out.append(TrajectorySample(t, hi.x, hi.y, yaws[i]))
-            continue
-        lo = recorded.samples[i - 1]
-        frac = (t - lo.t) / (hi.t - lo.t)
-        x = lo.x + frac * (hi.x - lo.x)
-        y = lo.y + frac * (hi.y - lo.y)
-        yaw = normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1]))
+    for t, i, frac, x, y in _resample(recorded, query_times):
+        if frac is None:
+            yaw = yaws[i]
+        else:
+            yaw = normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1]))
         out.append(TrajectorySample(t, x, y, yaw))
     return Trajectory(tuple(out))
 
@@ -328,11 +339,10 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     """Deviation statistics between a recorded and a simulated trajectory.
 
     Comparison runs on the recorded timestamps inside the overlapping time
-    range, with the simulated positions resampled onto them by
-    :func:`shadow_follow`'s linear interpolation, bit for bit, in one
-    forward walk (the yaw it would also resample is not needed). The lateral
-    and longitudinal components live in the recorded trajectory's heading
-    frame (heading from motion direction).
+    range, with the simulated positions resampled onto them by the walk
+    that :func:`shadow_follow` uses. The lateral and longitudinal components
+    live in the recorded trajectory's heading frame (heading from motion
+    direction).
     """
     t_lo = max(real.t_first, sim.t_first)
     t_hi = min(real.t_last, sim.t_last)
@@ -341,42 +351,22 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     stop = bisect.bisect_right(real.samples, t_hi, key=attrgetter("t"))
     if stop - first < 2:
         raise ValueError("trajectories overlap on fewer than 2 samples")
-    # the times are sorted, so only the first can fall outside the simulated
-    # range, and only when that range is a single NaN timestamp
-    if not sim.t_first <= real.samples[first].t <= sim.t_last:
-        raise ValueError(
-            f"query time {real.samples[first].t} outside recorded range "
-            f"[{sim.t_first}, {sim.t_last}]"
-        )
 
-    headings = derive_headings(real)
-    sim_samples = sim.samples
-    j = 0  # the first simulated sample at or after t, as bisect_left finds it
-    devs, lateral_sq, longitudinal_sq, per_sample = [], [], [], []
-    for i in range(first, stop):
-        r = real.samples[i]
-        t = r.t
-        while sim_samples[j].t < t:
-            j += 1
-        hi = sim_samples[j]
-        if hi.t == t:
-            x, y = hi.x, hi.y
-        else:
-            lo = sim_samples[j - 1]
-            frac = (t - lo.t) / (hi.t - lo.t)
-            x = lo.x + frac * (hi.x - lo.x)
-            y = lo.y + frac * (hi.y - lo.y)
+    recorded = real.samples[first:stop]
+    headings = itertools.islice(derive_headings(real), first, stop)
+    resampled = _resample(sim, map(attrgetter("t"), recorded))
+    lateral_sq, longitudinal_sq, per_sample = [], [], []
+    for r, heading, (t, _, _, x, y) in zip(recorded, headings, resampled):
         dx = x - r.x
         dy = y - r.y
-        cos_h, sin_h = math.cos(headings[i]), math.sin(headings[i])
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
         lateral = -sin_h * dx + cos_h * dy
         longitudinal = cos_h * dx + sin_h * dy
-        dev = math.hypot(dx, dy)
-        devs.append(dev)
-        per_sample.append((float(t), dev))
+        per_sample.append((float(t), math.hypot(dx, dy)))
         lateral_sq.append(lateral * lateral)
         longitudinal_sq.append(longitudinal * longitudinal)
 
+    devs = [d for _, d in per_sample]
     return GapReport(
         n=len(devs),
         rmse=math.sqrt(_mean([d * d for d in devs])),
@@ -422,11 +412,7 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
 
     samples = []
     for line_no, row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"trajectory CSV line {line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        values = _parse_numbers(row, "trajectory", line_no)
+        values = _parse_numbers(row, len(header), "trajectory", line_no)
         t, a, b = values[:3]
         yaw = values[3] if has_yaw else None
         if geodetic:
@@ -450,9 +436,7 @@ def parse_controls_csv(text: str) -> list[ControlSample]:
         raise ValueError(f"unrecognized controls header {header!r}: expected t,speed,steer")
     controls = []
     for line_no, row in rows:
-        if len(row) != 3:
-            raise ValueError(f"controls CSV line {line_no}: expected 3 fields, got {len(row)}")
-        t, speed, steer = _parse_numbers(row, "controls", line_no)
+        t, speed, steer = _parse_numbers(row, 3, "controls", line_no)
         controls.append(ControlSample(t, speed, steer))
     return controls
 
@@ -484,7 +468,10 @@ def _read_csv(text: str, kind: str) -> tuple[list[str], Iterator[tuple[int, list
     return [h.strip() for h in header[1]], itertools.chain((first,), rows)
 
 
-def _parse_numbers(row: list[str], kind: str, line_no: int) -> list[float]:
+def _parse_numbers(row: list[str], width: int, kind: str, line_no: int) -> list[float]:
+    """A CSV row of ``width`` finite numbers, or a located ``ValueError``."""
+    if len(row) != width:
+        raise ValueError(f"{kind} CSV line {line_no}: expected {width} fields, got {len(row)}")
     try:
         values = [float(v) for v in row]
     except ValueError as exc:
