@@ -238,8 +238,8 @@ def step_kinematic(
     the position moves along the chord, v * dt * sin(h) / h at heading
     yaw + h; for tiny |h| the series 1 - h^2/6 stands in for sin(h) / h.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     steer = min(max(control.steer, -spec.max_steer_angle), spec.max_steer_angle)
     v = control.speed
     h = 0.5 * v * dt * math.tan(steer) / spec.wheelbase
@@ -267,6 +267,8 @@ def simulate_controls(
         raise ValueError("at least one control sample is required")
     if any(not b.t > a.t for a, b in itertools.pairwise(controls)):
         raise ValueError("control timestamps must be strictly increasing")
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
 
     warnings = [
         f"control at t={c.t}: steer {c.steer} exceeds limit "
@@ -295,10 +297,11 @@ def derive_headings(traj: Trajectory) -> list[float]:
 
 
 def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:
-    """One forward walk over ``traj`` for increasing query times: per time t,
-    t, the index of the first sample at or after it, the fraction of the way
-    there from the sample before (``None`` on an exact hit) and the linearly
-    interpolated x and y. A time outside the range, NaN too, is refused."""
+    """One forward walk over ``traj`` for increasing query times. Each time
+    t yields t, the index of the first sample at or after t, the fraction of
+    the way there from the sample before (``None`` on an exact hit) and the
+    linearly interpolated x and y. A time outside the range, NaN too, is
+    refused."""
     samples, first, last = traj.samples, traj.t_first, traj.t_last
     j = 0
     for t in times:

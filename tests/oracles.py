@@ -8,13 +8,20 @@ the SDF validator's per-element rules, which the tree walk takes from
 ``dtgen.sdf`` so that a difference can only come from reading the XML.
 """
 
+import bisect
 import json
 import math
 import xml.etree.ElementTree as ET
 
 from dtgen.errors import OsmParseError
 from dtgen.osm import OsmDocument, OsmNode, OsmWay
-from dtgen.replay import GapReport, derive_headings, shadow_follow
+from dtgen.replay import (
+    GapReport,
+    Trajectory,
+    TrajectorySample,
+    derive_headings,
+    normalize_angle,
+)
 from dtgen.sdf import _RULES, _SHAPES, ValidationIssue, ValidationReport, _polyline_faults
 
 HEADING_GATE_M = 0.05
@@ -269,18 +276,43 @@ def indent_encoder_gap_json(report):
     return json.dumps(fields, indent=2, allow_nan=False) + "\n"
 
 
+def bisect_shadow_follow(recorded, query_times):
+    """``shadow_follow`` as one ``bisect`` per query time over a list of the
+    recorded times: the lookup the shared forward walk replaced."""
+    times = [s.t for s in recorded.samples]
+    yaws = [s.yaw for s in recorded.samples] if recorded.has_yaw else derive_headings(recorded)
+    out = []
+    for t in query_times:
+        if not times[0] <= t <= times[-1]:
+            raise ValueError(
+                f"query time {t} outside recorded range [{times[0]}, {times[-1]}]"
+            )
+        i = bisect.bisect_left(times, t)
+        hi = recorded.samples[i]
+        if hi.t == t:
+            out.append(TrajectorySample(t, hi.x, hi.y, yaws[i]))
+            continue
+        lo = recorded.samples[i - 1]
+        frac = (t - lo.t) / (hi.t - lo.t)
+        x = lo.x + frac * (hi.x - lo.x)
+        y = lo.y + frac * (hi.y - lo.y)
+        yaw = normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1]))
+        out.append(TrajectorySample(t, x, y, yaw))
+    return Trajectory(tuple(out))
+
+
 def shadow_follow_compute_gap(real, sim):
     """``compute_gap`` as the recorded samples in the overlap selected into a
-    list, the simulated trajectory resampled onto their times by the public
-    ``shadow_follow`` (yaw and all), then three lists of per-sample values:
-    the comparison the one-pass walk replaced."""
+    list, the simulated trajectory resampled onto their times by
+    :func:`bisect_shadow_follow` (yaw and all), then three lists of
+    per-sample values: the comparison the one-pass walk replaced."""
     t_lo = max(real.t_first, sim.t_first)
     t_hi = min(real.t_last, sim.t_last)
     selected = [i for i, s in enumerate(real.samples) if t_lo <= s.t <= t_hi]
     if len(selected) < 2:
         raise ValueError("trajectories overlap on fewer than 2 samples")
     times = [real.samples[i].t for i in selected]
-    resampled = shadow_follow(sim, times)
+    resampled = bisect_shadow_follow(sim, times)
 
     headings = derive_headings(real)
     devs, lateral_sq, longitudinal_sq = [], [], []

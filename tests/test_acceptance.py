@@ -4,13 +4,14 @@ plain ``pytest tests/test_acceptance.py -v -s`` doubles as the release
 checklist."""
 
 import io
+import itertools
 import json
 import math
+import random
 import statistics
 import time
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from dtgen import cli
@@ -214,7 +215,7 @@ def _haversine(lat1, lon1, lat2, lon2):
 
 def test_projection_accuracy():
     """1000 random sub-5km pairs within 0.5% of haversine; round trip 1e-9 deg."""
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     pairs = 0
     worst_rel = 0.0
     worst_round = 0.0
@@ -223,12 +224,14 @@ def test_projection_accuracy():
         lon0 = rng.uniform(-179.0, 179.0)
         origin = GeoOrigin(lat0, lon0)
         # both endpoints within 2.5 km of the origin
-        bearing = rng.uniform(0, 2 * math.pi, 2)
-        dist = rng.uniform(0, 2500.0, 2)
-        lats = lat0 + np.degrees(dist * np.cos(bearing) / EARTH_RADIUS_M)
-        lons = lon0 + np.degrees(
-            dist * np.sin(bearing) / (EARTH_RADIUS_M * math.cos(math.radians(lat0)))
-        )
+        lats, lons = [], []
+        for _ in range(2):
+            bearing = rng.uniform(0, 2 * math.pi)
+            dist = rng.uniform(0, 2500.0)
+            lats.append(lat0 + math.degrees(dist * math.cos(bearing) / EARTH_RADIUS_M))
+            lons.append(lon0 + math.degrees(
+                dist * math.sin(bearing) / (EARTH_RADIUS_M * math.cos(math.radians(lat0)))
+            ))
         truth = _haversine(lats[0], lons[0], lats[1], lons[1])
         if truth < 1.0 or truth >= 5000.0:
             continue
@@ -282,20 +285,17 @@ def test_gap_metric_oracle():
     """compute_gap vs direct summation on 100 random pairs, 1e-12 tolerance."""
     from oracles import brute_force_gap_metrics
 
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     worst = 0.0
     for _ in range(100):
-        n = int(rng.integers(5, 60))
-        times = np.cumsum(rng.uniform(0.1, 1.0, n))
-        real_pts = [
-            (float(x), float(y))
-            for x, y in zip(np.cumsum(rng.uniform(-2, 3, n)), np.cumsum(rng.uniform(-2, 2, n)))
-        ]
-        sim_pts = [
-            (x + float(rng.normal(0, 0.5)), y + float(rng.normal(0, 0.5))) for x, y in real_pts
-        ]
-        real = Trajectory(tuple(TrajectorySample(float(t), x, y) for t, (x, y) in zip(times, real_pts)))
-        sim = Trajectory(tuple(TrajectorySample(float(t), x, y) for t, (x, y) in zip(times, sim_pts)))
+        n = rng.randrange(5, 60)
+        times = list(itertools.accumulate(rng.uniform(0.1, 1.0) for _ in range(n)))
+        xs = list(itertools.accumulate(rng.uniform(-2, 3) for _ in range(n)))
+        ys = list(itertools.accumulate(rng.uniform(-2, 2) for _ in range(n)))
+        real_pts = list(zip(xs, ys))
+        sim_pts = [(x + rng.gauss(0, 0.5), y + rng.gauss(0, 0.5)) for x, y in real_pts]
+        real = Trajectory(tuple(TrajectorySample(t, x, y) for t, (x, y) in zip(times, real_pts)))
+        sim = Trajectory(tuple(TrajectorySample(t, x, y) for t, (x, y) in zip(times, sim_pts)))
         report = compute_gap(real, sim)
         expected = brute_force_gap_metrics(real_pts, sim_pts)
         for key, value in expected.items():

@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -81,7 +81,7 @@ class TestUnproject:
 
     def test_round_trip_within_tenth_degree(self):
         origin = GeoOrigin(48.0, 8.0)
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(200):
             lat = 48.0 + rng.uniform(-0.1, 0.1)
             lon = 8.0 + rng.uniform(-0.1, 0.1)
@@ -159,10 +159,10 @@ def test_point_just_across_the_antimeridian_lands_next_to_the_origin():
 
 def test_projection_is_affine_in_lat_lon():
     origin = GeoOrigin(48.0, 8.0)
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(100):
-        lat_a, lat_b = 48.0 + rng.uniform(-0.1, 0.1, 2)
-        lon_a, lon_b = 8.0 + rng.uniform(-0.1, 0.1, 2)
+        lat_a, lat_b = (48.0 + rng.uniform(-0.1, 0.1) for _ in range(2))
+        lon_a, lon_b = (8.0 + rng.uniform(-0.1, 0.1) for _ in range(2))
         mid = project(origin, (lat_a + lat_b) / 2, (lon_a + lon_b) / 2)
         pa = project(origin, lat_a, lon_a)
         pb = project(origin, lat_b, lon_b)
@@ -171,7 +171,7 @@ def test_projection_is_affine_in_lat_lon():
 
 
 def test_planar_distance_matches_haversine_within_half_percent():
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     for _ in range(300):
         lat0 = rng.uniform(-70.0, 70.0)
         lon0 = rng.uniform(-180.0, 180.0)
@@ -179,8 +179,8 @@ def test_planar_distance_matches_haversine_within_half_percent():
         # two points within ~2.5 km of the origin -> pair under 5 km apart
         scale_lat = 0.0225
         scale_lon = 0.0225 / math.cos(math.radians(lat0))
-        lat1, lat2 = lat0 + rng.uniform(-scale_lat, scale_lat, 2)
-        lon1, lon2 = lon0 + rng.uniform(-scale_lon, scale_lon, 2)
+        lat1, lat2 = (lat0 + rng.uniform(-scale_lat, scale_lat) for _ in range(2))
+        lon1, lon2 = (lon0 + rng.uniform(-scale_lon, scale_lon) for _ in range(2))
         truth = haversine_m(lat1, lon1, lat2, lon2)
         if truth < 1.0:
             continue

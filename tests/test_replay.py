@@ -4,7 +4,6 @@ import random
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -109,6 +108,12 @@ class TestStepKinematic:
         with pytest.raises(ValueError, match="dt must be positive"):
             step_kinematic(state, ControlSample(0.0, 1.0, 0.0), math.nan, SPEC)
 
+    def test_rejects_infinite_dt(self):
+        # an infinite hold once became a NaN pose
+        state = VehicleState(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_kinematic(state, ControlSample(0.0, 1.0, 0.0), math.inf, SPEC)
+
     def test_steer_clamped_to_limit(self):
         state = VehicleState(0.0, 0.0, 0.0, 1.0)
         over = step_kinematic(state, ControlSample(0.0, 1.0, 1.4), 0.01, SPEC)
@@ -150,6 +155,16 @@ def _analytic_arc(x, y, yaw, speed, yaw_rate, duration):
 
 
 class TestSimulateControls:
+    @pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("steer", [0.0, 0.1])
+    def test_rejects_non_finite_t_end(self, t_end, steer):
+        # inf once ended on a NaN pose, or a math domain error when steering;
+        # NaN was silently ignored
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            simulate_controls(
+                VehicleState(0.0, 0.0, 0.0, 0.0), [ControlSample(0.0, 1.0, steer)], SPEC, t_end=t_end
+            )
+
     def test_single_zero_control_stays_stationary(self):
         traj = simulate_controls(
             VehicleState(0.0, 0.0, 0.0, 0.0),
@@ -281,8 +296,8 @@ class TestShadowFollow:
         assert (out.samples[0].x, out.samples[0].y) == (2.0, 0.0)
 
     def test_passes_through_every_recorded_sample(self):
-        rng = np.random.default_rng(3)
-        points = [(float(t), float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))) for t in range(10)]
+        rng = random.Random(3)
+        points = [(float(t), rng.uniform(-5, 5), rng.uniform(-5, 5)) for t in range(10)]
         recorded = _traj(points)
         out = shadow_follow(recorded, [s.t for s in recorded.samples])
         for got, want in zip(out.samples, recorded.samples):
@@ -320,6 +335,51 @@ class TestShadowFollow:
         recorded = _traj([(0.0, 0.0, 0.0, 0.5), (1.0, 1.0, 0.0, 1.5), (2.0, 2.0, 0.0, 2.5)], yaw=True)
         out = shadow_follow(recorded, [1.0, 1.5])
         assert [s.yaw for s in out.samples] == [1.5, 2.0]
+
+
+@st.composite
+def follow_cases(draw):
+    """A recording, with or without yaw, and query times for it: increasing
+    lists drawn from every sample (both ends included) and from points
+    between samples, or such a list made to repeat or go back a time, or to
+    hold a time before, after or NaN. The times may come as an iterator."""
+    pool = sorted(set(draw(st.lists(st.integers(-200, 200), min_size=1, max_size=20))))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 7.25]))
+    times = [k * scale for k in pool]
+    coord = st.floats(-1e3, 1e3)
+    yaw = st.floats(-4.0, 4.0) if draw(st.booleans()) else st.none()
+    recorded = Trajectory(tuple(
+        TrajectorySample(t, draw(coord), draw(coord), draw(yaw)) for t in times
+    ))
+    between = [a + draw(st.floats(0.0, 1.0)) * (b - a) for a, b in zip(times, times[1:])]
+    picked = draw(st.sampled_from(["every sample", "between", "mixed"]))
+    if picked == "every sample":
+        queries = list(times)
+    else:
+        candidates = between if picked == "between" else times + between
+        queries = sorted(set(draw(st.lists(st.sampled_from(candidates))))) if candidates else []
+    fault = draw(st.sampled_from([None, "repeat", "go back", "before", "after", "nan"]))
+    if fault and queries:
+        k = draw(st.integers(0, len(queries) - 1))
+        if fault == "repeat":
+            queries.insert(k, queries[k])
+        elif fault == "go back":
+            queries.reverse()
+        else:
+            bad = {"before": times[0] - scale, "after": times[-1] + scale, "nan": math.nan}[fault]
+            queries.insert(k, bad)
+    return recorded, queries, draw(st.sampled_from([list, iter]))
+
+
+class TestShadowFollowWalk:
+    @given(follow_cases())
+    @settings(max_examples=400)
+    def test_matches_the_bisect_lookup(self, case):
+        from oracles import bisect_shadow_follow
+
+        recorded, queries, feed = case
+        outcome = _outcome(shadow_follow, recorded, feed(queries))
+        assert outcome == _outcome(bisect_shadow_follow, recorded, feed(queries))
 
 
 class TestDeriveHeadings:
@@ -565,10 +625,10 @@ class TestComputeGap:
     def test_matches_brute_force_on_random_pair(self):
         from oracles import brute_force_gap_metrics
 
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         times = [float(t) for t in range(100)]
-        real_pts = [(float(rng.uniform(0, 50)), float(rng.uniform(0, 50))) for _ in times]
-        sim_pts = [(x + float(rng.normal(0, 1)), y + float(rng.normal(0, 1))) for x, y in real_pts]
+        real_pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in times]
+        sim_pts = [(x + rng.gauss(0, 1), y + rng.gauss(0, 1)) for x, y in real_pts]
         real = _traj([(t, x, y) for t, (x, y) in zip(times, real_pts)])
         sim = _traj([(t, x, y) for t, (x, y) in zip(times, sim_pts)])
         report = compute_gap(real, sim)
@@ -577,9 +637,9 @@ class TestComputeGap:
             assert abs(getattr(report, key) - value) < 1e-12
 
     def test_symmetric_after_resampling_to_shared_timestamps(self):
-        rng = np.random.default_rng(23)
-        a = _traj([(float(t), float(t), float(rng.normal(0, 0.2))) for t in range(20)])
-        b = _traj([(float(t), float(t) + 0.5, float(rng.normal(0, 0.2))) for t in range(20)])
+        rng = random.Random(23)
+        a = _traj([(float(t), float(t), rng.gauss(0, 0.2)) for t in range(20)])
+        b = _traj([(float(t), float(t) + 0.5, rng.gauss(0, 0.2)) for t in range(20)])
         forward = compute_gap(a, b)
         backward = compute_gap(b, a)
         assert forward.rmse == pytest.approx(backward.rmse, abs=1e-12)
