@@ -53,26 +53,17 @@ def origin_of(bbox: BoundingBox) -> GeoOrigin:
     )
 
 
-def _wrapped(degrees: float) -> float:
-    """``degrees`` moved by one turn into [-180, 180] when it lies outside,
-    which is enough for a difference of two longitudes in [-180, 180]; an
-    angle already inside keeps its bits."""
-    if degrees > 180.0:
-        return degrees - 360.0
-    if degrees < -180.0:
-        return degrees + 360.0
-    return degrees
-
-
 def project(origin: GeoOrigin, lat: float, lon: float) -> LocalPoint:
     """Project geodetic degrees to local east/north meters.
 
     The longitude difference is taken the short way round, so a point just
-    across the antimeridian from the origin lands next to it.
+    across the antimeridian from the origin lands next to it: it is wrapped
+    into [-180, 180] by ``math.remainder(..., 360.0)``, which is exact, so a
+    difference already inside keeps its bits.
     """
     if not (math.isfinite(lat) and math.isfinite(lon)):
         raise ValueError("latitude and longitude must be finite")
-    dlon = _wrapped(lon - origin.lon0)
+    dlon = math.remainder(lon - origin.lon0, 360.0)
     x = EARTH_RADIUS_M * math.radians(dlon) * origin.cos_lat0
     y = EARTH_RADIUS_M * math.radians(lat - origin.lat0)
     return LocalPoint(x, y)
@@ -80,9 +71,9 @@ def project(origin: GeoOrigin, lat: float, lon: float) -> LocalPoint:
 
 def unproject(origin: GeoOrigin, point: LocalPoint) -> tuple[float, float]:
     """Inverse of :func:`project`; returns (lat, lon) degrees, the longitude
-    in [-180, 180] for an origin longitude in that range. Exact up to
-    rounding, and up to a whole turn at the antimeridian, where -180 and 180
-    name one meridian."""
+    wrapped into [-180, 180] by ``math.remainder(..., 360.0)`` for any
+    point. Exact up to rounding, and up to a whole turn at the antimeridian,
+    where -180 and 180 name one meridian."""
     lat = origin.lat0 + math.degrees(point.y / EARTH_RADIUS_M)
     lon = origin.lon0 + math.degrees(point.x / (EARTH_RADIUS_M * origin.cos_lat0))
-    return lat, _wrapped(lon)
+    return lat, math.remainder(lon, 360.0)

@@ -75,11 +75,9 @@ class Trajectory:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("trajectory requires at least one sample")
-        times = [s.t for s in self.samples]
-        if any(not b > a for a, b in zip(times, times[1:])):
+        if any(not b.t > a.t for a, b in itertools.pairwise(self.samples)):
             raise ValueError("trajectory timestamps must be strictly increasing")
-        with_yaw = [s.yaw is not None for s in self.samples]
-        if any(with_yaw) and not all(with_yaw):
+        if any((a.yaw is None) != (b.yaw is None) for a, b in itertools.pairwise(self.samples)):
             raise ValueError("yaw must be present on every sample or on none")
 
     @property
@@ -156,11 +154,9 @@ class Trajectory:
                     break
                 v += 1
         last = next((h for h in headings if h is not None), 0.0)
-        filled: list[float] = []
-        for h in headings:
-            last = last if h is None else h
-            filled.append(last)
-        return tuple(filled)
+        for i, h in enumerate(headings):
+            last = headings[i] = last if h is None else h
+        return tuple(headings)
 
 
 def _bound_tree(coords: array, size: int) -> tuple[array, array]:
@@ -355,9 +351,9 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     if stop - first < 2:
         raise ValueError("trajectories overlap on fewer than 2 samples")
 
-    recorded = real.samples[first:stop]
+    recorded = itertools.islice(real.samples, first, stop)
     headings = itertools.islice(derive_headings(real), first, stop)
-    resampled = _resample(sim, map(attrgetter("t"), recorded))
+    resampled = _resample(sim, (r.t for r in itertools.islice(real.samples, first, stop)))
     lateral_sq, longitudinal_sq, per_sample = [], [], []
     for r, heading, (t, _, _, x, y) in zip(recorded, headings, resampled):
         dx = x - r.x
@@ -369,24 +365,24 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
         lateral_sq.append(lateral * lateral)
         longitudinal_sq.append(longitudinal * longitudinal)
 
-    devs = [d for _, d in per_sample]
+    n = len(per_sample)
     return GapReport(
-        n=len(devs),
-        rmse=math.sqrt(_mean([d * d for d in devs])),
-        max_dev=max(devs),
-        mean_dev=_mean(devs),
-        final_drift=devs[-1],
-        lateral_rmse=math.sqrt(_mean(lateral_sq)),
-        longitudinal_rmse=math.sqrt(_mean(longitudinal_sq)),
+        n=n,
+        rmse=math.sqrt(_mean((d * d for _, d in per_sample), n)),
+        max_dev=max(d for _, d in per_sample),
+        mean_dev=_mean((d for _, d in per_sample), n),
+        final_drift=per_sample[-1][1],
+        lateral_rmse=math.sqrt(_mean(lateral_sq, n)),
+        longitudinal_rmse=math.sqrt(_mean(longitudinal_sq, n)),
         per_sample=tuple(per_sample),
     )
 
 
-def _mean(values: list[float]) -> float:
-    """Correctly rounded mean of non-negative values; a sum past the float
-    range is inf, so ``GapReport.to_json`` still refuses the report."""
+def _mean(values: Iterable[float], count: int) -> float:
+    """Correctly rounded mean of ``count`` non-negative values; a sum past the
+    float range is inf, so ``GapReport.to_json`` still refuses the report."""
     try:
-        return math.fsum(values) / len(values)
+        return math.fsum(values) / count
     except OverflowError:
         return math.inf
 

@@ -14,6 +14,7 @@ import math
 import xml.etree.ElementTree as ET
 
 from dtgen.errors import OsmParseError
+from dtgen.geodesy import EARTH_RADIUS_M, LocalPoint
 from dtgen.osm import OsmDocument, OsmNode, OsmWay
 from dtgen.replay import (
     GapReport,
@@ -342,3 +343,26 @@ def shadow_follow_compute_gap(real, sim):
         longitudinal_rmse=math.sqrt(mean(longitudinal_sq)),
         per_sample=tuple((float(t), d) for t, d in zip(times, devs)),
     )
+
+
+def _wrapped(degrees: float) -> float:
+    """``degrees`` moved by one turn into [-180, 180] when it lies outside,
+    which is enough for a difference of two longitudes in [-180, 180]; an
+    angle already inside keeps its bits."""
+    if degrees > 180.0:
+        return degrees - 360.0
+    if degrees < -180.0:
+        return degrees + 360.0
+    return degrees
+
+
+def one_turn_project(origin, lat, lon):
+    """``dtgen.geodesy.project`` with the longitude difference wrapped by one
+    conditional turn, :func:`_wrapped`: the wrap ``math.remainder``
+    replaced."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError("latitude and longitude must be finite")
+    dlon = _wrapped(lon - origin.lon0)
+    x = EARTH_RADIUS_M * math.radians(dlon) * origin.cos_lat0
+    y = EARTH_RADIUS_M * math.radians(lat - origin.lat0)
+    return LocalPoint(x, y)

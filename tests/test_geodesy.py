@@ -2,11 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dtgen.geodesy import EARTH_RADIUS_M, GeoOrigin, LocalPoint, origin_of, project, unproject
 from dtgen.osm import BoundingBox
+from oracles import one_turn_project
 
 
 def degrees_apart(lon_a, lon_b):
@@ -147,6 +148,47 @@ def test_a_short_longitude_difference_keeps_its_bits(lat0, lon0, dlon):
     assume(abs(lon - lon0) <= 180.0)
     x = EARTH_RADIUS_M * math.radians(lon - lon0) * math.cos(math.radians(lat0))
     assert project(GeoOrigin(lat0, lon0), lat0, lon).x == x
+
+
+@given(
+    lat0=st.floats(-89.0, 89.0, exclude_min=True, exclude_max=True, **_finite),
+    lon0=st.floats(-180.0, 180.0, exclude_min=True, exclude_max=True, **_finite),
+    lat=st.floats(-90.0, 90.0, **_finite),
+    lon=st.floats(-180.0, 180.0, **_finite),
+)
+@example(lat0=0.0, lon0=179.5, lat=0.0, lon=-180.0)
+@example(lat0=0.0, lon0=-179.5, lat=0.0, lon=180.0)
+@example(lat0=0.0, lon0=math.nextafter(180.0, 0.0), lat=0.0, lon=-180.0)
+@example(lat0=0.0, lon0=0.0, lat=0.0, lon=180.0)
+@example(lat0=0.0, lon0=0.0, lat=-0.0, lon=-0.0)
+def test_remainder_wrap_keeps_the_one_turn_wrap_bits(lat0, lon0, lat, lon):
+    # from an origin inside (-180, 180) every longitude difference rounds
+    # into [-360, 360], where math.remainder is exact and agrees with one
+    # conditional turn bit for bit, down to the sign of a zero
+    origin = GeoOrigin(lat0, lon0)
+    got, expected = project(origin, lat, lon), one_turn_project(origin, lat, lon)
+    if lon - lon0 == -360.0:
+        # the origin's own meridian named across the seam, reachable only from
+        # an origin within half an ulp of 180: -0.0 against the turn's 0.0,
+        # which compare equal and which dtgen.sdf.fmt writes alike
+        assert (got.x, repr(got.y)) == (expected.x, repr(expected.y)) == (0.0, repr(got.y))
+    else:
+        assert (repr(got.x), repr(got.y)) == (repr(expected.x), repr(expected.y))
+
+
+@given(
+    lon0=st.floats(-180.0, 180.0, **_finite),
+    lon=st.floats(-180.0, 180.0, **_finite),
+    turns=st.integers(-6, 6),
+)
+@example(lon0=0.0, lon=180.0, turns=2)  # 900 degrees east of (0, 0)
+def test_unproject_wraps_a_point_several_turns_away(lon0, lon, turns):
+    origin = GeoOrigin(0.0, lon0)
+    east = lon - lon0 + 360.0 * turns
+    point = LocalPoint(EARTH_RADIUS_M * math.radians(east), 0.0)
+    lat2, lon2 = unproject(origin, point)
+    assert -180.0 <= lon2 <= 180.0
+    assert degrees_apart(lon2, lon) < 1e-9
 
 
 def test_point_just_across_the_antimeridian_lands_next_to_the_origin():
