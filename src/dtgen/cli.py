@@ -148,10 +148,11 @@ def _endpoint(args) -> str | None:
 
 
 def _read_text(path: str) -> str:
-    """The text of the UTF-8 file at ``path``. A byte that is not UTF-8 is
-    a ``ValueError`` that names the file and the line the byte is on."""
+    """The text of the UTF-8 file at ``path``, without a leading byte order
+    mark. A byte that is not UTF-8 is a ``ValueError`` that names the file
+    and the line the byte is on."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = 1 + exc.object.count(b"\n", 0, exc.start)
         byte = exc.object[exc.start]

@@ -67,6 +67,17 @@ class TrajectorySample:
     yaw: float | None = None
 
 
+def _check_order(items: Iterable, kind: str, noun: str) -> None:
+    """Refuse ``items`` unless their times ``t`` strictly increase, naming the
+    index and time of the first one whose time does not rise (a NaN never
+    does), and the time before it."""
+    for i, (a, b) in enumerate(itertools.pairwise(items), 1):
+        if not b.t > a.t:
+            raise ValueError(
+                f"{kind} timestamps must be strictly increasing: {noun} {i} at t={b.t} follows t={a.t}"
+            )
+
+
 @dataclass(frozen=True)
 class Trajectory:
     samples: tuple[TrajectorySample, ...]
@@ -75,8 +86,7 @@ class Trajectory:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("trajectory requires at least one sample")
-        if any(not b.t > a.t for a, b in itertools.pairwise(self.samples)):
-            raise ValueError("trajectory timestamps must be strictly increasing")
+        _check_order(self.samples, "trajectory", "sample")
         if any((a.yaw is None) != (b.yaw is None) for a, b in itertools.pairwise(self.samples)):
             raise ValueError("yaw must be present on every sample or on none")
 
@@ -233,16 +243,22 @@ def step_kinematic(
     The yaw turns by 2h, with h = v * dt * tan(steer) / (2 * wheelbase), and
     the position moves along the chord, v * dt * sin(h) / h at heading
     yaw + h; for tiny |h| the series 1 - h^2/6 stands in for sin(h) / h.
+    A distance, turn or position past the float range is a ``ValueError``
+    that names the control's time.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     steer = min(max(control.steer, -spec.max_steer_angle), spec.max_steer_angle)
     v = control.speed
     h = 0.5 * v * dt * math.tan(steer) / spec.wheelbase
-    chord = v * dt * (1.0 - h * h / 6.0 if abs(h) < 1e-4 else math.sin(h) / h)
-    x = state.x + chord * math.cos(state.yaw + h)
-    y = state.y + chord * math.sin(state.yaw + h)
-    return VehicleState(x, y, normalize_angle(state.yaw + 2.0 * h), v)
+    # checked before sin and cos, which refuse an infinite angle
+    if math.isfinite(v * dt) and math.isfinite(2.0 * h):
+        chord = v * dt * (1.0 - h * h / 6.0 if abs(h) < 1e-4 else math.sin(h) / h)
+        x = state.x + chord * math.cos(state.yaw + h)
+        y = state.y + chord * math.sin(state.yaw + h)
+        if math.isfinite(x) and math.isfinite(y):
+            return VehicleState(x, y, normalize_angle(state.yaw + 2.0 * h), v)
+    raise ValueError(f"control at t={control.t}: held for {dt} s, the pose leaves the float range")
 
 
 def simulate_controls(
@@ -261,8 +277,7 @@ def simulate_controls(
     """
     if not controls:
         raise ValueError("at least one control sample is required")
-    if any(not b.t > a.t for a, b in itertools.pairwise(controls)):
-        raise ValueError("control timestamps must be strictly increasing")
+    _check_order(controls, "control", "control")
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
 

@@ -655,6 +655,96 @@ class TestGap:
             "dtgen: error: Out of range float values are not JSON compliant: inf\n"
         )
 
+    def test_a_replayed_pose_past_the_float_range_names_the_control_time(
+        self, data_dir, tmp_path, capsys
+    ):
+        # the last control is held to t=1e308: 2 m/s for that long leaves the
+        # float range, which once surfaced only as JSON's refusal of an inf
+        recorded = _write(tmp_path / "trace.csv", "t,x,y\n0,0,0\n1e308,1,0\n")
+        controls = _write(tmp_path / "controls.csv", "t,speed,steer\n0,2.0,0\n")
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            ["gap", "--recorded", recorded, "--controls", controls, "--vehicle", "ego",
+             "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "dtgen: error: control at t=0.0: held for 1e+308 s, the pose leaves the float range\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("flag", "message"),
+        [
+            ("--recorded", "trajectory timestamps must be strictly increasing: sample 3 at t=1.0 follows t=1.0"),
+            ("--controls", "control timestamps must be strictly increasing: control 3 at t=5.0 follows t=5.0"),
+            ("--sim", "trajectory timestamps must be strictly increasing: sample 3 at t=1.0 follows t=1.0"),
+        ],
+        ids=["recorded", "controls", "sim"],
+    )
+    def test_a_time_that_does_not_rise_is_named_with_the_time_before_it(
+        self, flag, message, data_dir, tmp_path, capsys
+    ):
+        files = {
+            "--recorded": STRAIGHT_TRACE,
+            "--controls": "t,speed,steer\n0,2.0,0\n2,2.0,0\n5,2.0,0\n",
+            "--sim": STRAIGHT_TRACE,
+        }
+        lines = files[flag].splitlines(keepends=True)
+        lines.insert(3, lines[3])  # the third data row, repeated
+        files[flag] = "".join(lines)
+        paths = {name: _write(tmp_path / f"{name[2:]}.csv", text) for name, text in files.items()}
+        source = ["--sim", paths["--sim"]]
+        if flag == "--controls":
+            source = ["--controls", paths["--controls"], "--vehicle", "ego"]
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            ["gap", "--recorded", paths["--recorded"], *source,
+             "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dtgen: error: {message}\n"
+
+
+def _gap_inputs(data_dir, tmp_path, flag, marked):
+    """The gap command line over the track config, a straight trace and,
+    with ``flag`` naming ``--controls``, a command stream, else the trace as
+    ``--sim``; the file ``flag`` names starts with a UTF-8 byte order mark
+    when ``marked`` is true."""
+    files = {
+        "--config": (data_dir / "config_track.json").read_text(encoding="utf-8"),
+        "--recorded": STRAIGHT_TRACE,
+        "--controls": MATCHING_CONTROLS,
+        "--sim": STRAIGHT_TRACE,
+    }
+    paths = {name: _write(tmp_path / f"{name[2:]}.txt", text) for name, text in files.items()}
+    if marked:
+        path = tmp_path / f"{flag[2:]}.txt"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    source = ["--sim", paths["--sim"]]
+    if flag == "--controls":
+        source = ["--controls", paths["--controls"], "--vehicle", "ego"]
+    return ["gap", "--recorded", paths["--recorded"], *source, "--config", paths["--config"]]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--recorded", "--controls", "--sim"])
+def test_a_byte_order_mark_is_skipped(flag, data_dir, tmp_path, capsys):
+    # a config with a mark was "Unexpected UTF-8 BOM", and a CSV header
+    # began with "\ufefft"
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    assert cli.main([*_gap_inputs(data_dir, plain, flag, False), "--out", str(plain / "gap.json")]) == 0
+    expected = capsys.readouterr()
+    assert cli.main([*_gap_inputs(data_dir, marked, flag, True), "--out", str(marked / "gap.json")]) == 0
+    assert capsys.readouterr() == expected
+    assert (marked / "gap.json").read_bytes() == (plain / "gap.json").read_bytes()
+
 
 @pytest.mark.parametrize("flag", ["--config", "--recorded", "--controls", "--sim"])
 def test_an_input_that_is_not_utf8_is_a_located_error(flag, data_dir, tmp_path, capsys):
@@ -751,7 +841,7 @@ class TestFetch:
         assert "failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fetch", "generate"])
-    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "abc"])
     def test_bad_timeout_is_usage_error_and_makes_no_request(
         self, data_dir, tmp_path, stub_server, capsys, command, timeout
     ):

@@ -120,6 +120,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigValidationError, match="name"):
             load_config(json.dumps(raw))
 
+    @pytest.mark.parametrize(
+        ("vehicles", "message"),
+        [
+            ({"name": "ego"}, "vehicles must be a list"),
+            (["ego"], "vehicles[0] must be an object"),
+            ([{"kind": "twin"}], "vehicles[0] requires a 'name'"),
+            ([{"name": 7, "kind": "twin"}], "vehicles[0].name must be a string"),
+            ([{"name": "ego", "kind": "twin", "spawn": [0, 0]}], "vehicles[0].spawn must be an object"),
+        ],
+        ids=["not-a-list", "not-an-object", "no-name", "name-not-a-string", "spawn-not-an-object"],
+    )
+    def test_vehicle_of_the_wrong_shape_rejected_with_its_message(self, vehicles, message):
+        raw = json.loads(MINIMAL)
+        raw["vehicles"] = vehicles
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(json.dumps(raw))
+        assert str(exc.value) == message
+
     def test_loading_twice_yields_identical_configs(self):
         assert load_config(MINIMAL) == load_config(MINIMAL)
 

@@ -466,6 +466,14 @@ _NODE = '<node id="1" lat="48.5" lon="8"/>'
             "error",
             id="external-entity-in-attribute",
         ),
+        pytest.param(
+            f'<!DOCTYPE osm [<!ENTITY % pe SYSTEM "pe.dtd"> %pe;]><osm>{_NODE}</osm>', (1, 0),
+            id="parameter-entity-in-internal-subset",
+        ),
+        pytest.param(
+            f'<!DOCTYPE osm [%undeclared;]><osm>{_NODE}</osm>', (1, 0),
+            id="undeclared-parameter-entity-in-internal-subset",
+        ),
         pytest.param(f'<!DOCTYPE osm SYSTEM "osm.dtd"><osm>{_NODE}</osm>', (1, 0), id="external-doctype"),
         pytest.param(
             f"<osm><!-- a --><?pi x?>text{_NODE}<![CDATA[{_NODE}]]>\n"

@@ -114,6 +114,28 @@ class TestStepKinematic:
         with pytest.raises(ValueError, match="dt must be positive"):
             step_kinematic(state, ControlSample(0.0, 1.0, 0.0), math.inf, SPEC)
 
+    @pytest.mark.parametrize(
+        ("state", "speed", "steer", "dt", "spec"),
+        [
+            # the distance: once x=inf, y=nan
+            (VehicleState(0.0, 0.0, 0.0, 0.0), 2.0, 0.0, 1e308, SPEC),
+            # the distance and the turn: once a bare math domain error
+            (VehicleState(0.0, 0.0, 0.0, 0.0), 2.0, 0.1, 1e308, SPEC),
+            # a finite half turn whose double is not: once yaw=nan
+            (VehicleState(0.0, 0.0, 0.0, 0.0), 1.0, 1.5, 1.5e305,
+             dataclasses.replace(SPEC, wheelbase=0.01, max_steer_angle=1.5)),
+            # a finite step from a position near the top of the range: once x=inf
+            (VehicleState(1.7e308, 0.0, 0.0, 1.7), 1.7, 0.0, 0.5e308, SPEC),
+        ],
+        ids=["distance", "turn", "doubled-turn", "position"],
+    )
+    def test_a_pose_past_the_float_range_names_the_control_time(self, state, speed, steer, dt, spec):
+        with pytest.raises(ValueError) as excinfo:
+            step_kinematic(state, ControlSample(3.0, speed, steer), dt, spec)
+        assert str(excinfo.value) == (
+            f"control at t=3.0: held for {dt} s, the pose leaves the float range"
+        )
+
     def test_steer_clamped_to_limit(self):
         state = VehicleState(0.0, 0.0, 0.0, 1.0)
         over = step_kinematic(state, ControlSample(0.0, 1.0, 1.4), 0.01, SPEC)
@@ -164,6 +186,10 @@ class TestSimulateControls:
             simulate_controls(
                 VehicleState(0.0, 0.0, 0.0, 0.0), [ControlSample(0.0, 1.0, steer)], SPEC, t_end=t_end
             )
+
+    def test_no_controls_rejected(self):
+        with pytest.raises(ValueError, match="^at least one control sample is required$"):
+            simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), [], SPEC)
 
     def test_single_zero_control_stays_stationary(self):
         traj = simulate_controls(

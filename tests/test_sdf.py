@@ -805,6 +805,9 @@ _XML_FEATURE_CASES = {
     "skipped parameter entity": (
         "<!DOCTYPE sdf SYSTEM 'sdf.dtd' [<!ENTITY % pe SYSTEM 'pe.dtd'> %pe;]>" + _in_model("<pose>1</pose>")
     ),
+    "parameter entities in the internal subset": (
+        "<!DOCTYPE sdf [<!ENTITY % pe SYSTEM 'pe.dtd'> %pe; %undeclared;]>" + _in_model("<pose>1</pose>")
+    ),
     "internal entity in pose": (
         "<!DOCTYPE sdf [<!ENTITY p '1 2 3'>]>" + _in_model("<pose>&p; 4 5 6</pose><pose>&p;</pose>")
     ),
@@ -874,6 +877,7 @@ def test_xml_feature_cases_reach_each_kind_of_verdict():
     ]
     assert verdicts["tag across a slice boundary"] != []
     assert verdicts["skipped parameter entity"] != [] and verdicts["skipped parameter entity"][0][0] != "/"
+    assert verdicts["parameter entities in the internal subset"] == verdicts["skipped parameter entity"]
 
 
 @functools.cache
