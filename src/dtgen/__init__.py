@@ -36,8 +36,8 @@ from .errors import (
     ResponseFormatError,
     TransportError,
 )
-from .geodesy import EARTH_RADIUS_M, GeoOrigin, origin_of, project, unproject
-from .osm import BoundingBox, fetch_overpass, filter_bbox, overpass_query, parse_osm
+from .geodesy import EARTH_RADIUS_M, BoundingBox, GeoOrigin, origin_of, project, unproject
+from .osm import fetch_overpass, filter_bbox, overpass_query, parse_osm
 from .pipeline import GenerationResult, generate_world
 from .replay import (
     ControlSample,

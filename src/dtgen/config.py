@@ -13,9 +13,7 @@ from enum import Enum
 from functools import cache
 
 from .errors import ConfigParseError, ConfigValidationError
-from .geodesy import GeoOrigin, project
-from .osm import BoundingBox, lat_lon_in_range
-from .world_model import ExtractionDefaults
+from .geodesy import BoundingBox, GeoOrigin, lat_lon_in_range, project
 
 
 class VehicleKind(Enum):
@@ -114,6 +112,22 @@ class VehicleSpec:
             raise ConfigValidationError(
                 f"vehicle {self.name!r}: wheelbase must be smaller than chassis_length"
             )
+
+
+@dataclass(frozen=True)
+class ExtractionDefaults:
+    """The config's ``defaults`` section: what extraction assumes, in meters."""
+
+    default_building_height: float = 10.0
+    meters_per_level: float = 3.0
+    road_width: float = 7.0
+    road_thickness: float = 0.1
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,54 @@ x grows east, y grows north, both in meters. Good to well under 0.5% over
 a few kilometers at moderate latitudes, and exactly invertible, which is
 all a flat low-fidelity world needs. The same origin is written into the
 emitted world's spherical-coordinates element so GPS replay stays
-consistent with the generated geometry.
+consistent with the generated geometry. The coordinate range and the
+bounding box that the map, the config and the replay share live here too.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .osm import BoundingBox
-
 EARTH_RADIUS_M = 6378137.0  # WGS84 equatorial radius
 MAX_ORIGIN_LAT_DEG = 89.0
+
+
+def lat_lon_in_range(lat: float, lon: float) -> bool:
+    """Whether ``lat`` lies in [-90, 90] and ``lon`` in [-180, 180] degrees,
+    bounds included; NaN lies in neither."""
+    return -90 <= lat <= 90 and -180 <= lon <= 180
+
+
+@dataclass(frozen=True)
+class BoundingBox:
+    """Geographic selection rectangle in WGS84 degrees."""
+
+    min_lat: float
+    min_lon: float
+    max_lat: float
+    max_lon: float
+
+    def __post_init__(self):
+        values = (self.min_lat, self.min_lon, self.max_lat, self.max_lon)
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+            raise ValueError("bounding box coordinates must be finite numbers")
+        if not (
+            lat_lon_in_range(self.min_lat, self.min_lon)
+            and lat_lon_in_range(self.max_lat, self.max_lon)
+        ):
+            raise ValueError(
+                "bounding box latitudes must lie in [-90, 90] and longitudes in [-180, 180]"
+            )
+        if not self.min_lat < self.max_lat:
+            raise ValueError("bounding box requires min_lat < max_lat")
+        if not self.min_lon < self.max_lon:
+            raise ValueError(
+                "bounding box requires min_lon < max_lon "
+                "(boxes crossing the antimeridian are not supported)"
+            )
+
+    def contains(self, lat: float, lon: float) -> bool:
+        """Boundary-inclusive membership test."""
+        return self.min_lat <= lat <= self.max_lat and self.min_lon <= lon <= self.max_lon
 
 
 @dataclass(frozen=True)

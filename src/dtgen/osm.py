@@ -25,17 +25,12 @@ from typing import BinaryIO
 from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
+from .geodesy import BoundingBox, lat_lon_in_range
 
 _SLICE_CHARS = 1 << 14  # per slice: map bytes or SDF characters parsed, download bytes checked
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
 _HEAD_CHARS = 40  # of a response's text, after its leading whitespace, that a refusal shows
 _EXCERPT_CHARS = 200  # of an error response's text that a RemoteError shows
-
-
-def lat_lon_in_range(lat: float, lon: float) -> bool:
-    """Whether ``lat`` lies in [-90, 90] and ``lon`` in [-180, 180] degrees,
-    bounds included; NaN lies in neither."""
-    return -90 <= lat <= 90 and -180 <= lon <= 180
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,39 +45,6 @@ class OsmWay:
     id: int
     node_refs: tuple[int, ...]
     tags: dict[str, str]
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Geographic selection rectangle in WGS84 degrees."""
-
-    min_lat: float
-    min_lon: float
-    max_lat: float
-    max_lon: float
-
-    def __post_init__(self):
-        values = (self.min_lat, self.min_lon, self.max_lat, self.max_lon)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-            raise ValueError("bounding box coordinates must be finite numbers")
-        if not (
-            lat_lon_in_range(self.min_lat, self.min_lon)
-            and lat_lon_in_range(self.max_lat, self.max_lon)
-        ):
-            raise ValueError(
-                "bounding box latitudes must lie in [-90, 90] and longitudes in [-180, 180]"
-            )
-        if not self.min_lat < self.max_lat:
-            raise ValueError("bounding box requires min_lat < max_lat")
-        if not self.min_lon < self.max_lon:
-            raise ValueError(
-                "bounding box requires min_lon < max_lon "
-                "(boxes crossing the antimeridian are not supported)"
-            )
-
-    def contains(self, lat: float, lon: float) -> bool:
-        """Boundary-inclusive membership test."""
-        return self.min_lat <= lat <= self.max_lat and self.min_lon <= lon <= self.max_lon
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .config import VehicleSpec
-from .geodesy import GeoOrigin, project
-from .osm import lat_lon_in_range
+from .geodesy import GeoOrigin, lat_lon_in_range, project
 
 HEADING_DISPLACEMENT_GATE_M = 0.05
 # A box is skipped only when its farthest corner is this far inside the gate.
@@ -104,69 +103,74 @@ class Trajectory:
 
     @cached_property
     def motion_headings(self) -> tuple[float, ...]:
-        """Per-sample motion heading, gated against jitter, derived once.
+        """Per-sample motion heading (see :func:`derive_headings`), derived once."""
+        return tuple(derive_headings(self))
 
-        The heading at a sample is the direction to the first later sample at
-        least ``HEADING_DISPLACEMENT_GATE_M`` away; samples near the end
-        inherit the last known heading, leading unknowns take the first known
-        one. A trajectory that never moves past the gate gets heading 0
-        everywhere.
 
-        The first crossing is found in a bounding-box tree of the samples
-        (see :func:`_bound_tree`): from sample i the walk visits the later
-        samples in index order, depth first, and skips a whole box when its
-        farthest corner from sample i lies inside the gate. Only single
-        samples are tested against the gate itself, with the same arithmetic
-        as a plain forward scan, so the headings are that scan's bit for bit.
-        A moving sample costs one test; a parked stretch of k samples costs
-        O(k log k) box tests instead of the scan's k²/2.
-        """
-        xs = array("d", [s.x for s in self.samples])
-        ys = array("d", [s.y for s in self.samples])
-        n = len(xs)
-        size = 1 << (n - 1).bit_length()
-        x0, x1 = _bound_tree(xs, size)
-        y0, y1 = _bound_tree(ys, size)
-        hypot, gate = math.hypot, HEADING_DISPLACEMENT_GATE_M
-        headings: list[float | None] = [None] * n
-        for i in range(n - 1):
-            xi, yi = xs[i], ys[i]
-            v = size + i + 1  # the leaf of sample i + 1
-            while True:
-                if v >= size:
-                    j = v - size
-                    if j >= n:  # padding: no later sample crossed the gate
-                        break
-                    dx, dy = xs[j] - xi, ys[j] - yi
-                    if hypot(dx, dy) >= gate:
-                        headings[i] = math.atan2(dy, dx)
-                        break
-                else:
-                    # farthest corner of the box from sample i; max() inlined, as
-                    # this is the hot loop
-                    cx, far = xi - x0[v], x1[v] - xi
-                    if far > cx:
-                        cx = far
-                    cy, far = yi - y0[v], y1[v] - yi
-                    if far > cy:
-                        cy = far
-                    if not hypot(cx, cy) < _BOX_INSIDE_M:
-                        # some sample in the box may cross: search it. Its
-                        # children can both be inside even so; the walk then
-                        # moves past it.
-                        v *= 2
-                        continue
-                # move past node v: climb while it is a right child, then
-                # step to the subtree that follows it in index order
-                while v & 1:
-                    v >>= 1
-                if not v:
+def derive_headings(traj: Trajectory) -> list[float]:
+    """Per-sample motion heading of ``traj``, gated against jitter: a new list.
+
+    The heading at a sample is the direction to the first later sample at
+    least ``HEADING_DISPLACEMENT_GATE_M`` away; samples near the end
+    inherit the last known heading, leading unknowns take the first known
+    one. A trajectory that never moves past the gate gets heading 0
+    everywhere.
+
+    The first crossing is found in a bounding-box tree of the samples
+    (see :func:`_bound_tree`): from sample i the walk visits the later
+    samples in index order, depth first, and skips a whole box when its
+    farthest corner from sample i lies inside the gate. Only single
+    samples are tested against the gate itself, with the same arithmetic
+    as a plain forward scan, so the headings are that scan's bit for bit.
+    A moving sample costs one test; a parked stretch of k samples costs
+    O(k log k) box tests instead of the scan's k²/2.
+    """
+    xs = array("d", [s.x for s in traj.samples])
+    ys = array("d", [s.y for s in traj.samples])
+    n = len(xs)
+    size = 1 << (n - 1).bit_length()
+    x0, x1 = _bound_tree(xs, size)
+    y0, y1 = _bound_tree(ys, size)
+    hypot, gate = math.hypot, HEADING_DISPLACEMENT_GATE_M
+    headings: list[float | None] = [None] * n
+    for i in range(n - 1):
+        xi, yi = xs[i], ys[i]
+        v = size + i + 1  # the leaf of sample i + 1
+        while True:
+            if v >= size:
+                j = v - size
+                if j >= n:  # padding: no later sample crossed the gate
                     break
-                v += 1
-        last = next((h for h in headings if h is not None), 0.0)
-        for i, h in enumerate(headings):
-            last = headings[i] = last if h is None else h
-        return tuple(headings)
+                dx, dy = xs[j] - xi, ys[j] - yi
+                if hypot(dx, dy) >= gate:
+                    headings[i] = math.atan2(dy, dx)
+                    break
+            else:
+                # farthest corner of the box from sample i; max() inlined, as
+                # this is the hot loop
+                cx, far = xi - x0[v], x1[v] - xi
+                if far > cx:
+                    cx = far
+                cy, far = yi - y0[v], y1[v] - yi
+                if far > cy:
+                    cy = far
+                if not hypot(cx, cy) < _BOX_INSIDE_M:
+                    # some sample in the box may cross: search it. Its
+                    # children can both be inside even so; the walk then
+                    # moves past it.
+                    v *= 2
+                    continue
+            # move past node v: climb while it is a right child, then
+            # step to the subtree that follows it in index order
+            while v & 1:
+                v >>= 1
+            if not v:
+                break
+            v += 1
+    last = next((h for h in headings if h is not None), 0.0)
+    for i, h in enumerate(headings):
+        last = headings[i] = last if h is None else h
+    return headings
 
 
 def _bound_tree(coords: array, size: int) -> tuple[array, array]:
@@ -301,12 +305,6 @@ def simulate_controls(
     return Trajectory(tuple(samples), warnings=tuple(warnings))
 
 
-def derive_headings(traj: Trajectory) -> list[float]:
-    """Per-sample motion heading of ``traj`` (see
-    :attr:`Trajectory.motion_headings`), as a fresh list the caller owns."""
-    return list(traj.motion_headings)
-
-
 def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:
     """One forward walk over ``traj`` for increasing query times. Each time
     t yields t, the index of the first sample at or after t, the fraction of
@@ -338,7 +336,7 @@ def shadow_follow(recorded: Trajectory, query_times: list[float]) -> Trajectory:
     no yaw channel. This is the pose stream a shadow or ghost model follows.
     Query times outside the recorded range are rejected, never extrapolated.
     """
-    yaws = [s.yaw for s in recorded.samples] if recorded.has_yaw else derive_headings(recorded)
+    yaws = [s.yaw for s in recorded.samples] if recorded.has_yaw else recorded.motion_headings
     out = []
     for t, i, frac, x, y in _resample(recorded, query_times):
         if frac is None:
@@ -367,7 +365,7 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
         raise ValueError("trajectories overlap on fewer than 2 samples")
 
     recorded = itertools.islice(real.samples, first, stop)
-    headings = itertools.islice(derive_headings(real), first, stop)
+    headings = itertools.islice(real.motion_headings, first, stop)
     resampled = _resample(sim, (r.t for r in itertools.islice(real.samples, first, stop)))
     lateral_sq, longitudinal_sq, per_sample = [], [], []
     for r, heading, (t, _, _, x, y) in zip(recorded, headings, resampled):
@@ -408,7 +406,7 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
     Header ``t,lat,lon[,yaw]`` means geodetic samples, projected with
     ``origin``; header ``t,x,y[,yaw]`` means local meters. Every value must
     be a finite number, and a geodetic sample must lie in range (see
-    :func:`dtgen.osm.lat_lon_in_range`).
+    :func:`dtgen.geodesy.lat_lon_in_range`).
     """
     header, rows = _read_csv(text, "trajectory")
     if header in (["t", "lat", "lon"], ["t", "lat", "lon", "yaw"]):

@@ -8,8 +8,9 @@ width. All geometry is projected into local metric coordinates.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from .config import ExtractionDefaults
 from .geodesy import GeoOrigin, LocalPoint, project
 from .osm import OsmDocument
 
@@ -29,20 +30,6 @@ _DRIVABLE_BASE = (
 DRIVABLE_HIGHWAY_VALUES = frozenset(_DRIVABLE_BASE) | frozenset(
     f"{value}_link" for value in _DRIVABLE_BASE
 )
-
-
-@dataclass(frozen=True)
-class ExtractionDefaults:
-    default_building_height: float = 10.0
-    meters_per_level: float = 3.0
-    road_width: float = 7.0
-    road_thickness: float = 0.1
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -64,6 +64,38 @@ def test_import_and_gap_load_neither_requests_nor_numpy(data_dir, tmp_path):
     assert lines[-1] == "False"
 
 
+def _module_graph() -> dict[str, set[str]]:
+    """The dtgen modules each ``src/dtgen/*.py`` imports, read from its
+    relative imports without running it."""
+    graph = {}
+    for path in (ROOT / "src" / "dtgen").glob("*.py"):
+        graph[path.stem] = {
+            target
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module else [a.name for a in node.names])
+        }
+    return graph
+
+
+# the replay path reads no map: none of it reaches osm, and through it expat
+_IMPORTS_AT_MOST = {"geodesy": set(), "config": {"errors", "geodesy"}, "replay": {"config", "geodesy"}}
+
+
+def test_replay_path_modules_import_only_what_they_use():
+    graph = _module_graph()
+    assert {m: graph[m] - allowed for m, allowed in _IMPORTS_AT_MOST.items()} == dict.fromkeys(
+        _IMPORTS_AT_MOST, set()
+    )
+    reached, todo = set(), ["replay"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(graph[module])
+    assert reached == {"replay", "config", "geodesy", "errors"}
+
+
 def _names_imported_from_dtgen(source: str) -> set[str]:
     return {
         alias.name
@@ -99,7 +131,7 @@ def test_readme_lists_the_whole_surface():
 
 # names the top level still served, with a DeprecationWarning, until 0.2.0
 _MOVED = {
-    "config": ("GenerationConfig", "GeoSpawn", "LocalSpawn", "resolve_spawn"),
+    "config": ("ExtractionDefaults", "GenerationConfig", "GeoSpawn", "LocalSpawn", "resolve_spawn"),
     "geodesy": ("LocalPoint",),
     "osm": ("OsmDocument", "OsmNode", "OsmWay"),
     "replay": (
@@ -108,7 +140,7 @@ _MOVED = {
     ),
     "sdf": ("SdfWorld", "ValidationIssue", "ValidationReport", "emit_world"),
     "world_model": (
-        "DRIVABLE_HIGHWAY_VALUES", "Building", "ExtractionDefaults", "Road", "estimate_height",
+        "DRIVABLE_HIGHWAY_VALUES", "Building", "Road", "estimate_height",
         "extract_buildings", "extract_roads",
     ),
 }

@@ -49,6 +49,8 @@ def test_tracer_installs_and_traces_one_gap(data_dir, tmp_path, monkeypatch):
     assert code == 0
     spans = {s.name for s in tracer.spans}
     assert {"replay.parse_csv", "replay.simulate", "replay.compare", "cli.write"} <= spans
+    # the recorded headings are derived once, and that derivation is timed
+    assert [s.name for s in tracer.spans].count("replay.headings") == 1
     assert tracer.counters[0]["replay.points"] > 0
     # the originals are put back
     assert (cli.Path, cli.compute_gap, cli.simulate_controls, replay.project) == originals

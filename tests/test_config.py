@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtgen.config import (
+    ExtractionDefaults,
     GenerationConfig,
     GeoSpawn,
     LocalSpawn,
@@ -20,9 +21,7 @@ from dtgen.config import (
     resolve_spawn,
 )
 from dtgen.errors import ConfigParseError, ConfigValidationError
-from dtgen.geodesy import GeoOrigin
-from dtgen.osm import BoundingBox
-from dtgen.world_model import ExtractionDefaults
+from dtgen.geodesy import BoundingBox, GeoOrigin
 
 MINIMAL = '{"bbox": {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.1, "max_lon": 8.1}}'
 

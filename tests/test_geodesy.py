@@ -5,8 +5,15 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from dtgen.geodesy import EARTH_RADIUS_M, GeoOrigin, LocalPoint, origin_of, project, unproject
-from dtgen.osm import BoundingBox
+from dtgen.geodesy import (
+    EARTH_RADIUS_M,
+    BoundingBox,
+    GeoOrigin,
+    LocalPoint,
+    origin_of,
+    project,
+    unproject,
+)
 from oracles import one_turn_project
 
 

@@ -13,14 +13,13 @@ from oracles import three_set_filter_bbox, tree_parse_osm
 
 from dtgen import cli, osm
 from dtgen.errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
+from dtgen.geodesy import BoundingBox, lat_lon_in_range
 from dtgen.osm import (
-    BoundingBox,
     OsmDocument,
     OsmNode,
     OsmWay,
     fetch_overpass,
     filter_bbox,
-    lat_lon_in_range,
     overpass_query,
     parse_osm,
 )
