@@ -13,6 +13,7 @@ import os
 import stat
 import sys
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 from .config import load_config
 from .errors import DtGenError, FetchError
@@ -39,14 +40,15 @@ ENDPOINT_ENV_VAR = "DTGEN_OVERPASS_ENDPOINT"
 
 
 def _seconds(text: str) -> float:
-    """A finite positive number of seconds; anything else is a usage error."""
+    """A finite positive number of seconds up to ``threading.TIMEOUT_MAX``,
+    the most a socket timeout holds; anything else is a usage error."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:  # NaN fails both
+    if not 0 < value <= TIMEOUT_MAX:  # NaN fails both
         raise argparse.ArgumentTypeError(
-            f"expected a finite positive number of seconds, got {text!r}"
+            f"expected a finite positive number of seconds up to {TIMEOUT_MAX:.0f}, got {text!r}"
         )
     return value
 

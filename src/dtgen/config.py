@@ -171,6 +171,9 @@ def load_config(text: str) -> GenerationConfig:
             exc.lineno,
             exc.colno,
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # nested past the interpreter's recursion limit, or an integer past its digit limit
+        raise ConfigParseError(f"config cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigValidationError("config root must be a JSON object")
     _reject_unknown(raw, _keys(GenerationConfig)[0], "config")
@@ -206,9 +209,13 @@ def _reject_unknown(raw: dict, allowed, context: str) -> None:
 def _number(raw, context: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigValidationError(f"{context} must be a number, got {raw!r}")
-    if not math.isfinite(raw):
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer no float can hold
+        value = math.inf
+    if not math.isfinite(value):
         raise ConfigValidationError(f"{context} must be finite, got {raw!r}")
-    return float(raw)
+    return value
 
 
 def _numbers(raw, names: list[str], required: list[str], context: str) -> dict[str, float]:

@@ -21,6 +21,7 @@ import io
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from threading import TIMEOUT_MAX
 from typing import BinaryIO
 from xml.parsers import expat
 
@@ -165,11 +166,10 @@ def _read_xml(chunks: Iterable, start: Callable, end: Callable, text: Callable |
     """
     external: set[str] = set()  # general entities declared with a system id
 
-    def refuse_entity(name: str, is_parameter: int = 0) -> None:
+    def refuse_entity(name: str, *_: int) -> None:
         # an undefined entity, or one only an external DTD may declare: refused as
-        # ElementTree refuses it, cut to 100 characters; a skipped parameter entity is ignored
-        if is_parameter:
-            return
+        # ElementTree refuses it, cut to 100 characters. Parameter-entity parsing is
+        # off, so each skipped entity that expat reports here is a general one
         line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
         error = expat.ExpatError(f"undefined entity {f'&{name};'[:100]}: line {line}, column {column}")
         error.lineno, error.offset = line, column
@@ -244,11 +244,15 @@ def overpass_query(bbox: BoundingBox, timeout: float = OVERPASS_TIMEOUT_S) -> st
 
     The bbox appears in Overpass order: south,west,north,east. The trailing
     recursion pulls in nodes referenced by the selected ways. ``timeout``
-    must be a finite positive number of seconds; anything else raises
-    ``ValueError``.
+    must be a finite positive number of seconds up to
+    ``threading.TIMEOUT_MAX``, the most a socket timeout holds; anything
+    else raises ``ValueError``.
     """
-    if not 0 < timeout < math.inf:  # NaN fails both
-        raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
+    if not 0 < timeout <= TIMEOUT_MAX:  # NaN fails both
+        raise ValueError(
+            f"timeout must be a finite positive number of seconds up to {TIMEOUT_MAX:.0f}, "
+            f"got {timeout!r}"
+        )
     box = f"{bbox.min_lat},{bbox.min_lon},{bbox.max_lat},{bbox.max_lon}"
     return (
         f"[out:xml][timeout:{math.ceil(timeout)}];\n"
@@ -266,7 +270,7 @@ def fetch_overpass(bbox: BoundingBox, endpoint: str, timeout: float = OVERPASS_T
     after one optional byte order mark. A UTF-8 body is checked in slices,
     never decoded whole, and returned verbatim, mark included; any other is
     returned encoded as UTF-8, ready for :func:`parse_osm` through
-    ``io.BytesIO``. A ``timeout`` that is not a finite positive number
+    ``io.BytesIO``. A ``timeout`` that :func:`overpass_query` refuses
     raises ``ValueError`` before any request. The network stack is
     imported on the first call.
     """

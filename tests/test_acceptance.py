@@ -157,8 +157,10 @@ def _scan_fixture(text):
 def test_extraction_count_oracle(data_dir, tmp_path):
     """Extracted building/road counts equal an independent fixture scan."""
     from dtgen.geodesy import origin_of
-    from dtgen.osm import BoundingBox, filter_bbox, parse_osm
-    from dtgen.world_model import ExtractionDefaults, extract_buildings, extract_roads
+    from dtgen.config import ExtractionDefaults
+    from dtgen.geodesy import BoundingBox
+    from dtgen.osm import filter_bbox, parse_osm
+    from dtgen.world_model import extract_buildings, extract_roads
 
     bbox = BoundingBox(*BBOX)
     origin = origin_of(bbox)

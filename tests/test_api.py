@@ -78,22 +78,20 @@ def _module_graph() -> dict[str, set[str]]:
     return graph
 
 
-# the replay path reads no map: none of it reaches osm, and through it expat
-_IMPORTS_AT_MOST = {"geodesy": set(), "config": {"errors", "geodesy"}, "replay": {"config", "geodesy"}}
+# the replay path reads no map: none of its modules reaches osm, and through it expat
+_IMPORTS_AT_MOST = {
+    "replay": {"config", "geodesy"},
+    "config": {"errors", "geodesy"},
+    "geodesy": set(),
+    "errors": set(),
+}
 
 
 def test_replay_path_modules_import_only_what_they_use():
     graph = _module_graph()
-    assert {m: graph[m] - allowed for m, allowed in _IMPORTS_AT_MOST.items()} == dict.fromkeys(
-        _IMPORTS_AT_MOST, set()
-    )
-    reached, todo = set(), ["replay"]
-    while todo:
-        module = todo.pop()
-        if module not in reached:
-            reached.add(module)
-            todo.extend(graph[module])
-    assert reached == {"replay", "config", "geodesy", "errors"}
+    assert {module: graph[module] for module in _IMPORTS_AT_MOST} == {
+        module: graph[module] & allowed for module, allowed in _IMPORTS_AT_MOST.items()
+    }
 
 
 def _names_imported_from_dtgen(source: str) -> set[str]:

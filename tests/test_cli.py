@@ -841,7 +841,7 @@ class TestFetch:
         assert "failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fetch", "generate"])
-    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "abc"])
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "abc", "1e10"])
     def test_bad_timeout_is_usage_error_and_makes_no_request(
         self, data_dir, tmp_path, stub_server, capsys, command, timeout
     ):
@@ -863,3 +863,28 @@ class TestFetch:
         )
         assert code == 0
         assert out.exists()
+
+
+# a number no float can hold, and nesting past the recursion limit of json.loads
+_UNREADABLE_CONFIGS = {
+    "401-digit integer": '{"bbox": {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.1, '
+    f'"max_lon": {10**400}}}}}',
+    "nested 100,000 deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "gap", "fetch"])
+@pytest.mark.parametrize("config", _UNREADABLE_CONFIGS.values(), ids=_UNREADABLE_CONFIGS.keys())
+def test_unreadable_config_is_one_error_line(data_dir, tmp_path, capsys, command, config):
+    path = _write(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    args = {
+        "generate": ["--osm", str(data_dir / "track.osm")],
+        "gap": ["--recorded", "trace.csv", "--controls", "controls.csv", "--vehicle", "ego"],
+        "fetch": ["--endpoint", "http://127.0.0.1:9/"],
+    }[command]
+    assert cli.main([command, "--config", path, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("dtgen: error: ")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigParseError) as excinfo:
             load_config('{"bbox": }')
         assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize(
+        "path, context",
+        [
+            (["bbox", "max_lon"], "bbox.max_lon"),
+            (["defaults", "road_width"], "defaults.road_width"),
+            (["vehicles", 0, "wheelbase"], "vehicles[0].wheelbase"),
+        ],
+    )
+    def test_integer_no_float_can_hold_is_not_finite(self, path, context):
+        doc = {**json.loads(MINIMAL), "vehicles": [{"name": "ego", "kind": "twin"}]}
+        text = json.dumps(_edited(doc, path, -(10**400)))  # a 401-digit literal
+        with pytest.raises(ConfigValidationError, match=f"^{re.escape(context)} must be finite"):
+            load_config(text)
+
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        with pytest.raises(ConfigParseError, match="config cannot be read"):
+            load_config("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no limit on integer digits",
+    )
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ConfigParseError, match="config cannot be read"):
+            load_config('{"bbox": {"min_lat": ' + digits + "}}")
 
     def test_missing_bbox_rejected(self):
         with pytest.raises(ConfigValidationError, match="bbox"):
@@ -328,7 +356,7 @@ _DELETE = object()
 def _number_faults(path: list, context: str):
     for value in ("x", None, [1.0], {"v": 1.0}, True, False):
         yield path, value, f"{context} must be a number, got {value!r}"
-    for value in (math.inf, -math.inf, math.nan):
+    for value in (math.inf, -math.inf, math.nan, 10**400):
         yield path, value, f"{context} must be finite, got {value!r}"
 
 

@@ -2,6 +2,7 @@ import codecs
 import gc
 import io
 import math
+import threading
 import tracemalloc
 from unittest import mock
 from xml.sax.saxutils import quoteattr
@@ -664,13 +665,18 @@ class TestOverpass:
         with pytest.raises(TransportError):
             fetch_overpass(self.BOX, "http://127.0.0.1:9/", timeout=0.5)
 
-    @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, -1])
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, -1, 1e10])
     def test_bad_timeout_is_refused_before_any_request(self, stub_server, timeout):
         with pytest.raises(ValueError, match="finite positive number of seconds"):
             overpass_query(self.BOX, timeout)
         with pytest.raises(ValueError, match="finite positive number of seconds"):
             fetch_overpass(self.BOX, stub_server.url, timeout=timeout)
         assert stub_server.state.requests == []
+
+    def test_largest_socket_timeout_is_accepted(self):
+        # the most socket.settimeout holds
+        query = overpass_query(self.BOX, threading.TIMEOUT_MAX)
+        assert f"[timeout:{math.ceil(threading.TIMEOUT_MAX)}]" in query
 
     def test_timeout_raises_transport_error(self, stub_server):
         stub_server.state.delay = 2.0

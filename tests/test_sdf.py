@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import tree_validate_sdf
 
 from dtgen.config import (
+    ExtractionDefaults,
     GenerationConfig,
     LocalSpawn,
     VehicleKind,
@@ -24,8 +25,8 @@ from dtgen.config import (
     resolve_spawn,
 )
 from dtgen.errors import EmitError
-from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of, project
-from dtgen.osm import _SLICE_CHARS, BoundingBox
+from dtgen.geodesy import BoundingBox, GeoOrigin, LocalPoint, origin_of, project
+from dtgen.osm import _SLICE_CHARS
 from dtgen.pipeline import generate_world
 from dtgen.sdf import (
     GROUND_MARGIN_M,
@@ -39,7 +40,7 @@ from dtgen.sdf import (
     validate_sdf,
     write_world,
 )
-from dtgen.world_model import Building, ExtractionDefaults, Road, estimate_height
+from dtgen.world_model import Building, Road, estimate_height
 
 DATA_DIR = Path(__file__).parent / "data"
 BBOX = BoundingBox(48.0, 8.0, 48.1, 8.1)

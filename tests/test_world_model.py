@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from oracles import count_distinct
 
 from dtgen import world_model
-from dtgen.geodesy import GeoOrigin, LocalPoint, origin_of
-from dtgen.osm import BoundingBox, filter_bbox, parse_osm
+from dtgen.config import ExtractionDefaults
+from dtgen.geodesy import BoundingBox, GeoOrigin, LocalPoint, origin_of
+from dtgen.osm import filter_bbox, parse_osm
 from dtgen.world_model import (
     DRIVABLE_HIGHWAY_VALUES,
-    ExtractionDefaults,
     _has_three_distinct,
     estimate_height,
     extract_buildings,
