@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
 from .config import GenerationConfig, resolve_spawn
-from .geodesy import GeoOrigin, origin_of, project
+from .geodesy import origin_of, project
 from .osm import filter_bbox, parse_osm
 from .sdf import (
     emit_world,  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.emit_world
@@ -25,14 +25,12 @@ class GenerationResult:
     buildings: tuple[Building, ...]
     roads: tuple[Road, ...]
     warnings: tuple[str, ...]
-    spawns: tuple[tuple[float, float, float], ...]
-    origin: GeoOrigin
     config: GenerationConfig
 
     def write(self, out: TextIO) -> int:
         """Write the world to ``out``; returns the writer's fault count,
         zero exactly when ``validate_sdf`` would find no violation."""
-        return write_world(out, self.buildings, self.roads, self.spawns, self.origin, self.config)
+        return write_world(out, self.buildings, self.roads, self.config)
 
 
 def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
@@ -51,8 +49,8 @@ def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
     warnings = list(doc.warnings) + building_warnings + road_warnings
     low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
     high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
-    spawns = tuple(resolve_spawn(spec.spawn, origin) for spec in config.vehicles)
-    for spec, (x, y, _) in zip(config.vehicles, spawns):
+    for spec in config.vehicles:
+        x, y, _ = resolve_spawn(spec.spawn, origin)
         if not (low.x <= x <= high.x and low.y <= y <= high.y):
             warnings.append(
                 f"vehicle {spec.name!r} spawns outside the configured bounding box"
@@ -62,7 +60,5 @@ def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
         buildings=tuple(buildings),
         roads=tuple(roads),
         warnings=tuple(warnings),
-        spawns=spawns,
-        origin=origin,
         config=config,
     )

@@ -1,16 +1,17 @@
 """SDFormat world emission and structural validation.
 
 ``write_world`` writes the world document straight from the world-model
-objects (``Building``, ``Road``, ``VehicleSpec`` with its resolved spawn
-pose) to a text sink, one model at a time, and the sink's own buffer
-batches the writes, so a city-sized world is never held in memory whole;
-``emit_world`` collects the same bytes into a string. The output is flat:
-one element per line, no indentation, so diffs stay readable without
-whitespace that no SDFormat reader uses. Each model, and the header, sun
-and spherical coordinates before them, is formatted as one multi-line
-template string, each ``<geometry>`` once for both its collision and its
-visual. Every number goes through fixed-precision formatting, so identical
-inputs always produce byte-identical files.
+objects (``Building``, ``Road``) and the config, whose bounding box fixes
+the origin and whose vehicles carry their spawns, to a text sink, one
+model at a time, and the sink's own buffer batches the writes, so a
+city-sized world is never held in memory whole; ``emit_world`` collects
+the same bytes into a string. The output is flat: one element per line, no
+indentation, so diffs stay readable without whitespace that no SDFormat
+reader uses. Each model, and the header, sun and spherical coordinates
+before them, is formatted as one multi-line template string, each
+``<geometry>`` once for both its collision and its visual. Every number
+goes through fixed-precision formatting, so identical inputs always
+produce byte-identical files.
 
 The writer checks what it writes: each number of a pose, a polyline height
 or a ``<size>`` is made a float once, checked by the same per-element rule
@@ -33,9 +34,9 @@ from itertools import chain
 from typing import TextIO
 from xml.parsers import expat
 
-from .config import GenerationConfig, VehicleKind, VehicleSpec
+from .config import GenerationConfig, VehicleKind, VehicleSpec, resolve_spawn
 from .errors import EmitError
-from .geodesy import GeoOrigin, LocalPoint, project
+from .geodesy import GeoOrigin, LocalPoint, origin_of, project
 from .osm import _SLICE_CHARS, _read_xml
 from .world_model import Building, Road
 
@@ -105,11 +106,7 @@ class _Writer:
 
 
 def emit_world(
-    buildings: Sequence[Building],
-    roads: Sequence[Road],
-    spawns: Sequence[tuple[float, float, float]],
-    origin: GeoOrigin,
-    config: GenerationConfig,
+    buildings: Sequence[Building], roads: Sequence[Road], config: GenerationConfig
 ) -> SdfWorld:
     """The world document in memory: :func:`write_world` into a string.
 
@@ -118,7 +115,7 @@ def emit_world(
     one fails is the text parsed, to locate each violation.
     """
     sink = io.StringIO()
-    faults = write_world(sink, buildings, roads, spawns, origin, config)
+    faults = write_world(sink, buildings, roads, config)
     text = sink.getvalue()
     if not faults:
         return SdfWorld(text)
@@ -126,21 +123,17 @@ def emit_world(
 
 
 def write_world(
-    out: TextIO,
-    buildings: Sequence[Building],
-    roads: Sequence[Road],
-    spawns: Sequence[tuple[float, float, float]],
-    origin: GeoOrigin,
-    config: GenerationConfig,
+    out: TextIO, buildings: Sequence[Building], roads: Sequence[Road], config: GenerationConfig
 ) -> int:
     """Write the complete world document to the text sink ``out``, a model
     at a time, and return the number of faults the writer found.
 
-    ``spawns`` holds the resolved local ``(x, y, yaw)`` of each vehicle in
-    ``config.vehicles``, in the same order. World children in order: ground
-    plane, sun light, spherical coordinates, then building, road, and vehicle
-    models. Raises :class:`EmitError` on duplicate model names, possibly
-    after part of the document has been written.
+    The origin is the centre of ``config.bbox``, the one ``origin_of`` gives
+    extraction and replay. World children in order: ground plane, sun light,
+    spherical coordinates, then building, road, and vehicle models, each
+    vehicle at its config spawn resolved against that origin. Raises
+    :class:`EmitError` on duplicate model names, possibly after part of the
+    document has been written.
 
     The numbers of every pose, polyline height and ``<size>`` the writer
     formats go through the rule that ``validate_sdf`` applies to the numbers
@@ -155,6 +148,7 @@ def write_world(
       ``[A-Za-z0-9_]+``, so never empty; a duplicate raises ``EmitError``.
     """
     thickness = config.defaults.road_thickness
+    origin = origin_of(config.bbox)
     w = _Writer(out)
     w.write(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -175,8 +169,8 @@ def write_world(
         _write_building(w, building)
     for road in roads:
         _write_road(w, road, thickness)
-    for spec, pose in zip(config.vehicles, spawns, strict=True):
-        _write_vehicle(w, spec, pose)
+    for spec in config.vehicles:
+        _write_vehicle(w, spec, resolve_spawn(spec.spawn, origin))
     w.write("</world>\n</sdf>\n")
     return w.faults
 

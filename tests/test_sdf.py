@@ -22,10 +22,9 @@ from dtgen.config import (
     VehicleKind,
     VehicleSpec,
     load_config,
-    resolve_spawn,
 )
 from dtgen.errors import EmitError
-from dtgen.geodesy import BoundingBox, GeoOrigin, LocalPoint, origin_of, project
+from dtgen.geodesy import BoundingBox, LocalPoint, origin_of, project
 from dtgen.osm import _SLICE_CHARS
 from dtgen.pipeline import generate_world
 from dtgen.sdf import (
@@ -44,7 +43,7 @@ from dtgen.world_model import Building, Road, estimate_height
 
 DATA_DIR = Path(__file__).parent / "data"
 BBOX = BoundingBox(48.0, 8.0, 48.1, 8.1)
-ORIGIN = GeoOrigin(48.05, 8.05)
+ORIGIN = origin_of(BBOX)  # the origin the writer derives from BBOX
 # the sha256 of _pinned_vehicle_world(); a writer refactor leaves it unchanged
 _VEHICLE_WORLD_SHA256 = "ef71c4a2939bcff13c828a4356749210e5bf9b4b64bf3f3305e97a1fa2ccd48d"
 
@@ -58,9 +57,8 @@ def _square(way_id=7, height=10.0):
     return Building(id=way_id, footprint=pts, height=height)
 
 
-def _emit(buildings=(), roads=(), vehicles=(), origin=ORIGIN, config=None):
-    spawns = [resolve_spawn(v.spawn, origin) for v in vehicles]
-    return emit_world(list(buildings), list(roads), spawns, origin, config or _config(vehicles))
+def _emit(buildings=(), roads=(), vehicles=(), config=None):
+    return emit_world(list(buildings), list(roads), config or _config(vehicles))
 
 
 def _written(result):
@@ -192,6 +190,11 @@ def _spec(kind, name="car", **kwargs):
     return VehicleSpec(name=name, kind=kind, spawn=LocalSpawn(0.0, 0.0, 0.0), **kwargs)
 
 
+def _overflowing(kind):
+    """A vehicle whose chassis height, raised by its wheel radius, overflows."""
+    return _spec(kind, wheel_radius=1.5e308, chassis_height=1e308)
+
+
 class TestEmitVehicle:
     def test_ghost_has_zero_collisions(self):
         _, tree = _world_xml(vehicles=[_spec(VehicleKind.GHOST)])
@@ -314,8 +317,10 @@ class TestEmitWorld:
 
     def test_spherical_coordinates_survive_awkward_origins(self):
         # an origin with a long decimal tail must still land within 1e-9 deg
-        origin = GeoOrigin(48.01234567891234, -121.98765432101)
-        world = _emit(origin=origin)
+        lat0, lon0 = 48.01234567891234, -121.98765432101
+        bbox = BoundingBox(lat0 - 0.01, lon0 - 0.01, lat0 + 0.01, lon0 + 0.01)
+        origin = origin_of(bbox)
+        world = _emit(config=GenerationConfig(bbox=bbox))
         sc = ET.fromstring(world.text).find("world/spherical_coordinates")
         assert abs(float(sc.find("latitude_deg").text) - origin.lat0) < 1e-9
         assert abs(float(sc.find("longitude_deg").text) - origin.lon0) < 1e-9
@@ -348,7 +353,7 @@ class TestEmitWorld:
         # more than a fixed 5 km plane covers in one direction
         bbox = BoundingBox(48.0, 8.0, 48.05, 8.05)
         origin = origin_of(bbox)
-        world = _emit(origin=origin, config=GenerationConfig(bbox=bbox))
+        world = _emit(config=GenerationConfig(bbox=bbox))
         ground = _model(ET.fromstring(world.text), "ground_plane")
         assert ground.find("pose") is None  # centered on the origin
         low = project(origin, bbox.min_lat, bbox.min_lon)
@@ -591,17 +596,14 @@ def test_generated_world_always_validates(height, levels, meters_per_level, defa
 class TestWriterVerdict:
     def test_faulty_world_carries_the_validators_locations(self):
         car = "/sdf/world[@name='generated']/model[@name='car']"
-        world = emit_world(
-            [_square(height=0.0)], [], [(math.inf, 0.0, 0.0)], ORIGIN,
-            _config([_spec(VehicleKind.GHOST)]),
-        )
+        world = emit_world([_square(height=0.0)], [], _config([_overflowing(VehicleKind.GHOST)]))
         polyline = "/sdf/world[@name='generated']/model[@name='building_7']/link[@name='footprint']"
         assert world.violations == (
             ValidationIssue(f"{polyline}/collision[@name='collision']/geometry/polyline",
                             "non-positive polyline height"),
             ValidationIssue(f"{polyline}/visual[@name='visual']/geometry/polyline",
                             "non-positive polyline height"),
-            ValidationIssue(f"{car}/pose", "pose must contain 6 finite numbers"),
+            ValidationIssue(f"{car}/link[@name='chassis']/pose", "pose must contain 6 finite numbers"),
         )
         assert world.violations == validate_sdf(world.text).violations
 
@@ -660,7 +662,7 @@ def _traced_write(buildings, roads):
     sink = _CountingSink()
     tracemalloc.start()
     try:
-        write_world(sink, buildings, roads, [], ORIGIN, _config())
+        write_world(sink, buildings, roads, _config())
         return tracemalloc.get_traced_memory()[1], sink.chars
     finally:
         tracemalloc.stop()
@@ -687,7 +689,8 @@ def test_write_world_holds_none_of_the_text_of_its_road_segments():
 
 # hand-built world-model values that extraction and config loading never
 # produce: empty and short footprints, heights that format to a fault or
-# only just avoid one, coordinates whose midpoints overflow, non-finite spawns
+# only just avoid one, coordinates whose midpoints overflow, chassis poses
+# that overflow (the wheel radius plus half the chassis height)
 _HEIGHTS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 1e308, 10.0]
 _coordinate = st.floats(-1e308, 1e308)
 _points = st.lists(st.builds(LocalPoint, _coordinate, _coordinate), max_size=5).map(tuple)
@@ -702,7 +705,8 @@ _roads = st.lists(
     max_size=3,
     unique_by=lambda r: r.id,
 )
-_spawn = st.tuples(*[st.floats() | st.sampled_from([1e308, -1e308, 0.0])] * 3)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e308, -1e308, 0.0])
+_spawn = st.builds(LocalSpawn, _finite, _finite, _finite)
 
 
 @st.composite
@@ -714,11 +718,12 @@ def _vehicle(draw, name):
         wheelbase=wheelbase,
         chassis_length=chassis_length,
         track=draw(_length),
-        wheel_radius=draw(_length),
+        wheel_radius=draw(_length | st.just(1.5e308)),
         chassis_width=draw(_length),
         chassis_height=draw(_length),
         max_steer_angle=draw(st.floats(0.01, 1.5)),
         gps=draw(st.booleans()),
+        spawn=draw(_spawn),
     )
 
 
@@ -730,17 +735,17 @@ def _world_inputs(draw):
         defaults=ExtractionDefaults(road_thickness=draw(_length)),
         vehicles=tuple(vehicles),
     )
-    spawns = [draw(_spawn) for _ in vehicles]
-    return draw(_buildings), draw(_roads), spawns, config
+    return draw(_buildings), draw(_roads), config
 
 
 def _emit_inputs(inputs):
-    buildings, roads, spawns, config = inputs
-    return emit_world(buildings, roads, spawns, ORIGIN, config)
+    return emit_world(*inputs)
 
 
-_CLEAN = ([_square()], [], [(1.0, 2.0, 0.5)], _config([_spec(VehicleKind.TWIN)]))
-_FAULTY = ([_square(height=5e-324)], [], [(1.0, 2.0, math.nan)], _config([_spec(VehicleKind.TWIN)]))
+_CLEAN = (
+    [_square()], [], _config([VehicleSpec("car", VehicleKind.TWIN, spawn=LocalSpawn(1.0, 2.0, 0.5))])
+)
+_FAULTY = ([_square(height=5e-324)], [], _config([_overflowing(VehicleKind.TWIN)]))
 
 
 @given(inputs=_world_inputs())
