@@ -8,12 +8,13 @@ default. All lengths are meters, all angles radians.
 import json
 import math
 import re
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cache
 
 from .errors import ConfigParseError, ConfigValidationError
-from .geodesy import BoundingBox, GeoOrigin, lat_lon_in_range, project
+from .geodesy import _FLOAT_MAX, BoundingBox, GeoOrigin, lat_lon_in_range, project
 
 
 class VehicleKind(Enum):
@@ -33,9 +34,10 @@ class VehicleKind(Enum):
 def _require_finite(spawn) -> None:
     for f in fields(spawn):
         value = getattr(spawn, f.name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not (isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX):
             raise ConfigValidationError(
-                f"{type(spawn).__name__}.{f.name} must be a finite number, got {value!r}"
+                f"{type(spawn).__name__}.{f.name} must be a finite number, "
+                f"got {reprlib.repr(value)}"
             )
 
 
@@ -49,7 +51,8 @@ class GeoSpawn:
         _require_finite(self)
         if not lat_lon_in_range(self.lat, self.lon):
             raise ConfigValidationError(
-                f"GeoSpawn ({self.lat!r}, {self.lon!r}) lies outside [-90, 90] x [-180, 180]"
+                f"GeoSpawn ({reprlib.repr(self.lat)}, {reprlib.repr(self.lon)}) "
+                "lies outside [-90, 90] x [-180, 180]"
             )
 
 
@@ -99,14 +102,15 @@ class VehicleSpec:
             )
         for name in _POSITIVE_LENGTH_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
                 raise ConfigValidationError(
-                    f"vehicle {self.name!r}: {name} must be strictly positive, got {value!r}"
+                    f"vehicle {self.name!r}: {name} must be strictly positive, "
+                    f"got {reprlib.repr(value)}"
                 )
         if not (0.0 < self.max_steer_angle < math.pi / 2):
             raise ConfigValidationError(
                 f"vehicle {self.name!r}: max_steer_angle must lie in (0, pi/2), "
-                f"got {self.max_steer_angle!r}"
+                f"got {reprlib.repr(self.max_steer_angle)}"
             )
         if not self.wheelbase < self.chassis_length:
             raise ConfigValidationError(
@@ -126,8 +130,8 @@ class ExtractionDefaults:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
+                raise ValueError(f"{f.name} must be strictly positive, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -209,13 +213,9 @@ def _reject_unknown(raw: dict, allowed, context: str) -> None:
 def _number(raw, context: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigValidationError(f"{context} must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError:  # an integer no float can hold
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigValidationError(f"{context} must be finite, got {raw!r}")
-    return value
+    if not abs(raw) <= _FLOAT_MAX:  # NaN, inf, or an integer no float can hold
+        raise ConfigValidationError(f"{context} must be finite, got {reprlib.repr(raw)}")
+    return float(raw)
 
 
 def _numbers(raw, names: list[str], required: list[str], context: str) -> dict[str, float]:

@@ -10,10 +10,15 @@ bounding box that the map, the config and the replay share live here too.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 EARTH_RADIUS_M = 6378137.0  # WGS84 equatorial radius
 MAX_ORIGIN_LAT_DEG = 89.0
+# a number is finite when abs(v) <= _FLOAT_MAX: unlike math.isfinite, the
+# comparison never converts an int, so one no float holds is refused, not
+# an OverflowError, and it costs what math.isfinite does
+_FLOAT_MAX = sys.float_info.max
 
 
 def lat_lon_in_range(lat: float, lon: float) -> bool:
@@ -33,7 +38,7 @@ class BoundingBox:
 
     def __post_init__(self):
         values = (self.min_lat, self.min_lon, self.max_lat, self.max_lon)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        if not all(isinstance(v, (int, float)) and abs(v) <= _FLOAT_MAX for v in values):
             raise ValueError("bounding box coordinates must be finite numbers")
         if not (
             lat_lon_in_range(self.min_lat, self.min_lon)
@@ -63,7 +68,7 @@ class GeoOrigin:
     cos_lat0: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat0) and math.isfinite(self.lon0)):
+        if not (abs(self.lat0) <= _FLOAT_MAX and abs(self.lon0) <= _FLOAT_MAX):
             raise ValueError("origin coordinates must be finite")
         if abs(self.lat0) >= MAX_ORIGIN_LAT_DEG:
             raise ValueError(
@@ -79,7 +84,7 @@ class LocalPoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (abs(self.x) <= _FLOAT_MAX and abs(self.y) <= _FLOAT_MAX):
             raise ValueError("local coordinates must be finite")
 
 

@@ -214,7 +214,8 @@ class GapReport:
 
         ``json.dumps`` with an indent runs the pure-Python encoder, so it
         formats only the scalar head; ``per_sample`` is written here with
-        ``float.__repr__``, as the encoder writes a float. A NaN or inf
+        ``float.__repr__``, as the encoder writes a float, and an int as the
+        encoder writes it. A NaN or inf
         anywhere raises ``ValueError``: it must fail loudly, never become a
         bare NaN token that strict JSON readers reject.
         """
@@ -235,7 +236,11 @@ def _json_pair(pair: tuple[float, float]) -> str:
         # the encoder's message, naming the first value it refuses
         bad = d if math.isfinite(t) else t
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    return f"\n    [\n      {float.__repr__(t)},\n      {float.__repr__(d)}\n    ]"
+    try:
+        t_text, d_text = float.__repr__(t), float.__repr__(d)
+    except TypeError:  # an int, which compute_gap never makes: the float path pays nothing
+        t_text, d_text = map(json.dumps, pair)
+    return f"\n    [\n      {t_text},\n      {d_text}\n    ]"
 
 
 def step_kinematic(
@@ -405,8 +410,8 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
 
     Header ``t,lat,lon[,yaw]`` means geodetic samples, projected with
     ``origin``; header ``t,x,y[,yaw]`` means local meters. Every value must
-    be a finite number, and a geodetic sample must lie in range (see
-    :func:`dtgen.geodesy.lat_lon_in_range`).
+    be a finite number, the times must strictly increase, and a geodetic
+    sample must lie in range (see :func:`dtgen.geodesy.lat_lon_in_range`).
     """
     header, rows = _read_csv(text, "trajectory")
     if header in (["t", "lat", "lon"], ["t", "lat", "lon", "yaw"]):
@@ -423,8 +428,7 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
     has_yaw = len(header) == 4
 
     samples = []
-    for line_no, row in rows:
-        values = _parse_numbers(row, len(header), "trajectory", line_no)
+    for line_no, values in _numeric_rows(rows, len(header), "trajectory"):
         t, a, b = values[:3]
         yaw = values[3] if has_yaw else None
         if geodetic:
@@ -442,15 +446,11 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
 
 def parse_controls_csv(text: str) -> list[ControlSample]:
     """Load a command stream from CSV with header ``t,speed,steer``; every
-    value must be a finite number."""
+    value must be a finite number, and the times must strictly increase."""
     header, rows = _read_csv(text, "controls")
     if header != ["t", "speed", "steer"]:
         raise ValueError(f"unrecognized controls header {header!r}: expected t,speed,steer")
-    controls = []
-    for line_no, row in rows:
-        t, speed, steer = _parse_numbers(row, 3, "controls", line_no)
-        controls.append(ControlSample(t, speed, steer))
-    return controls
+    return [ControlSample(*values) for _, values in _numeric_rows(rows, 3, "controls")]
 
 
 def _read_csv(text: str, kind: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
@@ -480,14 +480,26 @@ def _read_csv(text: str, kind: str) -> tuple[list[str], Iterator[tuple[int, list
     return [h.strip() for h in header[1]], itertools.chain((first,), rows)
 
 
-def _parse_numbers(row: list[str], width: int, kind: str, line_no: int) -> list[float]:
-    """A CSV row of ``width`` finite numbers, or a located ``ValueError``."""
-    if len(row) != width:
-        raise ValueError(f"{kind} CSV line {line_no}: expected {width} fields, got {len(row)}")
-    try:
-        values = [float(v) for v in row]
-    except ValueError as exc:
-        raise ValueError(f"{kind} CSV line {line_no}: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{kind} CSV line {line_no}: non-finite value in {row!r}")
-    return values
+def _numeric_rows(
+    rows: Iterable[tuple[int, list[str]]], width: int, kind: str
+) -> Iterator[tuple[int, list[float]]]:
+    """Each numbered CSV row as ``width`` finite numbers, the first of which,
+    the time, rises strictly from row to row; a row that breaks a rule is a
+    ``ValueError`` that names its line."""
+    t_before = -math.inf
+    for line_no, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{kind} CSV line {line_no}: expected {width} fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"{kind} CSV line {line_no}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{kind} CSV line {line_no}: non-finite value in {row!r}")
+        if not values[0] > t_before:
+            raise ValueError(
+                f"{kind} CSV line {line_no}: timestamps must be strictly increasing: "
+                f"t={values[0]} follows t={t_before}"
+            )
+        t_before = values[0]
+        yield line_no, values

@@ -676,16 +676,17 @@ class TestGap:
         )
 
     @pytest.mark.parametrize(
-        ("flag", "message"),
+        ("flag", "blank", "message"),
         [
-            ("--recorded", "trajectory timestamps must be strictly increasing: sample 3 at t=1.0 follows t=1.0"),
-            ("--controls", "control timestamps must be strictly increasing: control 3 at t=5.0 follows t=5.0"),
-            ("--sim", "trajectory timestamps must be strictly increasing: sample 3 at t=1.0 follows t=1.0"),
+            ("--recorded", False, "trajectory CSV line 5: timestamps must be strictly increasing: t=1.0 follows t=1.0"),
+            ("--controls", False, "controls CSV line 5: timestamps must be strictly increasing: t=5.0 follows t=5.0"),
+            ("--sim", False, "trajectory CSV line 5: timestamps must be strictly increasing: t=1.0 follows t=1.0"),
+            ("--controls", True, "controls CSV line 6: timestamps must be strictly increasing: t=5.0 follows t=5.0"),
         ],
-        ids=["recorded", "controls", "sim"],
+        ids=["recorded", "controls", "sim", "controls-after-a-blank-line"],
     )
     def test_a_time_that_does_not_rise_is_named_with_the_time_before_it(
-        self, flag, message, data_dir, tmp_path, capsys
+        self, flag, blank, message, data_dir, tmp_path, capsys
     ):
         files = {
             "--recorded": STRAIGHT_TRACE,
@@ -694,6 +695,8 @@ class TestGap:
         }
         lines = files[flag].splitlines(keepends=True)
         lines.insert(3, lines[3])  # the third data row, repeated
+        if blank:
+            lines.insert(4, "\n")  # skipped, but counted as a line
         files[flag] = "".join(lines)
         paths = {name: _write(tmp_path / f"{name[2:]}.csv", text) for name, text in files.items()}
         source = ["--sim", paths["--sim"]]
@@ -855,6 +858,23 @@ class TestFetch:
         assert stub_server.state.requests == []
         assert not out.exists()
 
+    def test_no_endpoint_is_usage_error_and_makes_no_request(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(cli.ENDPOINT_ENV_VAR, raising=False)
+        requests = []
+        monkeypatch.setattr(cli, "fetch_overpass", lambda *args: requests.append(args))
+        out = tmp_path / "extract.osm"
+        code = cli.main(
+            ["fetch", "--config", str(data_dir / "config_minimal.json"), "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"dtgen: error: fetch requires --endpoint or ${cli.ENDPOINT_ENV_VAR}\n"
+        )
+        assert requests == []
+        assert not out.exists()
+
     def test_endpoint_from_environment(self, data_dir, tmp_path, stub_server, monkeypatch):
         monkeypatch.setenv(cli.ENDPOINT_ENV_VAR, stub_server.url)
         out = tmp_path / "extract.osm"
@@ -888,3 +908,13 @@ def test_unreadable_config_is_one_error_line(data_dir, tmp_path, capsys, command
     assert len(err.splitlines()) == 1 and err.startswith("dtgen: error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_number_no_float_holds_is_shown_short(data_dir, tmp_path, capsys):
+    path = _write(tmp_path / "config.json", _UNREADABLE_CONFIGS["401-digit integer"])
+    out = tmp_path / "world.sdf"
+    args = ["--config", path, "--osm", str(data_dir / "track.osm"), "--out", str(out)]
+    assert cli.main(["generate", *args]) == 1
+    err = capsys.readouterr().err
+    assert err == "dtgen: error: bbox.max_lon must be finite, got 1" + "0" * 17 + "..." + "0" * 19 + "\n"
+    assert len(err.splitlines()[0]) < 120

@@ -155,8 +155,10 @@ class TestLoadConfig:
             ([{"kind": "twin"}], "vehicles[0] requires a 'name'"),
             ([{"name": 7, "kind": "twin"}], "vehicles[0].name must be a string"),
             ([{"name": "ego", "kind": "twin", "spawn": [0, 0]}], "vehicles[0].spawn must be an object"),
+            ([{"name": "ego", "kind": "twin", "gps": 1}], "vehicles[0].gps must be true or false"),
         ],
-        ids=["not-a-list", "not-an-object", "no-name", "name-not-a-string", "spawn-not-an-object"],
+        ids=["not-a-list", "not-an-object", "no-name", "name-not-a-string", "spawn-not-an-object",
+             "gps-not-a-bool"],
     )
     def test_vehicle_of_the_wrong_shape_rejected_with_its_message(self, vehicles, message):
         raw = json.loads(MINIMAL)
@@ -205,6 +207,28 @@ class TestVehicleSpecInvariants:
 
 
 _NON_FINITE = [math.inf, -math.inf, math.nan]
+# how an error message shows 10**400: its first 18 and last 19 digits
+_SHORT_10_400 = "1" + "0" * 17 + "..." + "0" * 19
+
+
+@pytest.mark.parametrize(
+    ("build", "error", "message"),
+    [
+        (lambda: ExtractionDefaults(road_width=10**400), ValueError,
+         f"road_width must be strictly positive, got {_SHORT_10_400}"),
+        (lambda: VehicleSpec("a", VehicleKind.TWIN, wheelbase=10**400), ConfigValidationError,
+         f"vehicle 'a': wheelbase must be strictly positive, got {_SHORT_10_400}"),
+        (lambda: LocalSpawn(10**400, 0), ConfigValidationError,
+         f"LocalSpawn.x must be a finite number, got {_SHORT_10_400}"),
+        (lambda: GeoSpawn(0, 0, 10**400), ConfigValidationError,
+         f"GeoSpawn.yaw must be a finite number, got {_SHORT_10_400}"),
+    ],
+    ids=["ExtractionDefaults", "VehicleSpec", "LocalSpawn", "GeoSpawn"],
+)
+def test_constructor_refuses_a_number_no_float_holds_and_shows_it_short(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 class TestSpawnInvariants:
@@ -356,8 +380,9 @@ _DELETE = object()
 def _number_faults(path: list, context: str):
     for value in ("x", None, [1.0], {"v": 1.0}, True, False):
         yield path, value, f"{context} must be a number, got {value!r}"
-    for value in (math.inf, -math.inf, math.nan, 10**400):
+    for value in (math.inf, -math.inf, math.nan):
         yield path, value, f"{context} must be finite, got {value!r}"
+    yield path, 10**400, f"{context} must be finite, got {_SHORT_10_400}"
 
 
 def _faults(doc: dict):

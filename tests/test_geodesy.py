@@ -33,6 +33,28 @@ def haversine_m(lat1, lon1, lat2, lon2, radius=EARTH_RADIUS_M):
     return 2 * radius * math.asin(math.sqrt(a))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda v: BoundingBox(v, 0, 1, 1), "bounding box coordinates must be finite numbers"),
+        (lambda v: BoundingBox(0, 0, 1, v), "bounding box coordinates must be finite numbers"),
+        (lambda v: GeoOrigin(v, 0), "origin coordinates must be finite"),
+        (lambda v: GeoOrigin(0, v), "origin coordinates must be finite"),
+        (lambda v: LocalPoint(v, 0), "local coordinates must be finite"),
+        (lambda v: LocalPoint(0, v), "local coordinates must be finite"),
+    ],
+    ids=["BoundingBox-min_lat", "BoundingBox-max_lon", "GeoOrigin-lat0", "GeoOrigin-lon0",
+         "LocalPoint-x", "LocalPoint-y"],
+)
+def test_constructor_refuses_a_number_that_is_not_finite(build, message, value):
+    # 10**400 is an int no float holds: refused by comparison, never converted
+    with pytest.raises(ValueError) as exc:
+        build(value)
+    assert str(exc.value) == message
+
+
 class TestOriginOf:
     def test_center_of_simple_box(self):
         origin = origin_of(BoundingBox(0.0, 0.0, 2.0, 4.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import sys
@@ -774,6 +775,10 @@ def _outcome(func, *args):
 
 
 class TestGapJson:
+    def test_an_int_is_written_as_the_encoder_writes_it(self):
+        report = GapReport(3, 1, 2, 1.5, 0, 0, 0.25, ((0, 0), (1, 3), (2, 0.5), (2.5, 1)))
+        assert report.to_json() == json.dumps(vars(report), indent=2, allow_nan=False) + "\n"
+
     @given(gap_reports())
     @settings(max_examples=400)
     def test_matches_the_indent_encoder_byte_for_byte(self, report):
