@@ -31,13 +31,26 @@ class VehicleKind(Enum):
     GHOST = "ghost"
 
 
+def _short_repr(value) -> str:
+    """``value`` as ``reprlib.repr`` shows it, cut to 40 characters. An int no
+    float holds is cut by arithmetic to the same first 18 characters and last
+    19 digits, as it may be too long to turn into text at all."""
+    if not (isinstance(value, int) and abs(value) > _FLOAT_MAX):
+        return reprlib.repr(value)
+    sign, n = "-" * (value < 0), abs(value)
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # or one less
+    digits += n >= 10**digits
+    head = n // 10 ** (digits - 18 + len(sign))
+    return f"{sign}{head}...{n % 10**19:019d}"
+
+
 def _require_finite(spawn) -> None:
     for f in fields(spawn):
         value = getattr(spawn, f.name)
         if not (isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX):
             raise ConfigValidationError(
                 f"{type(spawn).__name__}.{f.name} must be a finite number, "
-                f"got {reprlib.repr(value)}"
+                f"got {_short_repr(value)}"
             )
 
 
@@ -51,7 +64,7 @@ class GeoSpawn:
         _require_finite(self)
         if not lat_lon_in_range(self.lat, self.lon):
             raise ConfigValidationError(
-                f"GeoSpawn ({reprlib.repr(self.lat)}, {reprlib.repr(self.lon)}) "
+                f"GeoSpawn ({_short_repr(self.lat)}, {_short_repr(self.lon)}) "
                 "lies outside [-90, 90] x [-180, 180]"
             )
 
@@ -105,12 +118,12 @@ class VehicleSpec:
             if not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
                 raise ConfigValidationError(
                     f"vehicle {self.name!r}: {name} must be strictly positive, "
-                    f"got {reprlib.repr(value)}"
+                    f"got {_short_repr(value)}"
                 )
         if not (0.0 < self.max_steer_angle < math.pi / 2):
             raise ConfigValidationError(
                 f"vehicle {self.name!r}: max_steer_angle must lie in (0, pi/2), "
-                f"got {reprlib.repr(self.max_steer_angle)}"
+                f"got {_short_repr(self.max_steer_angle)}"
             )
         if not self.wheelbase < self.chassis_length:
             raise ConfigValidationError(
@@ -131,7 +144,7 @@ class ExtractionDefaults:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
-                raise ValueError(f"{f.name} must be strictly positive, got {reprlib.repr(value)}")
+                raise ValueError(f"{f.name} must be strictly positive, got {_short_repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +227,7 @@ def _number(raw, context: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigValidationError(f"{context} must be a number, got {raw!r}")
     if not abs(raw) <= _FLOAT_MAX:  # NaN, inf, or an integer no float can hold
-        raise ConfigValidationError(f"{context} must be finite, got {reprlib.repr(raw)}")
+        raise ConfigValidationError(f"{context} must be finite, got {_short_repr(raw)}")
     return float(raw)
 
 

@@ -104,7 +104,7 @@ def project(origin: GeoOrigin, lat: float, lon: float) -> LocalPoint:
     into [-180, 180] by ``math.remainder(..., 360.0)``, which is exact, so a
     difference already inside keeps its bits.
     """
-    if not (math.isfinite(lat) and math.isfinite(lon)):
+    if not (abs(lat) <= _FLOAT_MAX and abs(lon) <= _FLOAT_MAX):
         raise ValueError("latitude and longitude must be finite")
     dlon = math.remainder(lon - origin.lon0, 360.0)
     x = EARTH_RADIUS_M * math.radians(dlon) * origin.cos_lat0

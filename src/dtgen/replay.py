@@ -17,7 +17,6 @@ import io
 import itertools
 import json
 import math
-from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,11 +26,11 @@ from .config import VehicleSpec
 from .geodesy import GeoOrigin, lat_lon_in_range, project
 
 HEADING_DISPLACEMENT_GATE_M = 0.05
-# A box is skipped only when its farthest corner is this far inside the gate.
-# math.hypot is accurate to under 1 ulp but not always correctly rounded, so
-# the margin, not monotonic rounding, proves that no sample in a skipped box
-# can reach the gate.
-_BOX_INSIDE_M = HEADING_DISPLACEMENT_GATE_M * (1.0 - 1e-9)
+# A waiting sample is skipped only when its distance from the anchor plus the
+# new sample's lies this far inside the gate. math.hypot is accurate to under
+# 1 ulp but not always correctly rounded, so the margin, not monotonic
+# rounding, proves that no skipped pair can reach the gate.
+_INSIDE_M = HEADING_DISPLACEMENT_GATE_M * (1.0 - 1e-9)
 
 
 def normalize_angle(theta: float) -> float:
@@ -114,86 +113,66 @@ def derive_headings(traj: Trajectory) -> list[float]:
     least ``HEADING_DISPLACEMENT_GATE_M`` away; samples near the end
     inherit the last known heading, leading unknowns take the first known
     one. A trajectory that never moves past the gate gets heading 0
-    everywhere.
-
-    The first crossing is found in a bounding-box tree of the samples
-    (see :func:`_bound_tree`): from sample i the walk visits the later
-    samples in index order, depth first, and skips a whole box when its
-    farthest corner from sample i lies inside the gate. Only single
-    samples are tested against the gate itself, with the same arithmetic
-    as a plain forward scan, so the headings are that scan's bit for bit.
-    A moving sample costs one test; a parked stretch of k samples costs
-    O(k log k) box tests instead of the scan's k²/2.
+    everywhere. The first crossings come from one forward pass, see
+    :func:`_first_crossings`.
     """
-    xs = array("d", [s.x for s in traj.samples])
-    ys = array("d", [s.y for s in traj.samples])
-    n = len(xs)
-    size = 1 << (n - 1).bit_length()
-    x0, x1 = _bound_tree(xs, size)
-    y0, y1 = _bound_tree(ys, size)
-    hypot, gate = math.hypot, HEADING_DISPLACEMENT_GATE_M
-    headings: list[float | None] = [None] * n
-    for i in range(n - 1):
-        xi, yi = xs[i], ys[i]
-        v = size + i + 1  # the leaf of sample i + 1
-        while True:
-            if v >= size:
-                j = v - size
-                if j >= n:  # padding: no later sample crossed the gate
-                    break
-                dx, dy = xs[j] - xi, ys[j] - yi
-                if hypot(dx, dy) >= gate:
-                    headings[i] = math.atan2(dy, dx)
-                    break
-            else:
-                # farthest corner of the box from sample i; max() inlined, as
-                # this is the hot loop
-                cx, far = xi - x0[v], x1[v] - xi
-                if far > cx:
-                    cx = far
-                cy, far = yi - y0[v], y1[v] - yi
-                if far > cy:
-                    cy = far
-                if not hypot(cx, cy) < _BOX_INSIDE_M:
-                    # some sample in the box may cross: search it. Its
-                    # children can both be inside even so; the walk then
-                    # moves past it.
-                    v *= 2
-                    continue
-            # move past node v: climb while it is a right child, then
-            # step to the subtree that follows it in index order
-            while v & 1:
-                v >>= 1
-            if not v:
-                break
-            v += 1
+    headings: list[float | None] = [None] * len(traj.samples)
+    for i, heading in _first_crossings(traj.samples):
+        headings[i] = heading
     last = next((h for h in headings if h is not None), 0.0)
     for i, h in enumerate(headings):
         last = headings[i] = last if h is None else h
     return headings
 
 
-def _bound_tree(coords: array, size: int) -> tuple[array, array]:
-    """Per-node minimum and maximum of one coordinate over the inner nodes of
-    an implicit binary tree: node 1 is the root, node v has children 2v and
-    2v + 1, and node ``size + k`` is the leaf of sample k, read from
-    ``coords`` itself. ``size`` is a power of two; index 0 is unused.
+def _first_crossings(samples: Iterable[TrajectorySample]) -> Iterator[tuple[int, float]]:
+    """Yield ``(i, heading)`` when the first sample at least the gate away
+    from sample i arrives, ``heading`` pointing from sample i to it.
 
-    Leaves past ``len(coords)`` are padding with an empty range (min inf,
-    max -inf), which adds nothing to a parent. A NaN coordinate spans the
-    whole axis, so no box that holds it is ever skipped.
+    Samples still waiting for their crossing are kept sorted by rho, their
+    distance from an anchor. A new sample at distance d from it can reach
+    the gate only from the tail with rho >= ``_INSIDE_M`` - d, and only that
+    tail is tested, as a plain forward scan tests: the headings are that
+    scan's bit for bit. A NaN or infinite distance counts as inf, so it is
+    always tested and tests the whole window. The anchor moves to the centre
+    of the window's box, and every rho is recomputed, when the window is
+    empty, has doubled since the last move, or has had more than twice its
+    size at that move in tests that found no crossing. A parked stretch
+    under half the gate across is then not tested until the vehicle leaves.
     """
-    pad = size - len(coords)
-    lo = array("d", [c if c == c else -math.inf for c in coords]) + array("d", [math.inf]) * pad
-    hi = array("d", [c if c == c else math.inf for c in coords]) + array("d", [-math.inf]) * pad
-    lo_tree, hi_tree = array("d", [0.0]) * size, array("d", [0.0]) * size
-    k = size
-    while k > 1:
-        k //= 2
-        lo = array("d", map(min, lo[0::2], lo[1::2]))
-        hi = array("d", map(max, hi[0::2], hi[1::2]))
-        lo_tree[k : 2 * k], hi_tree[k : 2 * k] = lo, hi
-    return lo_tree, hi_tree
+    hypot, atan2, gate, inf = math.hypot, math.atan2, HEADING_DISPLACEMENT_GATE_M, math.inf
+    ax = ay = 0.0
+
+    def rho(x: float, y: float) -> float:
+        r = hypot(x - ax, y - ay)
+        return r if r < inf else inf  # NaN too
+
+    window: list[tuple[float, int, float, float]] = []  # (rho, index, x, y)
+    size = misses = 0  # the window's size at the anchor's last move, the misses since
+    for j, s in enumerate(samples):
+        x, y = s.x, s.y
+        d = rho(x, y)
+        start = bisect.bisect_left(window, (_INSIDE_M - d,))
+        waiting = []
+        for entry in window[start:]:
+            dx, dy = x - entry[2], y - entry[3]
+            if hypot(dx, dy) >= gate:
+                yield entry[1], atan2(dy, dx)
+            else:
+                waiting.append(entry)
+        window[start:] = waiting
+        misses += len(waiting)
+        if not window:
+            ax, ay, size, misses = x, y, 1, 0
+            d = rho(x, y)
+        bisect.insort(window, (d, j, x, y))
+        if len(window) >= 2 * size or misses > 2 * size:
+            box = [e[2:] for e in window if math.isfinite(e[2]) and math.isfinite(e[3])]
+            if box:
+                xs, ys = zip(*box)
+                ax, ay = 0.5 * min(xs) + 0.5 * max(xs), 0.5 * min(ys) + 0.5 * max(ys)
+            window = sorted((rho(ex, ey), i, ex, ey) for _, i, ex, ey in window)
+            size, misses = len(window), 0
 
 
 @dataclass(frozen=True)
@@ -232,9 +211,10 @@ def _json_pair(pair: tuple[float, float]) -> str:
     """One ``per_sample`` entry as the indent-2 encoder writes it, with the
     newline and indent that precede it."""
     t, d = pair
-    if not (math.isfinite(t) and math.isfinite(d)):
+    # a comparison, which never converts: an int of any size is written
+    if not (abs(t) < math.inf and abs(d) < math.inf):
         # the encoder's message, naming the first value it refuses
-        bad = d if math.isfinite(t) else t
+        bad = d if abs(t) < math.inf else t
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
     try:
         t_text, d_text = float.__repr__(t), float.__repr__(d)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,37 @@ def test_constructor_refuses_a_number_no_float_holds_and_shows_it_short(build, e
     with pytest.raises(error) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("build", "error", "message"),
+    [
+        (lambda: ExtractionDefaults(road_width=10**5000), ValueError,
+         f"road_width must be strictly positive, got {_SHORT_10_400}"),
+        (lambda: VehicleSpec("a", VehicleKind.TWIN, wheelbase=10**5000), ConfigValidationError,
+         f"vehicle 'a': wheelbase must be strictly positive, got {_SHORT_10_400}"),
+        (lambda: LocalSpawn(10**5000, 0), ConfigValidationError,
+         f"LocalSpawn.x must be a finite number, got {_SHORT_10_400}"),
+        (lambda: GeoSpawn(0, 0, -(10**5000) - 7), ConfigValidationError,
+         "GeoSpawn.yaw must be a finite number, got -1" + "0" * 16 + "..." + "0" * 18 + "7"),
+    ],
+    ids=["ExtractionDefaults", "VehicleSpec", "LocalSpawn", "GeoSpawn"],
+)
+def test_an_int_too_long_for_text_is_still_shown_short(build, error, message):
+    # past the interpreter's 4,300-digit limit no int can be turned into text
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("digits", [310, 401, 1000, 4300])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_no_float_holds_is_shown_as_reprlib_shows_it(digits, sign):
+    for value in (10 ** (digits - 1), 10**digits - 1, 10 ** (digits - 1) + 12345 * 10**200 + 678):
+        with pytest.raises(ConfigValidationError) as exc:
+            LocalSpawn(0, sign * value)
+        shown = reprlib.repr(sign * value)
+        assert str(exc.value) == f"LocalSpawn.y must be a finite number, got {shown}"
 
 
 class TestSpawnInvariants:

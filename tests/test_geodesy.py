@@ -97,6 +97,12 @@ class TestProject:
         with pytest.raises(ValueError):
             project(origin, 0.0, math.inf)
 
+    @pytest.mark.parametrize(("lat", "lon"), [(10**400, 0), (0, -(10**400))])
+    def test_rejects_an_int_no_float_holds_with_its_own_error(self, lat, lon):
+        # compared, never converted: no OverflowError
+        with pytest.raises(ValueError, match="^latitude and longitude must be finite$"):
+            project(GeoOrigin(48, 8), lat, lon)
+
 
 class TestUnproject:
     def test_zero_maps_to_origin(self):

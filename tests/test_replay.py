@@ -545,6 +545,50 @@ def _sprinkled_with_non_finite_values():
     return points
 
 
+@st.composite
+def drifting_clouds(draw):
+    """One to three stretches of 300 to 450 samples in a disc of 2.0 to 4 cm,
+    whose centre drifts up to 0.1 mm a sample, joined by hops. Long enough
+    for the window's anchor to move several times per stretch; some traces
+    get NaN, inf or 1e308 coordinates inside a stretch."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cx = cy = 0.0
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        radius = draw(st.sampled_from([0.02, 0.024, 0.0249, 0.03, 0.04]))
+        drift, way = draw(st.floats(0.0, 1e-4)), rng.uniform(-math.pi, math.pi)
+        for _ in range(draw(st.integers(300, 450))):
+            cx, cy = cx + drift * math.cos(way), cy + drift * math.sin(way)
+            r, a = radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+            points.append((cx + r * math.cos(a), cy + r * math.sin(a)))
+        hop, a = draw(st.sampled_from([0.03, 0.05, 0.07, 1.0])), rng.uniform(-math.pi, math.pi)
+        cx, cy = cx + hop * math.cos(a), cy + hop * math.sin(a)
+    specials = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+    for _ in range(draw(st.integers(0, 6))):
+        k, axis = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, 1))
+        point = list(points[k])
+        point[axis] = draw(specials)
+        points[k] = tuple(point)
+    return points
+
+
+def _parked_then_moving(radius, count):
+    """``count`` samples drawn uniformly in a disc of ``radius`` about the
+    origin, then one sample 1 m east."""
+    rng = random.Random(2)
+    samples = []
+    for k in range(count):
+        r, a = radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+        samples.append(TrajectorySample(0.1 * k, r * math.cos(a), r * math.sin(a)))
+    return Trajectory((*samples, TrajectorySample(0.1 * count, 1.0, 0.0)))
+
+
+def _timed_headings(traj):
+    start = time.perf_counter()
+    headings = traj.motion_headings
+    return headings, time.perf_counter() - start
+
+
 class TestMotionHeadingsMatchTheForwardScan:
     @given(walk_traces())
     @settings(max_examples=150, deadline=None)
@@ -623,6 +667,46 @@ class TestMotionHeadingsMatchTheForwardScan:
         )
         assert headings[-1] == headings[-2]
         assert elapsed < 2.0, f"headings took {elapsed:.2f} s"
+
+    @given(drifting_clouds())
+    @settings(max_examples=40, deadline=None)
+    def test_drifting_clouds_around_half_the_gate(self, points):
+        traj = _points_traj(points)
+        assert _bits(traj.motion_headings) == _bits(forward_scan_headings(traj))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("radius", [0.03, 0.04])
+    def test_nan_samples_waiting_in_a_drifting_cloud(self, radius, seed):
+        # with no inf coordinate to meet, a NaN sample never crosses the gate:
+        # it waits in the window for good while the cloud comes and goes
+        rng = random.Random(seed)
+        points = []
+        for k in range(400):
+            r, a = radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
+            points.append((1e-4 * k + r * math.cos(a), r * math.sin(a)))
+        for k, axis in [(3, 0), (10, 1), (40, 0)]:
+            points[k] = (math.nan, points[k][1]) if axis == 0 else (points[k][0], math.nan)
+        traj = _points_traj(points)
+        assert _bits(traj.motion_headings) == _bits(forward_scan_headings(traj))
+
+    def test_a_disc_just_under_half_the_gate_takes_under_a_second(self):
+        # every pair in a 2.4 cm disc lies inside the 5 cm gate: no sample
+        # crosses it until the last one, 1 m away
+        traj = _parked_then_moving(0.024, 32_000)
+        headings, elapsed = _timed_headings(traj)
+        move = traj.samples[-1]
+        assert all(
+            h == math.atan2(move.y - s.y, move.x - s.x)
+            for s, h in zip(traj.samples, headings[:-1])
+        )
+        assert elapsed < 1.0, f"headings took {elapsed:.2f} s"
+
+    def test_a_disc_past_half_the_gate_takes_under_three_seconds(self):
+        # in a 3 cm disc samples near the rim cross the gate only with
+        # samples near the opposite rim, so they wait long in the window
+        headings, elapsed = _timed_headings(_parked_then_moving(0.03, 16_000))
+        assert len(headings) == 16_001
+        assert elapsed < 3.0, f"headings took {elapsed:.2f} s"
 
 
 class TestComputeGap:
@@ -777,6 +861,11 @@ def _outcome(func, *args):
 class TestGapJson:
     def test_an_int_is_written_as_the_encoder_writes_it(self):
         report = GapReport(3, 1, 2, 1.5, 0, 0, 0.25, ((0, 0), (1, 3), (2, 0.5), (2.5, 1)))
+        assert report.to_json() == json.dumps(vars(report), indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("per_sample", [((0, 10**400),), ((-(10**400), 0.5), (1, 2.0))])
+    def test_an_int_no_float_holds_is_written_as_the_encoder_writes_it(self, per_sample):
+        report = GapReport(len(per_sample), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, per_sample)
         assert report.to_json() == json.dumps(vars(report), indent=2, allow_nan=False) + "\n"
 
     @given(gap_reports())
