@@ -156,9 +156,30 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = 1 + exc.object.count(b"\n", 0, exc.start)
-        byte = exc.object[exc.start]
-        raise ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason}, byte 0x{byte:02x})") from exc
+        raise _not_utf8(path, 1 + exc.object.count(b"\n", 0, exc.start), exc) from exc
+
+
+def _text_lines(path: str, binary):
+    """The lines of the UTF-8 file at ``path``, open in binary mode as
+    ``binary``, decoded one at a time, as ``_read_text`` reads them: the
+    leading byte order mark skipped, and a ``\\r\\n`` or lone ``\\r`` ending
+    a line as ``\\n`` does. UTF-8 never puts the byte 0x0a inside a
+    character, so each line decodes alone, and a byte that is not UTF-8 is
+    a ``ValueError`` that names the file and the line it is on."""
+    for line_no, raw in enumerate(binary, 1):
+        try:
+            line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, line_no, exc) from exc
+        if "\r" in line:
+            yield from io.StringIO(line, newline=None)  # universal newlines
+        else:
+            yield line
+
+
+def _not_utf8(path: str, line: int, exc: UnicodeDecodeError) -> ValueError:
+    byte = exc.object[exc.start]
+    return ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason}, byte 0x{byte:02x})")
 
 
 def _cmd_generate(args) -> int:
@@ -239,7 +260,9 @@ def _cmd_validate(args) -> int:
 def _cmd_gap(args) -> int:
     config = load_config(_read_text(args.config))
     origin = origin_of(config.bbox)
-    recorded = parse_trajectory_csv(_read_text(args.recorded), origin=origin)
+    # each CSV is read a line at a time as it is parsed
+    with open(args.recorded, "rb") as binary:
+        recorded = parse_trajectory_csv(_text_lines(args.recorded, binary), origin=origin)
 
     if args.controls:
         if not args.vehicle:
@@ -249,7 +272,8 @@ def _cmd_gap(args) -> int:
         if spec is None:
             _error(f"unknown vehicle name {args.vehicle!r}")
             return EXIT_USAGE
-        controls = parse_controls_csv(_read_text(args.controls))
+        with open(args.controls, "rb") as binary:
+            controls = parse_controls_csv(_text_lines(args.controls, binary))
         if controls[0].t < recorded.t_first:
             raise ValueError(
                 f"control log starts at t={controls[0].t}, before the recorded "
@@ -263,7 +287,8 @@ def _cmd_gap(args) -> int:
         for warning in sim.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     else:
-        sim = parse_trajectory_csv(_read_text(args.sim), origin=origin)
+        with open(args.sim, "rb") as binary:
+            sim = parse_trajectory_csv(_text_lines(args.sim, binary), origin=origin)
 
     report = compute_gap(recorded, sim)
     del recorded, sim  # not needed while the report is formatted

@@ -17,10 +17,11 @@ import io
 import itertools
 import json
 import math
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import mul
 
 from .config import VehicleSpec
 from .geodesy import GeoOrigin, lat_lon_in_range, project
@@ -65,45 +66,130 @@ class TrajectorySample:
     yaw: float | None = None
 
 
-def _check_order(items: Iterable, kind: str, noun: str) -> None:
-    """Refuse ``items`` unless their times ``t`` strictly increase, naming the
-    index and time of the first one whose time does not rise (a NaN never
-    does), and the time before it."""
-    for i, (a, b) in enumerate(itertools.pairwise(items), 1):
-        if not b.t > a.t:
+def _check_order(times: Sequence[float], kind: str, noun: str) -> None:
+    """Refuse ``times`` unless they strictly increase, naming the index and
+    time of the first one that does not rise (a NaN never does), and the
+    time before it."""
+    for i, (a, b) in enumerate(itertools.pairwise(times), 1):
+        if not b > a:
             raise ValueError(
-                f"{kind} timestamps must be strictly increasing: {noun} {i} at t={b.t} follows t={a.t}"
+                f"{kind} timestamps must be strictly increasing: {noun} {i} at t={b} follows t={a}"
             )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    samples: tuple[TrajectorySample, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+class _Rows(Sequence):
+    """A read-only sequence whose items ``row`` builds on demand, one number
+    from each of its equal-length ``array('d')`` ``columns``. Its ``len``,
+    ``==``, ``hash`` and ``repr`` are those of the ``like`` (a tuple or a
+    list) of its items, the container it stands in for."""
 
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("trajectory requires at least one sample")
-        _check_order(self.samples, "trajectory", "sample")
-        if any((a.yaw is None) != (b.yaw is None) for a, b in itertools.pairwise(self.samples)):
+    __slots__ = ("columns", "_row", "_like")
+
+    def __init__(self, row, columns: tuple[array, ...], like: type = tuple):
+        self.columns, self._row, self._like = columns, row, like
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._like(map(self._row, *(c[index] for c in self.columns)))
+        return self._row(*(c[index] for c in self.columns))
+
+    def __iter__(self):
+        return map(self._row, *self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (self._like, _Rows)):
+            return self._like(self) == self._like(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._like(self))
+
+    def __repr__(self) -> str:
+        return repr(self._like(self))
+
+
+def _pair(t: float, d: float) -> tuple[float, float]:
+    return t, d
+
+
+class Trajectory:
+    """A pose stream, held as ``array('d')`` columns ``t``, ``x``, ``y`` and
+    ``yaw`` (``None`` when the stream has no yaw): 8 bytes a number.
+
+    ``Trajectory(samples)`` takes a sequence of :class:`TrajectorySample`,
+    read into columns once; ``samples`` gives them back, built as they are
+    read. The times must strictly increase, and yaw must be on every sample
+    or on none.
+    """
+
+    def __init__(self, samples: Sequence[TrajectorySample], warnings: Iterable[str] = ()):
+        yaws = [s.yaw for s in samples]
+        has_yaw = None not in yaws
+        self._hold(
+            array("d", [s.t for s in samples]),
+            array("d", [s.x for s in samples]),
+            array("d", [s.y for s in samples]),
+            array("d", yaws) if has_yaw else None,
+            warnings,
+        )
+        if not has_yaw and yaws.count(None) != len(yaws):
             raise ValueError("yaw must be present on every sample or on none")
+
+    @classmethod
+    def _of_columns(
+        cls, t: array, x: array, y: array, yaw: array | None = None, warnings: Iterable[str] = ()
+    ) -> "Trajectory":
+        """A trajectory that holds the given columns themselves, checked as
+        ``Trajectory(samples)`` checks its samples."""
+        traj = cls.__new__(cls)
+        traj._hold(t, x, y, yaw, warnings)
+        return traj
+
+    def _hold(self, t, x, y, yaw, warnings) -> None:
+        if not t:
+            raise ValueError("trajectory requires at least one sample")
+        _check_order(t, "trajectory", "sample")
+        self.t, self.x, self.y, self.yaw, self.warnings = t, x, y, yaw, tuple(warnings)
+
+    @property
+    def samples(self) -> Sequence[TrajectorySample]:
+        """The samples, a read-only sequence that compares and prints as
+        the tuple of them."""
+        columns = (self.t, self.x, self.y)
+        return _Rows(TrajectorySample, columns if self.yaw is None else (*columns, self.yaw))
+
+    def __eq__(self, other):
+        if isinstance(other, Trajectory):
+            return self.samples == other.samples
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.samples)
+
+    def __repr__(self) -> str:
+        return f"Trajectory(samples={self.samples!r}, warnings={self.warnings!r})"
 
     @property
     def has_yaw(self) -> bool:
-        return self.samples[0].yaw is not None
+        return self.yaw is not None
 
     @property
     def t_first(self) -> float:
-        return self.samples[0].t
+        return self.t[0]
 
     @property
     def t_last(self) -> float:
-        return self.samples[-1].t
+        return self.t[-1]
 
     @cached_property
-    def motion_headings(self) -> tuple[float, ...]:
-        """Per-sample motion heading (see :func:`derive_headings`), derived once."""
-        return tuple(derive_headings(self))
+    def motion_headings(self) -> Sequence[float]:
+        """Per-sample motion heading (see :func:`derive_headings`), derived
+        once and held as an ``array('d')`` column; it compares and prints as
+        the tuple of the headings."""
+        return _Rows(float, (array("d", derive_headings(self)),))
 
 
 def derive_headings(traj: Trajectory) -> list[float]:
@@ -116,8 +202,8 @@ def derive_headings(traj: Trajectory) -> list[float]:
     everywhere. The first crossings come from one forward pass, see
     :func:`_first_crossings`.
     """
-    headings: list[float | None] = [None] * len(traj.samples)
-    for i, heading in _first_crossings(traj.samples):
+    headings: list[float | None] = [None] * len(traj.t)
+    for i, heading in _first_crossings(zip(traj.x, traj.y)):
         headings[i] = heading
     last = next((h for h in headings if h is not None), 0.0)
     for i, h in enumerate(headings):
@@ -125,12 +211,12 @@ def derive_headings(traj: Trajectory) -> list[float]:
     return headings
 
 
-def _first_crossings(samples: Iterable[TrajectorySample]) -> Iterator[tuple[int, float]]:
-    """Yield ``(i, heading)`` when the first sample at least the gate away
-    from sample i arrives, ``heading`` pointing from sample i to it.
+def _first_crossings(points: Iterable[tuple[float, float]]) -> Iterator[tuple[int, float]]:
+    """Yield ``(i, heading)`` when the first point at least the gate away
+    from point i arrives, ``heading`` pointing from point i to it.
 
-    Samples still waiting for their crossing are kept sorted by rho, their
-    distance from an anchor. A new sample at distance d from it can reach
+    Points still waiting for their crossing are kept sorted by rho, their
+    distance from an anchor. A new point at distance d from it can reach
     the gate only from the tail with rho >= ``_INSIDE_M`` - d, and only that
     tail is tested, as a plain forward scan tests: the headings are that
     scan's bit for bit. A NaN or infinite distance counts as inf, so it is
@@ -149,8 +235,7 @@ def _first_crossings(samples: Iterable[TrajectorySample]) -> Iterator[tuple[int,
 
     window: list[tuple[float, int, float, float]] = []  # (rho, index, x, y)
     size = misses = 0  # the window's size at the anchor's last move, the misses since
-    for j, s in enumerate(samples):
-        x, y = s.x, s.y
+    for j, (x, y) in enumerate(points):
         d = rho(x, y)
         start = bisect.bisect_left(window, (_INSIDE_M - d,))
         waiting = []
@@ -184,7 +269,8 @@ class GapReport:
     final_drift: float
     lateral_rmse: float
     longitudinal_rmse: float
-    per_sample: tuple[tuple[float, float], ...]
+    # (t, deviation) pairs; compute_gap holds them as two array('d') columns
+    per_sample: Sequence[tuple[float, float]]
 
     def to_json(self) -> str:
         """The report, with ``per_sample`` as a list of ``[t, deviation]``
@@ -194,17 +280,25 @@ class GapReport:
         ``json.dumps`` with an indent runs the pure-Python encoder, so it
         formats only the scalar head; ``per_sample`` is written here with
         ``float.__repr__``, as the encoder writes a float, and an int as the
-        encoder writes it. A NaN or inf
-        anywhere raises ``ValueError``: it must fail loudly, never become a
-        bare NaN token that strict JSON readers reject.
+        encoder writes it, ``_JSON_BLOCK`` pairs to a string, so no string
+        per pair is held. A NaN or inf anywhere raises ``ValueError``: it
+        must fail loudly, never become a bare NaN token that strict JSON
+        readers reject.
         """
         scalars = {k: v for k, v in vars(self).items() if k != "per_sample"}
         # the head without its closing "\n}"; per_sample is the last key
         head = json.dumps(scalars, indent=2, allow_nan=False)[:-2]
         if not self.per_sample:
             return head + ',\n  "per_sample": []\n}\n'
-        pairs = ",".join(map(_json_pair, self.per_sample))
-        return "".join((head, ',\n  "per_sample": [', pairs, "\n  ]\n}\n"))
+        pairs = iter(self.per_sample)
+        parts = [head, ',\n  "per_sample": [']
+        while block := ",".join(map(_json_pair, itertools.islice(pairs, _JSON_BLOCK))):
+            parts += (block, ",")
+        parts[-1] = "\n  ]\n}\n"  # in place of the comma after the last block
+        return "".join(parts)
+
+
+_JSON_BLOCK = 4096
 
 
 def _json_pair(pair: tuple[float, float]) -> str:
@@ -252,7 +346,7 @@ def step_kinematic(
 
 def simulate_controls(
     initial: VehicleState,
-    controls: list[ControlSample],
+    controls: Sequence[ControlSample],
     spec: VehicleSpec,
     t_end: float | None = None,
 ) -> Trajectory:
@@ -266,28 +360,36 @@ def simulate_controls(
     """
     if not controls:
         raise ValueError("at least one control sample is required")
-    _check_order(controls, "control", "control")
+    # the columns parse_controls_csv holds, else read from the samples once
+    if isinstance(controls, _Rows) and controls._row is ControlSample:
+        t, speed, steer = controls.columns
+    else:
+        t, speed, steer = (
+            array("d", [getattr(c, name) for c in controls]) for name in ("t", "speed", "steer")
+        )
+    _check_order(t, "control", "control")
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
 
+    limit = spec.max_steer_angle
     warnings = [
-        f"control at t={c.t}: steer {c.steer} exceeds limit "
-        f"{spec.max_steer_angle}, clamped"
-        for c in controls
-        if abs(c.steer) > spec.max_steer_angle
+        f"control at t={c_t}: steer {c_steer} exceeds limit {limit}, clamped"
+        for c_t, c_steer in zip(t, steer)
+        if abs(c_steer) > limit
     ]
 
-    # (control, end of its hold) for each pair of consecutive controls
-    holds = ((c, following.t) for c, following in itertools.pairwise(controls))
-    if t_end is not None and t_end > controls[-1].t:
-        holds = itertools.chain(holds, [(controls[-1], t_end)])
-
+    times = array("d", t)
+    if t_end is not None and t_end > t[-1]:
+        times.append(t_end)  # the last control is held until then
     state = initial
-    samples = [TrajectorySample(controls[0].t, state.x, state.y, state.yaw)]
-    for control, t1 in holds:
+    x, y, yaw = array("d", [state.x]), array("d", [state.y]), array("d", [state.yaw])
+    # each control with the end of its hold, the next time
+    for control, t1 in zip(map(ControlSample, t, speed, steer), itertools.islice(times, 1, None)):
         state = step_kinematic(state, control, t1 - control.t, spec)
-        samples.append(TrajectorySample(t1, state.x, state.y, state.yaw))
-    return Trajectory(tuple(samples), warnings=tuple(warnings))
+        x.append(state.x)
+        y.append(state.y)
+        yaw.append(state.yaw)
+    return Trajectory._of_columns(times, x, y, yaw, warnings)
 
 
 def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:
@@ -296,23 +398,24 @@ def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:
     the way there from the sample before (``None`` on an exact hit) and the
     linearly interpolated x and y. A time outside the range, NaN too, is
     refused."""
-    samples, first, last = traj.samples, traj.t_first, traj.t_last
+    ts, xs, ys, first, last = traj.t, traj.x, traj.y, traj.t_first, traj.t_last
     j = 0
     for t in times:
         if not first <= t <= last:
             raise ValueError(f"query time {t} outside recorded range [{first}, {last}]")
-        while samples[j].t < t:
+        while ts[j] < t:
             j += 1
-        hi = samples[j]
-        if hi.t == t:
-            yield t, j, None, hi.x, hi.y
+        hi_t = ts[j]
+        if hi_t == t:
+            yield t, j, None, xs[j], ys[j]
         else:
-            lo = samples[j - 1]
-            frac = (t - lo.t) / (hi.t - lo.t)
-            yield t, j, frac, lo.x + frac * (hi.x - lo.x), lo.y + frac * (hi.y - lo.y)
+            lo_t = ts[j - 1]
+            frac = (t - lo_t) / (hi_t - lo_t)
+            lo_x, lo_y = xs[j - 1], ys[j - 1]
+            yield t, j, frac, lo_x + frac * (xs[j] - lo_x), lo_y + frac * (ys[j] - lo_y)
 
 
-def shadow_follow(recorded: Trajectory, query_times: list[float]) -> Trajectory:
+def shadow_follow(recorded: Trajectory, query_times: Iterable[float]) -> Trajectory:
     """Resample a recorded trajectory at the query times, which must
     strictly increase.
 
@@ -321,15 +424,17 @@ def shadow_follow(recorded: Trajectory, query_times: list[float]) -> Trajectory:
     no yaw channel. This is the pose stream a shadow or ghost model follows.
     Query times outside the recorded range are rejected, never extrapolated.
     """
-    yaws = [s.yaw for s in recorded.samples] if recorded.has_yaw else recorded.motion_headings
-    out = []
-    for t, i, frac, x, y in _resample(recorded, query_times):
+    yaws = recorded.yaw if recorded.has_yaw else recorded.motion_headings.columns[0]
+    t, x, y, yaw = array("d"), array("d"), array("d"), array("d")
+    for q, i, frac, qx, qy in _resample(recorded, query_times):
         if frac is None:
-            yaw = yaws[i]
+            yaw.append(yaws[i])
         else:
-            yaw = normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1]))
-        out.append(TrajectorySample(t, x, y, yaw))
-    return Trajectory(tuple(out))
+            yaw.append(normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1])))
+        t.append(q)
+        x.append(qx)
+        y.append(qy)
+    return Trajectory._of_columns(t, x, y, yaw)
 
 
 def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
@@ -339,40 +444,44 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     range, with the simulated positions resampled onto them by the walk
     that :func:`shadow_follow` uses. The lateral and longitudinal components
     live in the recorded trajectory's heading frame (heading from motion
-    direction).
+    direction). The report's times, deviations and the squares summed for
+    the split are ``array('d')`` columns, 32 bytes a compared sample.
     """
     t_lo = max(real.t_first, sim.t_first)
     t_hi = min(real.t_last, sim.t_last)
     # the recorded samples in [t_lo, t_hi]: a run, as the times increase
-    first = bisect.bisect_left(real.samples, t_lo, key=attrgetter("t"))
-    stop = bisect.bisect_right(real.samples, t_hi, key=attrgetter("t"))
+    first = bisect.bisect_left(real.t, t_lo)
+    stop = bisect.bisect_right(real.t, t_hi)
     if stop - first < 2:
         raise ValueError("trajectories overlap on fewer than 2 samples")
 
-    recorded = itertools.islice(real.samples, first, stop)
-    headings = itertools.islice(real.motion_headings, first, stop)
-    resampled = _resample(sim, (r.t for r in itertools.islice(real.samples, first, stop)))
-    lateral_sq, longitudinal_sq, per_sample = [], [], []
-    for r, heading, (t, _, _, x, y) in zip(recorded, headings, resampled):
-        dx = x - r.x
-        dy = y - r.y
+    times = real.t[first:stop]
+    recorded = zip(
+        itertools.islice(real.x, first, stop),
+        itertools.islice(real.y, first, stop),
+        itertools.islice(real.motion_headings.columns[0], first, stop),
+    )
+    deviation, lateral_sq, longitudinal_sq = array("d"), array("d"), array("d")
+    for (rx, ry, heading), (_, _, _, x, y) in zip(recorded, _resample(sim, times)):
+        dx = x - rx
+        dy = y - ry
         cos_h, sin_h = math.cos(heading), math.sin(heading)
         lateral = -sin_h * dx + cos_h * dy
         longitudinal = cos_h * dx + sin_h * dy
-        per_sample.append((float(t), math.hypot(dx, dy)))
+        deviation.append(math.hypot(dx, dy))
         lateral_sq.append(lateral * lateral)
         longitudinal_sq.append(longitudinal * longitudinal)
 
-    n = len(per_sample)
+    n = len(deviation)
     return GapReport(
         n=n,
-        rmse=math.sqrt(_mean((d * d for _, d in per_sample), n)),
-        max_dev=max(d for _, d in per_sample),
-        mean_dev=_mean((d for _, d in per_sample), n),
-        final_drift=per_sample[-1][1],
+        rmse=math.sqrt(_mean(map(mul, deviation, deviation), n)),
+        max_dev=max(deviation),
+        mean_dev=_mean(deviation, n),
+        final_drift=deviation[-1],
         lateral_rmse=math.sqrt(_mean(lateral_sq, n)),
         longitudinal_rmse=math.sqrt(_mean(longitudinal_sq, n)),
-        per_sample=tuple(per_sample),
+        per_sample=_Rows(_pair, (times, deviation)),
     )
 
 
@@ -385,15 +494,16 @@ def _mean(values: Iterable[float], count: int) -> float:
         return math.inf
 
 
-def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajectory:
-    """Load a trajectory from CSV.
+def parse_trajectory_csv(lines: Iterable[str], origin: GeoOrigin | None = None) -> Trajectory:
+    """Load a trajectory from CSV ``lines``, an iterable of text lines such
+    as a file open in text mode or an ``io.StringIO``, read one at a time.
 
     Header ``t,lat,lon[,yaw]`` means geodetic samples, projected with
     ``origin``; header ``t,x,y[,yaw]`` means local meters. Every value must
     be a finite number, the times must strictly increase, and a geodetic
     sample must lie in range (see :func:`dtgen.geodesy.lat_lon_in_range`).
     """
-    header, rows = _read_csv(text, "trajectory")
+    header, rows = _read_csv(lines, "trajectory")
     if header in (["t", "lat", "lon"], ["t", "lat", "lon", "yaw"]):
         geodetic = True
     elif header in (["t", "x", "y"], ["t", "x", "y", "yaw"]):
@@ -407,10 +517,10 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
         raise ValueError("geodetic trajectory requires a projection origin")
     has_yaw = len(header) == 4
 
-    samples = []
+    t, x, y = array("d"), array("d"), array("d")
+    yaw = array("d") if has_yaw else None
     for line_no, values in _numeric_rows(rows, len(header), "trajectory"):
-        t, a, b = values[:3]
-        yaw = values[3] if has_yaw else None
+        a, b = values[1], values[2]
         if geodetic:
             if not lat_lon_in_range(a, b):
                 raise ValueError(
@@ -418,29 +528,46 @@ def parse_trajectory_csv(text: str, origin: GeoOrigin | None = None) -> Trajecto
                     "latitude must lie in [-90, 90] and longitude in [-180, 180]"
                 )
             point = project(origin, a, b)
-            samples.append(TrajectorySample(t, point.x, point.y, yaw))
-        else:
-            samples.append(TrajectorySample(t, a, b, yaw))
-    return Trajectory(tuple(samples))
+            a, b = point.x, point.y
+        t.append(values[0])
+        x.append(a)
+        y.append(b)
+        if has_yaw:
+            yaw.append(values[3])
+    return Trajectory._of_columns(t, x, y, yaw)
 
 
-def parse_controls_csv(text: str) -> list[ControlSample]:
-    """Load a command stream from CSV with header ``t,speed,steer``; every
-    value must be a finite number, and the times must strictly increase."""
-    header, rows = _read_csv(text, "controls")
+def parse_controls_csv(lines: Iterable[str]) -> Sequence[ControlSample]:
+    """Load a command stream from CSV ``lines`` (see
+    :func:`parse_trajectory_csv`) with header ``t,speed,steer``; every value
+    must be a finite number, and the times must strictly increase. The
+    samples are held as three ``array('d')`` columns, and the read-only
+    sequence of them compares and prints as the list of them."""
+    header, rows = _read_csv(lines, "controls")
     if header != ["t", "speed", "steer"]:
         raise ValueError(f"unrecognized controls header {header!r}: expected t,speed,steer")
-    return [ControlSample(*values) for _, values in _numeric_rows(rows, 3, "controls")]
+    t, speed, steer = columns = array("d"), array("d"), array("d")
+    for _, (c_t, c_speed, c_steer) in _numeric_rows(rows, 3, "controls"):
+        t.append(c_t)
+        speed.append(c_speed)
+        steer.append(c_steer)
+    return _Rows(ControlSample, columns, list)
 
 
-def _read_csv(text: str, kind: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The stripped header of a CSV text and an iterator over its data rows,
-    blank lines skipped; each row comes with its physical line number. The
-    rows are read as the iterator is consumed, so they are never all held at
-    once. A text with no header, or with a header and no data rows, is a
-    ``ValueError``, and so is a row the ``csv`` module refuses, such as a
-    field over its length limit, with the line it was refused at."""
-    reader = csv.reader(io.StringIO(text))
+def _read_csv(lines: Iterable[str], kind: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of CSV ``lines`` and an iterator over its data
+    rows, blank lines skipped; each row comes with its physical line number.
+    The lines are read as the iterator is consumed, so they are never all
+    held at once. Lines with no header, or with a header and no data rows,
+    are a ``ValueError``, and so is a row the ``csv`` module refuses, such
+    as a field over its length limit, with the line it was refused at. A
+    ``str`` or bytes raises ``TypeError``."""
+    if isinstance(lines, (str, bytes, bytearray, memoryview, io.BufferedIOBase, io.RawIOBase)):
+        raise TypeError(
+            f"parse_{kind}_csv takes an iterable of text lines, not {type(lines).__name__}: "
+            "open the file in text mode, or wrap a str in io.StringIO"
+        )
+    reader = csv.reader(lines)
 
     def numbered_rows() -> Iterator[tuple[int, list[str]]]:
         try:
@@ -471,10 +598,10 @@ def _numeric_rows(
         if len(row) != width:
             raise ValueError(f"{kind} CSV line {line_no}: expected {width} fields, got {len(row)}")
         try:
-            values = [float(v) for v in row]
+            values = list(map(float, row))
         except ValueError as exc:
             raise ValueError(f"{kind} CSV line {line_no}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"{kind} CSV line {line_no}: non-finite value in {row!r}")
         if not values[0] > t_before:
             raise ValueError(

@@ -778,6 +778,59 @@ def test_an_input_that_is_not_utf8_is_a_located_error(flag, data_dir, tmp_path, 
     assert captured.err == f"dtgen: error: {bad}, line 6: not UTF-8 (invalid start byte, byte 0xff)\n"
 
 
+def test_a_csv_error_on_an_earlier_line_is_reported_before_a_later_byte(
+    data_dir, tmp_path, capsys
+):
+    # the CSV is decoded a line at a time as it is parsed, so the parser
+    # stops at line 3 before it reaches the byte on line 6
+    bad = tmp_path / "trace.csv"
+    lines = STRAIGHT_TRACE.encode().splitlines(keepends=True)
+    lines[2] = b"0.5,x,0\n"
+    lines[5] = lines[5][:2] + b"\xff" + lines[5][2:]
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "gap.json"
+    code = cli.main(
+        ["gap", "--recorded", str(bad), "--sim", str(bad),
+         "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "dtgen: error: trajectory CSV line 3: could not convert string to float: 'x'\n"
+    )
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("flag", ["--recorded", "--controls", "--sim"])
+def test_a_csv_with_carriage_returns_reads_as_with_newlines(flag, newline, data_dir, tmp_path, capsys):
+    # as a file read in text mode: each \r\n or lone \r ends a line
+    plain, other = tmp_path / "plain", tmp_path / "other"
+    plain.mkdir()
+    other.mkdir()
+    assert cli.main([*_gap_inputs(data_dir, plain, flag, False), "--out", str(plain / "gap.json")]) == 0
+    expected = capsys.readouterr()
+    args = _gap_inputs(data_dir, other, flag, False)
+    path = other / f"{flag[2:]}.txt"
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert cli.main([*args, "--out", str(other / "gap.json")]) == 0
+    assert capsys.readouterr() == expected
+    assert (other / "gap.json").read_bytes() == (plain / "gap.json").read_bytes()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_csv_error_after_carriage_returns_names_its_line(newline, data_dir, tmp_path, capsys):
+    bad = tmp_path / "trace.csv"
+    bad.write_bytes(f"t,x,y{newline}0,0,0{newline}{newline}1,x,0{newline}".encode())
+    code = cli.main(
+        ["gap", "--recorded", str(bad), "--sim", str(bad),
+         "--config", str(data_dir / "config_track.json"), "--out", str(tmp_path / "gap.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "dtgen: error: trajectory CSV line 4: could not convert string to float: 'x'\n"
+    )
+
+
 class TestFetch:
     def test_writes_stub_response_verbatim(self, data_dir, tmp_path, stub_server):
         stub_server.state.body = (data_dir / "mixed.osm").read_bytes()

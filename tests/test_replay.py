@@ -1,9 +1,11 @@
 import dataclasses
+import io
 import json
 import math
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +31,11 @@ from dtgen.replay import (
 )
 
 SPEC = VehicleSpec(name="testcar", kind=VehicleKind.TWIN, wheelbase=2.7, max_steer_angle=0.6)
+
+
+def _lines(text):
+    """``text`` as the parsers read it: an iterable of lines."""
+    return io.StringIO(text)
 
 
 def _traj(points, yaw=False):
@@ -951,60 +958,60 @@ class TestOnePassCompare:
 
 class TestCsvParsing:
     def test_local_trajectory(self):
-        traj = parse_trajectory_csv("t,x,y\n0,1.5,2.5\n1,2.5,3.5\n")
+        traj = parse_trajectory_csv(_lines("t,x,y\n0,1.5,2.5\n1,2.5,3.5\n"))
         assert traj.samples[0] == TrajectorySample(0.0, 1.5, 2.5)
         assert not traj.has_yaw
 
     def test_local_trajectory_with_yaw(self):
-        traj = parse_trajectory_csv("t,x,y,yaw\n0,0,0,0.5\n1,1,0,0.6\n")
+        traj = parse_trajectory_csv(_lines("t,x,y,yaw\n0,0,0,0.5\n1,1,0,0.6\n"))
         assert traj.has_yaw
         assert traj.samples[1].yaw == 0.6
 
     def test_geodetic_requires_origin(self):
         with pytest.raises(ValueError, match="origin"):
-            parse_trajectory_csv("t,lat,lon\n0,48.0,8.0\n")
+            parse_trajectory_csv(_lines("t,lat,lon\n0,48.0,8.0\n"))
 
     def test_geodetic_projected(self):
         origin = GeoOrigin(48.0, 8.0)
-        traj = parse_trajectory_csv("t,lat,lon\n0,48.0,8.0\n1,48.001,8.0\n", origin=origin)
+        traj = parse_trajectory_csv(_lines("t,lat,lon\n0,48.0,8.0\n1,48.001,8.0\n"), origin=origin)
         assert traj.samples[0].x == 0.0
         assert traj.samples[1].y == pytest.approx(111.3194908, abs=1e-3)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
-            parse_trajectory_csv("time,x,y\n0,0,0\n")
+            parse_trajectory_csv(_lines("time,x,y\n0,0,0\n"))
 
     def test_controls(self):
-        controls = parse_controls_csv("t,speed,steer\n0,2.0,0.1\n0.5,2.0,-0.1\n")
+        controls = parse_controls_csv(_lines("t,speed,steer\n0,2.0,0.1\n0.5,2.0,-0.1\n"))
         assert controls == [ControlSample(0.0, 2.0, 0.1), ControlSample(0.5, 2.0, -0.1)]
 
     def test_controls_bad_header(self):
         with pytest.raises(ValueError, match="header"):
-            parse_controls_csv("t,v,delta\n0,1,0\n")
+            parse_controls_csv(_lines("t,v,delta\n0,1,0\n"))
 
     @pytest.mark.parametrize("row", ["nan,1,0", "2,inf,0", "2,1,-inf"])
     def test_trajectory_non_finite_rejected_with_line(self, row):
         # a NaN timestamp would otherwise slip past the strictly-increasing check
         with pytest.raises(ValueError, match="line 3: non-finite"):
-            parse_trajectory_csv(f"t,x,y\n0,0,0\n{row}\n3,2,0\n")
+            parse_trajectory_csv(_lines(f"t,x,y\n0,0,0\n{row}\n3,2,0\n"))
 
     @pytest.mark.parametrize("row", ["nan,1,0", "1,inf,0", "1,1,nan"])
     def test_controls_non_finite_rejected_with_line(self, row):
         with pytest.raises(ValueError, match="line 3: non-finite"):
-            parse_controls_csv(f"t,speed,steer\n0,1,0\n{row}\n")
+            parse_controls_csv(_lines(f"t,speed,steer\n0,1,0\n{row}\n"))
 
     def test_trajectory_error_names_the_physical_line_after_blank_lines(self):
         with pytest.raises(ValueError, match="trajectory CSV line 5:"):
-            parse_trajectory_csv("t,x,y\n\n0,0,0\n\n1,x,0\n")
+            parse_trajectory_csv(_lines("t,x,y\n\n0,0,0\n\n1,x,0\n"))
 
     def test_controls_error_names_the_physical_line_after_blank_lines(self):
         with pytest.raises(ValueError, match="controls CSV line 5:"):
-            parse_controls_csv("t,speed,steer\n\n0,1,0\n\n1,x,0\n")
+            parse_controls_csv(_lines("t,speed,steer\n\n0,1,0\n\n1,x,0\n"))
 
     def test_geodetic_rows_out_of_range_rejected_with_line(self):
         # both rows used to project: 4,786 km and 29,192 km from the origin
         with pytest.raises(ValueError) as exc:
-            parse_trajectory_csv("t,lat,lon\n0,91,8\n1,95,400\n", origin=GeoOrigin(48.01, 8.015))
+            parse_trajectory_csv(_lines("t,lat,lon\n0,91,8\n1,95,400\n"), origin=GeoOrigin(48.01, 8.015))
         assert str(exc.value) == (
             "trajectory CSV line 2: coordinates (91.0, 8.0) out of range; "
             "latitude must lie in [-90, 90] and longitude in [-180, 180]"
@@ -1017,33 +1024,33 @@ class TestCsvParsing:
         # a latitude of 1e308 used to fail as "local coordinates must be finite"
         text = f"t,lat,lon,yaw\n0,48,8,0\n\n1,{lat},{lon},0\n"
         with pytest.raises(ValueError, match=r"^trajectory CSV line 4: coordinates \("):
-            parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0))
+            parse_trajectory_csv(_lines(text), origin=GeoOrigin(48.0, 8.0))
 
     def test_geodetic_range_bounds_are_inclusive(self):
         text = "t,lat,lon\n0,90,180\n1,-90,-180\n2,90,-180\n3,-90,180\n"
-        assert len(parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0)).samples) == 4
+        assert len(parse_trajectory_csv(_lines(text), origin=GeoOrigin(48.0, 8.0)).samples) == 4
 
     def test_geodetic_rows_across_the_antimeridian_stay_neighbours(self):
         # the second row used to land 40,018 km west of the first
         text = "t,lat,lon\n0,0,179.99\n1,0,-179.99\n"
-        first, second = parse_trajectory_csv(text, origin=GeoOrigin(0, 179.5)).samples
+        first, second = parse_trajectory_csv(_lines(text), origin=GeoOrigin(0, 179.5)).samples
         assert second.x - first.x == pytest.approx(2226.4, abs=0.1)
         assert first.y == second.y == 0.0
 
     def test_local_rows_have_no_range(self):
-        traj = parse_trajectory_csv("t,x,y\n0,91,400\n1,-1e6,1e6\n")
+        traj = parse_trajectory_csv(_lines("t,x,y\n0,91,400\n1,-1e6,1e6\n"))
         assert traj.samples[0] == TrajectorySample(0.0, 91.0, 400.0)
 
     @pytest.mark.parametrize("text", ["t,x,y\n", "t,lat,lon,yaw\n\n\n", "\nt,x,y,yaw"])
     def test_trajectory_header_without_rows_rejected(self, text):
         with pytest.raises(ValueError, match="^trajectory CSV has no data rows$"):
-            parse_trajectory_csv(text, origin=GeoOrigin(48.0, 8.0))
+            parse_trajectory_csv(_lines(text), origin=GeoOrigin(48.0, 8.0))
 
     @pytest.mark.parametrize("text", ["t,speed,steer\n", "t,speed,steer\n\n", "t,speed,steer"])
     def test_controls_header_without_rows_rejected(self, text):
         # an empty control list used to reach the CLI, which indexed its first sample
         with pytest.raises(ValueError, match="^controls CSV has no data rows$"):
-            parse_controls_csv(text)
+            parse_controls_csv(_lines(text))
 
 
 class TestTrajectoryInvariants:
@@ -1062,3 +1069,118 @@ class TestTrajectoryInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(())
+
+
+# the ends of the float range, subnormals and -0.0, on top of hypothesis's
+# own spread of finite floats: what a CSV row written with repr holds exactly
+_COLUMN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+@st.composite
+def sample_lists(draw):
+    """Samples at strictly increasing times, with yaw on every one or none."""
+    times = sorted(set(draw(st.lists(_COLUMN_FLOATS, min_size=1, max_size=30))))
+    yaw = _COLUMN_FLOATS if draw(st.booleans()) else st.none()
+    return [TrajectorySample(t, draw(_COLUMN_FLOATS), draw(_COLUMN_FLOATS), draw(yaw)) for t in times]
+
+
+@st.composite
+def control_lists(draw):
+    times = sorted(set(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))))
+    value = st.floats(-30.0, 30.0) | st.sampled_from([-0.0, 5e-324, 0.6, 2.0])
+    return [ControlSample(t, draw(value), draw(value)) for t in times]
+
+
+def _csv(header, rows):
+    return _lines(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
+class TestColumnStorage:
+    @given(sample_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_samples_and_the_csv_rows_of_them_read_alike(self, samples):
+        has_yaw = samples[0].yaw is not None
+        rows = [dataclasses.astuple(s)[: 4 if has_yaw else 3] for s in samples]
+        built = Trajectory(tuple(samples))
+        read = parse_trajectory_csv(_csv("t,x,y,yaw" if has_yaw else "t,x,y", rows))
+        assert built.samples == read.samples == tuple(samples)
+        assert repr(built.samples) == repr(read.samples) == repr(tuple(samples))
+        assert len(built.samples) == len(read.samples) == len(samples)
+        assert built.has_yaw == read.has_yaw == has_yaw
+        assert float.hex(built.t_first) == float.hex(read.t_first) == float.hex(samples[0].t)
+        assert float.hex(built.t_last) == float.hex(read.t_last) == float.hex(samples[-1].t)
+        assert _bits(built.motion_headings) == _bits(read.motion_headings)
+
+    @given(control_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_controls_read_from_csv_are_the_rows(self, controls):
+        read = parse_controls_csv(_csv("t,speed,steer", map(dataclasses.astuple, controls)))
+        assert read == controls
+        assert list(read) == controls and len(read) == len(controls)
+        assert [repr(c) for c in read] == [repr(c) for c in controls]
+        assert (read[0], read[-1]) == (controls[0], controls[-1])
+        # the integrator reads the parsed columns and the list alike
+        start = VehicleState(1.0, -2.0, 0.4, 0.0)
+        t_end = controls[-1].t + 0.5
+        assert repr(simulate_controls(start, read, SPEC, t_end)) == repr(
+            simulate_controls(start, controls, SPEC, t_end)
+        )
+
+    @pytest.mark.parametrize("parse", [parse_trajectory_csv, parse_controls_csv])
+    @pytest.mark.parametrize("source", ["t,x,y\n0,0,0\n", b"t,x,y\n0,0,0\n"])
+    def test_text_itself_is_refused_naming_stringio(self, parse, source):
+        with pytest.raises(TypeError, match=r"wrap a str in io\.StringIO"):
+            parse(source)
+
+
+_LONG = 72_001  # two hours at 10 Hz
+
+
+def _traced_peak(func, *args):
+    """What ``func(*args)`` returns, and the traced allocation peak of the call."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _long_drive(offset):
+    """Two hours on a 500 m circle at 10 Hz, ``offset`` metres out."""
+    radius = 500.0 + offset
+    return Trajectory(tuple(
+        TrajectorySample(0.1 * k, radius * math.cos(k * 1e-4), radius * math.sin(k * 1e-4))
+        for k in range(_LONG)
+    ))
+
+
+class TestLongTraceMemory:
+    def test_a_csv_read_from_a_file_holds_under_40_bytes_a_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with path.open("w", encoding="utf-8") as sink:
+            sink.write("t,lat,lon\n")
+            for k in range(_LONG):
+                sink.write(f"{k / 10!r},{48.01 + 1e-7 * k!r},{8.015 + 2e-7 * k!r}\n")
+        with path.open(encoding="utf-8", newline="") as lines:
+            traj, peak = _traced_peak(parse_trajectory_csv, lines, GeoOrigin(48.01, 8.015))
+        assert len(traj.samples) == _LONG
+        assert peak < 40 * _LONG, f"{peak / _LONG:.0f} B a row"
+
+    def test_compute_gap_holds_under_48_bytes_a_sample(self):
+        real, sim = _long_drive(0.0), _long_drive(1.5)
+        real.motion_headings  # derived before the comparison, as the CLI's first shadow_follow does
+        report, peak = _traced_peak(compute_gap, real, sim)
+        assert report.n == _LONG
+        assert peak < 48 * _LONG, f"{peak / _LONG:.0f} B a sample"
+
+    def test_to_json_peaks_under_two_and_a_half_times_its_text(self):
+        real = _long_drive(0.0)
+        report = compute_gap(real, _long_drive(1.5))
+        del real
+        text, peak = _traced_peak(report.to_json)
+        assert len(text) > 3_000_000
+        assert peak < 2.5 * len(text), f"{peak / len(text):.2f} times the text"
