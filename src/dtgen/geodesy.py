@@ -5,12 +5,14 @@ x grows east, y grows north, both in meters. Good to well under 0.5% over
 a few kilometers at moderate latitudes, and exactly invertible, which is
 all a flat low-fidelity world needs. The same origin is written into the
 emitted world's spherical-coordinates element so GPS replay stays
-consistent with the generated geometry. The coordinate range and the
-bounding box that the map, the config and the replay share live here too.
+consistent with the generated geometry. The coordinate range, the
+bounding box, the rule for a number's text and the column-backed sequence
+that the map, the world model and the replay share live here too.
 """
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 EARTH_RADIUS_M = 6378137.0  # WGS84 equatorial radius
@@ -19,6 +21,15 @@ MAX_ORIGIN_LAT_DEG = 89.0
 # comparison never converts an int, so one no float holds is refused, not
 # an OverflowError, and it costs what math.isfinite does
 _FLOAT_MAX = sys.float_info.max
+
+
+def is_ascii_number(text: str) -> bool:
+    """Whether ``text``, the text of a map or CSV number, is ASCII with no
+    ``_``. ``int`` and ``float`` also read ``_`` between digits and any
+    Unicode digit, as in ``"1_000"`` or a fullwidth ``"\uff12"``; a number
+    must pass this before either reads it. Surrounding ASCII whitespace is
+    left to them, which skip it."""
+    return text.isascii() and "_" not in text
 
 
 def lat_lon_in_range(lat: float, lon: float) -> bool:
@@ -86,6 +97,40 @@ class LocalPoint:
     def __post_init__(self):
         if not (abs(self.x) <= _FLOAT_MAX and abs(self.y) <= _FLOAT_MAX):
             raise ValueError("local coordinates must be finite")
+
+
+class _Rows(Sequence):
+    """A read-only sequence whose items ``row`` builds on demand, one number
+    from each of its equal-length ``columns``, ``array('d')`` each. Its
+    ``len``, ``==``, ``hash`` and ``repr`` are those of the ``like`` (a tuple
+    or a list) of its items, the container it stands in for."""
+
+    __slots__ = ("columns", "_row", "_like")
+
+    def __init__(self, row, columns: tuple[Sequence[float], ...], like: type = tuple):
+        self.columns, self._row, self._like = columns, row, like
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._like(map(self._row, *(c[index] for c in self.columns)))
+        return self._row(*(c[index] for c in self.columns))
+
+    def __iter__(self):
+        return map(self._row, *self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (self._like, _Rows)):
+            return self._like(self) == self._like(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._like(self))
+
+    def __repr__(self) -> str:
+        return repr(self._like(self))
 
 
 def origin_of(bbox: BoundingBox) -> GeoOrigin:

@@ -7,7 +7,10 @@ aborts on unknown content; defective nodes and ways are dropped and recorded
 on the document's warning list. The map, a file open in binary mode, is
 parsed as a stream, on the callbacks of the package's one XML reader: a node
 is read at its start tag and a way at its end tag, and no element tree is
-built, so the parse holds the returned document and little else.
+built, so the parse holds the returned document and little else. The nodes
+are held as columns, not objects: an id index and ``array('d')`` latitude
+and longitude columns, which a bounding-box filter shares with the document
+it filters.
 
 Only :func:`fetch_overpass` needs the network stack (``urllib.request``,
 ``http.client`` and, through them, ``ssl``, ``socket`` and ``email``), so
@@ -19,14 +22,17 @@ body it received, so the map is held once.
 import codecs
 import io
 import math
-from collections.abc import Callable, Iterable
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import and_
 from threading import TIMEOUT_MAX
 from typing import BinaryIO
 from xml.parsers import expat
 
 from .errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
-from .geodesy import BoundingBox, lat_lon_in_range
+from .geodesy import BoundingBox, is_ascii_number, lat_lon_in_range
 
 _SLICE_CHARS = 1 << 14  # per slice: map bytes or SDF characters parsed, download bytes checked
 OVERPASS_TIMEOUT_S = 25.0  # default network timeout of an Overpass download
@@ -48,17 +54,81 @@ class OsmWay:
     tags: dict[str, str]
 
 
+class NodeColumns(Mapping):
+    """A document's nodes: a read-only mapping of id to :class:`OsmNode`
+    that holds numbers, not node objects.
+
+    ``index`` maps an id to its row, ``ids`` holds the id objects in row
+    order, and ``lat`` and ``lon`` are ``array('d')`` columns. ``kept`` has
+    a byte per row, 1 for a row that is one of these nodes, and one more,
+    0, for row ``len(ids)``, which :meth:`rows` gives an id that no row
+    holds. A filtered document shares its parent's index and columns and
+    has its own ``kept``. A node is built when it is read; ``len``, ``in``,
+    ``get``, iteration and ``==`` are those of the dict of them in row order.
+    """
+
+    __slots__ = ("index", "ids", "lat", "lon", "kept", "_len")
+
+    def __init__(self, index: dict[int, int], ids: list[int], lat: array, lon: array, kept: bytearray):
+        self.index, self.ids, self.lat, self.lon, self.kept = index, ids, lat, lon, kept
+        self._len = kept.count(1)
+
+    @classmethod
+    def of(cls, nodes: Mapping[int, OsmNode]) -> "NodeColumns":
+        """``nodes`` itself when it is a ``NodeColumns``, else its nodes read
+        into columns once, in its order, each under its key."""
+        if isinstance(nodes, NodeColumns):
+            return nodes
+        ids = list(nodes)
+        values = nodes.values()
+        lat, lon = array("d", [n.lat for n in values]), array("d", [n.lon for n in values])
+        return cls({nid: row for row, nid in enumerate(ids)}, ids, lat, lon, _all_kept(len(ids)))
+
+    def rows(self, node_ids: Iterable[int]) -> Iterator[int]:
+        """The row of each of ``node_ids``, ``len(ids)`` for an id that no
+        row holds; ``kept`` at the row tells whether it is one of these."""
+        return map(self.index.get, node_ids, repeat(len(self.ids)))
+
+    def row(self, node_id: int) -> int | None:
+        """The row of the node ``node_id``, or ``None`` when it is not one of these."""
+        row = self.index.get(node_id, len(self.ids))
+        return row if self.kept[row] else None
+
+    def __getitem__(self, node_id: int) -> OsmNode:
+        row = self.row(node_id)
+        if row is None:
+            raise KeyError(node_id)
+        return OsmNode(self.ids[row], self.lat[row], self.lon[row])
+
+    def __contains__(self, node_id) -> bool:
+        return self.row(node_id) is not None
+
+    def __iter__(self):
+        return compress(self.ids, self.kept)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class OsmDocument:
     """Parsed map content, indexed by element id.
 
-    Ways may reference node ids that are absent from ``nodes``; such dangling
-    references are tolerated here and reported when geometry is extracted.
+    ``nodes`` is a :class:`NodeColumns`; a dict of :class:`OsmNode` given
+    here is read into one. Ways may reference node ids that are absent from
+    ``nodes``; such dangling references are tolerated here and reported
+    when geometry is extracted.
     """
 
-    nodes: dict[int, OsmNode] = field(default_factory=dict)
+    nodes: Mapping[int, OsmNode] = field(default_factory=dict)
     ways: dict[int, OsmWay] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", NodeColumns.of(self.nodes))
 
 
 def parse_osm(source: BinaryIO) -> OsmDocument:
@@ -75,10 +145,13 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
     element they are given, the root at depth 1, so only the root's
     children and a way's own members are read.
 
-    The document is held compactly. A ref to a node read before its way
-    is the very int that keys the node in ``nodes``, and equal tag keys
-    and values are one ``str``, so a city's worth of refs and tags costs
-    pointers, not objects.
+    The document is held compactly. Each node is a row of the document's
+    :class:`NodeColumns`, two 8-byte numbers and its id, and no
+    :class:`OsmNode` is built. A ref to a node read before its way is the
+    very int that keys the node in ``nodes``, and equal tag keys and values
+    are one ``str``, so a city's worth of refs and tags costs pointers, not
+    objects. An id, ref, latitude or longitude is read only from ASCII text
+    without ``_`` (see :func:`dtgen.geodesy.is_ascii_number`).
 
     A ``str``, a ``bytes`` or a file open in text mode raises ``TypeError``.
     """
@@ -87,12 +160,14 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
             f"parse_osm takes the map as a file open in binary mode, not {type(source).__name__}: "
             'open it with open(path, "rb"), or wrap bytes in io.BytesIO'
         )
-    nodes: dict[int, OsmNode] = {}
+    index: dict[int, int] = {}  # node id -> row
+    ids: list[int] = []
+    lat, lon = array("d"), array("d")
     ways: dict[int, OsmWay] = {}
     warnings: list[str] = []
     depth = 0
     way_id: int | None = None  # of the root-level way being read, if its id is good
-    refs: list[int] = []
+    refs: list[str | None] = []  # the ref text of each of its <nd>, read at its end
     tags: dict[str, str] = {}
     texts: dict[str, str] = {}  # one object per distinct tag key or value
 
@@ -103,14 +178,7 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
             if way_id is None:
                 return
             if tag == "nd":
-                raw_ref = attrs.get("ref")
-                try:
-                    ref = int(raw_ref)
-                except (TypeError, ValueError):
-                    warnings.append(f"way {way_id}: ignoring <nd> with bad ref {raw_ref!r}")
-                    return
-                node = nodes.get(ref)
-                refs.append(ref if node is None else node.id)
+                refs.append(attrs.get("ref"))
             elif tag == "tag":
                 key = attrs.get("k")
                 value = attrs.get("v")
@@ -121,15 +189,19 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
                 node = _read_node(attrs, warnings)
                 if node is None:
                     return
-                if node.id in nodes:
-                    warnings.append(f"duplicate node id {node.id}: keeping first occurrence")
+                node_id, node_lat, node_lon = node
+                if node_id in index:
+                    warnings.append(f"duplicate node id {node_id}: keeping first occurrence")
                 else:
-                    nodes[node.id] = node
+                    index[node_id] = len(ids)
+                    ids.append(node_id)
+                    lat.append(node_lat)
+                    lon.append(node_lon)
             elif tag == "way":
                 raw_id = attrs.get("id")
                 try:
-                    way_id = int(raw_id)
-                except (TypeError, ValueError):
+                    way_id = _read_int(raw_id)
+                except ValueError:
                     warnings.append(f"way id={raw_id!r} skipped: missing or unparseable id")
                     return
                 refs = []
@@ -140,12 +212,13 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
         nonlocal depth, way_id
         depth -= 1
         if depth == 1 and way_id is not None:
-            if not refs:
+            node_refs = _read_refs(way_id, refs, index, ids, warnings)
+            if not node_refs:
                 warnings.append(f"way {way_id} skipped: no node references")
             elif way_id in ways:
                 warnings.append(f"duplicate way id {way_id}: keeping first occurrence")
             else:
-                ways[way_id] = OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
+                ways[way_id] = OsmWay(id=way_id, node_refs=node_refs, tags=tags)
             way_id = None
 
     try:
@@ -153,7 +226,44 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
     except expat.ExpatError as exc:
         line, column = exc.lineno, exc.offset
         raise OsmParseError(f"malformed OSM XML at line {line}, column {column}: {exc}", line, column) from exc
+    nodes = NodeColumns(index, ids, lat, lon, _all_kept(len(ids)))
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
+
+
+def _all_kept(rows: int) -> bytearray:
+    """The ``kept`` bytes of a :class:`NodeColumns` that keeps all its ``rows``."""
+    return bytearray([1]) * rows + b"\0"
+
+
+def _read_refs(way_id: int, texts: list[str | None], index: dict[int, int], ids: list[int],
+               warnings: list[str]) -> tuple[int, ...]:
+    """The node refs of way ``way_id`` read from ``texts``, the ``ref`` of
+    each of its ``<nd>`` in order, ``None`` where it has none. A ref of a
+    node read before the way is the very int that keys the node in
+    ``index``. A text that :func:`_read_int` refuses is skipped with a
+    warning. All the texts are checked at once, and only a way that fails
+    is read again a ref at a time."""
+    try:
+        if None in texts or not is_ascii_number("".join(texts)):
+            raise ValueError
+        numbers = list(map(int, texts))
+    except ValueError:
+        numbers = []
+        for text in texts:
+            try:
+                numbers.append(_read_int(text))
+            except ValueError:
+                warnings.append(f"way {way_id}: ignoring <nd> with bad ref {text!r}")
+    get = index.get
+    return tuple(ref if (row := get(ref)) is None else ids[row] for ref in numbers)
+
+
+def _read_int(text: str | None) -> int:
+    """``int(text)`` for the text of an id or a ref, which must be ASCII
+    without ``_``; a missing or other text raises ``ValueError``."""
+    if text is None or not is_ascii_number(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def _read_xml(chunks: Iterable, start: Callable, end: Callable, text: Callable | None = None) -> None:
@@ -198,7 +308,8 @@ def _read_xml(chunks: Iterable, start: Callable, end: Callable, text: Callable |
         del parser  # refuse_entity closes over it: a cycle through the handlers
 
 
-def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:
+def _read_node(attrs: dict[str, str], warnings: list[str]) -> tuple[int, float, float] | None:
+    """A node's id, latitude and longitude, or ``None`` with a warning."""
     raw_id = attrs.get("id")
     raw_lat = attrs.get("lat")
     raw_lon = attrs.get("lon")
@@ -206,6 +317,8 @@ def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:
         warnings.append(f"node id={raw_id!r} skipped: missing id/lat/lon attribute")
         return None
     try:
+        if not is_ascii_number(raw_id + raw_lat + raw_lon):
+            raise ValueError
         node_id = int(raw_id)
         lat = float(raw_lat)
         lon = float(raw_lon)
@@ -215,7 +328,7 @@ def _read_node(attrs: dict[str, str], warnings: list[str]) -> OsmNode | None:
     if not lat_lon_in_range(lat, lon):
         warnings.append(f"node {node_id} skipped: coordinates ({raw_lat}, {raw_lon}) out of range")
         return None
-    return OsmNode(id=node_id, lat=lat, lon=lon)
+    return node_id, lat, lon
 
 
 def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
@@ -223,20 +336,25 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
 
     Keeps every node inside the box (boundary inclusive), every way with at
     least one node inside, and all nodes referenced by a kept way. Ways are
-    kept whole, never clipped. The nodes inside come first, in document
-    order, then the kept ways' nodes outside the box, in way order.
+    kept whole, never clipped. The kept nodes come in document order. The
+    result's nodes share ``doc``'s columns and index: only a byte per node,
+    marking the kept ones, is new.
     """
-    nodes = {nid: n for nid, n in doc.nodes.items() if bbox.contains(n.lat, n.lon)}
+    nodes = doc.nodes
+    parent = nodes.kept
+    # a byte per row, 1 for a node of doc inside the box, then the 0 of no row
+    kept = bytearray(map(and_, parent, map(bbox.contains, nodes.lat, nodes.lon))) + b"\0"
+    # each way's rows as NodeColumns.rows finds them, without a call per way
+    is_kept, row_of, missing = kept.__getitem__, nodes.index.get, len(nodes.ids)
     kept_ways = {
         wid: way
         for wid, way in doc.ways.items()
-        if any(ref in nodes for ref in way.node_refs)
+        if any(map(is_kept, map(row_of, way.node_refs, repeat(missing))))
     }
-    for way in kept_ways.values():
-        for ref in way.node_refs:
-            if ref not in nodes and (node := doc.nodes.get(ref)) is not None:
-                nodes[node.id] = node
-    return OsmDocument(nodes=nodes, ways=kept_ways, warnings=list(doc.warnings))
+    for row in nodes.rows(chain.from_iterable(way.node_refs for way in kept_ways.values())):
+        kept[row] = parent[row]  # 1 for a node of doc; kept holds no other
+    kept_nodes = NodeColumns(nodes.index, nodes.ids, nodes.lat, nodes.lon, kept)
+    return OsmDocument(nodes=kept_nodes, ways=kept_ways, warnings=list(doc.warnings))
 
 
 def overpass_query(bbox: BoundingBox, timeout: float = OVERPASS_TIMEOUT_S) -> str:

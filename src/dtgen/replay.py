@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import mul
 
 from .config import VehicleSpec
-from .geodesy import GeoOrigin, lat_lon_in_range, project
+from .geodesy import GeoOrigin, _Rows, is_ascii_number, lat_lon_in_range, project
 
 HEADING_DISPLACEMENT_GATE_M = 0.05
 # A waiting sample is skipped only when its distance from the anchor plus the
@@ -75,40 +75,6 @@ def _check_order(times: Sequence[float], kind: str, noun: str) -> None:
             raise ValueError(
                 f"{kind} timestamps must be strictly increasing: {noun} {i} at t={b} follows t={a}"
             )
-
-
-class _Rows(Sequence):
-    """A read-only sequence whose items ``row`` builds on demand, one number
-    from each of its equal-length ``array('d')`` ``columns``. Its ``len``,
-    ``==``, ``hash`` and ``repr`` are those of the ``like`` (a tuple or a
-    list) of its items, the container it stands in for."""
-
-    __slots__ = ("columns", "_row", "_like")
-
-    def __init__(self, row, columns: tuple[array, ...], like: type = tuple):
-        self.columns, self._row, self._like = columns, row, like
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._like(map(self._row, *(c[index] for c in self.columns)))
-        return self._row(*(c[index] for c in self.columns))
-
-    def __iter__(self):
-        return map(self._row, *self.columns)
-
-    def __eq__(self, other):
-        if isinstance(other, (self._like, _Rows)):
-            return self._like(self) == self._like(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._like(self))
-
-    def __repr__(self) -> str:
-        return repr(self._like(self))
 
 
 def _pair(t: float, d: float) -> tuple[float, float]:
@@ -590,14 +556,18 @@ def _read_csv(lines: Iterable[str], kind: str) -> tuple[list[str], Iterator[tupl
 def _numeric_rows(
     rows: Iterable[tuple[int, list[str]]], width: int, kind: str
 ) -> Iterator[tuple[int, list[float]]]:
-    """Each numbered CSV row as ``width`` finite numbers, the first of which,
-    the time, rises strictly from row to row; a row that breaks a rule is a
-    ``ValueError`` that names its line."""
+    """Each numbered CSV row as ``width`` finite numbers, each written in
+    ASCII without ``_`` (see :func:`dtgen.geodesy.is_ascii_number`), the
+    first of which, the time, rises strictly from row to row; a row that
+    breaks a rule is a ``ValueError`` that names its line."""
     t_before = -math.inf
     for line_no, row in rows:
         if len(row) != width:
             raise ValueError(f"{kind} CSV line {line_no}: expected {width} fields, got {len(row)}")
         try:
+            if not is_ascii_number(",".join(row)):  # float would read "1_0" or "\u0661"
+                bad = next(field for field in row if not is_ascii_number(field))
+                raise ValueError(f"could not convert string to float: {bad!r}")
             values = list(map(float, row))
         except ValueError as exc:
             raise ValueError(f"{kind} CSV line {line_no}: {exc}") from exc

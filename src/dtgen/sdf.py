@@ -18,6 +18,7 @@ or a ``<size>`` is made a float once, checked by the same per-element rule
 that ``validate_sdf`` applies to the numbers it reads back, and formatted.
 ``fmt`` keeps a finite number finite and a positive one positive, so the
 writer's fault count is its verdict and a world needs no re-parse.
+Footprints and centerlines are read from their ``x`` and ``y`` columns.
 ``validate_sdf`` reads foreign files, and emitted ones whose writer counted
 a fault, on the callbacks of the map's XML reader, holding the path to the
 element being read and no tree, and reports each violation at its location.
@@ -36,7 +37,7 @@ from xml.parsers import expat
 
 from .config import GenerationConfig, VehicleKind, VehicleSpec, resolve_spawn
 from .errors import EmitError
-from .geodesy import GeoOrigin, LocalPoint, origin_of, project
+from .geodesy import GeoOrigin, origin_of, project
 from .osm import _SLICE_CHARS, _read_xml
 from .world_model import Building, Road
 
@@ -207,10 +208,10 @@ def _write_ground_plane(
     The bbox filter keeps ways whole, so their points can lie past the bbox."""
     low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
     high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
-    # one pass over each axis, in the same order as a list of all the
-    # values would give, so even a NaN coordinate gives the same plane
-    xs = (abs(p.x) for p in _model_points(buildings, roads))
-    ys = (abs(p.y) for p in _model_points(buildings, roads))
+    # one pass over each axis's columns, every footprint's and then every
+    # centerline's, in the order of a list of all the points, so even a NaN
+    # coordinate gives the same plane
+    xs, ys = (map(abs, _model_column(buildings, roads, axis)) for axis in (0, 1))
     width = 2.0 * (max(chain((-low.x, high.x), xs)) + GROUND_MARGIN_M)
     depth = 2.0 * (max(chain((-low.y, high.y), ys)) + GROUND_MARGIN_M)
     plane = f"<normal>0 0 1</normal>\n{_checked(w, 'size', width, depth)}"
@@ -218,11 +219,12 @@ def _write_ground_plane(
     w.model(GROUND_PLANE_NAME, f'<static>true</static>\n<link name="link">\n{surfaces}</link>\n')
 
 
-def _model_points(buildings: Sequence[Building], roads: Sequence[Road]) -> Iterator[LocalPoint]:
-    """Every footprint point, then every centerline point, without a list."""
+def _model_column(buildings: Sequence[Building], roads: Sequence[Road], axis: int) -> Iterator[float]:
+    """The ``axis`` (0 for x, 1 for y) of every footprint point, then of
+    every centerline point, read from their columns without a list."""
     return chain(
-        chain.from_iterable(b.footprint for b in buildings),
-        chain.from_iterable(r.centerline for r in roads),
+        chain.from_iterable(b.footprint.columns[axis] for b in buildings),
+        chain.from_iterable(r.centerline.columns[axis] for r in roads),
     )
 
 
@@ -239,7 +241,8 @@ def _write_building(w: _Writer, building: Building) -> None:
     """One extruded-footprint model, named after the source way id."""
     height = float(building.height)
     w.faults += len(_polyline_faults(len(building.footprint), height))
-    points = "".join(f"<point>{fmt(p.x)} {fmt(p.y)}</point>\n" for p in building.footprint)
+    xs, ys = building.footprint.columns
+    points = "".join(f"<point>{fmt(x)} {fmt(y)}</point>\n" for x, y in zip(xs, ys))
     polyline = _surfaces("polyline", f"{points}<height>{fmt(height)}</height>", _BUILDING_MATERIAL)
     body = f'<static>true</static>\n<link name="footprint">\n{polyline}</link>\n'
     w.model(f"building_{building.id}", body)
@@ -250,11 +253,12 @@ def _write_road(w: _Writer, road: Road, thickness: float) -> None:
     it sits on the ground plane."""
     z = thickness / 2.0
     links = []
-    for i, (a, b) in enumerate(zip(road.centerline, road.centerline[1:])):
-        dx = b.x - a.x
-        dy = b.y - a.y
+    xs, ys = road.centerline.columns
+    for i, (ax, ay, bx, by) in enumerate(zip(xs, ys, xs[1:], ys[1:])):
+        dx = bx - ax
+        dy = by - ay
         size = _checked(w, "size", math.hypot(dx, dy), road.width, thickness)
-        pose = _checked(w, "pose", (a.x + b.x) / 2, (a.y + b.y) / 2, z, 0, 0, math.atan2(dy, dx))
+        pose = _checked(w, "pose", (ax + bx) / 2, (ay + by) / 2, z, 0, 0, math.atan2(dy, dx))
         box = _surfaces("box", size, _ROAD_MATERIAL)
         links.append(f'<link name="segment_{i}">\n{pose}\n{box}</link>\n')
     w.model(f"road_{road.id}", "<static>true</static>\n" + "".join(links))

@@ -4,14 +4,18 @@ Buildings come from closed ways tagged ``building`` (anything but "no"),
 with height read from the ``height`` tag, estimated from
 ``building:levels``, or defaulted. Roads come from ways whose ``highway``
 value is in a drivable whitelist; every road gets the configured fixed
-width. All geometry is projected into local metric coordinates.
+width. All geometry is projected into local metric coordinates, and a
+footprint or centerline holds its points as two ``array('d')`` columns,
+``x`` and ``y``: 16 bytes a point.
 """
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .config import ExtractionDefaults
-from .geodesy import GeoOrigin, LocalPoint, project
+from .geodesy import GeoOrigin, LocalPoint, _Rows, is_ascii_number, project
 from .osm import OsmDocument
 
 MIN_VERTEX_SEPARATION_M = 1e-6
@@ -32,20 +36,41 @@ DRIVABLE_HIGHWAY_VALUES = frozenset(_DRIVABLE_BASE) | frozenset(
 )
 
 
+def _local_points(xs: list[float], ys: list[float]) -> Sequence[LocalPoint]:
+    """The points of coordinates ``xs`` and ``ys`` as a read-only sequence
+    of :class:`LocalPoint`, held in ``array('d')`` columns ``x`` and ``y``,
+    that compares and prints as the tuple of them."""
+    return _Rows(LocalPoint, (array("d", xs), array("d", ys)))
+
+
+def _points(points: Sequence[LocalPoint]) -> Sequence[LocalPoint]:
+    """``points``, a sequence of :class:`LocalPoint`, read once into the
+    columns that :func:`_local_points` holds."""
+    return _local_points([p.x for p in points], [p.y for p in points])
+
+
 @dataclass(frozen=True, slots=True)
 class Building:
     id: int
-    footprint: tuple[LocalPoint, ...]  # ring without the duplicate closing vertex
+    footprint: Sequence[LocalPoint]  # ring without the duplicate closing vertex
     height: float
     name: str | None = None
+
+    def __post_init__(self):
+        if type(self.footprint) is not _Rows:
+            object.__setattr__(self, "footprint", _points(self.footprint))
 
 
 @dataclass(frozen=True, slots=True)
 class Road:
     id: int
-    centerline: tuple[LocalPoint, ...]
+    centerline: Sequence[LocalPoint]
     width: float
     name: str | None = None
+
+    def __post_init__(self):
+        if type(self.centerline) is not _Rows:
+            object.__setattr__(self, "centerline", _points(self.centerline))
 
 
 def estimate_height(tags: dict[str, str], defaults: ExtractionDefaults) -> float:
@@ -69,6 +94,8 @@ def _parse_positive(raw: str | None, allow_meter_suffix: bool = False) -> float 
     text = raw.strip()
     if allow_meter_suffix and text.endswith("m"):
         text = text[:-1].strip()
+    if not is_ascii_number(text):
+        return None
     try:
         value = float(text)
     except ValueError:
@@ -89,7 +116,7 @@ def extract_buildings(
     """
     buildings: list[Building] = []
     warnings: list[str] = []
-    projected: dict[int, LocalPoint] = {}
+    projected = _unprojected(doc)
     for way_id in sorted(doc.ways):
         way = doc.ways[way_id]
         value = way.tags.get("building")
@@ -99,18 +126,18 @@ def extract_buildings(
             warnings.append(f"building way {way_id} skipped: not closed")
             continue
         points = _project_refs(
-            way.node_refs[:-1], doc, origin, projected, warnings, f"building way {way_id}"
+            way.node_refs[:-1], doc.nodes, origin, projected, warnings, f"building way {way_id}"
         )
         if points is None:
             continue
-        ring = _collapse_ring(points)
-        if not _has_three_distinct(ring):
+        ring = _collapse_ring(*points)
+        if not _has_three_distinct(*ring):
             warnings.append(f"building way {way_id} skipped: fewer than 3 distinct vertices")
             continue
         buildings.append(
             Building(
                 id=way_id,
-                footprint=tuple(ring),
+                footprint=_local_points(*ring),
                 height=estimate_height(way.tags, defaults),
                 name=way.tags.get("name"),
             )
@@ -128,24 +155,24 @@ def extract_roads(
     """
     roads: list[Road] = []
     warnings: list[str] = []
-    projected: dict[int, LocalPoint] = {}
+    projected = _unprojected(doc)
     for way_id in sorted(doc.ways):
         way = doc.ways[way_id]
         if way.tags.get("highway") not in DRIVABLE_HIGHWAY_VALUES:
             continue
         points = _project_refs(
-            way.node_refs, doc, origin, projected, warnings, f"road way {way_id}"
+            way.node_refs, doc.nodes, origin, projected, warnings, f"road way {way_id}"
         )
         if points is None:
             continue
-        line = _collapse_polyline(points)
-        if len(line) < 2:
+        line = _collapse_polyline(*points)
+        if len(line[0]) < 2:
             warnings.append(f"road way {way_id} skipped: centerline shorter than 2 points")
             continue
         roads.append(
             Road(
                 id=way_id,
-                centerline=tuple(line),
+                centerline=_local_points(*line),
                 width=defaults.road_width,
                 name=way.tags.get("name"),
             )
@@ -153,48 +180,66 @@ def extract_roads(
     return roads, warnings
 
 
-def _project_refs(refs, doc, origin, projected, warnings, context) -> list[LocalPoint] | None:
-    """The refs' points, each node projected once per extraction: ``projected``
-    memoizes ref -> point, so ways that share a node share its point."""
-    points = []
-    for ref in refs:
-        point = projected.get(ref)
-        if point is None:
-            node = doc.nodes.get(ref)
-            if node is None:
-                warnings.append(f"{context} skipped: unresolved node ref {ref}")
-                return None
-            point = projected[ref] = project(origin, node.lat, node.lon)
-        points.append(point)
-    return points
+def _unprojected(doc: OsmDocument) -> tuple[array, array]:
+    """The x and y columns that :func:`_project_refs` fills, a number per
+    node row of ``doc``, each NaN until its node is projected: ``project``
+    never returns NaN."""
+    xs = array("d", [math.nan]) * len(doc.nodes.kept)
+    return xs, array("d", xs)
 
 
-def _separated(a: LocalPoint, b: LocalPoint) -> bool:
-    return math.hypot(a.x - b.x, a.y - b.y) > MIN_VERTEX_SEPARATION_M
+def _project_refs(refs, nodes, origin, projected, warnings, context) -> tuple[list, list] | None:
+    """The x and the y of the refs' points, or ``None``, with a warning,
+    when a ref is not one of ``nodes``. Each node is projected once per
+    extraction, into the ``projected`` columns by its row, so ways that
+    share a node share its numbers."""
+    xs, ys = projected
+    kept = nodes.kept
+    px, py = [], []
+    for ref, row in zip(refs, nodes.rows(refs)):
+        if not kept[row]:
+            warnings.append(f"{context} skipped: unresolved node ref {ref}")
+            return None
+        x = xs[row]
+        if x != x:  # NaN: not projected yet
+            point = project(origin, nodes.lat[row], nodes.lon[row])
+            x = xs[row] = point.x
+            ys[row] = point.y
+        px.append(x)
+        py.append(ys[row])
+    return px, py
 
 
-def _collapse_polyline(points: list[LocalPoint]) -> list[LocalPoint]:
-    out = [points[0]]
-    for p in points[1:]:
-        if _separated(out[-1], p):
-            out.append(p)
-    return out
+def _separated(ax: float, ay: float, bx: float, by: float) -> bool:
+    return math.hypot(ax - bx, ay - by) > MIN_VERTEX_SEPARATION_M
 
 
-def _collapse_ring(points: list[LocalPoint]) -> list[LocalPoint]:
-    out = _collapse_polyline(points)
-    while len(out) > 1 and not _separated(out[0], out[-1]):
-        out.pop()
-    return out
+def _collapse_polyline(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    """The points without each one that lies within the vertex separation
+    of the last one kept."""
+    out_x, out_y = xs[:1], ys[:1]
+    for x, y in zip(xs[1:], ys[1:]):
+        if _separated(out_x[-1], out_y[-1], x, y):
+            out_x.append(x)
+            out_y.append(y)
+    return out_x, out_y
 
 
-def _has_three_distinct(points: list[LocalPoint]) -> bool:
+def _collapse_ring(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
+    out_x, out_y = _collapse_polyline(xs, ys)
+    while len(out_x) > 1 and not _separated(out_x[0], out_y[0], out_x[-1], out_y[-1]):
+        out_x.pop()
+        out_y.pop()
+    return out_x, out_y
+
+
+def _has_three_distinct(xs: Sequence[float], ys: Sequence[float]) -> bool:
     """Whether a greedy pass in order keeps 3 pairwise separated points;
     it stops at the third, so it makes at most 2 comparisons per point."""
-    distinct: list[LocalPoint] = []
-    for p in points:
-        if all(_separated(p, q) for q in distinct):
-            distinct.append(p)
+    distinct: list[tuple[float, float]] = []
+    for x, y in zip(xs, ys):
+        if all(_separated(x, y, qx, qy) for qx, qy in distinct):
+            distinct.append((x, y))
             if len(distinct) == 3:
                 return True
     return False

@@ -90,7 +90,8 @@ def count_distinct(points, separation=MIN_VERTEX_SEPARATION_M):
 
 def tree_parse_osm(xml_text):
     """``parse_osm`` as one ``ET.fromstring`` of the whole text, then a walk
-    over the root's children: the reader the streaming parser replaced."""
+    over the root's children: the reader the streaming parser replaced.
+    Ids, refs and coordinates are read only from ASCII text without ``_``."""
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
@@ -125,7 +126,7 @@ def _tree_node(element, warnings):
         warnings.append(f"node id={raw_id!r} skipped: missing id/lat/lon attribute")
         return None
     try:
-        node_id, lat, lon = int(raw_id), float(raw_lat), float(raw_lon)
+        node_id, lat, lon = _ascii_int(raw_id), _ascii_float(raw_lat), _ascii_float(raw_lon)
     except ValueError:
         warnings.append(f"node id={raw_id!r} skipped: unparseable id/lat/lon")
         return None
@@ -135,10 +136,26 @@ def _tree_node(element, warnings):
     return OsmNode(id=node_id, lat=lat, lon=lon)
 
 
+def _ascii_text(text):
+    """``text`` when every character is ASCII and none is ``_``, which
+    ``int`` and ``float`` would read as a digit separator."""
+    if any(ord(c) > 127 or c == "_" for c in text):
+        raise ValueError(f"not ASCII decimal: {text!r}")
+    return text
+
+
+def _ascii_int(text):
+    return int(_ascii_text(text))
+
+
+def _ascii_float(text):
+    return float(_ascii_text(text))
+
+
 def _tree_way(element, warnings):
     raw_id = element.get("id")
     try:
-        way_id = int(raw_id) if raw_id is not None else None
+        way_id = _ascii_int(raw_id) if raw_id is not None else None
     except ValueError:
         way_id = None
     if way_id is None:
@@ -149,7 +166,7 @@ def _tree_way(element, warnings):
         if member.tag == "nd":
             raw_ref = member.get("ref")
             try:
-                refs.append(int(raw_ref))
+                refs.append(_ascii_int(raw_ref))
             except (TypeError, ValueError):
                 warnings.append(f"way {way_id}: ignoring <nd> with bad ref {raw_ref!r}")
         elif member.tag == "tag":

@@ -10,6 +10,7 @@ from dtgen.geodesy import (
     BoundingBox,
     GeoOrigin,
     LocalPoint,
+    is_ascii_number,
     origin_of,
     project,
     unproject,
@@ -265,3 +266,18 @@ def test_planar_distance_matches_haversine_within_half_percent():
         p2 = project(origin, lat2, lon2)
         planar = math.hypot(p2.x - p1.x, p2.y - p1.y)
         assert abs(planar - truth) / truth < 0.005
+
+
+@pytest.mark.parametrize("text, ascii_number", [
+    ("123", True),
+    (" -48.25e1 ", True),
+    ("nan", True),  # a number to float; the range checks refuse it
+    ("", True),  # and int and float refuse this
+    ("1_000", False),
+    ("4_8.0", False),
+    ("\uff12", False),  # fullwidth 2
+    ("\u0663", False),  # Arabic-Indic 3
+    ("\u00a07", False),  # no-break space
+])
+def test_a_number_is_ascii_without_underscores(text, ascii_number):
+    assert is_ascii_number(text) is ascii_number

@@ -1000,6 +1000,20 @@ class TestCsvParsing:
         with pytest.raises(ValueError, match="line 3: non-finite"):
             parse_controls_csv(_lines(f"t,speed,steer\n0,1,0\n{row}\n"))
 
+    @pytest.mark.parametrize("field", ["1_0", "\uff11", "\u0661.5", "1\u00a0"])
+    def test_a_number_not_written_in_ascii_decimal_names_its_line(self, field):
+        # float() reads "1_0" as 10.0 and the fullwidth or Arabic-Indic digits as theirs
+        with pytest.raises(ValueError) as exc:
+            parse_trajectory_csv(_lines(f"t,x,y\n0,0,0\n\n{field},1,0\n"))
+        assert str(exc.value) == f"trajectory CSV line 4: could not convert string to float: {field!r}"
+        with pytest.raises(ValueError) as exc:
+            parse_controls_csv(_lines(f"t,speed,steer\n0,1,0\n2,1,{field}\n"))
+        assert str(exc.value) == f"controls CSV line 3: could not convert string to float: {field!r}"
+
+    def test_ascii_whitespace_around_a_number_is_accepted(self):
+        controls = parse_controls_csv(_lines("t,speed,steer\n 0 ,1\t,0\n1, 2,0\n"))
+        assert [(c.t, c.speed) for c in controls] == [(0.0, 1.0), (1.0, 2.0)]
+
     def test_trajectory_error_names_the_physical_line_after_blank_lines(self):
         with pytest.raises(ValueError, match="trajectory CSV line 5:"):
             parse_trajectory_csv(_lines("t,x,y\n\n0,0,0\n\n1,x,0\n"))

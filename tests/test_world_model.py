@@ -1,5 +1,6 @@
 import io
 import math
+from array import array
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,8 @@ from dtgen.geodesy import BoundingBox, GeoOrigin, LocalPoint, origin_of
 from dtgen.osm import filter_bbox, parse_osm
 from dtgen.world_model import (
     DRIVABLE_HIGHWAY_VALUES,
+    Building,
+    Road,
     _has_three_distinct,
     estimate_height,
     extract_buildings,
@@ -56,6 +59,10 @@ class TestEstimateHeight:
     def test_custom_meters_per_level(self):
         defaults = ExtractionDefaults(meters_per_level=2.5)
         assert estimate_height({"building:levels": "4"}, defaults) == 10.0
+
+    @pytest.mark.parametrize("tags", [{"height": "1_2"}, {"height": "\uff12 m"}, {"building:levels": "٣"}])
+    def test_a_number_not_in_ascii_decimal_falls_back_to_default(self, tags):
+        assert estimate_height(tags, DEFAULTS) == 10.0
 
     def test_levels_height_that_overflows_falls_back_to_default(self):
         # 1e308 levels x 3 m is inf, which no polyline height may be
@@ -143,10 +150,10 @@ class TestExtractBuildings:
         calls = 0
         separated = world_model._separated
 
-        def counted(a, b):
+        def counted(*coordinates):
             nonlocal calls
             calls += 1
-            return separated(a, b)
+            return separated(*coordinates)
 
         monkeypatch.setattr(world_model, "_separated", counted)
         buildings, warnings = extract_buildings(doc, GeoOrigin(48.0, 8.0), DEFAULTS)
@@ -187,7 +194,8 @@ def _near_duplicate_rings(draw):
     )
 )
 def test_three_distinct_predicate_matches_the_full_count(ring):
-    assert _has_three_distinct(ring) == (count_distinct(ring) >= 3)
+    xs, ys = [p.x for p in ring], [p.y for p in ring]
+    assert _has_three_distinct(xs, ys) == (count_distinct(ring) >= 3)
 
 
 class TestExtractRoads:
@@ -265,7 +273,7 @@ class TestExtractRoads:
         centerlines = {road.id: road.centerline for road in roads}
         for r in range(n):
             for c in range(n):
-                assert centerlines[r + 1][c] is centerlines[n + c + 1][r]
+                assert centerlines[r + 1][c] == centerlines[n + c + 1][r]
 
     def test_extraction_deterministic(self, data_dir):
         doc, origin = _load(data_dir, "mixed.osm")
@@ -290,3 +298,28 @@ def test_all_geometry_within_projected_bbox_bound(data_dir):
     for p in points:
         assert low.x <= p.x <= high.x
         assert low.y <= p.y <= high.y
+
+
+@pytest.mark.parametrize("make, field", [(Building, "footprint"), (Road, "centerline")])
+def test_given_points_are_read_once_into_columns(make, field):
+    points = (LocalPoint(0.0, 0.0), LocalPoint(20.0, 0.5), LocalPoint(-0.0, 30.0))
+    model = make(7, points, 10.0)
+    held = getattr(model, field)
+    assert held.columns == (array("d", [0, 20, -0.0]), array("d", [0, 0.5, 30]))
+    assert held == points and points == held and held[1] == LocalPoint(20, 0.5)
+    assert (len(held), hash(held), repr(held)) == (len(points), hash(points), repr(points))
+    assert getattr(make(7, held, 10.0), field) is held
+    assert make(7, list(points), 10.0) == model
+    assert make(7, (LocalPoint(0, 0), LocalPoint(20, 0.5), LocalPoint(0, 30)), 10.0) == model  # ints read as floats
+    with pytest.raises(TypeError):
+        held[0] = LocalPoint(1, 1)
+
+
+def test_extracted_points_are_columns_of_the_projected_numbers(data_dir):
+    doc, origin = _load(data_dir, "mixed.osm")
+    buildings, _ = extract_buildings(doc, origin, DEFAULTS)
+    roads, _ = extract_roads(doc, origin, DEFAULTS)
+    for points in [b.footprint for b in buildings] + [r.centerline for r in roads]:
+        xs, ys = points.columns
+        assert list(points) == [LocalPoint(x, y) for x, y in zip(xs, ys)]
+        assert (xs.typecode, ys.typecode) == ("d", "d")
