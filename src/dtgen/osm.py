@@ -23,7 +23,7 @@ import codecs
 import io
 import math
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import and_
@@ -61,9 +61,9 @@ class NodeColumns(Mapping):
     ``index`` maps an id to its row, ``ids`` holds the id objects in row
     order, and ``lat`` and ``lon`` are ``array('d')`` columns. ``kept`` has
     a byte per row, 1 for a row that is one of these nodes, and one more,
-    0, for row ``len(ids)``, which :meth:`rows` gives an id that no row
-    holds. A filtered document shares its parent's index and columns and
-    has its own ``kept``. A node is built when it is read; ``len``, ``in``,
+    0, for row ``len(ids)``: ``index.get(node_id, len(ids))`` is a row for
+    any id, and ``kept`` there tells whether it is one of these. A filtered
+    document shares its parent's index and columns and has its own ``kept``. A node is built when it is read; ``len``, ``in``,
     ``get``, iteration and ``==`` are those of the dict of them in row order.
     """
 
@@ -83,11 +83,6 @@ class NodeColumns(Mapping):
         values = nodes.values()
         lat, lon = array("d", [n.lat for n in values]), array("d", [n.lon for n in values])
         return cls({nid: row for row, nid in enumerate(ids)}, ids, lat, lon, _all_kept(len(ids)))
-
-    def rows(self, node_ids: Iterable[int]) -> Iterator[int]:
-        """The row of each of ``node_ids``, ``len(ids)`` for an id that no
-        row holds; ``kept`` at the row tells whether it is one of these."""
-        return map(self.index.get, node_ids, repeat(len(self.ids)))
 
     def row(self, node_id: int) -> int | None:
         """The row of the node ``node_id``, or ``None`` when it is not one of these."""
@@ -344,14 +339,16 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
     parent = nodes.kept
     # a byte per row, 1 for a node of doc inside the box, then the 0 of no row
     kept = bytearray(map(and_, parent, map(bbox.contains, nodes.lat, nodes.lon))) + b"\0"
-    # each way's rows as NodeColumns.rows finds them, without a call per way
-    is_kept, row_of, missing = kept.__getitem__, nodes.index.get, len(nodes.ids)
+    # the row of each ref, len(ids) for one the index lacks: repeat never
+    # ends, so the one below serves every map
+    is_kept, row_of, missing = kept.__getitem__, nodes.index.get, repeat(len(nodes.ids))
     kept_ways = {
         wid: way
         for wid, way in doc.ways.items()
-        if any(map(is_kept, map(row_of, way.node_refs, repeat(missing))))
+        if any(map(is_kept, map(row_of, way.node_refs, missing)))
     }
-    for row in nodes.rows(chain.from_iterable(way.node_refs for way in kept_ways.values())):
+    refs = chain.from_iterable(way.node_refs for way in kept_ways.values())
+    for row in map(row_of, refs, missing):
         kept[row] = parent[row]  # 1 for a node of doc; kept holds no other
     kept_nodes = NodeColumns(nodes.index, nodes.ids, nodes.lat, nodes.lon, kept)
     return OsmDocument(nodes=kept_nodes, ways=kept_ways, warnings=list(doc.warnings))

@@ -194,9 +194,10 @@ def _project_refs(refs, nodes, origin, projected, warnings, context) -> tuple[li
     extraction, into the ``projected`` columns by its row, so ways that
     share a node share its numbers."""
     xs, ys = projected
-    kept = nodes.kept
+    kept, row_of, missing = nodes.kept, nodes.index.get, len(nodes.ids)
     px, py = [], []
-    for ref, row in zip(refs, nodes.rows(refs)):
+    for ref in refs:
+        row = row_of(ref, missing)
         if not kept[row]:
             warnings.append(f"{context} skipped: unresolved node ref {ref}")
             return None
@@ -218,10 +219,12 @@ def _collapse_polyline(xs: list[float], ys: list[float]) -> tuple[list[float], l
     """The points without each one that lies within the vertex separation
     of the last one kept."""
     out_x, out_y = xs[:1], ys[:1]
+    last_x, last_y = xs[0], ys[0]
     for x, y in zip(xs[1:], ys[1:]):
-        if _separated(out_x[-1], out_y[-1], x, y):
+        if _separated(last_x, last_y, x, y):
             out_x.append(x)
             out_y.append(y)
+            last_x, last_y = x, y
     return out_x, out_y
 
 

@@ -346,10 +346,8 @@ def test_node_columns_read_as_the_dict_they_replace(rows, absent):
 def test_filtered_nodes_are_the_parents_columns_and_a_byte_a_node():
     doc = _parse(CLOSED_WAY)
     nodes = filter_bbox(doc, BoundingBox(48.0005, 8.0005, 48.002, 8.002)).nodes
-    assert (nodes.index, nodes.ids, nodes.lat, nodes.lon) == (
-        doc.nodes.index, doc.nodes.ids, doc.nodes.lat, doc.nodes.lon
-    )
-    assert nodes.lat is doc.nodes.lat and nodes.index is doc.nodes.index
+    for name in ("index", "ids", "lat", "lon"):
+        assert getattr(nodes, name) is getattr(doc.nodes, name)
     assert list(nodes) == [1, 2, 3, 4]  # node 3 inside; its way keeps the rest
     assert 5 not in nodes and nodes.get(5) is None
     with pytest.raises(KeyError):
