@@ -63,8 +63,9 @@ class NodeColumns(Mapping):
     a byte per row, 1 for a row that is one of these nodes, and one more,
     0, for row ``len(ids)``: ``index.get(node_id, len(ids))`` is a row for
     any id, and ``kept`` there tells whether it is one of these. A filtered
-    document shares its parent's index and columns and has its own ``kept``. A node is built when it is read; ``len``, ``in``,
-    ``get``, iteration and ``==`` are those of the dict of them in row order.
+    document shares its parent's index and columns and has its own
+    ``kept``. A node is built when it is read; ``len``, ``in``, ``get``,
+    iteration and ``==`` are those of the dict of them in row order.
     """
 
     __slots__ = ("index", "ids", "lat", "lon", "kept", "_len")

@@ -327,8 +327,8 @@ def test_node_columns_read_as_the_dict_they_replace(rows, absent):
         want.setdefault(node_id, OsmNode(node_id, lat, lon))  # a duplicate keeps the first
     xml = "".join(f'<node id="{i}" lat="{lat!r}" lon="{lon!r}"/>' for i, lat, lon in rows)
     parsed = _parse(f"<osm>{xml}</osm>").nodes
-    everything = BoundingBox(-90, -180, 90, 180)
-    for nodes in (parsed, OsmDocument(nodes=want).nodes, filter_bbox(_parse(f"<osm>{xml}</osm>"), everything).nodes):
+    filtered = filter_bbox(_parse(f"<osm>{xml}</osm>"), BoundingBox(-90, -180, 90, 180)).nodes
+    for nodes in (parsed, OsmDocument(nodes=want).nodes, filtered):
         assert list(nodes.items()) == list(want.items())
         assert list(nodes) == list(want)
         assert nodes == want and want == nodes and not nodes != want

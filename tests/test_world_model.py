@@ -310,7 +310,8 @@ def test_given_points_are_read_once_into_columns(make, field):
     assert (len(held), hash(held), repr(held)) == (len(points), hash(points), repr(points))
     assert getattr(make(7, held, 10.0), field) is held
     assert make(7, list(points), 10.0) == model
-    assert make(7, (LocalPoint(0, 0), LocalPoint(20, 0.5), LocalPoint(0, 30)), 10.0) == model  # ints read as floats
+    ints = (LocalPoint(0, 0), LocalPoint(20, 0.5), LocalPoint(0, 30))
+    assert make(7, ints, 10.0) == model  # read as floats
     with pytest.raises(TypeError):
         held[0] = LocalPoint(1, 1)
 
