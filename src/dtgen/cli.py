@@ -260,10 +260,6 @@ def _cmd_validate(args) -> int:
 def _cmd_gap(args) -> int:
     config = load_config(_read_text(args.config))
     origin = origin_of(config.bbox)
-    # each CSV is read a line at a time as it is parsed
-    with open(args.recorded, "rb") as binary:
-        recorded = parse_trajectory_csv(_text_lines(args.recorded, binary), origin=origin)
-
     if args.controls:
         if not args.vehicle:
             _error("--controls requires --vehicle")
@@ -272,6 +268,11 @@ def _cmd_gap(args) -> int:
         if spec is None:
             _error(f"unknown vehicle name {args.vehicle!r}")
             return EXIT_USAGE
+    # each CSV is read a line at a time as it is parsed
+    with open(args.recorded, "rb") as binary:
+        recorded = parse_trajectory_csv(_text_lines(args.recorded, binary), origin=origin)
+
+    if args.controls:
         with open(args.controls, "rb") as binary:
             controls = parse_controls_csv(_text_lines(args.controls, binary))
         if controls[0].t < recorded.t_first:

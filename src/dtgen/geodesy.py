@@ -102,35 +102,35 @@ class LocalPoint:
 class _Rows(Sequence):
     """A read-only sequence whose items ``row`` builds on demand, one number
     from each of its equal-length ``columns``, ``array('d')`` each. Its
-    ``len``, ``==``, ``hash`` and ``repr`` are those of the ``like`` (a tuple
-    or a list) of its items, the container it stands in for."""
+    ``len``, ``==``, ``hash`` and ``repr`` are those of the tuple of its
+    items, the container it stands in for."""
 
-    __slots__ = ("columns", "_row", "_like")
+    __slots__ = ("columns", "_row")
 
-    def __init__(self, row, columns: tuple[Sequence[float], ...], like: type = tuple):
-        self.columns, self._row, self._like = columns, row, like
+    def __init__(self, row, columns: tuple[Sequence[float], ...]):
+        self.columns, self._row = columns, row
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self._like(map(self._row, *(c[index] for c in self.columns)))
+            return tuple(map(self._row, *(c[index] for c in self.columns)))
         return self._row(*(c[index] for c in self.columns))
 
     def __iter__(self):
         return map(self._row, *self.columns)
 
     def __eq__(self, other):
-        if isinstance(other, (self._like, _Rows)):
-            return self._like(self) == self._like(other)
+        if isinstance(other, (tuple, _Rows)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._like(self))
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(self._like(self))
+        return repr(tuple(self))
 
 
 def origin_of(bbox: BoundingBox) -> GeoOrigin:

@@ -82,41 +82,21 @@ def _pair(t: float, d: float) -> tuple[float, float]:
 
 
 class Trajectory:
-    """A pose stream, held as ``array('d')`` columns ``t``, ``x``, ``y`` and
-    ``yaw`` (``None`` when the stream has no yaw): 8 bytes a number.
+    """A pose stream, held as the ``array('d')`` columns ``t``, ``x``, ``y``
+    and ``yaw`` (``None`` when the stream has no yaw) it is given: 8 bytes a
+    number. ``warnings``, an iterable of strings, is held as a tuple.
 
-    ``Trajectory(samples)`` takes a sequence of :class:`TrajectorySample`,
-    read into columns once; ``samples`` gives them back, built as they are
-    read. The times must strictly increase, and yaw must be on every sample
-    or on none.
+    The columns must have the length of ``t``, which must be at least 1,
+    and the times must strictly increase. ``samples`` gives the poses back
+    as :class:`TrajectorySample`, built as they are read.
     """
 
-    def __init__(self, samples: Sequence[TrajectorySample], warnings: Iterable[str] = ()):
-        yaws = [s.yaw for s in samples]
-        has_yaw = None not in yaws
-        self._hold(
-            array("d", [s.t for s in samples]),
-            array("d", [s.x for s in samples]),
-            array("d", [s.y for s in samples]),
-            array("d", yaws) if has_yaw else None,
-            warnings,
-        )
-        if not has_yaw and yaws.count(None) != len(yaws):
-            raise ValueError("yaw must be present on every sample or on none")
-
-    @classmethod
-    def _of_columns(
-        cls, t: array, x: array, y: array, yaw: array | None = None, warnings: Iterable[str] = ()
-    ) -> "Trajectory":
-        """A trajectory that holds the given columns themselves, checked as
-        ``Trajectory(samples)`` checks its samples."""
-        traj = cls.__new__(cls)
-        traj._hold(t, x, y, yaw, warnings)
-        return traj
-
-    def _hold(self, t, x, y, yaw, warnings) -> None:
+    def __init__(self, t: array, x: array, y: array, yaw: array | None = None, warnings=()):
         if not t:
             raise ValueError("trajectory requires at least one sample")
+        for name, column in (("x", x), ("y", y), ("yaw", yaw)):
+            if column is not None and len(column) != len(t):
+                raise ValueError(f"trajectory column {name} has {len(column)} values, t {len(t)}")
         _check_order(t, "trajectory", "sample")
         self.t, self.x, self.y, self.yaw, self.warnings = t, x, y, yaw, tuple(warnings)
 
@@ -151,15 +131,15 @@ class Trajectory:
         return self.t[-1]
 
     @cached_property
-    def motion_headings(self) -> Sequence[float]:
+    def motion_headings(self) -> array:
         """Per-sample motion heading (see :func:`derive_headings`), derived
-        once and held as an ``array('d')`` column; it compares and prints as
-        the tuple of the headings."""
-        return _Rows(float, (array("d", derive_headings(self)),))
+        once."""
+        return derive_headings(self)
 
 
-def derive_headings(traj: Trajectory) -> list[float]:
-    """Per-sample motion heading of ``traj``, gated against jitter: a new list.
+def derive_headings(traj: Trajectory) -> array:
+    """Per-sample motion heading of ``traj``, gated against jitter: a new
+    ``array('d')`` column.
 
     The heading at a sample is the direction to the first later sample at
     least ``HEADING_DISPLACEMENT_GATE_M`` away; samples near the end
@@ -168,12 +148,17 @@ def derive_headings(traj: Trajectory) -> list[float]:
     everywhere. The first crossings come from one forward pass, see
     :func:`_first_crossings`.
     """
-    headings: list[float | None] = [None] * len(traj.t)
+    n = len(traj.t)
+    # a byte per sample marks the known headings: a NaN coordinate can make a NaN heading
+    headings, known = array("d", [0.0]) * n, bytearray(n)
     for i, heading in _first_crossings(zip(traj.x, traj.y)):
         headings[i] = heading
-    last = next((h for h in headings if h is not None), 0.0)
-    for i, h in enumerate(headings):
-        last = headings[i] = last if h is None else h
+        known[i] = 1
+    first = known.find(1)
+    lead = headings[first] if first >= 0 else 0.0
+    i = -1
+    while (i := known.find(0, i + 1)) >= 0:
+        headings[i] = headings[i - 1] if i else lead
     return headings
 
 
@@ -355,7 +340,7 @@ def simulate_controls(
         x.append(state.x)
         y.append(state.y)
         yaw.append(state.yaw)
-    return Trajectory._of_columns(times, x, y, yaw, warnings)
+    return Trajectory(times, x, y, yaw, warnings)
 
 
 def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:
@@ -390,7 +375,7 @@ def shadow_follow(recorded: Trajectory, query_times: Iterable[float]) -> Traject
     no yaw channel. This is the pose stream a shadow or ghost model follows.
     Query times outside the recorded range are rejected, never extrapolated.
     """
-    yaws = recorded.yaw if recorded.has_yaw else recorded.motion_headings.columns[0]
+    yaws = recorded.yaw if recorded.has_yaw else recorded.motion_headings
     t, x, y, yaw = array("d"), array("d"), array("d"), array("d")
     for q, i, frac, qx, qy in _resample(recorded, query_times):
         if frac is None:
@@ -400,7 +385,7 @@ def shadow_follow(recorded: Trajectory, query_times: Iterable[float]) -> Traject
         t.append(q)
         x.append(qx)
         y.append(qy)
-    return Trajectory._of_columns(t, x, y, yaw)
+    return Trajectory(t, x, y, yaw)
 
 
 def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
@@ -425,7 +410,7 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     recorded = zip(
         itertools.islice(real.x, first, stop),
         itertools.islice(real.y, first, stop),
-        itertools.islice(real.motion_headings.columns[0], first, stop),
+        itertools.islice(real.motion_headings, first, stop),
     )
     deviation, lateral_sq, longitudinal_sq = array("d"), array("d"), array("d")
     for (rx, ry, heading), (_, _, _, x, y) in zip(recorded, _resample(sim, times)):
@@ -500,7 +485,7 @@ def parse_trajectory_csv(lines: Iterable[str], origin: GeoOrigin | None = None) 
         y.append(b)
         if has_yaw:
             yaw.append(values[3])
-    return Trajectory._of_columns(t, x, y, yaw)
+    return Trajectory(t, x, y, yaw)
 
 
 def parse_controls_csv(lines: Iterable[str]) -> Sequence[ControlSample]:
@@ -508,7 +493,7 @@ def parse_controls_csv(lines: Iterable[str]) -> Sequence[ControlSample]:
     :func:`parse_trajectory_csv`) with header ``t,speed,steer``; every value
     must be a finite number, and the times must strictly increase. The
     samples are held as three ``array('d')`` columns, and the read-only
-    sequence of them compares and prints as the list of them."""
+    sequence of them compares and prints as the tuple of them."""
     header, rows = _read_csv(lines, "controls")
     if header != ["t", "speed", "steer"]:
         raise ValueError(f"unrecognized controls header {header!r}: expected t,speed,steer")
@@ -517,7 +502,7 @@ def parse_controls_csv(lines: Iterable[str]) -> Sequence[ControlSample]:
         t.append(c_t)
         speed.append(c_speed)
         steer.append(c_steer)
-    return _Rows(ControlSample, columns, list)
+    return _Rows(ControlSample, columns)
 
 
 def _read_csv(lines: Iterable[str], kind: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:

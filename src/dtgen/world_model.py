@@ -36,10 +36,10 @@ DRIVABLE_HIGHWAY_VALUES = frozenset(_DRIVABLE_BASE) | frozenset(
 )
 
 
-def _local_points(xs: list[float], ys: list[float]) -> Sequence[LocalPoint]:
+def _local_points(xs: Sequence[float], ys: Sequence[float]) -> Sequence[LocalPoint]:
     """The points of coordinates ``xs`` and ``ys`` as a read-only sequence
-    of :class:`LocalPoint`, held in ``array('d')`` columns ``x`` and ``y``,
-    that compares and prints as the tuple of them."""
+    of :class:`LocalPoint`, held in ``array('d')`` columns ``x`` and ``y``
+    of their exact size, that compares and prints as the tuple of them."""
     return _Rows(LocalPoint, (array("d", xs), array("d", ys)))
 
 
@@ -125,19 +125,23 @@ def extract_buildings(
         if len(way.node_refs) < 2 or way.node_refs[0] != way.node_refs[-1]:
             warnings.append(f"building way {way_id} skipped: not closed")
             continue
-        points = _project_refs(
+        ring = _project_refs(
             way.node_refs[:-1], doc.nodes, origin, projected, warnings, f"building way {way_id}"
         )
-        if points is None:
+        if ring is None:
             continue
-        ring = _collapse_ring(*points)
-        if not _has_three_distinct(*ring):
+        xs, ys = ring
+        # the ring closes on its first point: drop the last ones that repeat it
+        while len(xs) > 1 and not _separated(xs[0], ys[0], xs[-1], ys[-1]):
+            xs.pop()
+            ys.pop()
+        if not _has_three_distinct(xs, ys):
             warnings.append(f"building way {way_id} skipped: fewer than 3 distinct vertices")
             continue
         buildings.append(
             Building(
                 id=way_id,
-                footprint=_local_points(*ring),
+                footprint=_local_points(xs, ys),
                 height=estimate_height(way.tags, defaults),
                 name=way.tags.get("name"),
             )
@@ -160,12 +164,11 @@ def extract_roads(
         way = doc.ways[way_id]
         if way.tags.get("highway") not in DRIVABLE_HIGHWAY_VALUES:
             continue
-        points = _project_refs(
+        line = _project_refs(
             way.node_refs, doc.nodes, origin, projected, warnings, f"road way {way_id}"
         )
-        if points is None:
+        if line is None:
             continue
-        line = _collapse_polyline(*points)
         if len(line[0]) < 2:
             warnings.append(f"road way {way_id} skipped: centerline shorter than 2 points")
             continue
@@ -188,14 +191,17 @@ def _unprojected(doc: OsmDocument) -> tuple[array, array]:
     return xs, array("d", xs)
 
 
-def _project_refs(refs, nodes, origin, projected, warnings, context) -> tuple[list, list] | None:
-    """The x and the y of the refs' points, or ``None``, with a warning,
-    when a ref is not one of ``nodes``. Each node is projected once per
-    extraction, into the ``projected`` columns by its row, so ways that
-    share a node share its numbers."""
+def _project_refs(refs, nodes, origin, projected, warnings, context) -> tuple[array, array] | None:
+    """The x and the y of the refs' points, without each point that lies
+    within the vertex separation of the last one kept, or ``None``, with a
+    warning, when a ref is not one of ``nodes``. Each node is projected
+    once per extraction, into the ``projected`` columns by its row, so ways
+    that share a node share its numbers."""
     xs, ys = projected
     kept, row_of, missing = nodes.kept, nodes.index.get, len(nodes.ids)
-    px, py = [], []
+    hypot, near = math.hypot, MIN_VERTEX_SEPARATION_M
+    px, py = array("d"), array("d")
+    last_x = last_y = math.inf  # so the first point is kept: project returns finite ones
     for ref in refs:
         row = row_of(ref, missing)
         if not kept[row]:
@@ -206,34 +212,16 @@ def _project_refs(refs, nodes, origin, projected, warnings, context) -> tuple[li
             point = project(origin, nodes.lat[row], nodes.lon[row])
             x = xs[row] = point.x
             ys[row] = point.y
-        px.append(x)
-        py.append(ys[row])
+        y = ys[row]
+        if hypot(x - last_x, y - last_y) > near:
+            px.append(x)
+            py.append(y)
+            last_x, last_y = x, y
     return px, py
 
 
 def _separated(ax: float, ay: float, bx: float, by: float) -> bool:
     return math.hypot(ax - bx, ay - by) > MIN_VERTEX_SEPARATION_M
-
-
-def _collapse_polyline(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    """The points without each one that lies within the vertex separation
-    of the last one kept."""
-    out_x, out_y = xs[:1], ys[:1]
-    last_x, last_y = xs[0], ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        if _separated(last_x, last_y, x, y):
-            out_x.append(x)
-            out_y.append(y)
-            last_x, last_y = x, y
-    return out_x, out_y
-
-
-def _collapse_ring(xs: list[float], ys: list[float]) -> tuple[list[float], list[float]]:
-    out_x, out_y = _collapse_polyline(xs, ys)
-    while len(out_x) > 1 and not _separated(out_x[0], out_y[0], out_x[-1], out_y[-1]):
-        out_x.pop()
-        out_y.pop()
-    return out_x, out_y
 
 
 def _has_three_distinct(xs: Sequence[float], ys: Sequence[float]) -> bool:

@@ -6,12 +6,14 @@ where the library streams, and, where a faster path replaced a slower one,
 the slower one built from dtgen's public functions. The one exception is
 the SDF validator's per-element rules, which the tree walk takes from
 ``dtgen.sdf`` so that a difference can only come from reading the XML.
+:func:`trajectory_of` builds the tests' trajectories sample by sample.
 """
 
 import bisect
 import json
 import math
 import xml.etree.ElementTree as ET
+from array import array
 
 from dtgen.errors import OsmParseError
 from dtgen.geodesy import EARTH_RADIUS_M, LocalPoint
@@ -27,6 +29,17 @@ from dtgen.sdf import _RULES, _SHAPES, ValidationIssue, ValidationReport, _polyl
 
 HEADING_GATE_M = 0.05
 MIN_VERTEX_SEPARATION_M = 1e-6
+
+
+def trajectory_of(samples):
+    """The ``Trajectory`` of an iterable of ``TrajectorySample``, its
+    ``array('d')`` columns read from the samples once; it has yaw when the
+    first sample has one."""
+    samples = list(samples)
+    columns = [array("d", [getattr(s, name) for s in samples]) for name in ("t", "x", "y")]
+    if samples and samples[0].yaw is not None:
+        columns.append(array("d", [s.yaw for s in samples]))
+    return Trajectory(*columns)
 
 
 def brute_force_headings(real_pts, gate=HEADING_GATE_M):
@@ -316,7 +329,7 @@ def bisect_shadow_follow(recorded, query_times):
         y = lo.y + frac * (hi.y - lo.y)
         yaw = normalize_angle(yaws[i - 1] + frac * normalize_angle(yaws[i] - yaws[i - 1]))
         out.append(TrajectorySample(t, x, y, yaw))
-    return Trajectory(tuple(out))
+    return trajectory_of(out)
 
 
 def shadow_follow_compute_gap(real, sim):

@@ -19,7 +19,6 @@ from dtgen.config import VehicleKind, VehicleSpec
 from dtgen.geodesy import EARTH_RADIUS_M, GeoOrigin, project, unproject
 from dtgen.replay import (
     ControlSample,
-    Trajectory,
     TrajectorySample,
     VehicleState,
     compute_gap,
@@ -285,7 +284,7 @@ def test_kinematic_oracle():
 
 def test_gap_metric_oracle():
     """compute_gap vs direct summation on 100 random pairs, 1e-12 tolerance."""
-    from oracles import brute_force_gap_metrics
+    from oracles import brute_force_gap_metrics, trajectory_of
 
     rng = random.Random(99)
     worst = 0.0
@@ -296,22 +295,20 @@ def test_gap_metric_oracle():
         ys = list(itertools.accumulate(rng.uniform(-2, 2) for _ in range(n)))
         real_pts = list(zip(xs, ys))
         sim_pts = [(x + rng.gauss(0, 0.5), y + rng.gauss(0, 0.5)) for x, y in real_pts]
-        real = Trajectory(tuple(TrajectorySample(t, x, y) for t, (x, y) in zip(times, real_pts)))
-        sim = Trajectory(tuple(TrajectorySample(t, x, y) for t, (x, y) in zip(times, sim_pts)))
+        real = trajectory_of(TrajectorySample(t, x, y) for t, (x, y) in zip(times, real_pts))
+        sim = trajectory_of(TrajectorySample(t, x, y) for t, (x, y) in zip(times, sim_pts))
         report = compute_gap(real, sim)
         expected = brute_force_gap_metrics(real_pts, sim_pts)
         for key, value in expected.items():
             worst = max(worst, abs(getattr(report, key) - value))
             assert abs(getattr(report, key) - value) < 1e-12, key
 
-    identity = Trajectory(
-        tuple(TrajectorySample(float(t), float(t), 0.5 * t) for t in range(10))
-    )
+    identity = trajectory_of(TrajectorySample(float(t), float(t), 0.5 * t) for t in range(10))
     zero = compute_gap(identity, identity)
     assert zero.rmse == 0.0 and zero.max_dev == 0.0 and zero.final_drift == 0.0
 
-    offset_real = Trajectory(tuple(TrajectorySample(float(t), float(t), 0.0) for t in range(8)))
-    offset_sim = Trajectory(tuple(TrajectorySample(float(t), float(t), 1.0) for t in range(8)))
+    offset_real = trajectory_of(TrajectorySample(float(t), float(t), 0.0) for t in range(8))
+    offset_sim = trajectory_of(TrajectorySample(float(t), float(t), 1.0) for t in range(8))
     assert compute_gap(offset_real, offset_sim).rmse == 1.0
     print(
         f"\nPASS gap-metric oracle: 100 random pairs, worst |delta| {worst:.2e} "

@@ -45,8 +45,9 @@ def test_import_and_gap_load_neither_requests_nor_numpy(data_dir, tmp_path):
     probe = (
         "import json, sys, dtgen\n"
         "from dtgen import cli\n"
-        "from dtgen.replay import Trajectory, TrajectorySample\n"
-        "t = Trajectory((TrajectorySample(0.0, 0.0, 0.0), TrajectorySample(1.0, 1.0, 0.0)))\n"
+        "from array import array\n"
+        "from dtgen.replay import Trajectory\n"
+        "t = Trajectory(array('d', [0, 1]), array('d', [0, 1]), array('d', [0, 0]))\n"
         "assert dtgen.compute_gap(t, t).rmse == 0.0\n"
         "print(sorted({'requests', 'numpy'} & set(sys.modules)))\n"
         f"assert cli.main({generate!r}) == 0\n"

@@ -12,6 +12,8 @@ from dtgen import cli, sdf
 
 STRAIGHT_TRACE = "t,x,y\n" + "".join(f"{t / 2},{t},0\n" for t in range(11))
 MATCHING_CONTROLS = "t,speed,steer\n0,2.0,0\n5,2.0,0\n"
+# the vehicle is checked before any CSV is read: a usage error wins over this one
+REPEATED_TIME_TRACE = "t,x,y\n0,0,0\n1,1,0\n1,2,0\n"
 
 
 def _write(path, text):
@@ -516,8 +518,9 @@ class TestGap:
         assert code == 0
         assert len(scanned) == 1
 
-    def test_unknown_vehicle_is_usage_error(self, data_dir, tmp_path):
-        recorded = _write(tmp_path / "trace.csv", STRAIGHT_TRACE)
+    @pytest.mark.parametrize("trace", [STRAIGHT_TRACE, REPEATED_TIME_TRACE], ids=["good", "bad"])
+    def test_unknown_vehicle_is_usage_error(self, data_dir, tmp_path, capsys, trace):
+        recorded = _write(tmp_path / "trace.csv", trace)
         controls = _write(tmp_path / "controls.csv", MATCHING_CONTROLS)
         code = cli.main(
             [
@@ -535,9 +538,11 @@ class TestGap:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == "dtgen: error: unknown vehicle name 'nosuchcar'\n"
 
-    def test_controls_without_vehicle_is_usage_error(self, data_dir, tmp_path):
-        recorded = _write(tmp_path / "trace.csv", STRAIGHT_TRACE)
+    @pytest.mark.parametrize("trace", [STRAIGHT_TRACE, REPEATED_TIME_TRACE], ids=["good", "bad"])
+    def test_controls_without_vehicle_is_usage_error(self, data_dir, tmp_path, capsys, trace):
+        recorded = _write(tmp_path / "trace.csv", trace)
         controls = _write(tmp_path / "controls.csv", MATCHING_CONTROLS)
         code = cli.main(
             [
@@ -553,6 +558,7 @@ class TestGap:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == "dtgen: error: --controls requires --vehicle\n"
 
     def test_disjoint_ranges_is_domain_failure(self, data_dir, tmp_path):
         recorded = _write(tmp_path / "a.csv", "t,x,y\n0,0,0\n1,1,0\n")

@@ -6,6 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +30,7 @@ from dtgen.replay import (
     simulate_controls,
     step_kinematic,
 )
+from oracles import trajectory_of
 
 SPEC = VehicleSpec(name="testcar", kind=VehicleKind.TWIN, wheelbase=2.7, max_steer_angle=0.6)
 
@@ -40,8 +42,8 @@ def _lines(text):
 
 def _traj(points, yaw=False):
     if yaw:
-        return Trajectory(tuple(TrajectorySample(t, x, y, th) for t, x, y, th in points))
-    return Trajectory(tuple(TrajectorySample(t, x, y) for t, x, y in points))
+        return trajectory_of(TrajectorySample(t, x, y, th) for t, x, y, th in points)
+    return trajectory_of(TrajectorySample(t, x, y) for t, x, y in points)
 
 
 @st.composite
@@ -382,9 +384,9 @@ def follow_cases(draw):
     times = [k * scale for k in pool]
     coord = st.floats(-1e3, 1e3)
     yaw = st.floats(-4.0, 4.0) if draw(st.booleans()) else st.none()
-    recorded = Trajectory(tuple(
+    recorded = trajectory_of(
         TrajectorySample(t, draw(coord), draw(coord), draw(yaw)) for t in times
-    ))
+    )
     between = [a + draw(st.floats(0.0, 1.0)) * (b - a) for a, b in zip(times, times[1:])]
     picked = draw(st.sampled_from(["every sample", "between", "mixed"]))
     if picked == "every sample":
@@ -419,7 +421,7 @@ class TestShadowFollowWalk:
 class TestDeriveHeadings:
     def test_straight_motion(self):
         traj = _traj([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 2.0, 0.0)])
-        assert derive_headings(traj) == [0.0, 0.0, 0.0]
+        assert derive_headings(traj) == array("d", [0.0, 0.0, 0.0])
 
     def test_jitter_below_gate_keeps_heading(self):
         # 1 cm jitter at the end must not produce a random heading
@@ -430,7 +432,7 @@ class TestDeriveHeadings:
 
     def test_stationary_trajectory_defaults_to_zero(self):
         traj = _traj([(0.0, 5.0, 5.0), (1.0, 5.0, 5.0)])
-        assert derive_headings(traj) == [0.0, 0.0]
+        assert derive_headings(traj) == array("d", [0.0, 0.0])
 
     @given(grid_traces())
     @settings(max_examples=200)
@@ -438,9 +440,9 @@ class TestDeriveHeadings:
         from oracles import brute_force_headings
 
         headings = derive_headings(_traj(points))
-        assert headings == brute_force_headings([(x, y) for _, x, y in points])
+        assert list(headings) == brute_force_headings([(x, y) for _, x, y in points])
 
-    def test_each_call_returns_an_independent_list(self):
+    def test_each_call_returns_an_independent_column(self):
         traj = _traj([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 1.0)])
         first = derive_headings(traj)
         second = derive_headings(traj)
@@ -473,7 +475,7 @@ def forward_scan_headings(traj):
 
 
 def _points_traj(points):
-    return Trajectory(tuple(TrajectorySample(0.5 * t, x, y) for t, (x, y) in enumerate(points)))
+    return trajectory_of(TrajectorySample(0.5 * t, x, y) for t, (x, y) in enumerate(points))
 
 
 def _bits(headings):
@@ -587,7 +589,7 @@ def _parked_then_moving(radius, count):
     for k in range(count):
         r, a = radius * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
         samples.append(TrajectorySample(0.1 * k, r * math.cos(a), r * math.sin(a)))
-    return Trajectory((*samples, TrajectorySample(0.1 * count, 1.0, 0.0)))
+    return trajectory_of((*samples, TrajectorySample(0.1 * count, 1.0, 0.0)))
 
 
 def _timed_headings(traj):
@@ -601,19 +603,19 @@ class TestMotionHeadingsMatchTheForwardScan:
     @settings(max_examples=150, deadline=None)
     def test_random_walks(self, points):
         traj = _points_traj(points)
-        assert traj.motion_headings == forward_scan_headings(traj)
+        assert tuple(traj.motion_headings) == forward_scan_headings(traj)
 
     @given(parked_clusters())
     @settings(max_examples=60, deadline=None)
     def test_parked_clusters_longer_than_64_samples(self, points):
         traj = _points_traj(points)
-        assert traj.motion_headings == forward_scan_headings(traj)
+        assert tuple(traj.motion_headings) == forward_scan_headings(traj)
 
     @given(loop_traces())
     @settings(max_examples=60, deadline=None)
     def test_loops_that_leave_the_disc_and_come_back(self, points):
         traj = _points_traj(points)
-        assert traj.motion_headings == forward_scan_headings(traj)
+        assert tuple(traj.motion_headings) == forward_scan_headings(traj)
 
     @pytest.mark.parametrize(
         "offset", [(0.05, 0.0), (0.0, -0.05), (-0.05, 0.0), (0.03, 0.04), (-0.04, -0.03)]
@@ -663,7 +665,7 @@ class TestMotionHeadingsMatchTheForwardScan:
             r, a = 0.02 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)
             samples.append(TrajectorySample(0.1 * k, r * math.cos(a), r * math.sin(a)))
         move = TrajectorySample(3601.0, 1.0, 0.0)
-        traj = Trajectory((*samples, move))
+        traj = trajectory_of((*samples, move))
 
         start = time.perf_counter()
         headings = traj.motion_headings
@@ -926,9 +928,7 @@ def gap_pairs(draw):
 
     def trajectory(ts):
         yaw = st.floats(-4.0, 4.0) if draw(st.booleans()) else st.none()
-        return Trajectory(tuple(
-            TrajectorySample(t, draw(coord), draw(coord), draw(yaw)) for t in ts
-        ))
+        return trajectory_of(TrajectorySample(t, draw(coord), draw(coord), draw(yaw)) for t in ts)
 
     return trajectory(real_times), trajectory(sim_times)
 
@@ -983,7 +983,7 @@ class TestCsvParsing:
 
     def test_controls(self):
         controls = parse_controls_csv(_lines("t,speed,steer\n0,2.0,0.1\n0.5,2.0,-0.1\n"))
-        assert controls == [ControlSample(0.0, 2.0, 0.1), ControlSample(0.5, 2.0, -0.1)]
+        assert controls == (ControlSample(0.0, 2.0, 0.1), ControlSample(0.5, 2.0, -0.1))
 
     def test_controls_bad_header(self):
         with pytest.raises(ValueError, match="header"):
@@ -1074,15 +1074,18 @@ class TestTrajectoryInvariants:
 
     def test_nan_timestamp_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory((TrajectorySample(0.0, 0, 0), TrajectorySample(math.nan, 1, 1)))
+            trajectory_of((TrajectorySample(0.0, 0, 0), TrajectorySample(math.nan, 1, 1)))
 
-    def test_mixed_yaw_presence_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory((TrajectorySample(0, 0, 0, 0.1), TrajectorySample(1, 1, 0)))
+    @pytest.mark.parametrize("short", ["x", "y", "yaw"])
+    def test_a_column_shorter_than_t_rejected(self, short):
+        columns = {name: array("d", [0.0, 1.0]) for name in ("t", "x", "y", "yaw")}
+        columns[short] = array("d", [0.0])
+        with pytest.raises(ValueError, match=f"^trajectory column {short} has 1 values, t 2$"):
+            Trajectory(**columns)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory(())
+            Trajectory(array("d"), array("d"), array("d"))
 
 
 # the ends of the float range, subnormals and -0.0, on top of hypothesis's
@@ -1118,7 +1121,7 @@ class TestColumnStorage:
     def test_samples_and_the_csv_rows_of_them_read_alike(self, samples):
         has_yaw = samples[0].yaw is not None
         rows = [dataclasses.astuple(s)[: 4 if has_yaw else 3] for s in samples]
-        built = Trajectory(tuple(samples))
+        built = trajectory_of(samples)
         read = parse_trajectory_csv(_csv("t,x,y,yaw" if has_yaw else "t,x,y", rows))
         assert built.samples == read.samples == tuple(samples)
         assert repr(built.samples) == repr(read.samples) == repr(tuple(samples))
@@ -1132,7 +1135,7 @@ class TestColumnStorage:
     @settings(max_examples=200, deadline=None)
     def test_controls_read_from_csv_are_the_rows(self, controls):
         read = parse_controls_csv(_csv("t,speed,steer", map(dataclasses.astuple, controls)))
-        assert read == controls
+        assert read == tuple(controls)
         assert list(read) == controls and len(read) == len(controls)
         assert [repr(c) for c in read] == [repr(c) for c in controls]
         assert (read[0], read[-1]) == (controls[0], controls[-1])
@@ -1166,10 +1169,10 @@ def _traced_peak(func, *args):
 def _long_drive(offset):
     """Two hours on a 500 m circle at 10 Hz, ``offset`` metres out."""
     radius = 500.0 + offset
-    return Trajectory(tuple(
+    return trajectory_of(
         TrajectorySample(0.1 * k, radius * math.cos(k * 1e-4), radius * math.sin(k * 1e-4))
         for k in range(_LONG)
-    ))
+    )
 
 
 class TestLongTraceMemory:
@@ -1183,6 +1186,12 @@ class TestLongTraceMemory:
             traj, peak = _traced_peak(parse_trajectory_csv, lines, GeoOrigin(48.01, 8.015))
         assert len(traj.samples) == _LONG
         assert peak < 40 * _LONG, f"{peak / _LONG:.0f} B a row"
+
+    def test_motion_headings_peak_under_24_bytes_a_sample(self):
+        traj = _long_drive(0.0)
+        headings, peak = _traced_peak(getattr, traj, "motion_headings")
+        assert len(headings) == _LONG
+        assert peak < 24 * _LONG, f"{peak / _LONG:.1f} B a sample"
 
     def test_compute_gap_holds_under_48_bytes_a_sample(self):
         real, sim = _long_drive(0.0), _long_drive(1.5)
