@@ -12,6 +12,15 @@ are held as columns, not objects: an id index and ``array('d')`` latitude
 and longitude columns, which a bounding-box filter shares with the document
 it filters.
 
+What is held of the ways depends on the caller. :func:`parse_osm` holds
+every way in the document it returns. World generation reads the same map
+through the same reader, but hands each way to its extraction at the way's
+end tag and holds none, apart from a way that names a node not read yet: a
+dangling ref, or a node listed after the way. Such a way is held until the
+document ends. OSM XML lists nodes before ways, so a well-formed extract
+holds none, and a map that lists ways first holds them all, as
+:func:`parse_osm` does.
+
 Only :func:`fetch_overpass` needs the network stack (``urllib.request``,
 ``http.client`` and, through them, ``ssl``, ``socket`` and ``email``), so
 it imports it when it is called: importing this module, or ``dtgen``,
@@ -151,6 +160,21 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
 
     A ``str``, a ``bytes`` or a file open in text mode raises ``TypeError``.
     """
+    return _read_osm(source)
+
+
+def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocument:
+    """The map in ``source`` read as :func:`parse_osm` reads it, every way
+    held in the returned document's ``ways`` when ``way_taker`` is ``None``.
+
+    Otherwise ``way_taker(lat, lon)`` is called once, with the latitude and
+    longitude columns that the nodes are read into, and returns ``take``.
+    Each way whose refs all name nodes read before its end tag is handed to
+    ``take(way_id, refs, rows, tags)`` there, with its refs and their rows
+    in those columns, and is not held: only its id is kept, for the
+    duplicate-way rule. A way that names a node not read yet, a dangling
+    ref or a node listed after it, is held until the document ends.
+    """
     if isinstance(source, (str, bytes, bytearray, memoryview, io.TextIOBase)):
         raise TypeError(
             f"parse_osm takes the map as a file open in binary mode, not {type(source).__name__}: "
@@ -159,22 +183,24 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
     index: dict[int, int] = {}  # node id -> row
     ids: list[int] = []
     lat, lon = array("d"), array("d")
-    ways: dict[int, OsmWay] = {}
+    ways: dict[int, OsmWay] = {}  # the held ways
+    taken: set[int] = set()  # the ids of the ways handed to take
+    take = None if way_taker is None else way_taker(lat, lon)
     warnings: list[str] = []
     depth = 0
     way_id: int | None = None  # of the root-level way being read, if its id is good
-    refs: list[str | None] = []  # the ref text of each of its <nd>, read at its end
+    ref_texts: list[str | None] = []  # the ref text of each of its <nd>, read at its end
     tags: dict[str, str] = {}
     texts: dict[str, str] = {}  # one object per distinct tag key or value
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        nonlocal depth, way_id, refs, tags
+        nonlocal depth, way_id, ref_texts, tags
         depth += 1
         if depth == 3:
             if way_id is None:
                 return
             if tag == "nd":
-                refs.append(attrs.get("ref"))
+                ref_texts.append(attrs.get("ref"))
             elif tag == "tag":
                 key = attrs.get("k")
                 value = attrs.get("v")
@@ -200,7 +226,7 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
                 except ValueError:
                     warnings.append(f"way id={raw_id!r} skipped: missing or unparseable id")
                     return
-                refs = []
+                ref_texts = []
                 tags = {}
             # relations and anything else: skipped silently
 
@@ -208,13 +234,19 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
         nonlocal depth, way_id
         depth -= 1
         if depth == 1 and way_id is not None:
-            node_refs = _read_refs(way_id, refs, index, ids, warnings)
-            if not node_refs:
+            refs = _read_refs(way_id, ref_texts, warnings)
+            if not refs:
                 warnings.append(f"way {way_id} skipped: no node references")
-            elif way_id in ways:
+            elif way_id in ways or way_id in taken:
                 warnings.append(f"duplicate way id {way_id}: keeping first occurrence")
             else:
-                ways[way_id] = OsmWay(id=way_id, node_refs=node_refs, tags=tags)
+                rows = list(map(index.get, refs))
+                if take is None or None in rows:
+                    node_refs = tuple(ref if row is None else ids[row] for ref, row in zip(refs, rows))
+                    ways[way_id] = OsmWay(id=way_id, node_refs=node_refs, tags=tags)
+                else:
+                    taken.add(way_id)
+                    take(way_id, refs, rows, tags)
             way_id = None
 
     try:
@@ -231,18 +263,16 @@ def _all_kept(rows: int) -> bytearray:
     return bytearray([1]) * rows + b"\0"
 
 
-def _read_refs(way_id: int, texts: list[str | None], index: dict[int, int], ids: list[int],
-               warnings: list[str]) -> tuple[int, ...]:
+def _read_refs(way_id: int, texts: list[str | None], warnings: list[str]) -> list[int]:
     """The node refs of way ``way_id`` read from ``texts``, the ``ref`` of
-    each of its ``<nd>`` in order, ``None`` where it has none. A ref of a
-    node read before the way is the very int that keys the node in
-    ``index``. A text that :func:`_read_int` refuses is skipped with a
-    warning. All the texts are checked at once, and only a way that fails
-    is read again a ref at a time."""
+    each of its ``<nd>`` in order, ``None`` where it has none. A text that
+    :func:`_read_int` refuses is skipped with a warning. All the texts are
+    checked at once, and only a way that fails is read again a ref at a
+    time."""
     try:
         if None in texts or not is_ascii_number("".join(texts)):
             raise ValueError
-        numbers = list(map(int, texts))
+        return list(map(int, texts))
     except ValueError:
         numbers = []
         for text in texts:
@@ -250,8 +280,7 @@ def _read_refs(way_id: int, texts: list[str | None], index: dict[int, int], ids:
                 numbers.append(_read_int(text))
             except ValueError:
                 warnings.append(f"way {way_id}: ignoring <nd> with bad ref {text!r}")
-    get = index.get
-    return tuple(ref if (row := get(ref)) is None else ids[row] for ref in numbers)
+        return numbers
 
 
 def _read_int(text: str | None) -> int:

@@ -1,4 +1,4 @@
-"""Buildings and roads extracted from a filtered map document.
+"""Buildings and roads extracted from map ways.
 
 Buildings come from closed ways tagged ``building`` (anything but "no"),
 with height read from the ``height`` tag, estimated from
@@ -7,6 +7,11 @@ value is in a drivable whitelist; every road gets the configured fixed
 width. All geometry is projected into local metric coordinates, and a
 footprint or centerline holds its points as two ``array('d')`` columns,
 ``x`` and ``y``: 16 bytes a point.
+
+Each kind has one per-way rule, :func:`_building` and :func:`_road`, which
+makes a model of one way or the warning that skips it. Generation calls
+them as each way is read; :func:`extract_buildings` and
+:func:`extract_roads` call them on every way of a held document.
 """
 
 import math
@@ -114,39 +119,7 @@ def extract_buildings(
     closed (first ref equals last ref), resolves every node reference, and
     keeps at least 3 distinct vertices after projection.
     """
-    buildings: list[Building] = []
-    warnings: list[str] = []
-    projected = _unprojected(doc)
-    for way_id in sorted(doc.ways):
-        way = doc.ways[way_id]
-        value = way.tags.get("building")
-        if value is None or value == "no":
-            continue
-        if len(way.node_refs) < 2 or way.node_refs[0] != way.node_refs[-1]:
-            warnings.append(f"building way {way_id} skipped: not closed")
-            continue
-        ring = _project_refs(
-            way.node_refs[:-1], doc.nodes, origin, projected, warnings, f"building way {way_id}"
-        )
-        if ring is None:
-            continue
-        xs, ys = ring
-        # the ring closes on its first point: drop the last ones that repeat it
-        while len(xs) > 1 and not _separated(xs[0], ys[0], xs[-1], ys[-1]):
-            xs.pop()
-            ys.pop()
-        if not _has_three_distinct(xs, ys):
-            warnings.append(f"building way {way_id} skipped: fewer than 3 distinct vertices")
-            continue
-        buildings.append(
-            Building(
-                id=way_id,
-                footprint=_local_points(xs, ys),
-                height=estimate_height(way.tags, defaults),
-                name=way.tags.get("name"),
-            )
-        )
-    return buildings, warnings
+    return _extract(doc, origin, defaults, _building_tagged, _building)
 
 
 def extract_roads(
@@ -157,67 +130,116 @@ def extract_roads(
     Consecutive duplicate points are collapsed; ways with unresolved node
     references or fewer than 2 remaining points are skipped with a warning.
     """
-    roads: list[Road] = []
+    return _extract(doc, origin, defaults, _road_tagged, _road)
+
+
+def _extract(doc, origin, defaults, wanted, rule) -> tuple[list, list[str]]:
+    """What ``rule`` makes of each way of ``doc`` whose tags ``wanted``
+    accepts, in way id order: the models, and the warnings of the ways it
+    skipped."""
+    models: list = []
     warnings: list[str] = []
-    projected = _unprojected(doc)
+    nodes = doc.nodes
+    points = _Projection(origin, nodes.lat, nodes.lon)
+    # the row of each ref, len(ids) for one the index lacks, where kept is 0
+    kept, row_of, missing = nodes.kept, nodes.index.get, len(nodes.ids)
     for way_id in sorted(doc.ways):
         way = doc.ways[way_id]
-        if way.tags.get("highway") not in DRIVABLE_HIGHWAY_VALUES:
-            continue
-        line = _project_refs(
-            way.node_refs, doc.nodes, origin, projected, warnings, f"road way {way_id}"
-        )
-        if line is None:
-            continue
-        if len(line[0]) < 2:
-            warnings.append(f"road way {way_id} skipped: centerline shorter than 2 points")
-            continue
-        roads.append(
-            Road(
-                id=way_id,
-                centerline=_local_points(*line),
-                width=defaults.road_width,
-                name=way.tags.get("name"),
-            )
-        )
-    return roads, warnings
+        if wanted(way.tags):
+            refs = way.node_refs
+            rows = [row if kept[row] else None for row in [row_of(ref, missing) for ref in refs]]
+            made = rule(way_id, refs, rows, way.tags, points, defaults)
+            (warnings if type(made) is str else models).append(made)
+    return models, warnings
 
 
-def _unprojected(doc: OsmDocument) -> tuple[array, array]:
-    """The x and y columns that :func:`_project_refs` fills, a number per
-    node row of ``doc``, each NaN until its node is projected: ``project``
-    never returns NaN."""
-    xs = array("d", [math.nan]) * len(doc.nodes.kept)
-    return xs, array("d", xs)
+def _building_tagged(tags: dict[str, str]) -> bool:
+    """Whether a way's tags make it a building: a ``building`` tag other than "no"."""
+    value = tags.get("building")
+    return value is not None and value != "no"
 
 
-def _project_refs(refs, nodes, origin, projected, warnings, context) -> tuple[array, array] | None:
-    """The x and the y of the refs' points, without each point that lies
-    within the vertex separation of the last one kept, or ``None``, with a
-    warning, when a ref is not one of ``nodes``. Each node is projected
-    once per extraction, into the ``projected`` columns by its row, so ways
-    that share a node share its numbers."""
-    xs, ys = projected
-    kept, row_of, missing = nodes.kept, nodes.index.get, len(nodes.ids)
-    hypot, near = math.hypot, MIN_VERTEX_SEPARATION_M
-    px, py = array("d"), array("d")
-    last_x = last_y = math.inf  # so the first point is kept: project returns finite ones
-    for ref in refs:
-        row = row_of(ref, missing)
-        if not kept[row]:
-            warnings.append(f"{context} skipped: unresolved node ref {ref}")
-            return None
-        x = xs[row]
-        if x != x:  # NaN: not projected yet
-            point = project(origin, nodes.lat[row], nodes.lon[row])
-            x = xs[row] = point.x
-            ys[row] = point.y
-        y = ys[row]
-        if hypot(x - last_x, y - last_y) > near:
-            px.append(x)
-            py.append(y)
-            last_x, last_y = x, y
-    return px, py
+def _road_tagged(tags: dict[str, str]) -> bool:
+    """Whether a way's tags make it a road: a drivable ``highway`` value."""
+    return tags.get("highway") in DRIVABLE_HIGHWAY_VALUES
+
+
+def _building(way_id, refs, rows, tags, points, defaults) -> Building | str:
+    """The building of way ``way_id``, by the rule that
+    :func:`extract_buildings` states, or the warning that skips it.
+
+    ``refs`` are the way's node refs and ``rows`` their rows in ``points``,
+    ``None`` for a ref to no node of the map.
+    """
+    if len(refs) < 2 or refs[0] != refs[-1]:
+        return f"building way {way_id} skipped: not closed"
+    if None in rows:
+        return f"building way {way_id} skipped: unresolved node ref {refs[rows.index(None)]}"
+    xs, ys = points.line(rows[:-1])
+    # the ring closes on its first point: drop the last ones that repeat it
+    while len(xs) > 1 and not _separated(xs[0], ys[0], xs[-1], ys[-1]):
+        xs.pop()
+        ys.pop()
+    if not _has_three_distinct(xs, ys):
+        return f"building way {way_id} skipped: fewer than 3 distinct vertices"
+    return Building(
+        id=way_id,
+        footprint=_local_points(xs, ys),
+        height=estimate_height(tags, defaults),
+        name=tags.get("name"),
+    )
+
+
+def _road(way_id, refs, rows, tags, points, defaults) -> Road | str:
+    """The road of way ``way_id``, by the rule that :func:`extract_roads`
+    states, or the warning that skips it; ``refs``, ``rows`` and ``points``
+    as :func:`_building` takes them."""
+    if None in rows:
+        return f"road way {way_id} skipped: unresolved node ref {refs[rows.index(None)]}"
+    xs, ys = points.line(rows)
+    if len(xs) < 2:
+        return f"road way {way_id} skipped: centerline shorter than 2 points"
+    return Road(
+        id=way_id, centerline=_local_points(xs, ys), width=defaults.road_width, name=tags.get("name")
+    )
+
+
+class _Projection:
+    """The local points of node rows, each row projected from ``lat`` and
+    ``lon`` once and remembered, so ways that share a node share its
+    numbers. The remembered x and y are a number per row, NaN until the
+    row is projected (``project`` never returns NaN), and they grow with
+    ``lat``: a node read after the last call is projected too."""
+
+    __slots__ = ("origin", "lat", "lon", "xs", "ys")
+
+    def __init__(self, origin: GeoOrigin, lat: array, lon: array):
+        self.origin, self.lat, self.lon = origin, lat, lon
+        self.xs, self.ys = array("d"), array("d")
+
+    def line(self, rows) -> tuple[array, array]:
+        """The x and the y of the rows' points, without each point that
+        lies within the vertex separation of the last one kept."""
+        xs, ys, lat, lon, origin = self.xs, self.ys, self.lat, self.lon, self.origin
+        if len(xs) < len(lat):
+            more = array("d", [math.nan]) * (len(lat) - len(xs))
+            xs.extend(more)
+            ys.extend(more)
+        hypot, near = math.hypot, MIN_VERTEX_SEPARATION_M
+        px, py = array("d"), array("d")
+        last_x = last_y = math.inf  # so the first point is kept: project returns finite ones
+        for row in rows:
+            x = xs[row]
+            if x != x:  # NaN: not projected yet
+                point = project(origin, lat[row], lon[row])
+                x = xs[row] = point.x
+                ys[row] = point.y
+            y = ys[row]
+            if hypot(x - last_x, y - last_y) > near:
+                px.append(x)
+                py.append(y)
+                last_x, last_y = x, y
+        return px, py
 
 
 def _separated(ax: float, ay: float, bx: float, by: float) -> bool:
@@ -225,12 +247,15 @@ def _separated(ax: float, ay: float, bx: float, by: float) -> bool:
 
 
 def _has_three_distinct(xs: Sequence[float], ys: Sequence[float]) -> bool:
-    """Whether a greedy pass in order keeps 3 pairwise separated points;
-    it stops at the third, so it makes at most 2 comparisons per point."""
-    distinct: list[tuple[float, float]] = []
-    for x, y in zip(xs, ys):
-        if all(_separated(x, y, qx, qy) for qx, qy in distinct):
-            distinct.append((x, y))
-            if len(distinct) == 3:
-                return True
-    return False
+    """Whether a greedy pass in order keeps 3 pairwise separated points:
+    the first point, the first one separated from it, and a later one
+    separated from both."""
+    points = zip(xs, ys)
+    ax, ay = next(points, (math.nan, math.nan))  # none: the loop finds no second
+    for bx, by in points:
+        if _separated(bx, by, ax, ay):
+            break
+    else:
+        return False
+    # the same iterator: the points after the second
+    return any(_separated(x, y, ax, ay) and _separated(x, y, bx, by) for x, y in points)

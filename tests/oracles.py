@@ -15,9 +15,11 @@ import math
 import xml.etree.ElementTree as ET
 from array import array
 
+from dtgen.config import resolve_spawn
 from dtgen.errors import OsmParseError
-from dtgen.geodesy import EARTH_RADIUS_M, LocalPoint
-from dtgen.osm import OsmDocument, OsmNode, OsmWay
+from dtgen.geodesy import EARTH_RADIUS_M, LocalPoint, origin_of, project
+from dtgen.osm import OsmDocument, OsmNode, OsmWay, filter_bbox, parse_osm
+from dtgen.pipeline import GenerationResult
 from dtgen.replay import (
     GapReport,
     Trajectory,
@@ -26,6 +28,7 @@ from dtgen.replay import (
     normalize_angle,
 )
 from dtgen.sdf import _RULES, _SHAPES, ValidationIssue, ValidationReport, _polyline_faults
+from dtgen.world_model import extract_buildings, extract_roads
 
 HEADING_GATE_M = 0.05
 MIN_VERTEX_SEPARATION_M = 1e-6
@@ -297,6 +300,26 @@ def three_set_filter_bbox(doc, bbox):
         keep_nodes.update(ref for ref in way.node_refs if ref in doc.nodes)
     nodes = {nid: n for nid, n in doc.nodes.items() if nid in keep_nodes}
     return OsmDocument(nodes=nodes, ways=kept_ways, warnings=list(doc.warnings))
+
+
+def four_pass_generate(config, osm):
+    """``generate_world`` as four passes over a held document: the whole
+    map parsed, then filtered to the bounding box, then every way read
+    for buildings, then again for roads. The warnings come in that order,
+    the parse's first, and then those of vehicles spawned outside the
+    bounding box."""
+    doc = filter_bbox(parse_osm(osm), config.bbox)
+    origin = origin_of(config.bbox)
+    buildings, building_warnings = extract_buildings(doc, origin, config.defaults)
+    roads, road_warnings = extract_roads(doc, origin, config.defaults)
+    warnings = doc.warnings + building_warnings + road_warnings
+    low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
+    high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
+    for spec in config.vehicles:
+        x, y, _ = resolve_spawn(spec.spawn, origin)
+        if not (low.x <= x <= high.x and low.y <= y <= high.y):
+            warnings.append(f"vehicle {spec.name!r} spawns outside the configured bounding box")
+    return GenerationResult(tuple(buildings), tuple(roads), tuple(warnings), config)
 
 
 def indent_encoder_gap_json(report):

@@ -6,6 +6,7 @@ Never another exit code, a traceback or a leftover temporary file."""
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate
@@ -14,10 +15,11 @@ from pathlib import Path
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from dtgen import cli
+from dtgen import EmitError, cli
 from dtgen.config import load_config
 from dtgen.pipeline import generate_world
 from dtgen.sdf import validate_sdf
+from oracles import four_pass_generate
 
 BBOX = {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.02, "max_lon": 8.03}
 GAP_CONFIG = {"bbox": BBOX, "vehicles": [{"name": "ego", "kind": "twin"}]}
@@ -287,3 +289,58 @@ def test_generate_property_reaches_both_outcomes():
     find(cases, lambda case: _checked_generate(*case) == 0 and has_both_model_kinds(*case),
          settings=_SEARCH)
     find(cases, lambda case: _checked_generate(*case) == 1, settings=_SEARCH)
+
+
+# a road and a closed building that cross the bbox's north edge: node 901
+# lies inside it, 902 and 903 past it
+_EDGE_ELEMENTS = [
+    '<node id="901" lat="48.019" lon="8.01"/>',
+    '<node id="902" lat="48.021" lon="8.01"/>',
+    '<node id="903" lat="48.021" lon="8.02"/>',
+    '<way id="901"><nd ref="901"/><nd ref="902"/><tag k="highway" v="residential"/></way>',
+    '<way id="902"><nd ref="901"/><nd ref="902"/><nd ref="903"/><nd ref="901"/>'
+    '<tag k="building" v="yes"/></way>',
+]
+
+
+@st.composite
+def _reordered_map_xml(draw) -> str:
+    """A map of :func:`_map_xml` with the edge-crossing ways above and
+    duplicate way ids added, its elements shuffled, and its ways listed
+    before its nodes in about half the draws."""
+    body = draw(_map_xml()).split('<osm version="0.6">', 1)[1]
+    elements = re.findall(r"<node [^>]*/>|<way .*?</way>", body, re.S) + _EDGE_ELEMENTS
+    ways = [element for element in elements if element.startswith("<way")]
+    # a way with the id of another, and its own refs and tags
+    for first, second in draw(st.lists(st.tuples(st.sampled_from(ways), st.sampled_from(ways)), max_size=3)):
+        way_id = re.search(r'id="(\d+)"', first)[1]
+        elements.append(re.sub(r'id="\d+"', f'id="{way_id}"', second, count=1))
+    elements = draw(st.permutations(elements))
+    if draw(st.booleans()):
+        elements = sorted(elements, key=lambda element: element.startswith("<node"))
+    return '<?xml version="1.0" encoding="UTF-8"?>\n<osm version="0.6">\n' + "\n".join(elements) + "\n</osm>\n"
+
+
+def _written(result) -> tuple[int, str] | str:
+    """The fault count and text of ``result``'s world, or the error that refuses it."""
+    out = io.StringIO()
+    try:
+        faults = result.write(out)
+    except EmitError as exc:
+        return str(exc)
+    return faults, out.getvalue()
+
+
+@given(osm=_reordered_map_xml(), config=_CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_generate_matches_the_four_pass_composition_in_any_element_order(osm, config):
+    # ways are extracted at their end tags, or held until the map ends when
+    # they name a node not read yet; either way the world and its warnings
+    # are those of a filter and two extractions over the whole document
+    config = load_config(json.dumps(config))
+    got = generate_world(config, io.BytesIO(osm.encode()))
+    want = four_pass_generate(config, io.BytesIO(osm.encode()))
+    assert got.buildings == want.buildings
+    assert got.roads == want.roads
+    assert got.warnings == want.warnings
+    assert _written(got) == _written(want)

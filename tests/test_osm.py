@@ -14,7 +14,7 @@ from oracles import three_set_filter_bbox, tree_parse_osm
 
 from dtgen import cli, osm
 from dtgen.errors import OsmParseError, RemoteError, ResponseFormatError, TransportError
-from dtgen.config import ExtractionDefaults
+from dtgen.config import ExtractionDefaults, GenerationConfig
 from dtgen.geodesy import BoundingBox, GeoOrigin, lat_lon_in_range
 from dtgen.osm import (
     OsmDocument,
@@ -25,6 +25,7 @@ from dtgen.osm import (
     overpass_query,
     parse_osm,
 )
+from dtgen.pipeline import generate_world
 from dtgen.world_model import extract_buildings
 
 
@@ -672,6 +673,18 @@ def test_a_filter_keeping_every_node_builds_no_second_node_store():
     filtered, _, peak = _traced(lambda: filter_bbox(doc, BoundingBox(47.0, 7.0, 49.0, 9.0)))
     assert len(filtered.nodes) == 16_000 and len(filtered.ways) == 4000
     assert peak < 300_000
+
+
+def test_generation_holds_no_way_past_its_end_tag():
+    # each way is extracted at its end tag and dropped, so generation peaks
+    # at the node columns and projections over the model it returns: 2.32 MB
+    # over it measured here, against 3.43 MB when every way, its refs tuple
+    # and its tags dict were held until a filter and two extractions ran
+    data = _city_map(4000).encode("utf-8")
+    config = GenerationConfig(BoundingBox(47.9, 7.9, 48.1, 8.2))
+    result, size, peak = _traced(lambda: generate_world(config, io.BytesIO(data)))
+    assert len(result.buildings) == 4000 and result.warnings == ()
+    assert peak - size < 2_800_000
 
 
 def test_parse_leaves_nothing_for_the_cycle_collector(data_dir):
