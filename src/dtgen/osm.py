@@ -17,9 +17,9 @@ every way in the document it returns. World generation reads the same map
 through the same reader, but hands each way to its extraction at the way's
 end tag and holds none, apart from a way that names a node not read yet: a
 dangling ref, or a node listed after the way. Such a way is held until the
-document ends. OSM XML lists nodes before ways, so a well-formed extract
-holds none, and a map that lists ways first holds them all, as
-:func:`parse_osm` does.
+document ends and is then handed to the same extraction, so every way goes
+through one rule. OSM XML lists nodes before ways, so a well-formed extract
+holds none, and a map that lists ways first holds them all until its end.
 
 Only :func:`fetch_overpass` needs the network stack (``urllib.request``,
 ``http.client`` and, through them, ``ssl``, ``socket`` and ``email``), so
@@ -173,7 +173,10 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
     ``take(way_id, refs, rows, tags)`` there, with its refs and their rows
     in those columns, and is not held: only its id is kept, for the
     duplicate-way rule. A way that names a node not read yet, a dangling
-    ref or a node listed after it, is held until the document ends.
+    ref or a node listed after it, is held until the document ends and
+    then handed to ``take`` in the order it was read, with ``None`` for
+    the row of a ref to no node of the map. The returned document then
+    holds no way.
     """
     if isinstance(source, (str, bytes, bytearray, memoryview, io.TextIOBase)):
         raise TypeError(
@@ -254,6 +257,10 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
     except expat.ExpatError as exc:
         line, column = exc.lineno, exc.offset
         raise OsmParseError(f"malformed OSM XML at line {line}, column {column}: {exc}", line, column) from exc
+    if take is not None:
+        for held in ways.values():
+            take(held.id, held.node_refs, list(map(index.get, held.node_refs)), held.tags)
+        ways = {}
     nodes = NodeColumns(index, ids, lat, lon, _all_kept(len(ids)))
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 

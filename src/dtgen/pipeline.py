@@ -7,7 +7,7 @@ from typing import BinaryIO, TextIO
 from .config import GenerationConfig, resolve_spawn
 from .geodesy import origin_of, project
 from .osm import _read_osm as parse_osm  # benchmarks/dtbench/tracing.py times pipeline.parse_osm
-from .osm import filter_bbox
+from .osm import filter_bbox  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.filter_bbox
 from .sdf import (
     emit_world,  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.emit_world
     write_world,
@@ -20,8 +20,8 @@ from .world_model import (
     _Projection,
     _road,
     _road_tagged,
-    extract_buildings,
-    extract_roads,
+    extract_buildings,  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.extract_buildings
+    extract_roads,  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.extract_roads
 )
 
 
@@ -55,10 +55,10 @@ def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
     road with a node inside the bounding box is extracted there, and the
     way itself is dropped. Only a way that names a node not read yet, a
     dangling ref or a node listed after it, is held until the map ends,
-    and then filtered and extracted with the others held
-    (:func:`filter_bbox`, :func:`extract_buildings`,
-    :func:`extract_roads`). Models and warnings come in way id order either
-    way, so the world does not depend on the order of the map's elements.
+    and then goes through the same rule; a ref to no node of the map
+    makes the way's "unresolved node ref" warning. Models and warnings
+    come in way id order, so the world does not depend on the order of
+    the map's elements.
 
     All defects along the way (bad map elements, skipped ways, spawns
     outside the bounding box) are collected as warnings, never printed.
@@ -76,7 +76,7 @@ def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
             if not (building or road):
                 return
             for row in rows:
-                if inside(lat[row], lon[row]):
+                if row is not None and inside(lat[row], lon[row]):
                     break
             else:
                 return  # no node in the bbox
@@ -87,11 +87,7 @@ def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
 
         return take
 
-    doc = parse_osm(osm, way_taker)  # its ways are the held ones
-    if doc.ways:
-        doc = filter_bbox(doc, bbox)
-        buildings.add_extracted(doc, _building_tagged, extract_buildings(doc, origin, defaults))
-        roads.add_extracted(doc, _road_tagged, extract_roads(doc, origin, defaults))
+    doc = parse_osm(osm, way_taker)
     building_models, building_warnings = buildings.in_id_order()
     road_models, road_warnings = roads.in_id_order()
 
@@ -129,18 +125,6 @@ class _Made:
             self.warned.append((way_id, made))
         else:
             self.models.append(made)
-
-    def add_extracted(self, doc, wanted, extracted) -> None:
-        """Add ``extracted``, the models and warnings that ``extract_buildings``
-        or ``extract_roads`` made of ``doc``. Each way of ``doc`` whose tags
-        ``wanted`` accepts made a model or, in way id order, a warning."""
-        models, warnings = extracted
-        self.models += models
-        made = {model.id for model in models}
-        skipped = [
-            way_id for way_id in sorted(doc.ways) if wanted(doc.ways[way_id].tags) and way_id not in made
-        ]
-        self.warned += zip(skipped, warnings, strict=True)
 
     def in_id_order(self) -> tuple[tuple, list[str]]:
         """The models and the warnings, each in way id order."""

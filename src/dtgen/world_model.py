@@ -10,8 +10,10 @@ footprint or centerline holds its points as two ``array('d')`` columns,
 
 Each kind has one per-way rule, :func:`_building` and :func:`_road`, which
 makes a model of one way or the warning that skips it. Generation calls
-them as each way is read; :func:`extract_buildings` and
-:func:`extract_roads` call them on every way of a held document.
+them on every way it reads, at the way's end tag or, for a way that names
+a node read after it or not at all, at the map's end;
+:func:`extract_buildings` and :func:`extract_roads` call them on every way
+of a parsed document, for library callers.
 """
 
 import math

@@ -10,6 +10,7 @@ and says why. The same change regenerates the committed demo world
 import hashlib
 import io
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -21,6 +22,16 @@ from dtgen.pipeline import generate_world
 DATA_DIR = Path(__file__).parent / "data"
 DEMOS_DIR = Path(__file__).parent.parent / "demos"
 GOLDEN = json.loads((DATA_DIR / "golden_world_sha256.json").read_text(encoding="utf-8"))
+
+
+def _ways_first(osm: bytes) -> bytes:
+    """The map ``osm`` with its ``<way>`` elements moved, in order, to the
+    head of its root, ahead of every node, so that a reader holds each way
+    until the map ends."""
+    way = re.compile(rb"<way\b.*?</way>\s*", re.DOTALL)
+    rest = way.sub(b"", osm)
+    root_end = re.search(rb"<osm\b[^>]*>\s*", rest).end()
+    return rest[:root_end] + b"".join(way.findall(osm)) + rest[root_end:]
 
 
 def _written(result):
@@ -42,11 +53,17 @@ def test_every_fixture_pair_has_a_hash():
 
 @pytest.mark.parametrize("pair", sorted(GOLDEN))
 def test_world_bytes_match_golden_hash(pair):
+    # the map as it is, and with every way held until the map ends: the
+    # same world and the same warnings
     osm_name, config_name = pair.split()
     config = load_config((DATA_DIR / config_name).read_text(encoding="utf-8"))
-    result = generate_world(config, io.BytesIO((DATA_DIR / osm_name).read_bytes()))
-    digest = hashlib.sha256(_written(result).encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[pair]
+    osm = (DATA_DIR / osm_name).read_bytes()
+    in_order = generate_world(config, io.BytesIO(osm))
+    ways_first = generate_world(config, io.BytesIO(_ways_first(osm)))
+    for result in (in_order, ways_first):
+        digest = hashlib.sha256(_written(result).encode("utf-8")).hexdigest()
+        assert digest == GOLDEN[pair]
+    assert ways_first.warnings == in_order.warnings
 
 
 def test_committed_demo_world_is_current():

@@ -687,6 +687,27 @@ def test_generation_holds_no_way_past_its_end_tag():
     assert peak - size < 2_800_000
 
 
+def test_generation_tests_only_the_nodes_of_its_ways_against_the_bbox():
+    # 2,000 nodes in the box and three ways, one held by a ref to a node the
+    # map lacks: a way's own nodes are tested, at most once per <nd>, and
+    # the held way no more than the others, not every node of the map
+    nodes = [f" <node id='{k}' lat='{48.0 + k * 1e-5:.5f}' lon='8.01'/>" for k in range(1, 2001)]
+    ways = [
+        " <way id='1'><nd ref='1'/><nd ref='2'/><nd ref='1000'/><nd ref='1'/>"
+        "<tag k='building' v='yes'/></way>",
+        " <way id='2'><nd ref='3'/><nd ref='500'/><nd ref='2000'/><tag k='highway' v='service'/></way>",
+        " <way id='3'><nd ref='4'/><nd ref='9999'/><tag k='highway' v='service'/></way>",
+    ]
+    data = "\n".join(["<osm version='0.6'>", *nodes, *ways, "</osm>"]).encode("utf-8")
+    config = GenerationConfig(BoundingBox(47.9, 7.9, 48.1, 8.2))
+    counted = mock.patch.object(BoundingBox, "contains", autospec=True, side_effect=BoundingBox.contains)
+    with counted as contains:
+        result = generate_world(config, io.BytesIO(data))
+    assert [b.id for b in result.buildings] == [1] and [r.id for r in result.roads] == [2]
+    assert result.warnings == ("road way 3 skipped: unresolved node ref 9999",)
+    assert contains.call_count <= data.count(b"<nd ")
+
+
 def test_parse_leaves_nothing_for_the_cycle_collector(data_dir):
     # the parser and its handlers go with the call, not at a later
     # collection, so a parse leaves only the document it returns
