@@ -222,11 +222,12 @@ def _write_world_file(path: Path, result: GenerationResult) -> tuple[ValidationI
     ``path`` must be missing, a regular file or a symlink: replacing
     anything else, such as ``/dev/null`` or a FIFO, would put a regular
     file in its place, so it is refused with an ``OSError`` before any
-    file is made. The temporary file is created as ``open(path, "w")``
-    would create it, mode 0o666 less the umask. On success it replaces
-    ``path`` in one ``os.replace``; on a writer fault it is read back to
-    locate each violation and then removed, as it is on any error, so a
-    failed run leaves ``path`` as it was.
+    file is made. The temporary file, ``.dtgen.RANDOM.tmp`` whatever
+    ``path`` is named, is created as ``open(path, "w")`` would create it,
+    mode 0o666 less the umask. On success it replaces ``path`` in one
+    ``os.replace``; on a writer fault it is read back to locate each
+    violation and then removed, as it is on any error, so a failed run
+    leaves ``path`` as it was.
     """
     try:
         mode = os.lstat(path).st_mode
@@ -237,7 +238,7 @@ def _write_world_file(path: Path, result: GenerationResult) -> tuple[ValidationI
             raise OSError(
                 f"{path}: not a regular file or a symlink; --out is replaced by a new file"
             )
-    temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    temporary = path.with_name(f".dtgen.{os.urandom(6).hex()}.tmp")
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as sink:
@@ -281,8 +282,8 @@ def _cmd_gap(args) -> int:
                 f"trajectory at t={recorded.t_first}"
             )
         # the replay starts from the recorded pose at the first control
-        start = shadow_follow(recorded, [controls[0].t]).samples[0]
-        initial = VehicleState(start.x, start.y, start.yaw, 0.0)
+        start = shadow_follow(recorded, [controls[0].t])
+        initial = VehicleState(start.x[0], start.y[0], start.yaw[0], 0.0)
         sim = simulate_controls(initial, controls, spec, t_end=recorded.t_last)
         del controls  # the simulated poses are all the comparison needs
         for warning in sim.warnings:

@@ -2,7 +2,8 @@
 
 The config is strict: unknown keys anywhere in the document are rejected so
 that a mistyped parameter name fails loudly instead of silently keeping a
-default. All lengths are meters, all angles radians.
+default, and so is a key that an object repeats, so that neither value is
+silently dropped. All lengths are meters, all angles radians.
 """
 
 import json
@@ -181,7 +182,7 @@ _VEHICLE_KEYS = {n for n in _keys(VehicleSpec)[0] if not n.startswith("chassis_"
 def load_config(text: str) -> GenerationConfig:
     """Parse and validate the JSON generation config."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"config is not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}",
@@ -215,6 +216,16 @@ def resolve_spawn(spawn: Spawn, origin: GeoOrigin) -> tuple[float, float, float]
         point = project(origin, spawn.lat, spawn.lon)
         return point.x, point.y, spawn.yaw
     return spawn.x, spawn.y, spawn.yaw
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config as a dict; a key it repeats is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigValidationError(f"duplicate key {key!r} in a config object")
+        obj[key] = value
+    return obj
 
 
 def _reject_unknown(raw: dict, allowed, context: str) -> None:

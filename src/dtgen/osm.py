@@ -14,12 +14,12 @@ it filters.
 
 What is held of the ways depends on the caller. :func:`parse_osm` holds
 every way in the document it returns. World generation reads the same map
-through the same reader, but hands each way to its extraction at the way's
-end tag and holds none, apart from a way that names a node not read yet: a
-dangling ref, or a node listed after the way. Such a way is held until the
-document ends and is then handed to the same extraction, so every way goes
-through one rule. OSM XML lists nodes before ways, so a well-formed extract
-holds none, and a map that lists ways first holds them all until its end.
+through the same reader, but hands each way at its end tag to its per-way
+pass in :mod:`dtgen.world_model` and holds none, apart from a way that
+names a node not read yet: a dangling ref, or a node listed after the way.
+Such a way is held until the document ends and is then handed to the same
+pass. OSM XML lists nodes before ways, so a well-formed extract holds
+none, and a map that lists ways first holds them all until its end.
 
 Only :func:`fetch_overpass` needs the network stack (``urllib.request``,
 ``http.client`` and, through them, ``ssl``, ``socket`` and ``email``), so
@@ -34,8 +34,9 @@ import math
 from array import array
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import and_
+from functools import partial
+from itertools import chain, compress
+from operator import and_, is_not
 from threading import TIMEOUT_MAX
 from typing import BinaryIO
 from xml.parsers import expat
@@ -69,12 +70,11 @@ class NodeColumns(Mapping):
 
     ``index`` maps an id to its row, ``ids`` holds the id objects in row
     order, and ``lat`` and ``lon`` are ``array('d')`` columns. ``kept`` has
-    a byte per row, 1 for a row that is one of these nodes, and one more,
-    0, for row ``len(ids)``: ``index.get(node_id, len(ids))`` is a row for
-    any id, and ``kept`` there tells whether it is one of these. A filtered
-    document shares its parent's index and columns and has its own
-    ``kept``. A node is built when it is read; ``len``, ``in``, ``get``,
-    iteration and ``==`` are those of the dict of them in row order.
+    one byte per row, 1 for a row that is one of these nodes and 0 for one
+    that is not; :meth:`row` reads the two together. A filtered document
+    shares its parent's index and columns and has its own ``kept``. A node
+    is built when it is read; ``len``, ``in``, ``get``, iteration and ``==``
+    are those of the dict of them in row order.
     """
 
     __slots__ = ("index", "ids", "lat", "lon", "kept", "_len")
@@ -92,12 +92,12 @@ class NodeColumns(Mapping):
         ids = list(nodes)
         values = nodes.values()
         lat, lon = array("d", [n.lat for n in values]), array("d", [n.lon for n in values])
-        return cls({nid: row for row, nid in enumerate(ids)}, ids, lat, lon, _all_kept(len(ids)))
+        return cls({nid: row for row, nid in enumerate(ids)}, ids, lat, lon, bytearray(b"\1") * len(ids))
 
     def row(self, node_id: int) -> int | None:
         """The row of the node ``node_id``, or ``None`` when it is not one of these."""
-        row = self.index.get(node_id, len(self.ids))
-        return row if self.kept[row] else None
+        row = self.index.get(node_id)
+        return None if row is None or not self.kept[row] else row
 
     def __getitem__(self, node_id: int) -> OsmNode:
         row = self.row(node_id)
@@ -261,13 +261,8 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
         for held in ways.values():
             take(held.id, held.node_refs, list(map(index.get, held.node_refs)), held.tags)
         ways = {}
-    nodes = NodeColumns(index, ids, lat, lon, _all_kept(len(ids)))
+    nodes = NodeColumns(index, ids, lat, lon, bytearray(b"\1") * len(ids))
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
-
-
-def _all_kept(rows: int) -> bytearray:
-    """The ``kept`` bytes of a :class:`NodeColumns` that keeps all its ``rows``."""
-    return bytearray([1]) * rows + b"\0"
 
 
 def _read_refs(way_id: int, texts: list[str | None], warnings: list[str]) -> list[int]:
@@ -374,18 +369,16 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
     """
     nodes = doc.nodes
     parent = nodes.kept
-    # a byte per row, 1 for a node of doc inside the box, then the 0 of no row
-    kept = bytearray(map(and_, parent, map(bbox.contains, nodes.lat, nodes.lon))) + b"\0"
-    # the row of each ref, len(ids) for one the index lacks: repeat never
-    # ends, so the one below serves every map
-    is_kept, row_of, missing = kept.__getitem__, nodes.index.get, repeat(len(nodes.ids))
+    # a byte per row, 1 for a node of doc inside the box
+    kept = bytearray(map(and_, parent, map(bbox.contains, nodes.lat, nodes.lon)))
+    is_kept, row_of, indexed = kept.__getitem__, nodes.index.get, partial(is_not, None)
     kept_ways = {
         wid: way
         for wid, way in doc.ways.items()
-        if any(map(is_kept, map(row_of, way.node_refs, missing)))
+        if any(map(is_kept, filter(indexed, map(row_of, way.node_refs))))
     }
     refs = chain.from_iterable(way.node_refs for way in kept_ways.values())
-    for row in map(row_of, refs, missing):
+    for row in filter(indexed, map(row_of, refs)):
         kept[row] = parent[row]  # 1 for a node of doc; kept holds no other
     kept_nodes = NodeColumns(nodes.index, nodes.ids, nodes.lat, nodes.lon, kept)
     return OsmDocument(nodes=kept_nodes, ways=kept_ways, warnings=list(doc.warnings))

@@ -9,20 +9,21 @@ footprint or centerline holds its points as two ``array('d')`` columns,
 ``x`` and ``y``: 16 bytes a point.
 
 Each kind has one per-way rule, :func:`_building` and :func:`_road`, which
-makes a model of one way or the warning that skips it. Generation calls
-them on every way it reads, at the way's end tag or, for a way that names
-a node read after it or not at all, at the map's end;
-:func:`extract_buildings` and :func:`extract_roads` call them on every way
-of a parsed document, for library callers.
+makes a model of one way or the warning that skips it. Both passes that
+call them are here and gather in a :class:`_Made`, in way id order:
+generation's, :func:`_way_taker`, on each way the map reader hands it with
+its rows, and the library's, :func:`extract_buildings` and
+:func:`extract_roads`, on a document's ways, rows by ``NodeColumns.row``.
 """
 
 import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .config import ExtractionDefaults
-from .geodesy import GeoOrigin, LocalPoint, _Rows, is_ascii_number, project
+from .geodesy import BoundingBox, GeoOrigin, LocalPoint, _Rows, is_ascii_number, project
 from .osm import OsmDocument
 
 MIN_VERTEX_SEPARATION_M = 1e-6
@@ -139,26 +140,70 @@ def _extract(doc, origin, defaults, wanted, rule) -> tuple[list, list[str]]:
     """What ``rule`` makes of each way of ``doc`` whose tags ``wanted``
     accepts, in way id order: the models, and the warnings of the ways it
     skipped."""
-    models: list = []
-    warnings: list[str] = []
-    nodes = doc.nodes
-    points = _Projection(origin, nodes.lat, nodes.lon)
-    # the row of each ref, len(ids) for one the index lacks, where kept is 0
-    kept, row_of, missing = nodes.kept, nodes.index.get, len(nodes.ids)
-    for way_id in sorted(doc.ways):
-        way = doc.ways[way_id]
+    made = _Made()
+    points = _Projection(origin, doc.nodes.lat, doc.nodes.lon)
+    row = doc.nodes.row
+    for way_id, way in doc.ways.items():
         if wanted(way.tags):
             refs = way.node_refs
-            rows = [row if kept[row] else None for row in [row_of(ref, missing) for ref in refs]]
-            made = rule(way_id, refs, rows, way.tags, points, defaults)
-            (warnings if type(made) is str else models).append(made)
-    return models, warnings
+            made.add(way_id, rule(way_id, refs, list(map(row, refs)), way.tags, points, defaults))
+    return made.in_id_order()
+
+
+def _way_taker(bbox: BoundingBox, origin: GeoOrigin, defaults: ExtractionDefaults, buildings, roads):
+    """Generation's pass, the ``way_taker`` of ``dtgen.osm._read_osm``:
+    what :func:`_building` or :func:`_road` makes of each way tagged as
+    theirs, with a node inside ``bbox``, is added to ``buildings`` or
+    ``roads``, each a :class:`_Made`."""
+
+    def way_taker(lat: array, lon: array):
+        points = _Projection(origin, lat, lon)
+
+        def take(way_id, refs, rows, tags):
+            building, road = _building_tagged(tags), _road_tagged(tags)
+            if not (building or road):
+                return
+            for row in rows:
+                if row is not None and bbox.contains(lat[row], lon[row]):
+                    break
+            else:
+                return  # no node in the bbox
+            if building:
+                buildings.add(way_id, _building(way_id, refs, rows, tags, points, defaults))
+            if road:
+                roads.add(way_id, _road(way_id, refs, rows, tags, points, defaults))
+
+        return take
+
+    return way_taker
+
+
+class _Made:
+    """The models of one kind and the warnings of the ways it skipped, each
+    warning with its way's id, gathered in any order of the ways."""
+
+    __slots__ = ("models", "warned")
+
+    def __init__(self):
+        self.models, self.warned = [], []  # the models; (way id, warning) pairs
+
+    def add(self, way_id: int, made) -> None:
+        """Add what a per-way rule made of way ``way_id``: a model, or the warning that skips it."""
+        if type(made) is str:
+            self.warned.append((way_id, made))
+        else:
+            self.models.append(made)
+
+    def in_id_order(self) -> tuple[list, list[str]]:
+        """The models and the warnings, each in way id order."""
+        self.models.sort(key=attrgetter("id"))
+        self.warned.sort(key=itemgetter(0))
+        return self.models, [text for _, text in self.warned]
 
 
 def _building_tagged(tags: dict[str, str]) -> bool:
     """Whether a way's tags make it a building: a ``building`` tag other than "no"."""
-    value = tags.get("building")
-    return value is not None and value != "no"
+    return tags.get("building", "no") != "no"
 
 
 def _road_tagged(tags: dict[str, str]) -> bool:

@@ -294,6 +294,16 @@ class TestGenerate:
         assert stat.S_ISFIFO(os.lstat(out).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == [out.name]  # no temporary file
 
+    @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="needs os.pathconf")
+    def test_an_output_name_of_the_longest_length_is_written(self, track_args, tmp_path):
+        # the temporary file beside --out must fit whatever name --out has
+        args, out = track_args
+        longest = tmp_path / ("w" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        assert cli.main(args[:-1] + [str(longest)]) == 0
+        assert cli.main(args) == 0
+        assert longest.read_bytes() == out.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([longest.name, out.name])
+
     def test_output_into_a_missing_directory_is_io_error(self, track_args, tmp_path):
         args, _ = track_args
         args = args[:-1] + [str(tmp_path / "missing" / "w.sdf")]

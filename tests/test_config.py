@@ -56,6 +56,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigValidationError, match=f"^{re.escape(context)} must be finite"):
             load_config(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (MINIMAL[:-1] + ', "bbox": {"min_lat": 47.0, "min_lon": 7.0, "max_lat": 47.1, '
+             '"max_lon": 7.1}}', "bbox"),
+            ('{"bbox": {"min_lat": 48.0, "min_lon": 8.0, "max_lat": 48.1, "max_lon": 8.1, '
+             '"min_lat": 47.9}}', "min_lat"),
+            (MINIMAL[:-1] + ', "vehicles": [{"name": "ego", "kind": "twin", '
+             '"wheelbase": 2.7, "wheelbase": 4.0}]}', "wheelbase"),
+            (MINIMAL[:-1] + ', "vehicles": [{"name": "ego", "kind": "twin", '
+             '"chassis": {"height": 1.4, "length": 4.5, "height": 1.6}}]}', "height"),
+        ],
+        ids=["top-level", "bbox", "vehicle", "chassis"],
+    )
+    def test_a_repeated_key_is_refused_by_its_name(self, text, key):
+        # either value alone makes a valid config: neither may be dropped silently
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(text)
+        assert str(exc.value) == f"duplicate key {key!r} in a config object"
+
     def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
         with pytest.raises(ConfigParseError, match="config cannot be read"):
             load_config("[" * 100_000 + "]" * 100_000)

@@ -26,7 +26,7 @@ from dtgen.osm import (
     parse_osm,
 )
 from dtgen.pipeline import generate_world
-from dtgen.world_model import extract_buildings
+from dtgen.world_model import DRIVABLE_HIGHWAY_VALUES, extract_buildings, extract_roads
 
 
 def _parse(text):
@@ -340,8 +340,45 @@ def test_node_columns_read_as_the_dict_they_replace(rows, absent):
         assert nodes.get(absent, "none") == want.get(absent, "none")
         assert repr(nodes) == repr(want)
     if want:
-        assert parsed != {**want, next(iter(want)): OsmNode(0, 0.5, 0.5)}
+        # latitude 91 is drawn for no node, so the edited dict always differs
+        assert parsed != {**want, next(iter(want)): OsmNode(0, 91.0, 0.5)}
         assert parsed != dict(list(want.items())[1:])
+
+
+@given(rows=_node_rows, refs=st.lists(_node_ids, max_size=6), box=_boxes(), absent=_node_ids)
+@settings(max_examples=150)
+def test_a_row_is_found_exactly_for_a_node_held(rows, refs, box, absent):
+    # a filtered document shares its parent's index, so the index holds
+    # ids whose nodes the filter dropped: row must find none for them
+    xml = "".join(f'<node id="{i}" lat="{lat!r}" lon="{lon!r}"/>' for i, lat, lon in rows)
+    xml += '<way id="1">' + "".join(f'<nd ref="{ref}"/>' for ref in refs) + "</way>"
+    parsed = _parse(f"<osm>{xml}</osm>")
+    for nodes in (parsed.nodes, filter_bbox(parsed, box).nodes):
+        assert len(nodes.kept) == len(nodes.ids)
+        held = set(nodes)  # read by iteration, not by row
+        for node_id in {i for i, _, _ in rows} | set(refs) | {absent}:
+            row = nodes.row(node_id)
+            assert (row is None) == (node_id not in nodes) == (node_id not in held)
+            assert row is None or nodes.ids[row] == node_id
+
+
+def test_extraction_finds_only_the_filtered_nodes(data_dir):
+    # the filtered nodes, given with every way of the map: a ref whose node
+    # the filter dropped is unresolved, though the shared index holds it
+    with open(data_dir / "track.osm", "rb") as f:
+        doc = parse_osm(f)
+    nodes = filter_bbox(doc, BoundingBox(48.003, 8.004, 48.011, 8.0148)).nodes
+    _, warnings = extract_roads(
+        OsmDocument(nodes=nodes, ways=doc.ways), GeoOrigin(48.01, 8.015), ExtractionDefaults()
+    )
+    want = []
+    for way_id in sorted(doc.ways):
+        refs = doc.ways[way_id].node_refs
+        missing = [ref for ref in refs if ref not in nodes]
+        if doc.ways[way_id].tags.get("highway") in DRIVABLE_HIGHWAY_VALUES and missing:
+            want.append(f"road way {way_id} skipped: unresolved node ref {missing[0]}")
+    assert [w for w in warnings if "unresolved node ref" in w] == want
+    assert len(want) == 6 and all(int(w.split()[-1]) in doc.nodes for w in want)
 
 
 def test_filtered_nodes_are_the_parents_columns_and_a_byte_a_node():
