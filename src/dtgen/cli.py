@@ -276,13 +276,19 @@ def _cmd_gap(args) -> int:
     if args.controls:
         with open(args.controls, "rb") as binary:
             controls = parse_controls_csv(_text_lines(args.controls, binary))
-        if controls[0].t < recorded.t_first:
+        # the replay needs the recorded pose at its first control
+        first = controls[0].t
+        if first < recorded.t_first:
             raise ValueError(
-                f"control log starts at t={controls[0].t}, before the recorded "
-                f"trajectory at t={recorded.t_first}"
+                f"control log starts at t={first}, before the recorded trajectory "
+                f"starts at t={recorded.t_first}"
             )
-        # the replay starts from the recorded pose at the first control
-        start = shadow_follow(recorded, [controls[0].t])
+        if first > recorded.t_last:
+            raise ValueError(
+                f"control log starts at t={first}, after the recorded trajectory "
+                f"ends at t={recorded.t_last}"
+            )
+        start = shadow_follow(recorded, [first])
         initial = VehicleState(start.x[0], start.y[0], start.yaw[0], 0.0)
         sim = simulate_controls(initial, controls, spec, t_end=recorded.t_last)
         del controls  # the simulated poses are all the comparison needs

@@ -66,17 +66,6 @@ class TrajectorySample:
     yaw: float | None = None
 
 
-def _check_order(times: Sequence[float], kind: str, noun: str) -> None:
-    """Refuse ``times`` unless they strictly increase, naming the index and
-    time of the first one that does not rise (a NaN never does), and the
-    time before it."""
-    for i, (a, b) in enumerate(itertools.pairwise(times), 1):
-        if not b > a:
-            raise ValueError(
-                f"{kind} timestamps must be strictly increasing: {noun} {i} at t={b} follows t={a}"
-            )
-
-
 def _pair(t: float, d: float) -> tuple[float, float]:
     return t, d
 
@@ -97,7 +86,11 @@ class Trajectory:
         for name, column in (("x", x), ("y", y), ("yaw", yaw)):
             if column is not None and len(column) != len(t):
                 raise ValueError(f"trajectory column {name} has {len(column)} values, t {len(t)}")
-        _check_order(t, "trajectory", "sample")
+        for i, (a, b) in enumerate(itertools.pairwise(t), 1):
+            if not b > a:  # a NaN never rises
+                raise ValueError(
+                    f"trajectory timestamps must be strictly increasing: sample {i} at t={b} follows t={a}"
+                )
         self.t, self.x, self.y, self.yaw, self.warnings = t, x, y, yaw, tuple(warnings)
 
     @property
@@ -301,46 +294,49 @@ def simulate_controls(
     spec: VehicleSpec,
     t_end: float | None = None,
 ) -> Trajectory:
-    """Integrate a recorded command stream with zero-order hold.
+    """Integrate a recorded command stream, any sequence of controls, with
+    zero-order hold in one pass over it.
 
-    Each control is held until the next sample, one exact
-    :func:`step_kinematic` per interval. The trajectory has one pose per
-    control timestamp, plus one at ``t_end`` when that extends past the last
-    control (the last command is held). Steer values beyond the spec limit
-    are clamped and noted on the trajectory's warning list.
+    Each control must rise past the one before it, which is then held until
+    its time, one exact :func:`step_kinematic` per interval; a stream with
+    several faults is refused at the first in stream order. The trajectory
+    has one pose per control timestamp, plus one at ``t_end`` when that
+    extends past the last control (the last command is held). Steer beyond
+    the spec limit is clamped and noted on the trajectory's warning list.
     """
     if not controls:
         raise ValueError("at least one control sample is required")
-    # the columns parse_controls_csv holds, else read from the samples once
-    if isinstance(controls, _Rows) and controls._row is ControlSample:
-        t, speed, steer = controls.columns
-    else:
-        t, speed, steer = (
-            array("d", [getattr(c, name) for c in controls]) for name in ("t", "speed", "steer")
-        )
-    _check_order(t, "control", "control")
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
-
     limit = spec.max_steer_angle
-    warnings = [
-        f"control at t={c_t}: steer {c_steer} exceeds limit {limit}, clamped"
-        for c_t, c_steer in zip(t, steer)
-        if abs(c_steer) > limit
-    ]
+    state, warnings = initial, []
+    t, x, y, yaw = array("d"), array("d", [state.x]), array("d", [state.y]), array("d", [state.yaw])
 
-    times = array("d", t)
-    if t_end is not None and t_end > t[-1]:
-        times.append(t_end)  # the last control is held until then
-    state = initial
-    x, y, yaw = array("d", [state.x]), array("d", [state.y]), array("d", [state.yaw])
-    # each control with the end of its hold, the next time
-    for control, t1 in zip(map(ControlSample, t, speed, steer), itertools.islice(times, 1, None)):
-        state = step_kinematic(state, control, t1 - control.t, spec)
+    def hold(until: float) -> None:
+        nonlocal state
+        state = step_kinematic(state, held, until - held.t, spec)
         x.append(state.x)
         y.append(state.y)
         yaw.append(state.yaw)
-    return Trajectory(times, x, y, yaw, warnings)
+
+    for i, control in enumerate(controls):
+        if i:  # every control but the first
+            if not control.t > held.t:  # a NaN never rises
+                raise ValueError(
+                    "control timestamps must be strictly increasing: "
+                    f"control {i} at t={control.t} follows t={held.t}"
+                )
+            hold(control.t)
+        if abs(control.steer) > limit:
+            warnings.append(
+                f"control at t={control.t}: steer {control.steer} exceeds limit {limit}, clamped"
+            )
+        t.append(control.t)
+        held = control
+    if t_end is not None and t_end > held.t:
+        hold(t_end)  # the last control is held until then
+        t.append(t_end)
+    return Trajectory(t, x, y, yaw, warnings)
 
 
 def _resample(traj: Trajectory, times: Iterable[float]) -> Iterator[tuple]:

@@ -335,10 +335,11 @@ def validate_sdf(text: str) -> ValidationReport:
 
     Checks: well-formed XML, ``<sdf>`` root with a version, exactly one
     ``<world>`` containing a ``<spherical_coordinates>`` element, unique model
-    names, polylines with at least 3 points and positive height, poses of 6
-    finite numbers, and box and plane sizes of finite positive numbers.
+    names, polylines with at least 3 points of 2 finite numbers each and a
+    positive height, poses of 6 finite numbers, and box and plane sizes of
+    finite positive numbers, 3 for a box and 2 for a plane.
     """
-    stack: list = []  # (tag, name) of each open element, [tag, name, slot, text, points] if checked
+    stack: list = []  # (tag, name) of each open element, [tag, name, slot, text, points or arity] if checked
     root: list[str | None] = []  # the root's tag and version
     worlds: list[list] = []  # location, <spherical_coordinates> seen, issues and model names
     faults: list[ValidationIssue] = []  # of poses, sizes and polylines, in start-tag order
@@ -351,13 +352,15 @@ def validate_sdf(text: str) -> ValidationReport:
         if tag in _READ and stack:  # of any other element only the path is kept
             parent = stack[-1]
             polyline = parent[0] == "polyline" and len(parent) > 2  # checked: not the root
-            if polyline and tag == "point":
+            point = polyline and tag == "point"
+            if point:
                 parent[4] += 1
-            elif polyline and tag == "height" and parent[3] is None:
+            if polyline and tag == "height" and parent[3] is None:
                 parent[3] = gathered = []  # only the first height counts
-            elif tag == "polyline" or tag == "pose" or (tag == "size" and parent[0] in _SHAPES):
+            elif point or tag == "polyline" or tag == "pose" or (tag == "size" and parent[0] in _SHAPES):
                 gathered = None if tag == "polyline" else []
-                entry = [tag, entry[1], len(faults), gathered, 0]  # its faults go in at the slot
+                # its faults go in at the slot; a size holds its shape's arity, a polyline counts its points
+                entry = [tag, entry[1], len(faults), gathered, _SHAPES[parent[0]] if tag == "size" else 0]
             elif tag == "world" and len(stack) == 1:
                 worlds.append([_location([*stack, entry]), False, [], set()])
             elif parent[0] == "world" and len(stack) == 2 and tag == "spherical_coordinates":
@@ -379,9 +382,12 @@ def validate_sdf(text: str) -> ValidationReport:
         entry = stack.pop()
         if len(entry) > 2:
             numbers = _numbers("".join(entry[3] or ()))
-            messages = _RULES[tag](numbers) if tag != "polyline" else _polyline_faults(
-                entry[4], numbers[0] if len(numbers) == 1 else math.nan
-            )
+            if tag == "polyline":
+                messages = _polyline_faults(entry[4], numbers[0] if len(numbers) == 1 else math.nan)
+            elif tag == "size":
+                messages = _size_faults(numbers, entry[4])
+            else:
+                messages = _RULES[tag](numbers)
             faults[entry[2] : entry[2]] = (ValidationIssue(_location([*stack, entry]), m) for m in messages)
 
     def gather(data: str) -> None:
@@ -436,11 +442,22 @@ def _pose_faults(values: Sequence[float]) -> list[str]:
     return []
 
 
-def _size_faults(values: Sequence[float]) -> list[str]:
-    """The rule for a ``<size>``'s numbers, of a plane or a box; the writer
-    and the validator both apply it."""
+def _point_faults(values: Sequence[float]) -> list[str]:
+    """The rule for a polyline point's numbers. The validator applies it; the
+    writer needs not, as the world model holds finite points only."""
+    if len(values) != 2 or not all(map(math.isfinite, values)):
+        return ["point must contain 2 finite numbers"]
+    return []
+
+
+def _size_faults(values: Sequence[float], arity: int | None = None) -> list[str]:
+    """The rule for a ``<size>``'s numbers, ``arity`` of them when given: 3
+    for a box and 2 for a plane, the counts ``_SHAPES`` holds. The writer,
+    which writes those counts, and the validator both apply it."""
     if not values or not all(0 < v < math.inf for v in values):  # NaN fails both
         return ["size must contain finite positive numbers"]
+    if arity is not None and len(values) != arity:
+        return [f"size must contain {arity} numbers, got {len(values)}"]
     return []
 
 
@@ -452,6 +469,6 @@ def _numbers(text: str) -> list[float]:
         return []
 
 
-_RULES = {"pose": _pose_faults, "size": _size_faults}  # by tag, for the writer and the validator
-_SHAPES = ("box", "plane")  # the parents whose <size> the size rule applies to
+_RULES = {"pose": _pose_faults, "point": _point_faults, "size": _size_faults}  # by tag
+_SHAPES = {"box": 3, "plane": 2}  # the parents whose <size> the size rule applies to, and its arity
 _READ = {"pose", "size", "polyline", "point", "height", "world", "model", "spherical_coordinates"}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .config import ExtractionDefaults
-from .geodesy import BoundingBox, GeoOrigin, LocalPoint, _Rows, is_ascii_number, project
+from .geodesy import _FLOAT_MAX, BoundingBox, GeoOrigin, LocalPoint, _Rows, is_ascii_number, project
 from .osm import OsmDocument
 
 MIN_VERTEX_SEPARATION_M = 1e-6
@@ -53,8 +53,13 @@ def _local_points(xs: Sequence[float], ys: Sequence[float]) -> Sequence[LocalPoi
 
 def _points(points: Sequence[LocalPoint]) -> Sequence[LocalPoint]:
     """``points``, a sequence of :class:`LocalPoint`, read once into the
-    columns that :func:`_local_points` holds."""
-    return _local_points([p.x for p in points], [p.y for p in points])
+    columns that :func:`_local_points` holds. A coordinate that is not
+    finite is refused, as ``LocalPoint`` refuses it: the SDF writer counts
+    no fault in a footprint's points."""
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    if not all(abs(v) <= _FLOAT_MAX for v in xs + ys):
+        raise ValueError("local coordinates must be finite")
+    return _local_points(xs, ys)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,11 +21,13 @@ from dtgen.geodesy import EARTH_RADIUS_M, LocalPoint, origin_of, project
 from dtgen.osm import OsmDocument, OsmNode, OsmWay, filter_bbox, parse_osm
 from dtgen.pipeline import GenerationResult
 from dtgen.replay import (
+    ControlSample,
     GapReport,
     Trajectory,
     TrajectorySample,
     derive_headings,
     normalize_angle,
+    step_kinematic,
 )
 from dtgen.sdf import _RULES, _SHAPES, ValidationIssue, ValidationReport, _polyline_faults
 from dtgen.world_model import extract_buildings, extract_roads
@@ -198,8 +200,9 @@ def _tree_way(element, warnings):
 def tree_validate_sdf(text):
     """``validate_sdf`` as one ``ET.fromstring`` of the whole text, then
     ``find``, ``findall`` and ``iter`` over the tree, with a parent map for
-    locations: the validator the streaming one replaced. It applies the
-    same per-element rules, from ``dtgen.sdf``."""
+    locations and for the parent a size or point rule depends on: the
+    validator the streaming one replaced. It applies the same per-element
+    rules, from ``dtgen.sdf``."""
     issues = []
     try:
         root = ET.fromstring(text)
@@ -238,17 +241,21 @@ def tree_validate_sdf(text):
                 issues.append(ValidationIssue(world_loc, f"duplicate model name {name}"))
             seen.add(name)
 
-    # every pose, polyline and box or plane size in document order; the
-    # parent map that a location needs is built only once a check has failed
-    parents = None
+    # every pose, polyline, polyline point and box or plane size in document
+    # order; other sizes, such as a particle emitter's, may be zero
+    parents = {child: parent for parent in root.iter() for child in parent}
     for element in root.iter():
-        check = _TREE_CHECKS.get(element.tag)
-        for message in check(element) if check else ():
-            if parents is None:
-                parents = {child: parent for parent in root.iter() for child in parent}
-            if element.tag == "size" and parents[element].tag not in _SHAPES:
-                break  # other sizes, such as a particle emitter's, may be zero
-            issues.append(ValidationIssue(_tree_located(element, parents), message))
+        parent = parents.get(element)
+        tag, parent_tag = element.tag, None if parent is None else parent.tag
+        if tag == "polyline":
+            messages = _tree_check_polyline(element)
+        elif tag == "pose" or (tag == "point" and parent_tag == "polyline"):
+            messages = _RULES[tag](_tree_numbers(element))
+        elif tag == "size" and parent_tag in _SHAPES:
+            messages = _RULES[tag](_tree_numbers(element), _SHAPES[parent_tag])
+        else:
+            messages = []
+        issues += (ValidationIssue(_tree_located(element, parents), m) for m in messages)
     return ValidationReport(tuple(issues))
 
 
@@ -278,13 +285,6 @@ def _tree_check_polyline(element):
     height = _tree_numbers(element.find("height"))
     points = len(element.findall("point"))
     return _polyline_faults(points, height[0] if len(height) == 1 else math.nan)
-
-
-def _tree_check_numbers(element):
-    return _RULES[element.tag](_tree_numbers(element))
-
-
-_TREE_CHECKS = {"polyline": _tree_check_polyline, "pose": _tree_check_numbers, "size": _tree_check_numbers}
 
 
 def three_set_filter_bbox(doc, bbox):
@@ -396,6 +396,42 @@ def shadow_follow_compute_gap(real, sim):
         longitudinal_rmse=math.sqrt(mean(longitudinal_sq)),
         per_sample=tuple((float(t), d) for t, d in zip(times, devs)),
     )
+
+
+def column_simulate_controls(initial, controls, spec, t_end=None):
+    """``simulate_controls`` as three ``array('d')`` columns read from the
+    controls, then a pass each for the order check, the clamp warnings and
+    the times, and only then the steps: the replay the one-pass loop
+    replaced. A step back in time is refused before a non-finite ``t_end``,
+    and both before any hold is stepped."""
+    if not controls:
+        raise ValueError("at least one control sample is required")
+    t, speed, steer = (array("d", [getattr(c, n) for c in controls]) for n in ("t", "speed", "steer"))
+    for i in range(1, len(t)):
+        if not t[i] > t[i - 1]:
+            raise ValueError(
+                "control timestamps must be strictly increasing: "
+                f"control {i} at t={t[i]} follows t={t[i - 1]}"
+            )
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    limit = spec.max_steer_angle
+    warnings = [
+        f"control at t={c_t}: steer {c_steer} exceeds limit {limit}, clamped"
+        for c_t, c_steer in zip(t, steer)
+        if abs(c_steer) > limit
+    ]
+    times = array("d", t)
+    if t_end is not None and t_end > t[-1]:
+        times.append(t_end)
+    state = initial
+    x, y, yaw = array("d", [state.x]), array("d", [state.y]), array("d", [state.yaw])
+    for control, t1 in zip(map(ControlSample, t, speed, steer), times[1:]):
+        state = step_kinematic(state, control, t1 - control.t, spec)
+        x.append(state.x)
+        y.append(state.y)
+        yaw.append(state.yaw)
+    return Trajectory(times, x, y, yaw, warnings)
 
 
 def _wrapped(degrees: float) -> float:

@@ -491,6 +491,28 @@ class TestGap:
         err = capsys.readouterr().err
         assert "t=-1.0" in err and "t=0.0" in err
 
+    @pytest.mark.parametrize(
+        "controls_text, message",
+        [
+            (
+                "t,speed,steer\n-1,10,0\n5,10,0\n",
+                "control log starts at t=-1.0, before the recorded trajectory starts at t=0.0",
+            ),
+            (
+                "t,speed,steer\n12,10,0\n15,10,0\n",
+                "control log starts at t=12.0, after the recorded trajectory ends at t=10.0",
+            ),
+        ],
+        ids=["before", "after"],
+    )
+    def test_controls_outside_the_recording_name_both_spans(
+        self, data_dir, tmp_path, capsys, controls_text, message
+    ):
+        code, out = self._replay_ten_meters_per_second(data_dir, tmp_path, controls_text)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"dtgen: error: {message}\n"
+
     def test_controls_replay_derives_recorded_headings_once(
         self, data_dir, tmp_path, monkeypatch
     ):

@@ -30,7 +30,7 @@ from dtgen.replay import (
     simulate_controls,
     step_kinematic,
 )
-from oracles import trajectory_of
+from oracles import column_simulate_controls, trajectory_of
 
 SPEC = VehicleSpec(name="testcar", kind=VehicleKind.TWIN, wheelbase=2.7, max_steer_angle=0.6)
 
@@ -1151,6 +1151,84 @@ class TestColumnStorage:
     def test_text_itself_is_refused_naming_stringio(self, parse, source):
         with pytest.raises(TypeError, match=r"wrap a str in io\.StringIO"):
             parse(source)
+
+
+@st.composite
+def replay_cases(draw):
+    """A control stream, steers past the limit included, and a ``t_end``
+    before, at or after its last control, or none."""
+    times = sorted(set(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))))
+    speed = st.floats(-30.0, 30.0) | st.sampled_from([-0.0, 5e-324])
+    steer = st.floats(-2.0, 2.0) | st.sampled_from([-0.0, 5e-324, 0.6, -0.6])
+    controls = [ControlSample(t, draw(speed), draw(steer)) for t in times]
+    last = times[-1]
+    t_end = draw(
+        st.none()
+        | st.sampled_from([last, last - 1.0])
+        | st.floats(-2e3, last, exclude_max=True)
+        | st.floats(last, 2e3, exclude_min=True)
+    )
+    return controls, t_end
+
+
+def _columns(traj):
+    return [[float.hex(v) for v in column] for column in (traj.t, traj.x, traj.y, traj.yaw)]
+
+
+class TestOnePassReplay:
+    """``simulate_controls`` reads any sequence of controls in one pass; the
+    replay it replaced, three columns and then the steps, is the reference."""
+
+    @given(replay_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_a_list_and_the_parsed_stream_give_the_column_replay(self, case):
+        controls, t_end = case
+        start = VehicleState(1.0, -2.0, 0.4, 0.0)
+        read = parse_controls_csv(_csv("t,speed,steer", map(dataclasses.astuple, controls)))
+        expected = column_simulate_controls(start, controls, SPEC, t_end)
+        for stream in (controls, read):
+            traj = simulate_controls(start, stream, SPEC, t_end)
+            assert _columns(traj) == _columns(expected)
+            assert traj.warnings == expected.warnings
+
+    def test_faults_of_a_code_built_stream_are_refused_in_stream_order(self):
+        start = VehicleState(0.0, 0.0, 0.0, 0.0)
+        # control 0's hold overflows, and control 2 then steps back in time
+        overflow_first = [
+            ControlSample(0.0, 1e308, 0.0), ControlSample(10.0, 1.0, 0.0), ControlSample(5.0, 1.0, 0.0)
+        ]
+        message = "^control at t=0.0: held for 10.0 s, the pose leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            simulate_controls(start, overflow_first, SPEC)
+        # the column replay checked the whole order before it stepped
+        with pytest.raises(ValueError, match="^control timestamps must be strictly increasing: control 2 "):
+            column_simulate_controls(start, overflow_first, SPEC)
+        # a step back before the overflowing hold is refused first, as it was
+        step_back_first = [ControlSample(0.0, 1.0, 0.0), ControlSample(-1.0, 1.0, 0.0), *overflow_first]
+        message = r"^control timestamps must be strictly increasing: control 1 at t=-1\.0 follows t=0\.0$"
+        for replay in (simulate_controls, column_simulate_controls):
+            with pytest.raises(ValueError, match=message):
+                replay(start, step_back_first, SPEC)
+
+    def test_a_non_finite_t_end_is_refused_before_the_stream_is_read(self):
+        stepping_back = [ControlSample(1.0, 1.0, 0.0), ControlSample(0.5, 1.0, 0.0)]
+        with pytest.raises(ValueError, match="^t_end must be finite, got nan$"):
+            simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), stepping_back, SPEC, t_end=math.nan)
+
+    def test_any_iterable_sequence_is_read_once_in_order(self):
+        reads = []
+
+        class Logged(list):
+            def __iter__(self):
+                for control in super().__iter__():
+                    reads.append(control.t)
+                    yield control
+
+        controls = Logged(ControlSample(float(k), 2.0, 0.1) for k in range(5))
+        traj = simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), controls, SPEC, t_end=6.0)
+        assert reads == [0.0, 1.0, 2.0, 3.0, 4.0]
+        expected = column_simulate_controls(VehicleState(0.0, 0.0, 0.0, 0.0), list(controls), SPEC, 6.0)
+        assert _columns(traj) == _columns(expected)
 
 
 _LONG = 72_001  # two hours at 10 Hz

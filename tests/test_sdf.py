@@ -886,6 +886,44 @@ def test_xml_feature_cases_reach_each_kind_of_verdict():
     assert verdicts["parameter entities in the internal subset"] == verdicts["skipped parameter entity"]
 
 
+_GEOMETRY = "<model name='m'><link name='l'><visual name='v'><geometry>{}</geometry></visual></link></model>"
+_AT = "/sdf/world[@name='w']/model[@name='m']/link[@name='l']/visual[@name='v']/geometry"
+_SHAPE_AND_POINT_CASES = {
+    "box size of 1": ("<box><size>1</size></box>", [("box/size", "size must contain 3 numbers, got 1")]),
+    "box size of 4": ("<box><size>1 2 3 4</size></box>", [("box/size", "size must contain 3 numbers, got 4")]),
+    "plane size of 4": ("<plane><size>1 2 3 4</size></plane>", [("plane/size", "size must contain 2 numbers, got 4")]),
+    "plane size of 3": ("<plane><size>1 2 3</size></plane>", [("plane/size", "size must contain 2 numbers, got 3")]),
+    "short and not positive": ("<box><size>0 1</size></box>", [("box/size", "size must contain finite positive numbers")]),
+    "good sizes": ("<box><size>1 2 3</size></box><plane><size>1 2</size></plane>", []),
+    "bad points": (
+        "<polyline><point>nan 0</point><point>1 inf</point><point>x</point><point>1</point>"
+        "<point>1 2 3</point><point/><point>-1e308 5e-324</point><height>2</height></polyline>",
+        [("polyline/point", "point must contain 2 finite numbers")] * 6,
+    ),
+    "polyline faults before its points'": (
+        "<polyline><point>nan 0</point><height>0</height></polyline><pose>x</pose>",
+        [
+            ("polyline", "polyline has 1 points, needs >= 3"),
+            ("polyline", "non-positive polyline height"),
+            ("polyline/point", "point must contain 2 finite numbers"),
+            ("pose", "pose must contain 6 finite numbers"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry, expected", _SHAPE_AND_POINT_CASES.values(), ids=_SHAPE_AND_POINT_CASES.keys())
+def test_box_and_plane_sizes_have_their_arity_and_points_two_finite_numbers(geometry, expected):
+    text = _DOC.format(_GEOMETRY.format(geometry))
+    assert _verdict(text) == [(f"{_AT}/{where}", message) for where, message in expected]
+    assert _tree_verdict(text) == _verdict(text)
+
+
+def test_points_outside_a_polyline_and_sizes_outside_a_shape_are_not_checked():
+    text = _DOC.format(_GEOMETRY.format("<point>x</point><cylinder><size>1</size></cylinder><box><point>x</point></box>"))
+    assert _verdict(text) == _tree_verdict(text) == []
+
+
 @functools.cache
 def _track_world_lines():
     config = load_config((DATA_DIR / "config_track.json").read_text(encoding="utf-8"))

@@ -316,6 +316,19 @@ def test_given_points_are_read_once_into_columns(make, field):
         held[0] = LocalPoint(1, 1)
 
 
+@pytest.mark.parametrize("make", [Building, Road])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"])
+def test_given_points_that_are_not_finite_are_refused(make, bad):
+    # a point with other x and y than a LocalPoint's, which refuses these itself
+    class Point:
+        def __init__(self, x, y):
+            self.x, self.y = x, y
+
+    points = [Point(0.0, 0.0), Point(20.0, bad), Point(0.0, 30.0)]
+    with pytest.raises(ValueError, match="^local coordinates must be finite$"):
+        make(7, points, 10.0)
+
+
 def test_extracted_points_are_columns_of_the_projected_numbers(data_dir):
     doc, origin = _load(data_dir, "mixed.osm")
     buildings, _ = extract_buildings(doc, origin, DEFAULTS)
