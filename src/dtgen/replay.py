@@ -392,7 +392,9 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     that :func:`shadow_follow` uses. The lateral and longitudinal components
     live in the recorded trajectory's heading frame (heading from motion
     direction). The report's times, deviations and the squares summed for
-    the split are ``array('d')`` columns, 32 bytes a compared sample.
+    the split are ``array('d')`` columns, 32 bytes a compared sample. Fewer
+    than 2 recorded samples in the overlap raise ``ValueError`` naming both
+    time spans.
     """
     t_lo = max(real.t_first, sim.t_first)
     t_hi = min(real.t_last, sim.t_last)
@@ -400,7 +402,10 @@ def compute_gap(real: Trajectory, sim: Trajectory) -> GapReport:
     first = bisect.bisect_left(real.t, t_lo)
     stop = bisect.bisect_right(real.t, t_hi)
     if stop - first < 2:
-        raise ValueError("trajectories overlap on fewer than 2 samples")
+        raise ValueError(
+            "trajectories overlap on fewer than 2 samples: recorded "
+            f"t=[{real.t_first}, {real.t_last}], simulated t=[{sim.t_first}, {sim.t_last}]"
+        )
 
     times = real.t[first:stop]
     recorded = zip(

@@ -13,12 +13,13 @@ before them, is formatted as one multi-line template string, each
 goes through fixed-precision formatting, so identical inputs always
 produce byte-identical files.
 
-The writer checks what it writes: each number of a pose, a polyline height
-or a ``<size>`` is made a float once, checked by the same per-element rule
-that ``validate_sdf`` applies to the numbers it reads back, and formatted.
-``fmt`` keeps a finite number finite and a positive one positive, so the
-writer's fault count is its verdict and a world needs no re-parse.
-Footprints and centerlines are read from their ``x`` and ``y`` columns.
+The writer checks what it writes: each number of a pose, a shape's size,
+radius or length, or a polyline height is made a float once, checked by the
+rule ``validate_sdf`` applies to what it reads back, all but the polyline's
+from one table, ``_RULES``, and formatted. ``fmt`` keeps a finite number
+finite and a positive one positive, so the writer's fault count is its
+verdict and a world needs no re-parse. Footprint and centerline points, read
+from their ``x`` and ``y`` columns, are finite by construction.
 ``validate_sdf`` reads foreign files, and emitted ones whose writer counted
 a fault, on the callbacks of the map's XML reader, holding the path to the
 element being read and no tree, and reports each violation at its location.
@@ -95,7 +96,7 @@ class _Writer:
     def __init__(self, out: TextIO):
         self.write = out.write
         self._model_names: set[str] = set()
-        self.faults = 0  # pose, polyline and size faults, by the validator's rules
+        self.faults = 0  # faults by the validator's rules, of _RULES rows and polylines
 
     def model(self, name: str, body: str) -> None:
         """A ``<model>`` named ``name`` holding the lines ``body``, each
@@ -136,11 +137,11 @@ def write_world(
     :class:`EmitError` on duplicate model names, possibly after part of the
     document has been written.
 
-    The numbers of every pose, polyline height and ``<size>`` the writer
-    formats go through the rule that ``validate_sdf`` applies to the numbers
-    it reads back, so the result is zero exactly when ``validate_sdf`` finds
-    no violation in what was written. The whole-document rules hold by
-    construction:
+    The numbers of every pose, shape dimension and polyline height the
+    writer formats go through the rule that ``validate_sdf`` applies to the
+    numbers it reads back, so the result is zero exactly when
+    ``validate_sdf`` finds no violation in what was written. The
+    whole-document rules hold by construction:
 
     - one ``<sdf>``, whose version the config has matched against its
       dotted-decimal pattern;
@@ -214,7 +215,7 @@ def _write_ground_plane(
     xs, ys = (map(abs, _model_column(buildings, roads, axis)) for axis in (0, 1))
     width = 2.0 * (max(chain((-low.x, high.x), xs)) + GROUND_MARGIN_M)
     depth = 2.0 * (max(chain((-low.y, high.y), ys)) + GROUND_MARGIN_M)
-    plane = f"<normal>0 0 1</normal>\n{_checked(w, 'size', width, depth)}"
+    plane = f"<normal>0 0 1</normal>\n{_checked(w, 'plane', 'size', width, depth)}"
     surfaces = _surfaces("plane", plane, _GROUND_MATERIAL)
     w.model(GROUND_PLANE_NAME, f'<static>true</static>\n<link name="link">\n{surfaces}</link>\n')
 
@@ -228,12 +229,11 @@ def _model_column(buildings: Sequence[Building], roads: Sequence[Road], axis: in
     )
 
 
-def _checked(w: _Writer, tag: str, *values: float) -> str:
-    """A ``<pose>`` or ``<size>`` element of ``values``: each is made a float
-    once, checked by the rule ``validate_sdf`` applies to ``tag``, and
-    formatted."""
+def _checked(w: _Writer, parent: str | None, tag: str, *values: float) -> str:
+    """A ``<tag>`` of ``values`` under ``parent``: each made a float once,
+    checked by the ``_RULES`` row ``validate_sdf`` applies to it, formatted."""
     numbers = [float(v) for v in values]
-    w.faults += len(_RULES[tag](numbers))
+    w.faults += len(_number_faults(tag, numbers, *_RULES[parent, tag]))
     return f"<{tag}>{' '.join(map(fmt, numbers))}</{tag}>"
 
 
@@ -257,8 +257,8 @@ def _write_road(w: _Writer, road: Road, thickness: float) -> None:
     for i, (ax, ay, bx, by) in enumerate(zip(xs, ys, xs[1:], ys[1:])):
         dx = bx - ax
         dy = by - ay
-        size = _checked(w, "size", math.hypot(dx, dy), road.width, thickness)
-        pose = _checked(w, "pose", (ax + bx) / 2, (ay + by) / 2, z, 0, 0, math.atan2(dy, dx))
+        size = _checked(w, "box", "size", math.hypot(dx, dy), road.width, thickness)
+        pose = _checked(w, None, "pose", (ax + bx) / 2, (ay + by) / 2, z, 0, 0, math.atan2(dy, dx))
         box = _surfaces("box", size, _ROAD_MATERIAL)
         links.append(f'<link name="segment_{i}">\n{pose}\n{box}</link>\n')
     w.model(f"road_{road.id}", "<static>true</static>\n" + "".join(links))
@@ -299,15 +299,15 @@ def _write_vehicle(w: _Writer, v: VehicleSpec, pose: tuple[float, float, float])
     collide = v.kind is not VehicleKind.GHOST
     actuated = v.kind is VehicleKind.TWIN
     x, y, yaw = pose
-    head = _checked(w, "pose", x, y, 0, 0, 0, yaw) + "\n"
+    head = _checked(w, None, "pose", x, y, 0, 0, 0, yaw) + "\n"
     if not actuated:
         # shadows and ghosts are pose-driven, never simulated bodies
         head += "<static>true</static>\n"
 
     chassis_z = v.wheel_radius + v.chassis_height / 2.0
-    chassis_size = _checked(w, "size", v.chassis_length, v.chassis_width, v.chassis_height)
+    chassis_size = _checked(w, "box", "size", v.chassis_length, v.chassis_width, v.chassis_height)
     chassis = (
-        f'<link name="chassis">\n{_checked(w, "pose", 0, 0, chassis_z, 0, 0, 0)}\n'
+        f'<link name="chassis">\n{_checked(w, None, "pose", 0, 0, chassis_z, 0, 0, 0)}\n'
         f'{_surfaces("box", chassis_size, collide=collide)}'
         f"{_GPS if v.gps else ''}</link>\n"
     )
@@ -320,11 +320,11 @@ def _write_vehicle(w: _Writer, v: VehicleSpec, pose: tuple[float, float, float])
         ("rear_left_wheel", -half_wb, half_track),
         ("rear_right_wheel", -half_wb, -half_track),
     )
-    cylinder = f"<radius>{fmt(v.wheel_radius)}</radius>\n<length>{fmt(WHEEL_WIDTH_M)}</length>"
-    wheel = _surfaces("cylinder", cylinder, collide=collide)
+    radius = _checked(w, "cylinder", "radius", v.wheel_radius)
+    wheel = _surfaces("cylinder", f'{radius}\n{_checked(w, "cylinder", "length", WHEEL_WIDTH_M)}', collide=collide)
     links = "".join(
         f'<link name="{name}">\n'
-        f'{_checked(w, "pose", wx, wy, v.wheel_radius, _HALF_PI, 0, 0)}\n{wheel}</link>\n'
+        f'{_checked(w, None, "pose", wx, wy, v.wheel_radius, _HALF_PI, 0, 0)}\n{wheel}</link>\n'
         for name, wx, wy in wheels
     )
     w.model(v.name, head + chassis + links + (_drive(v) if actuated else ""))
@@ -335,15 +335,16 @@ def validate_sdf(text: str) -> ValidationReport:
 
     Checks: well-formed XML, ``<sdf>`` root with a version, exactly one
     ``<world>`` containing a ``<spherical_coordinates>`` element, unique model
-    names, polylines with at least 3 points of 2 finite numbers each and a
-    positive height, poses of 6 finite numbers, and box and plane sizes of
-    finite positive numbers, 3 for a box and 2 for a plane.
+    names, polylines with at least 3 points and a positive height, and the
+    numbers of each element ``_RULES`` names: 6 finite ones in a pose, 2 in a
+    polyline point, finite positive ones in a box size (3), a plane size (2),
+    and a cylinder's radius and length and a sphere's radius (1 each).
     """
-    stack: list = []  # (tag, name) of each open element, [tag, name, slot, text, points or arity] if checked
+    stack: list = []  # (tag, name) of each open element, [tag, name, slot, text, points or rule] if checked
     root: list[str | None] = []  # the root's tag and version
     worlds: list[list] = []  # location, <spherical_coordinates> seen, issues and model names
-    faults: list[ValidationIssue] = []  # of poses, sizes and polylines, in start-tag order
-    gathered: list[str] | None = None  # text of the open pose, size or height, to its first child
+    faults: list[ValidationIssue] = []  # of the table's elements and polylines, in start-tag order
+    gathered: list[str] | None = None  # text of the open table element or height, to its first child
 
     def start(tag: str, attrs: dict[str, str]) -> None:
         nonlocal gathered
@@ -352,15 +353,15 @@ def validate_sdf(text: str) -> ValidationReport:
         if tag in _READ and stack:  # of any other element only the path is kept
             parent = stack[-1]
             polyline = parent[0] == "polyline" and len(parent) > 2  # checked: not the root
-            point = polyline and tag == "point"
-            if point:
+            if polyline and tag == "point":
                 parent[4] += 1
+            rule = _RULES.get((parent[0], tag)) or _RULES.get((None, tag))
             if polyline and tag == "height" and parent[3] is None:
                 parent[3] = gathered = []  # only the first height counts
-            elif point or tag == "polyline" or tag == "pose" or (tag == "size" and parent[0] in _SHAPES):
-                gathered = None if tag == "polyline" else []
-                # its faults go in at the slot; a size holds its shape's arity, a polyline counts its points
-                entry = [tag, entry[1], len(faults), gathered, _SHAPES[parent[0]] if tag == "size" else 0]
+            elif rule or tag == "polyline":
+                gathered = None if rule is None else []
+                # its faults go in at the slot; a polyline counts its points
+                entry = [tag, entry[1], len(faults), gathered, rule or 0]
             elif tag == "world" and len(stack) == 1:
                 worlds.append([_location([*stack, entry]), False, [], set()])
             elif parent[0] == "world" and len(stack) == 2 and tag == "spherical_coordinates":
@@ -384,10 +385,8 @@ def validate_sdf(text: str) -> ValidationReport:
             numbers = _numbers("".join(entry[3] or ()))
             if tag == "polyline":
                 messages = _polyline_faults(entry[4], numbers[0] if len(numbers) == 1 else math.nan)
-            elif tag == "size":
-                messages = _size_faults(numbers, entry[4])
             else:
-                messages = _RULES[tag](numbers)
+                messages = _number_faults(tag, numbers, *entry[4])
             faults[entry[2] : entry[2]] = (ValidationIssue(_location([*stack, entry]), m) for m in messages)
 
     def gather(data: str) -> None:
@@ -435,29 +434,16 @@ def _polyline_faults(points: int, height: float) -> list[str]:
     return faults
 
 
-def _pose_faults(values: Sequence[float]) -> list[str]:
-    """The rule for a pose's numbers; the writer and the validator both apply it."""
-    if len(values) != 6 or not all(map(math.isfinite, values)):
-        return ["pose must contain 6 finite numbers"]
-    return []
-
-
-def _point_faults(values: Sequence[float]) -> list[str]:
-    """The rule for a polyline point's numbers. The validator applies it; the
-    writer needs not, as the world model holds finite points only."""
-    if len(values) != 2 or not all(map(math.isfinite, values)):
-        return ["point must contain 2 finite numbers"]
-    return []
-
-
-def _size_faults(values: Sequence[float], arity: int | None = None) -> list[str]:
-    """The rule for a ``<size>``'s numbers, ``arity`` of them when given: 3
-    for a box and 2 for a plane, the counts ``_SHAPES`` holds. The writer,
-    which writes those counts, and the validator both apply it."""
-    if not values or not all(0 < v < math.inf for v in values):  # NaN fails both
-        return ["size must contain finite positive numbers"]
-    if arity is not None and len(values) != arity:
-        return [f"size must contain {arity} numbers, got {len(values)}"]
+def _number_faults(tag: str, values: Sequence[float], count: int, positive: bool) -> list[str]:
+    """A ``<tag>``'s numbers by its ``_RULES`` row: ``count`` of them, finite
+    and, when ``positive``, positive. The writer and the validator apply it."""
+    if not positive:
+        if len(values) != count or not all(map(math.isfinite, values)):
+            return [f"{tag} must contain {count} finite numbers"]
+    elif not values or not all(0 < v < math.inf for v in values):  # NaN fails both
+        return [f"{tag} must contain finite positive numbers"]
+    elif len(values) != count:
+        return [f"{tag} must contain {count} number{'s' if count > 1 else ''}, got {len(values)}"]
     return []
 
 
@@ -469,6 +455,15 @@ def _numbers(text: str) -> list[float]:
         return []
 
 
-_RULES = {"pose": _pose_faults, "point": _point_faults, "size": _size_faults}  # by tag
-_SHAPES = {"box": 3, "plane": 2}  # the parents whose <size> the size rule applies to, and its arity
-_READ = {"pose", "size", "polyline", "point", "height", "world", "model", "spherical_coordinates"}
+# (parent tag, tag) of each element that holds numbers, None for any parent: (how many,
+# whether each must be positive); a <size> elsewhere, such as a particle emitter's, is free
+_RULES = {
+    (None, "pose"): (6, False),
+    ("polyline", "point"): (2, False),
+    ("box", "size"): (3, True),
+    ("plane", "size"): (2, True),
+    ("cylinder", "radius"): (1, True),
+    ("cylinder", "length"): (1, True),
+    ("sphere", "radius"): (1, True),
+}
+_READ = {tag for _, tag in _RULES} | {"polyline", "height", "world", "model", "spherical_coordinates"}

@@ -5,7 +5,8 @@ math, written straight from the documented rules, whole-document parses
 where the library streams, and, where a faster path replaced a slower one,
 the slower one built from dtgen's public functions. The one exception is
 the SDF validator's per-element rules, which the tree walk takes from
-``dtgen.sdf`` so that a difference can only come from reading the XML.
+``dtgen.sdf``, the table ``_RULES`` of elements that hold numbers and the
+polyline rule, so that a difference can only come from reading the XML.
 :func:`trajectory_of` builds the tests' trajectories sample by sample.
 """
 
@@ -29,7 +30,7 @@ from dtgen.replay import (
     normalize_angle,
     step_kinematic,
 )
-from dtgen.sdf import _RULES, _SHAPES, ValidationIssue, ValidationReport, _polyline_faults
+from dtgen.sdf import _RULES, ValidationIssue, ValidationReport, _number_faults, _polyline_faults
 from dtgen.world_model import extract_buildings, extract_roads
 
 HEADING_GATE_M = 0.05
@@ -200,7 +201,7 @@ def _tree_way(element, warnings):
 def tree_validate_sdf(text):
     """``validate_sdf`` as one ``ET.fromstring`` of the whole text, then
     ``find``, ``findall`` and ``iter`` over the tree, with a parent map for
-    locations and for the parent a size or point rule depends on: the
+    locations and for the parent tag each ``_RULES`` row is keyed by: the
     validator the streaming one replaced. It applies the same per-element
     rules, from ``dtgen.sdf``."""
     issues = []
@@ -241,20 +242,17 @@ def tree_validate_sdf(text):
                 issues.append(ValidationIssue(world_loc, f"duplicate model name {name}"))
             seen.add(name)
 
-    # every pose, polyline, polyline point and box or plane size in document
-    # order; other sizes, such as a particle emitter's, may be zero
+    # every polyline and every element a _RULES row names, by its parent's tag
+    # or by any parent, in document order; other sizes, such as a particle
+    # emitter's, may be zero
     parents = {child: parent for parent in root.iter() for child in parent}
     for element in root.iter():
-        parent = parents.get(element)
-        tag, parent_tag = element.tag, None if parent is None else parent.tag
+        tag, parent_tag = element.tag, parents[element].tag if element in parents else None
+        rule = _RULES.get((parent_tag, tag)) or _RULES.get((None, tag))
         if tag == "polyline":
             messages = _tree_check_polyline(element)
-        elif tag == "pose" or (tag == "point" and parent_tag == "polyline"):
-            messages = _RULES[tag](_tree_numbers(element))
-        elif tag == "size" and parent_tag in _SHAPES:
-            messages = _RULES[tag](_tree_numbers(element), _SHAPES[parent_tag])
         else:
-            messages = []
+            messages = _number_faults(tag, _tree_numbers(element), *rule) if rule else []
         issues += (ValidationIssue(_tree_located(element, parents), m) for m in messages)
     return ValidationReport(tuple(issues))
 
@@ -364,7 +362,10 @@ def shadow_follow_compute_gap(real, sim):
     t_hi = min(real.t_last, sim.t_last)
     selected = [i for i, s in enumerate(real.samples) if t_lo <= s.t <= t_hi]
     if len(selected) < 2:
-        raise ValueError("trajectories overlap on fewer than 2 samples")
+        raise ValueError(
+            "trajectories overlap on fewer than 2 samples: "
+            f"recorded t=[{real.t_first}, {real.t_last}], simulated t=[{sim.t_first}, {sim.t_last}]"
+        )
     times = [real.samples[i].t for i in selected]
     resampled = bisect_shadow_follow(sim, times)
 

@@ -397,6 +397,18 @@ class TestValidate:
             f"dtgen: error: {bad}, line 3: not UTF-8 (invalid start byte, byte 0xfc)\n"
         )
 
+    def test_a_nan_wheel_radius_is_a_located_violation(self, track_args, tmp_path, capsys):
+        args, out = track_args
+        assert cli.main(args) == 0
+        bad = tmp_path / "nan_radius.sdf"
+        bad.write_text(out.read_text().replace("<radius>0.3</radius>", "<radius>nan</radius>", 1), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "/sdf/world[@name='generated']/model[@name='ego']/link[@name='front_left_wheel']"
+            "/collision[@name='collision']/geometry/cylinder/radius: radius must contain finite positive numbers\n"
+        )
+
 
 class TestGap:
     def test_identity_pair_all_zero(self, data_dir, tmp_path, capsys):
@@ -512,6 +524,32 @@ class TestGap:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().err == f"dtgen: error: {message}\n"
+
+    def test_controls_from_the_recorded_end_name_both_spans(self, data_dir, tmp_path, capsys):
+        code, out = self._replay_ten_meters_per_second(data_dir, tmp_path, "t,speed,steer\n10,10,0\n12,10,0\n")
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "dtgen: error: trajectories overlap on fewer than 2 samples: "
+            "recorded t=[0.0, 10.0], simulated t=[10.0, 12.0]\n"
+        )
+
+    @pytest.mark.parametrize("first, last", [(2, 3), (5, 6)], ids=["touching", "after"])
+    def test_a_sim_overlapping_on_one_sample_or_none_names_both_spans(
+        self, data_dir, tmp_path, capsys, first, last
+    ):
+        recorded = _write(tmp_path / "trace.csv", "t,x,y\n" + "".join(f"{t / 10},{t},0\n" for t in range(21)))
+        sim = _write(tmp_path / "sim.csv", f"t,x,y\n{first},0,0\n{(first + last) / 2},1,0\n{last},2,0\n")
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            ["gap", "--recorded", recorded, "--sim", sim, "--config", str(data_dir / "config_track.json"), "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "dtgen: error: trajectories overlap on fewer than 2 samples: "
+            f"recorded t=[0.0, 2.0], simulated t=[{float(first)}, {float(last)}]\n"
+        )
 
     def test_controls_replay_derives_recorded_headings_once(
         self, data_dir, tmp_path, monkeypatch

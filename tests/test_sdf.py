@@ -29,11 +29,11 @@ from dtgen.osm import _SLICE_CHARS
 from dtgen.pipeline import generate_world
 from dtgen.sdf import (
     GROUND_MARGIN_M,
+    _RULES,
     ValidationIssue,
+    _number_faults,
     _numbers,
     _polyline_faults,
-    _pose_faults,
-    _size_faults,
     emit_world,
     fmt,
     validate_sdf,
@@ -119,8 +119,9 @@ def test_fmt_keeps_each_rules_verdict(value):
     text = fmt(value)
     assert fmt(written) == text
     (read,) = _numbers(text)
-    assert _size_faults([written]) == _size_faults([read])
-    assert _pose_faults([0.0] * 5 + [written]) == _pose_faults([0.0] * 5 + [read])
+    for (_, tag), rule in _RULES.items():
+        others = [1.0] * (rule[0] - 1)
+        assert _number_faults(tag, others + [written], *rule) == _number_faults(tag, others + [read], *rule)
     assert _polyline_faults(3, written) == _polyline_faults(3, read)
 
 
@@ -919,6 +920,47 @@ def test_box_and_plane_sizes_have_their_arity_and_points_two_finite_numbers(geom
     assert _tree_verdict(text) == _verdict(text)
 
 
+_CYLINDER_AND_SPHERE_CASES = {
+    "nan radius and negative length": (
+        "<cylinder><radius>nan</radius><length>-1</length></cylinder>",
+        [
+            ("cylinder/radius", "radius must contain finite positive numbers"),
+            ("cylinder/length", "length must contain finite positive numbers"),
+        ],
+    ),
+    "cylinder radius of 2": (
+        "<cylinder><radius>1 2</radius><length>0.2</length></cylinder>",
+        [("cylinder/radius", "radius must contain 1 number, got 2")],
+    ),
+    "empty length": ("<cylinder><radius>1</radius><length/></cylinder>", [("cylinder/length", "length must contain finite positive numbers")]),
+    "zero sphere radius": ("<sphere><radius>0</radius></sphere>", [("sphere/radius", "radius must contain finite positive numbers")]),
+    "sphere radius of 2": ("<sphere><radius>2 3</radius></sphere>", [("sphere/radius", "radius must contain 1 number, got 2")]),
+    "good dimensions, and a length a sphere has none of": (
+        "<cylinder><radius>0.3</radius><length>0.2</length></cylinder><sphere><radius>1e-300</radius><length>x</length></sphere>",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry, expected", _CYLINDER_AND_SPHERE_CASES.values(), ids=_CYLINDER_AND_SPHERE_CASES.keys())
+def test_cylinder_and_sphere_dimensions_are_one_finite_positive_number(geometry, expected):
+    text = _DOC.format(_GEOMETRY.format(geometry))
+    assert _verdict(text) == [(f"{_AT}/{where}", message) for where, message in expected]
+    assert _tree_verdict(text) == _verdict(text)
+
+
+def test_a_wheel_radius_the_validator_rejects_is_located_at_each_wheel():
+    spec = _spec(VehicleKind.GHOST)
+    object.__setattr__(spec, "wheel_radius", -0.3)  # a radius the config refuses, past its check
+    world = _emit(vehicles=[spec])
+    wheels = ("front_left_wheel", "front_right_wheel", "rear_left_wheel", "rear_right_wheel")
+    at = "/sdf/world[@name='generated']/model[@name='car']/link[@name='{}']/visual[@name='visual']/geometry/cylinder/radius"
+    assert [(v.location, v.message) for v in world.violations] == [
+        (at.format(wheel), "radius must contain finite positive numbers") for wheel in wheels
+    ]
+    assert world.violations == validate_sdf(world.text).violations
+
+
 def test_points_outside_a_polyline_and_sizes_outside_a_shape_are_not_checked():
     text = _DOC.format(_GEOMETRY.format("<point>x</point><cylinder><size>1</size></cylinder><box><point>x</point></box>"))
     assert _verdict(text) == _tree_verdict(text) == []
@@ -933,7 +975,8 @@ def _track_world_lines():
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 _NOT_A_NUMBER = ["nan", "inf", "-inf", "1e999", "0", "-1", "x", "1,5", "0x1", ""]
-_CHECKED = ("<pose>", "<size>", "<height>")  # the lines whose numbers the validator checks
+# the lines whose numbers the validator checks: the table's elements and <height>
+_CHECKED = (*(f"<{tag}>" for _, tag in _RULES), "<height>")
 
 
 class _MutatedWorld(str):
@@ -992,6 +1035,7 @@ def test_mutated_worlds_reach_located_violations_and_malformed_xml():
 
 _TREE_TAGS = [
     "sdf", "world", "model", "spherical_coordinates", "polyline", "point", "height", "pose", "size", "box", "plane", "a",
+    "cylinder", "sphere", "radius", "length",
 ]
 _TREE_TEXTS = ["", "1", "0", "-1", "x", "1 2 3 4 5 6"]
 
