@@ -8,9 +8,13 @@ on the document's warning list. The map, a file open in binary mode, is
 parsed as a stream, on the callbacks of the package's one XML reader: a node
 is read at its start tag and a way at its end tag, and no element tree is
 built, so the parse holds the returned document and little else. The nodes
-are held as columns, not objects: an id index and ``array('d')`` latitude
-and longitude columns, which a bounding-box filter shares with the document
-it filters.
+are held as columns, not objects: their ids in an ``array('q')`` and their
+latitudes and longitudes in ``array('d')`` columns, 24 bytes a node, which
+a bounding-box filter shares with the document it filters. While the ids
+rise through the map, as the usual OSM tools write them, a ref's row is
+found by binary search; a map whose ids do not rise, or do not fit in 64
+bits, is indexed by a dict of id to row instead, built once, at the first
+id that does neither.
 
 What is held of the ways depends on the caller. :func:`parse_osm` holds
 every way in the document it returns. World generation reads the same map
@@ -32,7 +36,8 @@ import codecs
 import io
 import math
 from array import array
-from collections.abc import Callable, Iterable, Mapping
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
@@ -64,24 +69,106 @@ class OsmWay:
     tags: dict[str, str]
 
 
+class _NodeIds:
+    """Node ids in row order, and the row of each.
+
+    ``column`` is an ``array('q')`` of the ids, 8 bytes each, while they
+    rise, and ``index`` is ``None``: a row is found by binary search. The
+    first id added that does not rise, and is not held already, or that
+    does not fit in 64 bits, turns ``column`` into a list and builds
+    ``index``, a dict of id to row, once; rows are then read from it.
+    """
+
+    __slots__ = ("column", "index")
+
+    def __init__(self):
+        self.column: array | list[int] = array("q")
+        self.index: dict[int, int] | None = None
+
+    def add(self, node_id: int) -> bool:
+        """Hold ``node_id`` in the next row; ``False``, and nothing held,
+        when it is held already."""
+        if self.index is None:
+            column = self.column
+            if not column or node_id > column[-1]:
+                try:
+                    column.append(node_id)
+                    return True
+                except OverflowError:  # past 64 bits
+                    pass
+            elif self.row(node_id) is not None:
+                return False
+            self.column = list(column)
+            self.index = {nid: row for row, nid in enumerate(self.column)}
+        if node_id in self.index:
+            return False
+        self.index[node_id] = len(self.column)
+        self.column.append(node_id)
+        return True
+
+    def row(self, node_id: int) -> int | None:
+        """The row of ``node_id``, or ``None`` when it is not held."""
+        if self.index is not None:
+            return self.index.get(node_id)
+        column = self.column
+        row = bisect_left(column, node_id)
+        return row if row < len(column) and column[row] == node_id else None
+
+    def rows(self, refs: Sequence[int]) -> list[int | None]:
+        """The row of each of ``refs``, a way's node refs, ``None`` for one
+        not held. While the ids rise, a ref is first looked for in the row
+        after the previous ref's, and a closing ref equal to the first takes
+        its row, for a way's nodes are often listed in its order and a
+        closed way ends where it starts; only the others are searched for."""
+        if self.index is not None:
+            return list(map(self.index.get, refs))
+        closed = len(refs) > 1 and refs[-1] == refs[0]
+        column, n = self.column, len(self.column)
+        rows: list[int | None] = []
+        after = n  # the row after the previous ref's, n when there is none
+        for ref in refs[:-1] if closed else refs:
+            if after == n or column[after] != ref:
+                after = bisect_left(column, ref)
+                if after == n or column[after] != ref:
+                    rows.append(None)
+                    after = n
+                    continue
+            rows.append(after)
+            after += 1
+        if closed:
+            rows.append(rows[0])
+        return rows
+
+    def __getitem__(self, row: int) -> int:
+        return self.column[row]
+
+    def __iter__(self):
+        return iter(self.column)
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+
 class NodeColumns(Mapping):
     """A document's nodes: a read-only mapping of id to :class:`OsmNode`
     that holds numbers, not node objects.
 
-    ``index`` maps an id to its row, ``ids`` holds the id objects in row
-    order, and ``lat`` and ``lon`` are ``array('d')`` columns. ``kept`` has
-    one byte per row, 1 for a row that is one of these nodes and 0 for one
-    that is not; :meth:`row` reads the two together. A filtered document
-    shares its parent's index and columns and has its own ``kept``. A node
-    is built when it is read; ``len``, ``in``, ``get``, iteration and ``==``
-    are those of the dict of them in row order.
+    ``ids`` holds the ids in row order and finds an id's row (see
+    :class:`_NodeIds`), and ``lat`` and ``lon`` are ``array('d')`` columns.
+    ``kept`` is ``None`` when every row is one of these nodes, and else
+    has one byte per row, 1 for a row that is one of them and 0 for one
+    that is not; :meth:`row` reads the two together. A parsed document's
+    nodes take their three columns' 24 bytes a row, and a filtered
+    document shares its parent's ids and columns and has its own ``kept``.
+    A node is built when it is read; ``len``, ``in``, ``get``, iteration
+    and ``==`` are those of the dict of them in row order.
     """
 
-    __slots__ = ("index", "ids", "lat", "lon", "kept", "_len")
+    __slots__ = ("ids", "lat", "lon", "kept", "_len")
 
-    def __init__(self, index: dict[int, int], ids: list[int], lat: array, lon: array, kept: bytearray):
-        self.index, self.ids, self.lat, self.lon, self.kept = index, ids, lat, lon, kept
-        self._len = kept.count(1)
+    def __init__(self, ids: _NodeIds, lat: array, lon: array, kept: bytearray | None = None):
+        self.ids, self.lat, self.lon, self.kept = ids, lat, lon, kept
+        self._len = len(ids) if kept is None else kept.count(1)
 
     @classmethod
     def of(cls, nodes: Mapping[int, OsmNode]) -> "NodeColumns":
@@ -89,15 +176,19 @@ class NodeColumns(Mapping):
         into columns once, in its order, each under its key."""
         if isinstance(nodes, NodeColumns):
             return nodes
-        ids = list(nodes)
+        ids = _NodeIds()
+        for node_id in nodes:
+            ids.add(node_id)
         values = nodes.values()
         lat, lon = array("d", [n.lat for n in values]), array("d", [n.lon for n in values])
-        return cls({nid: row for row, nid in enumerate(ids)}, ids, lat, lon, bytearray(b"\1") * len(ids))
+        return cls(ids, lat, lon)
 
     def row(self, node_id: int) -> int | None:
         """The row of the node ``node_id``, or ``None`` when it is not one of these."""
-        row = self.index.get(node_id)
-        return None if row is None or not self.kept[row] else row
+        row = self.ids.row(node_id)
+        if row is not None and self.kept is not None and not self.kept[row]:
+            return None
+        return row
 
     def __getitem__(self, node_id: int) -> OsmNode:
         row = self.row(node_id)
@@ -109,7 +200,7 @@ class NodeColumns(Mapping):
         return self.row(node_id) is not None
 
     def __iter__(self):
-        return compress(self.ids, self.kept)
+        return iter(self.ids) if self.kept is None else compress(self.ids, self.kept)
 
     def __len__(self) -> int:
         return self._len
@@ -151,12 +242,11 @@ def parse_osm(source: BinaryIO) -> OsmDocument:
     children and a way's own members are read.
 
     The document is held compactly. Each node is a row of the document's
-    :class:`NodeColumns`, two 8-byte numbers and its id, and no
-    :class:`OsmNode` is built. A ref to a node read before its way is the
-    very int that keys the node in ``nodes``, and equal tag keys and values
-    are one ``str``, so a city's worth of refs and tags costs pointers, not
-    objects. An id, ref, latitude or longitude is read only from ASCII text
-    without ``_`` (see :func:`dtgen.geodesy.is_ascii_number`).
+    :class:`NodeColumns`, its id and two coordinates, three 8-byte numbers
+    while the ids rise, and no :class:`OsmNode` is built. Equal tag keys
+    and values are one ``str``, so a city's worth of tags costs pointers,
+    not objects. An id, ref, latitude or longitude is read only from ASCII
+    text without ``_`` (see :func:`dtgen.geodesy.is_ascii_number`).
 
     A ``str``, a ``bytes`` or a file open in text mode raises ``TypeError``.
     """
@@ -183,8 +273,7 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
             f"parse_osm takes the map as a file open in binary mode, not {type(source).__name__}: "
             'open it with open(path, "rb"), or wrap bytes in io.BytesIO'
         )
-    index: dict[int, int] = {}  # node id -> row
-    ids: list[int] = []
+    ids = _NodeIds()
     lat, lon = array("d"), array("d")
     ways: dict[int, OsmWay] = {}  # the held ways
     taken: set[int] = set()  # the ids of the ways handed to take
@@ -215,13 +304,11 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
                 if node is None:
                     return
                 node_id, node_lat, node_lon = node
-                if node_id in index:
-                    warnings.append(f"duplicate node id {node_id}: keeping first occurrence")
-                else:
-                    index[node_id] = len(ids)
-                    ids.append(node_id)
+                if ids.add(node_id):
                     lat.append(node_lat)
                     lon.append(node_lon)
+                else:
+                    warnings.append(f"duplicate node id {node_id}: keeping first occurrence")
             elif tag == "way":
                 raw_id = attrs.get("id")
                 try:
@@ -243,10 +330,9 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
             elif way_id in ways or way_id in taken:
                 warnings.append(f"duplicate way id {way_id}: keeping first occurrence")
             else:
-                rows = list(map(index.get, refs))
-                if take is None or None in rows:
-                    node_refs = tuple(ref if row is None else ids[row] for ref, row in zip(refs, rows))
-                    ways[way_id] = OsmWay(id=way_id, node_refs=node_refs, tags=tags)
+                rows = None if take is None else ids.rows(refs)
+                if rows is None or None in rows:
+                    ways[way_id] = OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
                 else:
                     taken.add(way_id)
                     take(way_id, refs, rows, tags)
@@ -259,9 +345,9 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
         raise OsmParseError(f"malformed OSM XML at line {line}, column {column}: {exc}", line, column) from exc
     if take is not None:
         for held in ways.values():
-            take(held.id, held.node_refs, list(map(index.get, held.node_refs)), held.tags)
+            take(held.id, held.node_refs, ids.rows(held.node_refs), held.tags)
         ways = {}
-    nodes = NodeColumns(index, ids, lat, lon, bytearray(b"\1") * len(ids))
+    nodes = NodeColumns(ids, lat, lon)
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 
 
@@ -364,23 +450,24 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
     Keeps every node inside the box (boundary inclusive), every way with at
     least one node inside, and all nodes referenced by a kept way. Ways are
     kept whole, never clipped. The kept nodes come in document order. The
-    result's nodes share ``doc``'s columns and index: only a byte per node,
+    result's nodes share ``doc``'s ids and columns: only a byte per node,
     marking the kept ones, is new.
     """
     nodes = doc.nodes
     parent = nodes.kept
     # a byte per row, 1 for a node of doc inside the box
-    kept = bytearray(map(and_, parent, map(bbox.contains, nodes.lat, nodes.lon)))
-    is_kept, row_of, indexed = kept.__getitem__, nodes.index.get, partial(is_not, None)
+    inside = map(bbox.contains, nodes.lat, nodes.lon)
+    kept = bytearray(inside if parent is None else map(and_, parent, inside))
+    is_kept, rows_of, held = kept.__getitem__, nodes.ids.rows, partial(is_not, None)
     kept_ways = {
         wid: way
         for wid, way in doc.ways.items()
-        if any(map(is_kept, filter(indexed, map(row_of, way.node_refs))))
+        if any(map(is_kept, filter(held, rows_of(way.node_refs))))
     }
-    refs = chain.from_iterable(way.node_refs for way in kept_ways.values())
-    for row in filter(indexed, map(row_of, refs)):
-        kept[row] = parent[row]  # 1 for a node of doc; kept holds no other
-    kept_nodes = NodeColumns(nodes.index, nodes.ids, nodes.lat, nodes.lon, kept)
+    rows = chain.from_iterable(rows_of(way.node_refs) for way in kept_ways.values())
+    for row in filter(held, rows):
+        kept[row] = 1 if parent is None else parent[row]  # 1 for a node of doc; kept holds no other
+    kept_nodes = NodeColumns(nodes.ids, nodes.lat, nodes.lon, kept)
     return OsmDocument(nodes=kept_nodes, ways=kept_ways, warnings=list(doc.warnings))
 
 

@@ -14,12 +14,13 @@ goes through fixed-precision formatting, so identical inputs always
 produce byte-identical files.
 
 The writer checks what it writes: each number of a pose, a shape's size,
-radius or length, or a polyline height is made a float once, checked by the
-rule ``validate_sdf`` applies to what it reads back, all but the polyline's
-from one table, ``_RULES``, and formatted. ``fmt`` keeps a finite number
-finite and a positive one positive, so the writer's fault count is its
-verdict and a world needs no re-parse. Footprint and centerline points, read
-from their ``x`` and ``y`` columns, are finite by construction.
+radius or length, a joint limit, the drive plugin's dimensions or a
+polyline height is made a float once, checked by the rule ``validate_sdf``
+applies to what it reads back, all but the polyline's from one table,
+``_RULES``, and formatted. ``fmt`` keeps a finite number finite and a
+positive one positive, so the writer's fault count is its verdict and a
+world needs no re-parse. Footprint and centerline points, read from their
+``x`` and ``y`` columns, are finite by construction.
 ``validate_sdf`` reads foreign files, and emitted ones whose writer counted
 a fault, on the callbacks of the map's XML reader, holding the path to the
 element being read and no tree, and reports each violation at its location.
@@ -270,27 +271,27 @@ _GPS = (
 )
 
 
-def _joint(name: str, child: str, axis: str, lower: float, upper: float) -> str:
+def _joint(w: _Writer, name: str, child: str, axis: str, lower: float, upper: float) -> str:
     return (
         f'<joint name="{name}" type="revolute">\n<parent>chassis</parent>\n<child>{child}</child>\n'
         f"<axis>\n<xyz>{axis}</xyz>\n"
-        f"<limit>\n<lower>{fmt(lower)}</lower>\n<upper>{fmt(upper)}</upper>\n</limit>\n"
+        f"<limit>\n{_checked(w, 'limit', 'lower', lower)}\n{_checked(w, 'limit', 'upper', upper)}\n</limit>\n"
         "</axis>\n</joint>\n"
     )
 
 
-def _drive(v: VehicleSpec) -> str:
+def _drive(w: _Writer, v: VehicleSpec) -> str:
     """The steer and spin joints and the Ackermann plugin of a twin."""
     limit = v.max_steer_angle
     return (
-        _joint("front_left_steer_joint", "front_left_wheel", "0 0 1", -limit, limit)
-        + _joint("front_right_steer_joint", "front_right_wheel", "0 0 1", -limit, limit)
-        + _joint("rear_left_spin_joint", "rear_left_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
-        + _joint("rear_right_spin_joint", "rear_right_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
+        _joint(w, "front_left_steer_joint", "front_left_wheel", "0 0 1", -limit, limit)
+        + _joint(w, "front_right_steer_joint", "front_right_wheel", "0 0 1", -limit, limit)
+        + _joint(w, "rear_left_spin_joint", "rear_left_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
+        + _joint(w, "rear_right_spin_joint", "rear_right_wheel", "0 1 0", -SPIN_LIMIT, SPIN_LIMIT)
         + '<plugin name="ackermann_drive" filename="libackermann_drive.so">\n'
-        f"<wheelbase>{fmt(v.wheelbase)}</wheelbase>\n<track>{fmt(v.track)}</track>\n"
-        f"<wheel_radius>{fmt(v.wheel_radius)}</wheel_radius>\n"
-        f"<max_steer_angle>{fmt(v.max_steer_angle)}</max_steer_angle>\n</plugin>\n"
+        f"{_checked(w, 'plugin', 'wheelbase', v.wheelbase)}\n{_checked(w, 'plugin', 'track', v.track)}\n"
+        f"{_checked(w, 'plugin', 'wheel_radius', v.wheel_radius)}\n"
+        f"{_checked(w, 'plugin', 'max_steer_angle', limit)}\n</plugin>\n"
     )
 
 
@@ -327,7 +328,7 @@ def _write_vehicle(w: _Writer, v: VehicleSpec, pose: tuple[float, float, float])
         f'{_checked(w, None, "pose", wx, wy, v.wheel_radius, _HALF_PI, 0, 0)}\n{wheel}</link>\n'
         for name, wx, wy in wheels
     )
-    w.model(v.name, head + chassis + links + (_drive(v) if actuated else ""))
+    w.model(v.name, head + chassis + links + (_drive(w, v) if actuated else ""))
 
 
 def validate_sdf(text: str) -> ValidationReport:
@@ -337,8 +338,10 @@ def validate_sdf(text: str) -> ValidationReport:
     ``<world>`` containing a ``<spherical_coordinates>`` element, unique model
     names, polylines with at least 3 points and a positive height, and the
     numbers of each element ``_RULES`` names: 6 finite ones in a pose, 2 in a
-    polyline point, finite positive ones in a box size (3), a plane size (2),
-    and a cylinder's radius and length and a sphere's radius (1 each).
+    polyline point and 1 in a joint limit's lower and upper bound, and finite
+    positive ones in a box size (3), a plane size (2), and a cylinder's
+    radius and length, a sphere's radius and a drive plugin's wheelbase,
+    track, wheel radius and steering limit (1 each).
     """
     stack: list = []  # (tag, name) of each open element, [tag, name, slot, text, points or rule] if checked
     root: list[str | None] = []  # the root's tag and version
@@ -439,7 +442,7 @@ def _number_faults(tag: str, values: Sequence[float], count: int, positive: bool
     and, when ``positive``, positive. The writer and the validator apply it."""
     if not positive:
         if len(values) != count or not all(map(math.isfinite, values)):
-            return [f"{tag} must contain {count} finite numbers"]
+            return [f"{tag} must contain {count} finite number{'s' if count > 1 else ''}"]
     elif not values or not all(0 < v < math.inf for v in values):  # NaN fails both
         return [f"{tag} must contain finite positive numbers"]
     elif len(values) != count:
@@ -465,5 +468,11 @@ _RULES = {
     ("cylinder", "radius"): (1, True),
     ("cylinder", "length"): (1, True),
     ("sphere", "radius"): (1, True),
+    ("limit", "lower"): (1, False),
+    ("limit", "upper"): (1, False),
+    ("plugin", "wheelbase"): (1, True),
+    ("plugin", "track"): (1, True),
+    ("plugin", "wheel_radius"): (1, True),
+    ("plugin", "max_steer_angle"): (1, True),
 }
 _READ = {tag for _, tag in _RULES} | {"polyline", "height", "world", "model", "spherical_coordinates"}

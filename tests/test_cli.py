@@ -409,6 +409,18 @@ class TestValidate:
             "/collision[@name='collision']/geometry/cylinder/radius: radius must contain finite positive numbers\n"
         )
 
+    def test_a_nan_joint_limit_is_a_located_violation(self, track_args, tmp_path, capsys):
+        args, out = track_args
+        assert cli.main(args) == 0
+        bad = tmp_path / "nan_lower.sdf"
+        bad.write_text(out.read_text().replace("<lower>-0.6</lower>", "<lower>nan</lower>", 1), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "/sdf/world[@name='generated']/model[@name='ego']/joint[@name='front_left_steer_joint']"
+            "/axis/limit/lower: lower must contain 1 finite number\n"
+        )
+
 
 class TestGap:
     def test_identity_pair_all_zero(self, data_dir, tmp_path, capsys):

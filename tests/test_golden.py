@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from dtgen.config import load_config
+from dtgen.osm import parse_osm
 from dtgen.pipeline import generate_world
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -32,6 +33,41 @@ def _ways_first(osm: bytes) -> bytes:
     rest = way.sub(b"", osm)
     root_end = re.search(rb"<osm\b[^>]*>\s*", rest).end()
     return rest[:root_end] + b"".join(way.findall(osm)) + rest[root_end:]
+
+
+_NODE = re.compile(rb"<node\b[^>]*/>")
+
+
+def _nodes_placed(osm: bytes, nodes: list[bytes]) -> bytes:
+    """The map ``osm`` with its ``<node>`` elements, all empty ones, replaced
+    in order by ``nodes``."""
+    placed = iter(nodes)
+    return _NODE.sub(lambda _: next(placed), osm)
+
+
+def _nodes_reversed(osm: bytes) -> bytes:
+    """The map ``osm`` with its nodes in reverse order, so that their ids fall."""
+    return _nodes_placed(osm, _NODE.findall(osm)[::-1])
+
+
+def _nodes_turned(osm: bytes) -> bytes:
+    """The map ``osm`` with the later half of its nodes ahead of the earlier
+    half, so that their ids stop rising halfway through the nodes."""
+    nodes = _NODE.findall(osm)
+    half = len(nodes) // 2
+    return _nodes_placed(osm, nodes[half:] + nodes[:half])
+
+
+def _first_node_repeated(osm: bytes) -> tuple[bytes, str]:
+    """The map ``osm`` with a copy of its first node, at latitude 0, after
+    its last, and the warning that the copy makes."""
+    nodes = _NODE.findall(osm)
+    copy = re.sub(rb'lat="[^"]*"', b'lat="0.0"', nodes[0])
+    node_id = int(re.search(rb'id="([^"]*)"', copy)[1])
+    return (
+        _nodes_placed(osm, [*nodes[:-1], nodes[-1] + b"\n" + copy]),
+        f"duplicate node id {node_id}: keeping first occurrence",
+    )
 
 
 def _written(result):
@@ -64,6 +100,28 @@ def test_world_bytes_match_golden_hash(pair):
         digest = hashlib.sha256(_written(result).encode("utf-8")).hexdigest()
         assert digest == GOLDEN[pair]
     assert ways_first.warnings == in_order.warnings
+
+
+@pytest.mark.parametrize("pair", sorted(p for p in GOLDEN if not p.startswith("empty.osm")))
+def test_world_bytes_match_golden_hash_however_the_node_ids_run(pair):
+    # node ids that fall from the start, or stop rising halfway, are found
+    # through an id index built at the first that falls; a node repeated
+    # after the last is found on the rising ids, warned of and dropped:
+    # the same world, and the same warnings but the repeated node's
+    osm_name, config_name = pair.split()
+    config = load_config((DATA_DIR / config_name).read_text(encoding="utf-8"))
+    osm = (DATA_DIR / osm_name).read_bytes()
+    in_order = generate_world(config, io.BytesIO(osm))
+    repeated, warning = _first_node_repeated(osm)
+    for variant, indexed in ((osm, False), (_nodes_reversed(osm), True), (_nodes_turned(osm), True), (repeated, False)):
+        assert (parse_osm(io.BytesIO(variant)).nodes.ids.index is not None) == indexed
+        result = generate_world(config, io.BytesIO(variant))
+        assert hashlib.sha256(_written(result).encode("utf-8")).hexdigest() == GOLDEN[pair]
+        if variant is repeated:
+            assert result.warnings.count(warning) == 1
+            assert [w for w in result.warnings if w != warning] == list(in_order.warnings)
+        else:
+            assert result.warnings == in_order.warnings
 
 
 def test_committed_demo_world_is_current():

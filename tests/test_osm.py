@@ -313,11 +313,32 @@ def test_filter_bbox_matches_the_three_set_filter(doc, box):
     assert got.warnings == want.warnings
 
 
-# ids that repeat, come out of order, are negative or do not fit 32 bits
-_node_ids = st.integers(-3, 6) | st.sampled_from([10**12, -(10**12), 10**12 + 1])
+# ids that repeat, come out of order, are negative, do not fit 32 bits, or
+# are at or past the ends of 64 bits; in about half the draws they rise,
+# but for a repeat of an earlier id
+_node_ids = st.integers(-3, 6) | st.sampled_from(
+    [10**12, -(10**12), 10**12 + 1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
+)
 _node_rows = st.lists(
     st.tuples(_node_ids, st.floats(-90, 90), st.floats(-180, 180)), max_size=12
-)
+) | st.tuples(
+    st.lists(st.tuples(_node_ids, st.floats(-90, 90), st.floats(-180, 180)), max_size=12),
+    st.randoms(use_true_random=False),
+).map(lambda drawn: _rising_but_repeats(*drawn))
+
+
+def _rising_but_repeats(rows, random):
+    """``rows`` in rising order of their ids, each repeat of an id moved to
+    a place after the first row of that id that ``random`` draws."""
+    rising, seen = [], set()
+    for row in sorted(rows, key=lambda row: row[0]):
+        if row[0] in seen:
+            first = next(k for k, other in enumerate(rising) if other[0] == row[0])
+            rising.insert(random.randint(first + 1, len(rising)), row)
+        else:
+            seen.add(row[0])
+            rising.append(row)
+    return rising
 
 
 @given(rows=_node_rows, absent=_node_ids)
@@ -348,13 +369,18 @@ def test_node_columns_read_as_the_dict_they_replace(rows, absent):
 @given(rows=_node_rows, refs=st.lists(_node_ids, max_size=6), box=_boxes(), absent=_node_ids)
 @settings(max_examples=150)
 def test_a_row_is_found_exactly_for_a_node_held(rows, refs, box, absent):
-    # a filtered document shares its parent's index, so the index holds
-    # ids whose nodes the filter dropped: row must find none for them
+    # a filtered document shares its parent's ids, so they hold ids whose
+    # nodes the filter dropped: row must find none for them
     xml = "".join(f'<node id="{i}" lat="{lat!r}" lon="{lon!r}"/>' for i, lat, lon in rows)
     xml += '<way id="1">' + "".join(f'<nd ref="{ref}"/>' for ref in refs) + "</way>"
     parsed = _parse(f"<osm>{xml}</osm>")
+    first_rows = {}
+    for node_id, _, _ in rows:
+        first_rows.setdefault(node_id, len(first_rows))
+    for way in (refs, refs + refs[:1], refs[::-1]):  # as read, closed, and reversed
+        assert parsed.nodes.ids.rows(way) == [first_rows.get(ref) for ref in way]
     for nodes in (parsed.nodes, filter_bbox(parsed, box).nodes):
-        assert len(nodes.kept) == len(nodes.ids)
+        assert nodes.kept is None or len(nodes.kept) == len(nodes.ids)
         held = set(nodes)  # read by iteration, not by row
         for node_id in {i for i, _, _ in rows} | set(refs) | {absent}:
             row = nodes.row(node_id)
@@ -362,9 +388,49 @@ def test_a_row_is_found_exactly_for_a_node_held(rows, refs, box, absent):
             assert row is None or nodes.ids[row] == node_id
 
 
+# node ids in map order, and whether they make the store build an id
+# index; JOSM numbers the nodes it creates -1, -2, ..., and 2**63 and
+# -2**63 - 1 do not fit in 64 bits
+_ID_RUNS = {
+    "negative, as JOSM numbers new nodes": ([-1, -2, -3, -4], True),
+    "negative, rising": ([-9, -4, -1, 0, 3], False),
+    "a repeat on rising ids": ([1, 2, 5, 2, 7, 5, 1], False),
+    "rising, then not, halfway": ([1, 2, 3, 10, 11, 4, 5, 2], True),
+    "the ends of 64 bits": ([-(2**63), 0, 2**63 - 1], False),
+    "2**63": ([1, 2**63, 3], True),
+    "-2**63 - 1 first": ([-(2**63) - 1, 1, 2], True),
+    "-2**63 - 1 after a rise": ([1, 2, -(2**63) - 1], True),
+}
+
+
+@pytest.mark.parametrize("ids, indexed", _ID_RUNS.values(), ids=_ID_RUNS.keys())
+def test_node_ids_are_found_whether_they_rise_or_not(ids, indexed):
+    want, warnings = {}, []
+    for k, node_id in enumerate(ids):
+        if node_id in want:
+            warnings.append(f"duplicate node id {node_id}: keeping first occurrence")
+        else:
+            want[node_id] = OsmNode(node_id, 48.0 + k / 1000, 8.0)
+    assert 6 not in want
+    ways = {1: [*ids[::-1], 6, ids[-1]], 2: [ids[0], *ids[1:], ids[0]], 3: [6, *ids, 6]}
+    xml = "".join(f'<node id="{i}" lat="{48.0 + k / 1000!r}" lon="8.0"/>' for k, i in enumerate(ids))
+    xml += "".join(
+        f'<way id="{w}">' + "".join(f'<nd ref="{ref}"/>' for ref in refs) + "</way>" for w, refs in ways.items()
+    )
+    doc = _parse(f"<osm>{xml}</osm>")
+    assert list(doc.nodes.items()) == list(want.items())
+    assert doc.warnings == warnings
+    assert (doc.nodes.ids.index is not None) == indexed
+    row = {node_id: k for k, node_id in enumerate(want)}
+    for way_id, refs in ways.items():
+        assert doc.ways[way_id].node_refs == tuple(refs)
+        assert doc.nodes.ids.rows(refs) == [row.get(ref) for ref in refs]
+    assert [doc.nodes.row(node_id) for node_id in [*want, 6]] == [*row.values(), None]
+
+
 def test_extraction_finds_only_the_filtered_nodes(data_dir):
     # the filtered nodes, given with every way of the map: a ref whose node
-    # the filter dropped is unresolved, though the shared index holds it
+    # the filter dropped is unresolved, though the shared ids hold it
     with open(data_dir / "track.osm", "rb") as f:
         doc = parse_osm(f)
     nodes = filter_bbox(doc, BoundingBox(48.003, 8.004, 48.011, 8.0148)).nodes
@@ -384,7 +450,7 @@ def test_extraction_finds_only_the_filtered_nodes(data_dir):
 def test_filtered_nodes_are_the_parents_columns_and_a_byte_a_node():
     doc = _parse(CLOSED_WAY)
     nodes = filter_bbox(doc, BoundingBox(48.0005, 8.0005, 48.002, 8.002)).nodes
-    for name in ("index", "ids", "lat", "lon"):
+    for name in ("ids", "lat", "lon"):
         assert getattr(nodes, name) is getattr(doc.nodes, name)
     assert list(nodes) == [1, 2, 3, 4]  # node 3 inside; its way keeps the rest
     assert 5 not in nodes and nodes.get(5) is None
@@ -392,7 +458,7 @@ def test_filtered_nodes_are_the_parents_columns_and_a_byte_a_node():
         nodes[5]
 
 
-def test_parsed_refs_are_the_node_keys_and_equal_tags_one_object():
+def test_parsed_refs_are_read_in_order_and_equal_tags_one_object():
     ids = [10**12 + i for i in range(4)]
     nodes = "".join(f'<node id="{i}" lat="48.0" lon="8.{n}"/>' for n, i in enumerate(ids))
     tags = '<tag k="building" v="yes"/><tag k="name" v="Hall A"/>'
@@ -401,10 +467,7 @@ def test_parsed_refs_are_the_node_keys_and_equal_tags_one_object():
         for w, refs in [(1, [*ids, ids[0]]), (2, ids[1:3])]
     )
     doc = _parse(f"<osm>{nodes}{ways}</osm>")
-    keys = {key: key for key in doc.nodes}
-    refs = [ref for way in doc.ways.values() for ref in way.node_refs]
-    assert len(refs) == 7
-    assert all(ref is keys[ref] for ref in refs)
+    assert [way.node_refs for way in doc.ways.values()] == [(*ids, ids[0]), tuple(ids[1:3])]
     first, second = (list(way.tags.items()) for way in doc.ways.values())
     assert first == second
     for (k1, v1), (k2, v2) in zip(first, second):
@@ -686,14 +749,26 @@ def _traced(call):
     return result, size, peak
 
 
-# the three pins below hold at 3.43 MB, 1.63 MB and 0.24 MB measured; a
+# the three pins below hold at 2.49 MB, 1.63 MB and 0.24 MB measured; a
 # node dict, a LocalPoint for each point of the model and a second node
-# dict from the filter gave 4.21 MB, 2.11 MB and 0.89 MB
+# dict from the filter gave 4.21 MB, 2.11 MB and 0.89 MB, and an id index
+# beside the node columns 3.43 MB for the first
 def test_a_parsed_map_holds_its_nodes_in_columns():
     data = _city_map(4000).encode("utf-8")
     doc, size, _ = _traced(lambda: parse_osm(io.BytesIO(data)))
     assert len(doc.nodes) == 16_000
-    assert size < 3_600_000
+    assert size < 2_600_000
+
+
+def test_the_node_store_of_rising_ids_takes_at_most_26_bytes_a_node():
+    # an id and two coordinates, 8 bytes each, and what the arrays grow by:
+    # 25.2 bytes a node measured here, against 118 for an id index and a
+    # list of the id objects beside the coordinate columns
+    data = _city_map(4000).encode("utf-8")
+    doc, size, _ = _traced(lambda: osm._read_osm(io.BytesIO(data), lambda lat, lon: lambda *way: None))
+    assert len(doc.nodes) == 16_000 and not doc.ways
+    assert doc.nodes.ids.index is None
+    assert size <= 26 * 16_000
 
 
 def test_the_building_model_holds_its_points_in_columns():

@@ -961,6 +961,70 @@ def test_a_wheel_radius_the_validator_rejects_is_located_at_each_wheel():
     assert world.violations == validate_sdf(world.text).violations
 
 
+_JOINT = "<joint name='j'><axis><limit>{}</limit></axis></joint>"
+_PLUGIN = "<plugin name='p' filename='libp.so'>{}</plugin>"
+_DRIVE_CASES = {
+    "nan lower and an upper of 2": (
+        _JOINT.format("<lower>nan</lower><upper>1 2</upper>"),
+        [
+            ("joint[@name='j']/axis/limit/lower", "lower must contain 1 finite number"),
+            ("joint[@name='j']/axis/limit/upper", "upper must contain 1 finite number"),
+        ],
+    ),
+    "empty lower and an infinite upper": (
+        _JOINT.format("<lower/><upper>-inf</upper>"),
+        [
+            ("joint[@name='j']/axis/limit/lower", "lower must contain 1 finite number"),
+            ("joint[@name='j']/axis/limit/upper", "upper must contain 1 finite number"),
+        ],
+    ),
+    "zero wheelbase, nan track, negative wheel radius, two steering limits": (
+        _PLUGIN.format(
+            "<wheelbase>0</wheelbase><track>nan</track><wheel_radius>-0.3</wheel_radius>"
+            "<max_steer_angle>0.6 0.7</max_steer_angle>"
+        ),
+        [
+            ("plugin[@name='p']/wheelbase", "wheelbase must contain finite positive numbers"),
+            ("plugin[@name='p']/track", "track must contain finite positive numbers"),
+            ("plugin[@name='p']/wheel_radius", "wheel_radius must contain finite positive numbers"),
+            ("plugin[@name='p']/max_steer_angle", "max_steer_angle must contain 1 number, got 2"),
+        ],
+    ),
+    "a good drive, and bounds and a track outside a limit and a plugin": (
+        _JOINT.format("<lower>-1e16</lower><upper>0</upper>")
+        + _PLUGIN.format("<wheelbase>2.7</wheelbase><track>1.5</track><wheel_radius>0.3</wheel_radius>"
+                         "<max_steer_angle>0.6</max_steer_angle>")
+        + "<lower>x</lower><upper/><track>0</track>",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("body, expected", _DRIVE_CASES.values(), ids=_DRIVE_CASES.keys())
+def test_joint_limits_are_one_finite_number_and_drive_dimensions_one_positive_one(body, expected):
+    text = _in_model(body)
+    at = "/sdf/world[@name='w']/model[@name='m']"
+    assert _verdict(text) == [(f"{at}/{where}", message) for where, message in expected]
+    assert _tree_verdict(text) == _verdict(text)
+
+
+def test_a_steering_limit_the_validator_rejects_is_located_at_each_steer_joint_and_the_plugin():
+    spec = _spec(VehicleKind.TWIN)
+    object.__setattr__(spec, "max_steer_angle", math.nan)  # an angle the config refuses, past its check
+    world = _emit(vehicles=[spec])
+    model = "/sdf/world[@name='generated']/model[@name='car']"
+    want = [
+        (f"{model}/joint[@name='{joint}']/axis/limit/{bound}", f"{bound} must contain 1 finite number")
+        for joint in ("front_left_steer_joint", "front_right_steer_joint")
+        for bound in ("lower", "upper")
+    ]
+    want.append(
+        (f"{model}/plugin[@name='ackermann_drive']/max_steer_angle", "max_steer_angle must contain finite positive numbers")
+    )
+    assert [(v.location, v.message) for v in world.violations] == want
+    assert world.violations == validate_sdf(world.text).violations
+
+
 def test_points_outside_a_polyline_and_sizes_outside_a_shape_are_not_checked():
     text = _DOC.format(_GEOMETRY.format("<point>x</point><cylinder><size>1</size></cylinder><box><point>x</point></box>"))
     assert _verdict(text) == _tree_verdict(text) == []
