@@ -269,6 +269,9 @@ def _cmd_gap(args) -> int:
         if spec is None:
             _error(f"unknown vehicle name {args.vehicle!r}")
             return EXIT_USAGE
+    elif args.vehicle is not None:
+        _error("--vehicle requires --controls")
+        return EXIT_USAGE
     # each CSV is read a line at a time as it is parsed
     with open(args.recorded, "rb") as binary:
         recorded = parse_trajectory_csv(_text_lines(args.recorded, binary), origin=origin)

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cache
 
 from .errors import ConfigParseError, ConfigValidationError
-from .geodesy import _FLOAT_MAX, BoundingBox, GeoOrigin, lat_lon_in_range, project
+from .geodesy import _FLOAT_MAX, BoundingBox, GeoOrigin, _is_number, lat_lon_in_range, project
 
 
 class VehicleKind(Enum):
@@ -48,7 +48,7 @@ def _short_repr(value) -> str:
 def _require_finite(spawn) -> None:
     for f in fields(spawn):
         value = getattr(spawn, f.name)
-        if not (isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX):
+        if not (_is_number(value) and abs(value) <= _FLOAT_MAX):
             raise ConfigValidationError(
                 f"{type(spawn).__name__}.{f.name} must be a finite number, "
                 f"got {_short_repr(value)}"
@@ -116,12 +116,12 @@ class VehicleSpec:
             )
         for name in _POSITIVE_LENGTH_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
+            if not (_is_number(value) and 0 < value <= _FLOAT_MAX):
                 raise ConfigValidationError(
                     f"vehicle {self.name!r}: {name} must be strictly positive, "
                     f"got {_short_repr(value)}"
                 )
-        if not (0.0 < self.max_steer_angle < math.pi / 2):
+        if not (_is_number(self.max_steer_angle) and 0.0 < self.max_steer_angle < math.pi / 2):
             raise ConfigValidationError(
                 f"vehicle {self.name!r}: max_steer_angle must lie in (0, pi/2), "
                 f"got {_short_repr(self.max_steer_angle)}"
@@ -144,7 +144,7 @@ class ExtractionDefaults:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and 0 < value <= _FLOAT_MAX):
+            if not (_is_number(value) and 0 < value <= _FLOAT_MAX):
                 raise ValueError(f"{f.name} must be strictly positive, got {_short_repr(value)}")
 
 
@@ -235,7 +235,7 @@ def _reject_unknown(raw: dict, allowed, context: str) -> None:
 
 
 def _number(raw, context: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if not _is_number(raw):
         raise ConfigValidationError(f"{context} must be a number, got {raw!r}")
     if not abs(raw) <= _FLOAT_MAX:  # NaN, inf, or an integer no float can hold
         raise ConfigValidationError(f"{context} must be finite, got {_short_repr(raw)}")

@@ -32,6 +32,13 @@ def is_ascii_number(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float`` and not a ``bool``,
+    which ``isinstance`` takes for an ``int``: every numeric field refuses
+    ``True`` as the config refuses ``true``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def lat_lon_in_range(lat: float, lon: float) -> bool:
     """Whether ``lat`` lies in [-90, 90] and ``lon`` in [-180, 180] degrees,
     bounds included; NaN lies in neither."""
@@ -49,7 +56,7 @@ class BoundingBox:
 
     def __post_init__(self):
         values = (self.min_lat, self.min_lon, self.max_lat, self.max_lon)
-        if not all(isinstance(v, (int, float)) and abs(v) <= _FLOAT_MAX for v in values):
+        if not all(_is_number(v) and abs(v) <= _FLOAT_MAX for v in values):
             raise ValueError("bounding box coordinates must be finite numbers")
         if not (
             lat_lon_in_range(self.min_lat, self.min_lon)
@@ -155,6 +162,13 @@ def project(origin: GeoOrigin, lat: float, lon: float) -> LocalPoint:
     x = EARTH_RADIUS_M * math.radians(dlon) * origin.cos_lat0
     y = EARTH_RADIUS_M * math.radians(lat - origin.lat0)
     return LocalPoint(x, y)
+
+
+def _projected_bounds(origin: GeoOrigin, bbox: BoundingBox) -> tuple[LocalPoint, LocalPoint]:
+    """The least and the greatest local x and y of ``bbox`` projected about
+    ``origin``: its south-west and north-east corners, for the projection
+    keeps east and north apart."""
+    return project(origin, bbox.min_lat, bbox.min_lon), project(origin, bbox.max_lat, bbox.max_lon)
 
 
 def unproject(origin: GeoOrigin, point: LocalPoint) -> tuple[float, float]:

@@ -8,13 +8,14 @@ on the document's warning list. The map, a file open in binary mode, is
 parsed as a stream, on the callbacks of the package's one XML reader: a node
 is read at its start tag and a way at its end tag, and no element tree is
 built, so the parse holds the returned document and little else. The nodes
-are held as columns, not objects: their ids in an ``array('q')`` and their
-latitudes and longitudes in ``array('d')`` columns, 24 bytes a node, which
-a bounding-box filter shares with the document it filters. While the ids
-rise through the map, as the usual OSM tools write them, a ref's row is
-found by binary search; a map whose ids do not rise, or do not fit in 64
-bits, is indexed by a dict of id to row instead, built once, at the first
-id that does neither.
+are held as columns, not objects, in one :class:`NodeColumns`: their ids in
+an ``array('q')`` and their latitudes and longitudes in ``array('d')``
+columns, 24 bytes a node, which a bounding-box filter shares with the
+document it filters. The store is the one place a ref's row is found, by
+the reader, the filter and extraction alike. While the ids rise through the
+map, as the usual OSM tools write them, a row is found by binary search; a
+map whose ids do not rise, or do not fit in 64 bits, is indexed by a dict
+of id to row instead, built once, at the first id that does neither.
 
 What is held of the ways depends on the caller. :func:`parse_osm` holds
 every way in the document it returns. World generation reads the same map
@@ -69,106 +70,35 @@ class OsmWay:
     tags: dict[str, str]
 
 
-class _NodeIds:
-    """Node ids in row order, and the row of each.
-
-    ``column`` is an ``array('q')`` of the ids, 8 bytes each, while they
-    rise, and ``index`` is ``None``: a row is found by binary search. The
-    first id added that does not rise, and is not held already, or that
-    does not fit in 64 bits, turns ``column`` into a list and builds
-    ``index``, a dict of id to row, once; rows are then read from it.
-    """
-
-    __slots__ = ("column", "index")
-
-    def __init__(self):
-        self.column: array | list[int] = array("q")
-        self.index: dict[int, int] | None = None
-
-    def add(self, node_id: int) -> bool:
-        """Hold ``node_id`` in the next row; ``False``, and nothing held,
-        when it is held already."""
-        if self.index is None:
-            column = self.column
-            if not column or node_id > column[-1]:
-                try:
-                    column.append(node_id)
-                    return True
-                except OverflowError:  # past 64 bits
-                    pass
-            elif self.row(node_id) is not None:
-                return False
-            self.column = list(column)
-            self.index = {nid: row for row, nid in enumerate(self.column)}
-        if node_id in self.index:
-            return False
-        self.index[node_id] = len(self.column)
-        self.column.append(node_id)
-        return True
-
-    def row(self, node_id: int) -> int | None:
-        """The row of ``node_id``, or ``None`` when it is not held."""
-        if self.index is not None:
-            return self.index.get(node_id)
-        column = self.column
-        row = bisect_left(column, node_id)
-        return row if row < len(column) and column[row] == node_id else None
-
-    def rows(self, refs: Sequence[int]) -> list[int | None]:
-        """The row of each of ``refs``, a way's node refs, ``None`` for one
-        not held. While the ids rise, a ref is first looked for in the row
-        after the previous ref's, and a closing ref equal to the first takes
-        its row, for a way's nodes are often listed in its order and a
-        closed way ends where it starts; only the others are searched for."""
-        if self.index is not None:
-            return list(map(self.index.get, refs))
-        closed = len(refs) > 1 and refs[-1] == refs[0]
-        column, n = self.column, len(self.column)
-        rows: list[int | None] = []
-        after = n  # the row after the previous ref's, n when there is none
-        for ref in refs[:-1] if closed else refs:
-            if after == n or column[after] != ref:
-                after = bisect_left(column, ref)
-                if after == n or column[after] != ref:
-                    rows.append(None)
-                    after = n
-                    continue
-            rows.append(after)
-            after += 1
-        if closed:
-            rows.append(rows[0])
-        return rows
-
-    def __getitem__(self, row: int) -> int:
-        return self.column[row]
-
-    def __iter__(self):
-        return iter(self.column)
-
-    def __len__(self) -> int:
-        return len(self.column)
-
-
 class NodeColumns(Mapping):
     """A document's nodes: a read-only mapping of id to :class:`OsmNode`
-    that holds numbers, not node objects.
+    that holds numbers, not node objects, in rows.
 
-    ``ids`` holds the ids in row order and finds an id's row (see
-    :class:`_NodeIds`), and ``lat`` and ``lon`` are ``array('d')`` columns.
-    ``kept`` is ``None`` when every row is one of these nodes, and else
-    has one byte per row, 1 for a row that is one of them and 0 for one
-    that is not; :meth:`row` reads the two together. A parsed document's
-    nodes take their three columns' 24 bytes a row, and a filtered
-    document shares its parent's ids and columns and has its own ``kept``.
-    A node is built when it is read; ``len``, ``in``, ``get``, iteration
-    and ``==`` are those of the dict of them in row order.
+    ``ids`` holds the ids in row order, an ``array('q')``, 8 bytes each,
+    while they rise, and ``index`` is ``None``: a row is found by binary
+    search. The first id added that does not rise, and is not held already,
+    or that does not fit in 64 bits, turns ``ids`` into a list and builds
+    ``index``, a dict of id to row, once; rows are then read from it.
+    ``lat`` and ``lon`` are ``array('d')`` columns. ``kept`` is ``None``
+    when every row is one of these nodes, and else has one byte per row, 1
+    for a row that is one of them and 0 for one that is not. A parsed
+    document's nodes take their three columns' 24 bytes a row, and a
+    filtered document shares its parent's ids, index and columns and has
+    its own ``kept``. :meth:`_rows` is the one lookup, and reads ``kept``
+    with the ids. A node is built when it is read; ``len``, ``in``,
+    ``get``, iteration and ``==`` are those of the dict of them in row
+    order.
     """
 
-    __slots__ = ("ids", "lat", "lon", "kept", "_len")
+    __slots__ = ("ids", "index", "lat", "lon", "kept")
 
-    def __init__(self, ids: _NodeIds, lat: array, lon: array, kept: bytearray | None = None):
-        self.ids, self.lat, self.lon, self.kept = ids, lat, lon, kept
-        self._len = len(ids) if kept is None else kept.count(1)
+    def __init__(self, parent: "NodeColumns | None" = None, kept: bytearray | None = None):
+        """No nodes, or ``parent``'s rows that ``kept`` marks."""
+        if parent is None:
+            self.ids, self.index, self.lat, self.lon = array("q"), None, array("d"), array("d")
+        else:
+            self.ids, self.index, self.lat, self.lon = parent.ids, parent.index, parent.lat, parent.lon
+        self.kept = kept
 
     @classmethod
     def of(cls, nodes: Mapping[int, OsmNode]) -> "NodeColumns":
@@ -176,19 +106,70 @@ class NodeColumns(Mapping):
         into columns once, in its order, each under its key."""
         if isinstance(nodes, NodeColumns):
             return nodes
-        ids = _NodeIds()
-        for node_id in nodes:
-            ids.add(node_id)
-        values = nodes.values()
-        lat, lon = array("d", [n.lat for n in values]), array("d", [n.lon for n in values])
-        return cls(ids, lat, lon)
+        columns = cls()
+        for node_id, node in nodes.items():
+            columns._add(node_id, node.lat, node.lon)
+        return columns
+
+    def _add(self, node_id: int, lat: float, lon: float) -> bool:
+        """Hold the node ``node_id`` at ``lat``, ``lon`` in the next row;
+        ``False``, and nothing held, when its id is held already."""
+        ids = self.ids
+        if self.index is None:
+            if not ids or node_id > ids[-1]:
+                try:
+                    ids.append(node_id)
+                except OverflowError:  # past 64 bits
+                    pass
+                else:
+                    self.lat.append(lat)
+                    self.lon.append(lon)
+                    return True
+            elif self.row(node_id) is not None:
+                return False
+            ids = self.ids = list(ids)
+            self.index = {nid: row for row, nid in enumerate(ids)}
+        if node_id in self.index:
+            return False
+        self.index[node_id] = len(ids)
+        ids.append(node_id)
+        self.lat.append(lat)
+        self.lon.append(lon)
+        return True
+
+    def _rows(self, refs: Sequence[int]) -> list[int | None]:
+        """The row of each of ``refs``, a way's node refs, ``None`` for one
+        that is not one of these nodes. While the ids rise, a ref is first
+        looked for in the row after the previous ref's, and a closing ref
+        equal to the first takes its row, for a way's nodes are often
+        listed in its order and a closed way ends where it starts; only the
+        others are searched for."""
+        if self.index is not None:
+            rows = list(map(self.index.get, refs))
+        else:
+            closed = len(refs) > 1 and refs[-1] == refs[0]
+            ids, n = self.ids, len(self.ids)
+            rows = []
+            after = n  # the row after the previous ref's, n when there is none
+            for ref in refs[:-1] if closed else refs:
+                if after == n or ids[after] != ref:
+                    after = bisect_left(ids, ref)
+                    if after == n or ids[after] != ref:
+                        rows.append(None)
+                        after = n
+                        continue
+                rows.append(after)
+                after += 1
+            if closed:
+                rows.append(rows[0])
+        kept = self.kept
+        if kept is None:
+            return rows
+        return [None if row is None or not kept[row] else row for row in rows]
 
     def row(self, node_id: int) -> int | None:
         """The row of the node ``node_id``, or ``None`` when it is not one of these."""
-        row = self.ids.row(node_id)
-        if row is not None and self.kept is not None and not self.kept[row]:
-            return None
-        return row
+        return self._rows((node_id,))[0]
 
     def __getitem__(self, node_id: int) -> OsmNode:
         row = self.row(node_id)
@@ -203,7 +184,7 @@ class NodeColumns(Mapping):
         return iter(self.ids) if self.kept is None else compress(self.ids, self.kept)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self.ids) if self.kept is None else self.kept.count(1)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -257,11 +238,11 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
     """The map in ``source`` read as :func:`parse_osm` reads it, every way
     held in the returned document's ``ways`` when ``way_taker`` is ``None``.
 
-    Otherwise ``way_taker(lat, lon)`` is called once, with the latitude and
-    longitude columns that the nodes are read into, and returns ``take``.
+    Otherwise ``way_taker(nodes)`` is called once, with the
+    :class:`NodeColumns` that the nodes are read into, and returns ``take``.
     Each way whose refs all name nodes read before its end tag is handed to
     ``take(way_id, refs, rows, tags)`` there, with its refs and their rows
-    in those columns, and is not held: only its id is kept, for the
+    in ``nodes``, and is not held: only its id is kept, for the
     duplicate-way rule. A way that names a node not read yet, a dangling
     ref or a node listed after it, is held until the document ends and
     then handed to ``take`` in the order it was read, with ``None`` for
@@ -273,11 +254,11 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
             f"parse_osm takes the map as a file open in binary mode, not {type(source).__name__}: "
             'open it with open(path, "rb"), or wrap bytes in io.BytesIO'
         )
-    ids = _NodeIds()
-    lat, lon = array("d"), array("d")
+    nodes = NodeColumns()
     ways: dict[int, OsmWay] = {}  # the held ways
     taken: set[int] = set()  # the ids of the ways handed to take
-    take = None if way_taker is None else way_taker(lat, lon)
+    add_node = nodes._add
+    take = None if way_taker is None else way_taker(nodes)
     warnings: list[str] = []
     depth = 0
     way_id: int | None = None  # of the root-level way being read, if its id is good
@@ -301,14 +282,8 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
         elif depth == 2:
             if tag == "node":
                 node = _read_node(attrs, warnings)
-                if node is None:
-                    return
-                node_id, node_lat, node_lon = node
-                if ids.add(node_id):
-                    lat.append(node_lat)
-                    lon.append(node_lon)
-                else:
-                    warnings.append(f"duplicate node id {node_id}: keeping first occurrence")
+                if node is not None and not add_node(*node):
+                    warnings.append(f"duplicate node id {node[0]}: keeping first occurrence")
             elif tag == "way":
                 raw_id = attrs.get("id")
                 try:
@@ -330,7 +305,7 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
             elif way_id in ways or way_id in taken:
                 warnings.append(f"duplicate way id {way_id}: keeping first occurrence")
             else:
-                rows = None if take is None else ids.rows(refs)
+                rows = None if take is None else nodes._rows(refs)
                 if rows is None or None in rows:
                     ways[way_id] = OsmWay(id=way_id, node_refs=tuple(refs), tags=tags)
                 else:
@@ -345,9 +320,8 @@ def _read_osm(source: BinaryIO, way_taker: Callable | None = None) -> OsmDocumen
         raise OsmParseError(f"malformed OSM XML at line {line}, column {column}: {exc}", line, column) from exc
     if take is not None:
         for held in ways.values():
-            take(held.id, held.node_refs, ids.rows(held.node_refs), held.tags)
+            take(held.id, held.node_refs, nodes._rows(held.node_refs), held.tags)
         ways = {}
-    nodes = NodeColumns(ids, lat, lon)
     return OsmDocument(nodes=nodes, ways=ways, warnings=warnings)
 
 
@@ -451,24 +425,23 @@ def filter_bbox(doc: OsmDocument, bbox: BoundingBox) -> OsmDocument:
     least one node inside, and all nodes referenced by a kept way. Ways are
     kept whole, never clipped. The kept nodes come in document order. The
     result's nodes share ``doc``'s ids and columns: only a byte per node,
-    marking the kept ones, is new.
+    marking the kept ones, is new. A ref's row is found by ``doc.nodes``,
+    so a node that an earlier filter dropped is not kept again.
     """
     nodes = doc.nodes
-    parent = nodes.kept
     # a byte per row, 1 for a node of doc inside the box
     inside = map(bbox.contains, nodes.lat, nodes.lon)
-    kept = bytearray(inside if parent is None else map(and_, parent, inside))
-    is_kept, rows_of, held = kept.__getitem__, nodes.ids.rows, partial(is_not, None)
+    kept = bytearray(inside if nodes.kept is None else map(and_, nodes.kept, inside))
+    is_kept, rows_of, held = kept.__getitem__, nodes._rows, partial(is_not, None)
     kept_ways = {
         wid: way
         for wid, way in doc.ways.items()
         if any(map(is_kept, filter(held, rows_of(way.node_refs))))
     }
-    rows = chain.from_iterable(rows_of(way.node_refs) for way in kept_ways.values())
-    for row in filter(held, rows):
-        kept[row] = 1 if parent is None else parent[row]  # 1 for a node of doc; kept holds no other
-    kept_nodes = NodeColumns(nodes.ids, nodes.lat, nodes.lon, kept)
-    return OsmDocument(nodes=kept_nodes, ways=kept_ways, warnings=list(doc.warnings))
+    # each row that rows_of finds is a node of doc
+    for row in filter(held, chain.from_iterable(rows_of(way.node_refs) for way in kept_ways.values())):
+        kept[row] = 1
+    return OsmDocument(nodes=NodeColumns(nodes, kept), ways=kept_ways, warnings=list(doc.warnings))
 
 
 def overpass_query(bbox: BoundingBox, timeout: float = OVERPASS_TIMEOUT_S) -> str:

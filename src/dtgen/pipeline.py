@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, TextIO
 
 from .config import GenerationConfig, resolve_spawn
-from .geodesy import origin_of, project
+from .geodesy import _projected_bounds, origin_of
 from .osm import _read_osm as parse_osm  # benchmarks/dtbench/tracing.py times pipeline.parse_osm
 from .osm import filter_bbox  # noqa: F401 - benchmarks/dtbench/tracing.py wraps pipeline.filter_bbox
 from .sdf import (
@@ -68,8 +68,7 @@ def generate_world(config: GenerationConfig, osm: BinaryIO) -> GenerationResult:
     road_models, road_warnings = roads.in_id_order()
 
     warnings = doc.warnings + building_warnings + road_warnings
-    low = project(origin, bbox.min_lat, bbox.min_lon)
-    high = project(origin, bbox.max_lat, bbox.max_lon)
+    low, high = _projected_bounds(origin, bbox)
     for spec in config.vehicles:
         x, y, _ = resolve_spawn(spec.spawn, origin)
         if not (low.x <= x <= high.x and low.y <= y <= high.y):

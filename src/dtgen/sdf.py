@@ -39,7 +39,7 @@ from xml.parsers import expat
 
 from .config import GenerationConfig, VehicleKind, VehicleSpec, resolve_spawn
 from .errors import EmitError
-from .geodesy import GeoOrigin, origin_of, project
+from .geodesy import GeoOrigin, _projected_bounds, origin_of
 from .osm import _SLICE_CHARS, _read_xml
 from .world_model import Building, Road
 
@@ -208,8 +208,7 @@ def _write_ground_plane(
     """A plane centered on the origin that covers the projected bbox, and
     every building and road point, plus ``GROUND_MARGIN_M`` on every side.
     The bbox filter keeps ways whole, so their points can lie past the bbox."""
-    low = project(origin, config.bbox.min_lat, config.bbox.min_lon)
-    high = project(origin, config.bbox.max_lat, config.bbox.max_lon)
+    low, high = _projected_bounds(origin, config.bbox)
     # one pass over each axis's columns, every footprint's and then every
     # centerline's, in the order of a list of all the points, so even a NaN
     # coordinate gives the same plane

@@ -13,7 +13,7 @@ makes a model of one way or the warning that skips it. Both passes that
 call them are here and gather in a :class:`_Made`, in way id order:
 generation's, :func:`_way_taker`, on each way the map reader hands it with
 its rows, and the library's, :func:`extract_buildings` and
-:func:`extract_roads`, on a document's ways, rows by ``NodeColumns.row``.
+:func:`extract_roads`, on a document's ways, rows by its ``NodeColumns``.
 """
 
 import math
@@ -24,7 +24,7 @@ from operator import attrgetter, itemgetter
 
 from .config import ExtractionDefaults
 from .geodesy import _FLOAT_MAX, BoundingBox, GeoOrigin, LocalPoint, _Rows, is_ascii_number, project
-from .osm import OsmDocument
+from .osm import NodeColumns, OsmDocument
 
 MIN_VERTEX_SEPARATION_M = 1e-6
 
@@ -145,13 +145,12 @@ def _extract(doc, origin, defaults, wanted, rule) -> tuple[list, list[str]]:
     """What ``rule`` makes of each way of ``doc`` whose tags ``wanted``
     accepts, in way id order: the models, and the warnings of the ways it
     skipped."""
-    made = _Made()
-    points = _Projection(origin, doc.nodes.lat, doc.nodes.lon)
-    row = doc.nodes.row
+    made, nodes = _Made(), doc.nodes
+    points = _Projection(origin, nodes)
     for way_id, way in doc.ways.items():
         if wanted(way.tags):
             refs = way.node_refs
-            made.add(way_id, rule(way_id, refs, list(map(row, refs)), way.tags, points, defaults))
+            made.add(way_id, rule(way_id, refs, nodes._rows(refs), way.tags, points, defaults))
     return made.in_id_order()
 
 
@@ -161,8 +160,8 @@ def _way_taker(bbox: BoundingBox, origin: GeoOrigin, defaults: ExtractionDefault
     theirs, with a node inside ``bbox``, is added to ``buildings`` or
     ``roads``, each a :class:`_Made`."""
 
-    def way_taker(lat: array, lon: array):
-        points = _Projection(origin, lat, lon)
+    def way_taker(nodes: NodeColumns):
+        points, lat, lon = _Projection(origin, nodes), nodes.lat, nodes.lon
 
         def take(way_id, refs, rows, tags):
             building, road = _building_tagged(tags), _road_tagged(tags)
@@ -257,16 +256,16 @@ def _road(way_id, refs, rows, tags, points, defaults) -> Road | str:
 
 
 class _Projection:
-    """The local points of node rows, each row projected from ``lat`` and
-    ``lon`` once and remembered, so ways that share a node share its
-    numbers. The remembered x and y are a number per row, NaN until the
-    row is projected (``project`` never returns NaN), and they grow with
-    ``lat``: a node read after the last call is projected too."""
+    """The local points of the rows of ``nodes``, each row projected once
+    and remembered, so ways that share a node share its numbers. The
+    remembered x and y are a number per row, NaN until the row is projected
+    (``project`` never returns NaN), and they grow with the store: a node
+    read after the last call is projected too."""
 
     __slots__ = ("origin", "lat", "lon", "xs", "ys")
 
-    def __init__(self, origin: GeoOrigin, lat: array, lon: array):
-        self.origin, self.lat, self.lon = origin, lat, lon
+    def __init__(self, origin: GeoOrigin, nodes: NodeColumns):
+        self.origin, self.lat, self.lon = origin, nodes.lat, nodes.lon
         self.xs, self.ys = array("d"), array("d")
 
     def line(self, rows) -> tuple[array, array]:

@@ -642,6 +642,32 @@ class TestGap:
         assert code == 2
         assert capsys.readouterr().err == "dtgen: error: --controls requires --vehicle\n"
 
+    @pytest.mark.parametrize("vehicle", ["ego", "nosuch"])
+    @pytest.mark.parametrize("trace", [STRAIGHT_TRACE, REPEATED_TIME_TRACE], ids=["good", "bad"])
+    def test_vehicle_without_controls_is_usage_error(self, data_dir, tmp_path, capsys, trace, vehicle):
+        # a bad trace as both CSVs: the error comes before either is read
+        recorded = _write(tmp_path / "trace.csv", trace)
+        sim = _write(tmp_path / "sim.csv", trace)
+        out = tmp_path / "gap.json"
+        code = cli.main(
+            [
+                "gap",
+                "--recorded",
+                recorded,
+                "--sim",
+                sim,
+                "--config",
+                str(data_dir / "config_track.json"),
+                "--vehicle",
+                vehicle,
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "dtgen: error: --vehicle requires --controls\n"
+        assert not out.exists()
+
     def test_disjoint_ranges_is_domain_failure(self, data_dir, tmp_path):
         recorded = _write(tmp_path / "a.csv", "t,x,y\n0,0,0\n1,1,0\n")
         sim = _write(tmp_path / "b.csv", "t,x,y\n5,0,0\n6,1,0\n")

@@ -273,6 +273,26 @@ def test_an_int_too_long_for_text_is_still_shown_short(build, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    ("cls", "args", "kwargs"),
+    [
+        (BoundingBox, (False, False, True, True), {}),
+        (VehicleSpec, ("ego", VehicleKind.TWIN), {"wheelbase": True, "chassis_length": 2}),
+        (VehicleSpec, ("ego", VehicleKind.TWIN), {"max_steer_angle": True}),
+        (ExtractionDefaults, (), {"road_width": True}),
+        (LocalSpawn, (True, False), {}),
+        (GeoSpawn, (1, 2), {"yaw": False}),
+    ],
+    ids=["BoundingBox", "VehicleSpec", "VehicleSpec-steer", "ExtractionDefaults", "LocalSpawn", "GeoSpawn"],
+)
+def test_constructor_refuses_a_bool_as_a_number(cls, args, kwargs):
+    # the same numbers as ints construct: only the bool is refused, as load_config refuses true
+    ints = {key: int(value) if type(value) is bool else value for key, value in kwargs.items()}
+    cls(*(int(a) if type(a) is bool else a for a in args), **ints)
+    with pytest.raises((ValueError, ConfigValidationError), match="finite|positive|max_steer_angle"):
+        cls(*args, **kwargs)
+
+
 @pytest.mark.parametrize("digits", [310, 401, 1000, 4300])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_an_int_no_float_holds_is_shown_as_reprlib_shows_it(digits, sign):

@@ -10,6 +10,7 @@ from dtgen.geodesy import (
     BoundingBox,
     GeoOrigin,
     LocalPoint,
+    _projected_bounds,
     is_ascii_number,
     origin_of,
     project,
@@ -233,6 +234,21 @@ def test_point_just_across_the_antimeridian_lands_next_to_the_origin():
     origin = GeoOrigin(0.0, 179.5)
     assert project(origin, 0.0, -179.99).x == pytest.approx(56_772.9, abs=0.1)
     assert unproject(origin, LocalPoint(56_772.9, 0.0))[1] == pytest.approx(-179.99, abs=1e-5)
+
+
+@given(
+    lats=st.lists(st.floats(-88.9, 88.9), min_size=2, max_size=2, unique=True),
+    lons=st.lists(st.floats(-180, 180), min_size=2, max_size=2, unique=True),
+)
+def test_projected_bounds_are_the_least_and_greatest_of_the_four_corners(lats, lons):
+    # what the spawn check and the ground plane take of the bbox: a bound
+    # that the projection of a corner lies past would misplace either
+    bbox = BoundingBox(min(lats), min(lons), max(lats), max(lons))
+    origin = origin_of(bbox)
+    corners = [project(origin, lat, lon) for lat in lats for lon in lons]
+    low, high = _projected_bounds(origin, bbox)
+    assert (low.x, low.y) == (min(p.x for p in corners), min(p.y for p in corners))
+    assert (high.x, high.y) == (max(p.x for p in corners), max(p.y for p in corners))
 
 
 def test_projection_is_affine_in_lat_lon():

@@ -114,7 +114,7 @@ def test_world_bytes_match_golden_hash_however_the_node_ids_run(pair):
     in_order = generate_world(config, io.BytesIO(osm))
     repeated, warning = _first_node_repeated(osm)
     for variant, indexed in ((osm, False), (_nodes_reversed(osm), True), (_nodes_turned(osm), True), (repeated, False)):
-        assert (parse_osm(io.BytesIO(variant)).nodes.ids.index is not None) == indexed
+        assert (parse_osm(io.BytesIO(variant)).nodes.index is not None) == indexed
         result = generate_world(config, io.BytesIO(variant))
         assert hashlib.sha256(_written(result).encode("utf-8")).hexdigest() == GOLDEN[pair]
         if variant is repeated:

@@ -366,26 +366,38 @@ def test_node_columns_read_as_the_dict_they_replace(rows, absent):
         assert parsed != dict(list(want.items())[1:])
 
 
-@given(rows=_node_rows, refs=st.lists(_node_ids, max_size=6), box=_boxes(), absent=_node_ids)
+@given(rows=_node_rows, refs=st.lists(_node_ids, max_size=6), box=_boxes(), inner=_boxes(), absent=_node_ids)
 @settings(max_examples=150)
-def test_a_row_is_found_exactly_for_a_node_held(rows, refs, box, absent):
+def test_a_row_is_found_exactly_for_a_node_held(rows, refs, box, inner, absent):
     # a filtered document shares its parent's ids, so they hold ids whose
-    # nodes the filter dropped: row must find none for them
+    # nodes the filter dropped: no lookup may find a row for them
     xml = "".join(f'<node id="{i}" lat="{lat!r}" lon="{lon!r}"/>' for i, lat, lon in rows)
     xml += '<way id="1">' + "".join(f'<nd ref="{ref}"/>' for ref in refs) + "</way>"
     parsed = _parse(f"<osm>{xml}</osm>")
-    first_rows = {}
-    for node_id, _, _ in rows:
-        first_rows.setdefault(node_id, len(first_rows))
-    for way in (refs, refs + refs[:1], refs[::-1]):  # as read, closed, and reversed
-        assert parsed.nodes.ids.rows(way) == [first_rows.get(ref) for ref in way]
-    for nodes in (parsed.nodes, filter_bbox(parsed, box).nodes):
+    first = {}
+    for node_id, lat, lon in rows:
+        first.setdefault(node_id, OsmNode(node_id, lat, lon))
+    first_rows = {node_id: row for row, node_id in enumerate(first)}
+    once = filter_bbox(parsed, box)
+    stores = {
+        "parsed": parsed.nodes,
+        "dict-built": OsmDocument(nodes=first, ways=parsed.ways).nodes,
+        "filtered": once.nodes,
+        "twice filtered": filter_bbox(once, inner).nodes,
+    }
+    for name, nodes in stores.items():
         assert nodes.kept is None or len(nodes.kept) == len(nodes.ids)
         held = set(nodes)  # read by iteration, not by row
-        for node_id in {i for i, _, _ in rows} | set(refs) | {absent}:
+        for way in (refs, refs + refs[:1], refs[::-1]):  # as read, closed, and reversed
+            want = [first_rows[ref] if ref in held else None for ref in way]
+            assert nodes._rows(way) == [nodes.row(ref) for ref in way] == want, name
+        for node_id in set(first) | set(refs) | {absent}:
             row = nodes.row(node_id)
             assert (row is None) == (node_id not in nodes) == (node_id not in held)
             assert row is None or nodes.ids[row] == node_id
+    for parent, child in (("parsed", "filtered"), ("filtered", "twice filtered")):
+        dropped = set(stores[parent]).difference(stores[child])
+        assert stores[child]._rows(list(dropped)) == [None] * len(dropped)
 
 
 # node ids in map order, and whether they make the store build an id
@@ -420,12 +432,23 @@ def test_node_ids_are_found_whether_they_rise_or_not(ids, indexed):
     doc = _parse(f"<osm>{xml}</osm>")
     assert list(doc.nodes.items()) == list(want.items())
     assert doc.warnings == warnings
-    assert (doc.nodes.ids.index is not None) == indexed
+    assert (doc.nodes.index is not None) == indexed
     row = {node_id: k for k, node_id in enumerate(want)}
     for way_id, refs in ways.items():
         assert doc.ways[way_id].node_refs == tuple(refs)
-        assert doc.nodes.ids.rows(refs) == [row.get(ref) for ref in refs]
+        assert doc.nodes._rows(refs) == [row.get(ref) for ref in refs]
     assert [doc.nodes.row(node_id) for node_id in [*want, 6]] == [*row.values(), None]
+    # node k lies at latitude 48 + k / 1000: the filters keep the first half
+    # of the nodes, and then the first quarter; they hold no way
+    once = filter_bbox(OsmDocument(nodes=doc.nodes), BoundingBox(47.0, 7.0, 48.0 + len(ids) / 2000, 9.0))
+    twice = filter_bbox(once, BoundingBox(47.0, 7.0, 48.0 + len(ids) / 4000, 9.0))
+    stores = [doc.nodes, OsmDocument(nodes=want).nodes, once.nodes, twice.nodes]
+    assert len(stores[0]) == len(stores[1]) > len(stores[2]) > len(stores[3]) > 0
+    for nodes in stores:
+        held = {node_id: row[node_id] for node_id in nodes}
+        for refs in ways.values():
+            for way in (refs, refs + refs[:1], refs[::-1]):  # as read, closed, and reversed
+                assert nodes._rows(way) == [nodes.row(ref) for ref in way] == [held.get(ref) for ref in way]
 
 
 def test_extraction_finds_only_the_filtered_nodes(data_dir):
@@ -765,9 +788,9 @@ def test_the_node_store_of_rising_ids_takes_at_most_26_bytes_a_node():
     # 25.2 bytes a node measured here, against 118 for an id index and a
     # list of the id objects beside the coordinate columns
     data = _city_map(4000).encode("utf-8")
-    doc, size, _ = _traced(lambda: osm._read_osm(io.BytesIO(data), lambda lat, lon: lambda *way: None))
+    doc, size, _ = _traced(lambda: osm._read_osm(io.BytesIO(data), lambda nodes: lambda *way: None))
     assert len(doc.nodes) == 16_000 and not doc.ways
-    assert doc.nodes.ids.index is None
+    assert doc.nodes.index is None
     assert size <= 26 * 16_000
 
 

@@ -1030,6 +1030,55 @@ def test_points_outside_a_polyline_and_sizes_outside_a_shape_are_not_checked():
     assert _verdict(text) == _tree_verdict(text) == []
 
 
+# the elements of a generated world that hold numbers and that no rule
+# checks: fixed text of the writer's templates, the sun's, the colours',
+# a joint axis's and a sensor's, and the spherical coordinates, whose
+# degrees come from a bbox the config has checked
+_FREE_NUMBER_TAGS = {
+    "update_rate",
+    "xyz",
+    "normal",
+    "ambient",
+    "diffuse",
+    "specular",
+    "direction",
+    "latitude_deg",
+    "longitude_deg",
+    "elevation",
+    "heading_deg",
+}
+
+
+def test_every_number_a_generated_world_writes_has_a_rule_or_is_named_free():
+    # the track world with a twin, a shadow and a ghost, all with GPS and
+    # all without: each element whose text is numbers is a _RULES row, the
+    # polyline height or one named free, and each name on the free list is
+    # written, so that neither a new unruled number nor a stale name passes
+    track = load_config((DATA_DIR / "config_track.json").read_text(encoding="utf-8"))
+    ruled, free = set(), set()
+    for gps in (True, False):
+        vehicles = tuple(
+            VehicleSpec(kind.value, kind, gps=gps, spawn=LocalSpawn(10.0 * k, 0.0))
+            for k, kind in enumerate(VehicleKind)
+        )
+        config = GenerationConfig(track.bbox, track.defaults, vehicles)
+        with open(DATA_DIR / "track.osm", "rb") as osm:
+            root = ET.fromstring(_written(generate_world(config, osm)))
+        assert {m.get("name") for m in root.iter("model")} >= {"twin", "shadow", "ghost"}
+        for parent in root.iter():
+            for element in parent:
+                if len(element) or not _numbers(element.text or ""):
+                    continue
+                key = (parent.tag, element.tag)
+                if key in _RULES or (None, element.tag) in _RULES or key == ("polyline", "height"):
+                    ruled.add(key)
+                else:
+                    assert element.tag in _FREE_NUMBER_TAGS, f"<{element.tag}> in <{parent.tag}> has no rule"
+                    free.add(element.tag)
+    assert free == _FREE_NUMBER_TAGS
+    assert ("polyline", "height") in ruled and ("plugin", "wheelbase") in ruled and ("limit", "lower") in ruled
+
+
 @functools.cache
 def _track_world_lines():
     config = load_config((DATA_DIR / "config_track.json").read_text(encoding="utf-8"))
